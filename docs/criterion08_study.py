@@ -107,7 +107,7 @@ def run_seed(seed: int) -> dict:
             even_g[i, j] = (green_closed(LAM, y - x1) - green_closed(LAM, y - x2)) @ net
 
     def per_d(a: np.ndarray) -> np.ndarray:
-        # pool the five centers of each distance, as martingale_increment_moment does
+        # pool the five centers of each distance, as the criterion-08 test does
         return a.reshape(R, len(DISTANCES), len(CENTERS)).mean(axis=(0, 2))
 
     p = 1.0 + BETA

@@ -20,11 +20,11 @@ reports them together.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .particles import dt_cap_violation
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text", "config_hash", "KINDS"]
 
@@ -41,7 +41,6 @@ KINDS = (
     "unbounded2d",
 )
 
-_DT_CAP = 0.1
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -108,18 +107,6 @@ class ExperimentConfig:
     resolutions: tuple[float, ...] = (0.2, 0.1, 0.05)
     window: tuple[float, ...] = (-1.5, 1.5)
 
-    def branch_rate(self) -> float:
-        return (1.0 + self.beta) * self.n_scale**self.beta
-
-    def effective_dt(self) -> float:
-        if self.dt is not None:
-            return self.dt
-        cap = _DT_CAP / self.branch_rate()
-        if self.t_end <= 0:
-            return cap
-        n_steps = max(1, math.ceil(self.t_end / cap - 1e-9))
-        return self.t_end / n_steps
-
     def panel_grid(self):
         import numpy as np
 
@@ -144,17 +131,23 @@ class ExperimentConfig:
             errs.append(f"replicas must be >= 1, got {self.replicas}")
         if self.replica_start < 0:
             errs.append(f"replica_start must be >= 0, got {self.replica_start}")
+        if self.replica_start + self.replicas > 2**32:
+            # retry streams use the indices from 2^32 on (harness)
+            errs.append(
+                "replica_start + replicas must be <= 2^32, got "
+                f"{self.replica_start + self.replicas}"
+            )
+        if not 0 <= self.seed < 2**64:
+            # streams key on the seed's low 64 bits, so wider seeds alias
+            errs.append(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.workers < 1:
             errs.append(f"workers must be >= 1, got {self.workers}")
         if self.save_paths not in ("none", "first", "all"):
             errs.append(f"save_paths must be none|first|all, got {self.save_paths!r}")
-        if 0.0 < self.beta < 1.0 and self.dt is not None and self.dt > 0:
-            rate_dt = self.branch_rate() * self.dt
-            if rate_dt > _DT_CAP * (1 + 1e-9):
-                errs.append(
-                    f"branch_rate*dt = {rate_dt:.6g} exceeds the cap {_DT_CAP} "
-                    f"(branch_rate = {self.branch_rate():.6g}, dt = {self.dt:.6g})"
-                )
+        if 0.0 < self.beta < 1.0 and self.n_scale >= 1 and self.dt is not None and self.dt > 0:
+            violation = dt_cap_violation(self.beta, self.n_scale, self.dt)
+            if violation:
+                errs.append(violation)
         if self.dt is not None and self.dt <= 0:
             errs.append(f"dt must be > 0, got {self.dt}")
         if self.lam <= 0:
@@ -169,6 +162,8 @@ class ExperimentConfig:
             errs.append(
                 f"q_moment must lie in (1, 1+beta) = (1, {1 + self.beta}), got {self.q_moment}"
             )
+        if self.kind == "moments" and not all(d > 0 for d in self.distances):
+            errs.append(f"distances must all be > 0, got {self.distances}")
         if self.kind == "timechange" and not self.x1 <= self.x2:
             errs.append(f"need x1 <= x2, got ({self.x1}, {self.x2})")
         if self.kind == "unbounded2d" and self.dim != 2:

@@ -2,6 +2,15 @@
 a worker pool), per-replica record persistence, associative merging, and
 CSV emission.
 
+Every experiment kind is one `Kind` entry in `REGISTRY`, the only place that
+knows what a kind does.  A replica kind names the functionals each particle
+replica accumulates, the per-replica `record` that reduces a path to a flat
+dict of numbers, and the `finalize` that turns the records into its tables
+and derived results; merging re-runs `finalize` on the pooled records.  A
+path-free kind (stabletails, criterion, holder) supplies one `run` function
+instead.  `check` holds the kind's acceptance thresholds.  `run_experiment`,
+`merge_reports`, `check_report` and the CLI subcommands all read this table.
+
 Determinism contract: replica i always uses the stream (seed, replica_start
 + i) regardless of worker count; cap-hit replicas are resampled on stream
 (seed, i + attempt * 2^32) and counted into the censoring rate.  Merged
@@ -25,22 +34,16 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .config import ExperimentConfig, canonical_lines, config_hash, parse_config_text
+from .config import KINDS, ExperimentConfig, canonical_lines, config_hash, parse_config_text
 from .continuity import CriterionParams, gs_series, holder_exponent, unboundedness_probe
-from .errors import ConfigError, ResourceLimitError, SbmlabError
-from .kernels import green_closed, heat_kernel
+from .errors import ConfigError, ResourceLimitError
 from .loglaplace import GridSpec, smoothed_indicator, solve_mild
 from .measures import FiniteMeasure, dirac, load_measure
-from .particles import (
-    OccupationFunctional,
-    make_params,
-    save_events,
-    save_snapshots,
-    simulate,
-)
+from .particles import make_params, save_events, save_snapshots, simulate
 from .rng import RngStream
 from .textio import fnum
 from .stable_path import (
@@ -61,7 +64,7 @@ from .tanaka import (
     tanaka_panel_terms,
 )
 
-__all__ = ["RunReport", "run_experiment", "merge_reports", "check_report"]
+__all__ = ["Kind", "REGISTRY", "RunReport", "run_experiment", "merge_reports", "check_report"]
 
 _SCHEMA_VERSION = "v1"
 
@@ -79,11 +82,35 @@ class RunReport:
     artifacts: list[str]
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=1)
+        """Strict JSON: non-finite numbers are written as null."""
+        return json.dumps(
+            _null_nonfinite(dataclasses.asdict(self)), sort_keys=True, indent=1, allow_nan=False
+        )
 
     @staticmethod
     def from_json(text: str) -> "RunReport":
         return RunReport(**json.loads(text))
+
+
+def _null_nonfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _null_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_null_nonfinite(v) for v in value]
+    return value
+
+
+def _all_finite(value) -> bool:
+    """False if any number in value is non-finite or was read back as null."""
+    if value is None or isinstance(value, float):
+        return value is not None and math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    return True
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -103,7 +130,7 @@ def _initial_measure(cfg: ExperimentConfig) -> FiniteMeasure:
     return load_measure(cfg.initial_measure)
 
 
-def _model_params(cfg: ExperimentConfig, snapshot_stride: int | None = None):
+def _model_params(cfg: ExperimentConfig):
     return make_params(
         cfg.beta,
         cfg.n_scale,
@@ -111,7 +138,7 @@ def _model_params(cfg: ExperimentConfig, snapshot_stride: int | None = None):
         dim=cfg.dim,
         dt=cfg.dt,
         particle_cap=cfg.particle_cap,
-        snapshot_stride=snapshot_stride if snapshot_stride is not None else cfg.snapshot_stride,
+        snapshot_stride=cfg.snapshot_stride,
     )
 
 
@@ -120,28 +147,28 @@ def _phi(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# Per-replica records, one function per experiment kind
+# Per-replica functionals and records, one of each per replica kind
 # ---------------------------------------------------------------------------
 
 
-def _functionals(cfg: ExperimentConfig):
+def _tanaka_functionals(cfg: ExperimentConfig):
     xs = cfg.panel_grid()
-    if cfg.kind == "tanaka":
-        return [
-            tanaka_panel_functional(cfg.lam, xs),
-            tanaka_panel_functional(cfg.lam_alt, xs),
-            histogram_functional(-8.0, 8.0, min(cfg.bandwidth / 4.0, 0.025),
-                                 checkpoint_stride=100),
-        ]
-    if cfg.kind == "timechange":
-        return [
-            psi0_power_functional(cfg.lam, cfg.x1, cfg.x2, cfg.beta),
-            interval_indicator_functional(cfg.x1, cfg.x2),
-        ]
-    return []
+    return [
+        tanaka_panel_functional(cfg.lam, xs),
+        tanaka_panel_functional(cfg.lam_alt, xs),
+        histogram_functional(-8.0, 8.0, min(cfg.bandwidth / 4.0, 0.025),
+                             checkpoint_stride=100),
+    ]
 
 
-def _record_simulate(cfg: ExperimentConfig, rec) -> dict:
+def _timechange_functionals(cfg: ExperimentConfig):
+    return [
+        psi0_power_functional(cfg.lam, cfg.x1, cfg.x2, cfg.beta),
+        interval_indicator_functional(cfg.x1, cfg.x2),
+    ]
+
+
+def _record_simulate(cfg: ExperimentConfig, rec, mu0) -> dict:
     out = {
         "final_mass": float(rec.masses[-1]),
         "total_occupation": float(rec.mass_occupation[-1]),
@@ -153,7 +180,7 @@ def _record_simulate(cfg: ExperimentConfig, rec) -> dict:
     return out
 
 
-def _record_duality(cfg: ExperimentConfig, rec) -> dict:
+def _record_duality(cfg: ExperimentConfig, rec, mu0) -> dict:
     phi = _phi(cfg)
     pos = rec.final_positions
     mass = rec.params.mass_per_particle
@@ -177,7 +204,7 @@ def _record_tanaka(cfg: ExperimentConfig, rec, mu0) -> dict:
     return out
 
 
-def _record_moments(cfg: ExperimentConfig, rec) -> dict:
+def _record_moments(cfg: ExperimentConfig, rec, mu0) -> dict:
     out = {}
     for d in cfg.distances:
         vals = []
@@ -194,14 +221,14 @@ def _jump_levels(cfg: ExperimentConfig) -> np.ndarray:
     return (ms + 0.5) / cfg.n_scale
 
 
-def _record_jumps(cfg: ExperimentConfig, rec) -> dict:
+def _record_jumps(cfg: ExperimentConfig, rec, mu0) -> dict:
     ys = _jump_levels(cfg)
     return {
         f"count:y={y:g}": float(np.sum(rec.event_net_mass > y)) for y in ys
     }
 
 
-def _record_timechange(cfg: ExperimentConfig, rec) -> dict:
+def _record_timechange(cfg: ExperimentConfig, rec, mu0) -> dict:
     t = cfg.t_end
     t_hat = compute_T(rec, cfg.lam, cfg.x1, cfg.x2, t)
     z_hat = interval_martingale(rec, cfg.lam, cfg.x1, cfg.x2, t)
@@ -210,7 +237,7 @@ def _record_timechange(cfg: ExperimentConfig, rec) -> dict:
     return {"T_hat": t_hat, "Z_hat": z_hat, "interval_occupation": occ}
 
 
-def _record_unbounded2d(cfg: ExperimentConfig, rec) -> dict:
+def _record_unbounded2d(cfg: ExperimentConfig, rec, mu0) -> dict:
     lo, hi = cfg.window
     win = ((lo, hi), (lo, hi)) if cfg.dim == 2 else (lo, hi)
     table = unboundedness_probe(rec, cfg.resolutions, win)
@@ -218,9 +245,10 @@ def _record_unbounded2d(cfg: ExperimentConfig, rec) -> dict:
 
 
 def _run_one_replica(cfg: ExperimentConfig, index: int, out_dir: str) -> dict:
+    kind = REGISTRY[cfg.kind]
     mu0 = _initial_measure(cfg)
     params = _model_params(cfg)
-    functionals = _functionals(cfg)
+    functionals = kind.functionals(cfg)
     attempt = 0
     while True:
         stream = RngStream(cfg.seed, index + (attempt << 32))
@@ -231,27 +259,12 @@ def _run_one_replica(cfg: ExperimentConfig, index: int, out_dir: str) -> dict:
             attempt += 1
             if attempt > cfg.max_retries:
                 return {"_retries": float(attempt), "_failed": 1.0}
-    if cfg.kind == "simulate" and (
+    if kind.saves_paths and (
         cfg.save_paths == "all" or (cfg.save_paths == "first" and index == cfg.replica_start)
     ):
         save_events(rec, Path(out_dir) / f"events-replica{index}.txt")
         save_snapshots(rec, Path(out_dir) / f"snapshots-replica{index}.csv")
-    if cfg.kind == "simulate":
-        record = _record_simulate(cfg, rec)
-    elif cfg.kind == "duality":
-        record = _record_duality(cfg, rec)
-    elif cfg.kind == "tanaka":
-        record = _record_tanaka(cfg, rec, mu0)
-    elif cfg.kind == "moments":
-        record = _record_moments(cfg, rec)
-    elif cfg.kind == "jumps":
-        record = _record_jumps(cfg, rec)
-    elif cfg.kind == "timechange":
-        record = _record_timechange(cfg, rec)
-    elif cfg.kind == "unbounded2d":
-        record = _record_unbounded2d(cfg, rec)
-    else:
-        raise SbmlabError(f"kind {cfg.kind} has no replica handler")
+    record = kind.record(cfg, rec, mu0)
     record["_retries"] = float(attempt)
     return record
 
@@ -281,15 +294,20 @@ def _run_replicas(cfg: ExperimentConfig, out_dir: str) -> dict[int, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _mean_se(vals) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for fewer than two values)."""
+    n = len(vals)
+    se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(vals)), se
+
+
 def _merge_records(records: dict[int, dict]) -> dict:
     keys = sorted({k for r in records.values() for k in r if not k.startswith("_")})
     merged = {}
     for key in keys:
         vals = [r[key] for _, r in sorted(records.items()) if key in r]
-        n = len(vals)
-        mean = float(np.mean(vals)) if n else math.nan
-        se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        merged[key] = {"n": n, "mean": mean, "se": se}
+        mean, se = _mean_se(vals)
+        merged[key] = {"n": len(vals), "mean": mean, "se": se}
     return merged
 
 
@@ -313,25 +331,16 @@ def _finalize_duality(cfg, records, merged, out_dir, cfg_hash) -> dict:
 def _finalize_tanaka(cfg, records, merged, out_dir, cfg_hash) -> dict:
     # decomposition table for the first recorded replica, on the full panel
     mu0 = _initial_measure(cfg)
-    params = _model_params(cfg)
-    rec = simulate(mu0, params, _functionals(cfg), RngStream(cfg.seed, cfg.replica_start))
+    rec = simulate(mu0, _model_params(cfg), _tanaka_functionals(cfg),
+                   RngStream(cfg.seed, cfg.replica_start))
     rows = []
     for lam in (cfg.lam, cfg.lam_alt):
-        panel = tanaka_panel_terms(rec, mu0, lam, cfg.t_end)
-        from .tanaka import tanaka_terms
-
-        for x in panel.xs:
-            d = tanaka_terms(rec, mu0, lam, cfg.t_end, float(x))
-            rows.append(
-                ",".join(
-                    repr(v)
-                    for v in (
-                        d.t, d.x, d.lam, d.term_initial, d.term_terminal,
-                        d.term_occupation, d.term_martingale, d.local_time,
-                        d.recentered, d.deriv_field,
-                    )
-                )
-            )
+        p = tanaka_panel_terms(rec, mu0, lam, cfg.t_end)
+        columns = (p.term_initial, p.term_terminal, p.term_occupation, p.term_martingale,
+                   p.local_time, p.recentered, p.deriv_field)
+        for j, x in enumerate(p.xs):
+            values = (cfg.t_end, x, lam, *(c[j] for c in columns))
+            rows.append(",".join(repr(float(v)) for v in values))
     _atomic_write(
         Path(out_dir) / "tanaka_panel.csv",
         _csv_lines(
@@ -351,9 +360,7 @@ def _finalize_tanaka(cfg, records, merged, out_dir, cfg_hash) -> dict:
             for i in sorted(records)
             if a in records[i] and b in records[i]
         ]
-        n = len(diffs)
-        mean = float(np.mean(diffs))
-        se = float(np.std(diffs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        mean, se = _mean_se(diffs)
         extra[f"lambda_diff_z:x={x:g}"] = abs(mean) / se if se > 0 else 0.0
     return extra
 
@@ -417,18 +424,15 @@ def _finalize_timechange(cfg, records, merged, out_dir, cfg_hash) -> dict:
     power = 1.0 + cfg.beta
     rows = []
     zs, pzs = [], []
-    n = z_vals.size
     for theta in cfg.theta_grid:
         a = np.exp(-theta * z_vals)
         b = np.exp(theta**power * t_vals)
         c = a * np.exp(-(theta**power) * t_vals)
-        lhs, rhs = float(a.mean()), float(b.mean())
-        lhs_se = float(a.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        rhs_se = float(b.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        dse = float(np.std(a - b, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        lhs, lhs_se = _mean_se(a)
+        rhs, rhs_se = _mean_se(b)
+        prod, pse = _mean_se(c)
+        dse = _mean_se(a - b)[1]
         z = abs(lhs - rhs) / dse if dse > 0 else 0.0
-        prod = float(c.mean())
-        pse = float(c.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         pz = abs(prod - 1.0) / pse if pse > 0 else 0.0
         zs.append(z)
         pzs.append(pz)
@@ -521,7 +525,8 @@ def _run_stabletails(cfg: ExperimentConfig, out_dir, cfg_hash):
         )
     else:
         mc_slope = math.nan
-    deep_x = np.array([4.5, 7.0, 10.0, 15.0])
+    # the oracle depends on t * x^-(1+beta) only: these are its t = 1 depths
+    deep_x = np.array([4.5, 7.0, 10.0, 15.0]) * cfg.t_end ** (1.0 / (1.0 + cfg.beta))
     deep_p = np.asarray(inf_tail_oracle(cfg.beta, cfg.t_end, deep_x))
     oracle_slope = float(np.polyfit(np.log(deep_x), np.log(-np.log(deep_p)), 1)[0])
     rows = [
@@ -652,15 +657,127 @@ def _run_holder(cfg: ExperimentConfig, out_dir, cfg_hash):
     return {0: {"exponent": fit.exponent, "_retries": 0.0}}, extra
 
 
-_FINALIZERS = {
-    "simulate": _finalize_simulate,
-    "duality": _finalize_duality,
-    "tanaka": _finalize_tanaka,
-    "moments": _finalize_moments,
-    "jumps": _finalize_jumps,
-    "timechange": _finalize_timechange,
-    "unbounded2d": _finalize_unbounded2d,
+# --- acceptance thresholds (check_report and the CLI --check flag) ---------
+
+
+def _check_duality(report: RunReport) -> list[str]:
+    z = report.extra.get("z_score", math.inf)
+    return [f"duality z-score {z:.2f} > 3"] if z > 3.0 else []
+
+
+def _check_tanaka(report: RunReport) -> list[str]:
+    return [
+        f"{key} = {val:.2f} > 3"
+        for key, val in report.extra.items()
+        if key.startswith("lambda_diff_z") and val > 3.0
+    ]
+
+
+def _check_jumps(report: RunReport) -> list[str]:
+    fails = []
+    e = report.extra
+    if any(abs(z) > 3.0 for z in e.get("z_scores", [])):
+        fails.append(f"jump compensator z-scores {e['z_scores']} exceed 3")
+    cfg = parse_config_text("\n".join(report.config_lines))
+    target = -(1.0 + cfg.beta)
+    if not abs(e.get("slope", math.nan) - target) <= 0.1:
+        fails.append(f"jump tail slope {e['slope']:.3f} outside {target} +- 0.1")
+    return fails
+
+
+def _check_timechange(report: RunReport) -> list[str]:
+    fails = []
+    e = report.extra
+    if any(abs(z) > 3.0 for z in e.get("z_scores", [])):
+        fails.append(f"timechange z-scores {e['z_scores']} exceed 3")
+    if e.get("t_bound_violations", 0) > 0:
+        fails.append(f"T-bound violated on {e['t_bound_violations']} replicas")
+    return fails
+
+
+def _check_stabletails(report: RunReport) -> list[str]:
+    violations = report.extra.get("smalljump_violations", 0)
+    return [f"smalljump holdout violations: {violations}"] if violations > 0 else []
+
+
+def _check_criterion(report: RunReport) -> list[str]:
+    if report.extra.get("q_trend_decreasing", False):
+        return []
+    return ["Q(0, r) trend is not strictly decreasing"]
+
+
+# --- the registry -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What one experiment kind does (see the module docstring).  Signatures:
+    functionals(cfg), record(cfg, rec, mu0) -> dict, finalize(cfg, records,
+    merged, out_dir, cfg_hash) -> extra with an `artifact_tables` list,
+    run(cfg, out_dir, cfg_hash) -> (records, extra), check(report) -> fails."""
+
+    record: Callable | None = None
+    finalize: Callable | None = None
+    run: Callable | None = None
+    functionals: Callable = lambda cfg: []
+    check: Callable = lambda report: []
+    saves_paths: bool = False  # writes the path files that save_paths asks for
+
+
+REGISTRY: dict[str, Kind] = {
+    "simulate": Kind(record=_record_simulate, finalize=_finalize_simulate, saves_paths=True),
+    "duality": Kind(record=_record_duality, finalize=_finalize_duality, check=_check_duality),
+    "tanaka": Kind(
+        record=_record_tanaka,
+        finalize=_finalize_tanaka,
+        functionals=_tanaka_functionals,
+        check=_check_tanaka,
+    ),
+    "moments": Kind(record=_record_moments, finalize=_finalize_moments),
+    "jumps": Kind(record=_record_jumps, finalize=_finalize_jumps, check=_check_jumps),
+    "timechange": Kind(
+        record=_record_timechange,
+        finalize=_finalize_timechange,
+        functionals=_timechange_functionals,
+        check=_check_timechange,
+    ),
+    "stabletails": Kind(run=_run_stabletails, check=_check_stabletails),
+    "criterion": Kind(run=_run_criterion, check=_check_criterion),
+    "holder": Kind(run=_run_holder),
+    "unbounded2d": Kind(record=_record_unbounded2d, finalize=_finalize_unbounded2d),
 }
+# config validates kind names and [section] headers against KINDS
+assert tuple(REGISTRY) == KINDS, "REGISTRY and config.KINDS list different kinds"
+
+
+def _write_report(kind, cfg_hash, config_lines, records, merged, extra, out_dir) -> RunReport:
+    """records.jsonl and report.json for one run or merge; status is
+    'degraded' when the censoring rate exceeds 5% or a reported number is
+    non-finite."""
+    retries = sum(r.get("_retries", 0.0) for r in records.values())
+    attempts = len(records) + retries
+    censoring_rate = retries / attempts if attempts else 0.0
+    record_lines = [
+        json.dumps({"replica": i, **records[i]}, sort_keys=True) for i in sorted(records)
+    ]
+    _atomic_write(out_dir / "records.jsonl", "\n".join(record_lines) + "\n")
+    artifacts = sorted(
+        ["records.jsonl", "report.json"] + list(extra.pop("artifact_tables", []))
+    )
+    finite = _all_finite(merged) and _all_finite(extra)
+    report = RunReport(
+        kind=kind,
+        config_hash=cfg_hash,
+        config_lines=config_lines,
+        replicas=len(records),
+        merged=merged,
+        extra=extra,
+        censoring_rate=censoring_rate,
+        status="degraded" if censoring_rate > 0.05 or not finite else "ok",
+        artifacts=artifacts,
+    )
+    _atomic_write(out_dir / "report.json", report.to_json() + "\n")
+    return report
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -679,48 +796,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     cfg_hash = config_hash(cfg)
     t0 = time.monotonic()
 
-    if cfg.kind in _FINALIZERS:
+    kind = REGISTRY[cfg.kind]
+    if kind.run is None:
         records = _run_replicas(cfg, str(out_dir))
         merged = _merge_records(records)
-        extra = _FINALIZERS[cfg.kind](cfg, records, merged, out_dir, cfg_hash)
-    elif cfg.kind == "stabletails":
-        records, extra = _run_stabletails(cfg, out_dir, cfg_hash)
-        merged = _merge_records(records)
-    elif cfg.kind == "criterion":
-        records, extra = _run_criterion(cfg, out_dir, cfg_hash)
-        merged = _merge_records(records)
-    elif cfg.kind == "holder":
-        records, extra = _run_holder(cfg, out_dir, cfg_hash)
-        merged = _merge_records(records)
+        extra = kind.finalize(cfg, records, merged, out_dir, cfg_hash)
     else:
-        raise ConfigError([f"unhandled kind {cfg.kind!r}"])
-
-    retries = sum(r.get("_retries", 0.0) for r in records.values())
-    attempts = len(records) + retries
-    censoring_rate = retries / attempts if attempts else 0.0
-    status = "degraded" if censoring_rate > 0.05 else "ok"
-
-    record_lines = [
-        json.dumps({"replica": i, **records[i]}, sort_keys=True) for i in sorted(records)
-    ]
-    _atomic_write(out_dir / "records.jsonl", "\n".join(record_lines) + "\n")
-    artifacts = sorted(
-        ["records.jsonl", "report.json"] + list(extra.pop("artifact_tables", []))
+        records, extra = kind.run(cfg, out_dir, cfg_hash)
+        merged = _merge_records(records)
+    report = _write_report(
+        cfg.kind, cfg_hash, canonical_lines(cfg), records, merged, extra, out_dir
     )
-    report = RunReport(
-        kind=cfg.kind,
-        config_hash=cfg_hash,
-        config_lines=canonical_lines(cfg),
-        replicas=len(records),
-        merged=merged,
-        extra=extra,
-        censoring_rate=censoring_rate,
-        status=status,
-        artifacts=artifacts,
-    )
-    _atomic_write(out_dir / "report.json", report.to_json() + "\n")
     print(f"[sbmlab] {cfg.kind}: {len(records)} replicas in {time.monotonic() - t0:.1f}s "
-          f"(status {status}, hash {cfg_hash})")
+          f"(status {report.status}, hash {cfg_hash})")
     return report
 
 
@@ -746,69 +834,24 @@ def merge_reports(paths: list[str | Path], out: str | Path) -> RunReport:
     if len(hashes) != 1:
         raise ConfigError([f"config hashes differ: {sorted(hashes)}"])
     cfg = parse_config_text("\n".join(reports[0].config_lines))
-    total = len(all_records)
-    cfg.replicas = total
+    cfg.replicas = len(all_records)
     cfg.replica_start = min(all_records) if all_records else 0
     cfg.out = str(out)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     merged = _merge_records(all_records)
     cfg_hash = reports[0].config_hash
-    if cfg.kind in _FINALIZERS:
-        extra = _FINALIZERS[cfg.kind](cfg, all_records, merged, out_dir, cfg_hash)
+    kind = REGISTRY[cfg.kind]
+    if kind.run is None:
+        extra = kind.finalize(cfg, all_records, merged, out_dir, cfg_hash)
     else:
         extra = dict(reports[0].extra)
-    retries = sum(r.get("_retries", 0.0) for r in all_records.values())
-    attempts = total + retries
-    censoring_rate = retries / attempts if attempts else 0.0
-    record_lines = [
-        json.dumps({"replica": i, **all_records[i]}, sort_keys=True)
-        for i in sorted(all_records)
-    ]
-    _atomic_write(out_dir / "records.jsonl", "\n".join(record_lines) + "\n")
-    artifacts = sorted(
-        ["records.jsonl", "report.json"] + list(extra.pop("artifact_tables", []))
+    return _write_report(
+        cfg.kind, cfg_hash, reports[0].config_lines, all_records, merged, extra, out_dir
     )
-    report = RunReport(
-        kind=cfg.kind,
-        config_hash=cfg_hash,
-        config_lines=reports[0].config_lines,
-        replicas=total,
-        merged=merged,
-        extra=extra,
-        censoring_rate=censoring_rate,
-        status="degraded" if censoring_rate > 0.05 else "ok",
-        artifacts=artifacts,
-    )
-    _atomic_write(out_dir / "report.json", report.to_json() + "\n")
-    return report
 
 
 def check_report(report: RunReport) -> list[str]:
     """Acceptance-style threshold checks per kind (used by the CLI --check
     flag); returns the list of failures, empty when all pass."""
-    fails = []
-    e = report.extra
-    if report.kind == "duality" and e.get("z_score", math.inf) > 3.0:
-        fails.append(f"duality z-score {e['z_score']:.2f} > 3")
-    if report.kind == "jumps":
-        if any(abs(z) > 3.0 for z in e.get("z_scores", [])):
-            fails.append(f"jump compensator z-scores {e['z_scores']} exceed 3")
-        cfg = parse_config_text("\n".join(report.config_lines))
-        target = -(1.0 + cfg.beta)
-        if not abs(e.get("slope", math.nan) - target) <= 0.1:
-            fails.append(f"jump tail slope {e['slope']:.3f} outside {target} +- 0.1")
-    if report.kind == "timechange":
-        if any(abs(z) > 3.0 for z in e.get("z_scores", [])):
-            fails.append(f"timechange z-scores {e['z_scores']} exceed 3")
-        if e.get("t_bound_violations", 0) > 0:
-            fails.append(f"T-bound violated on {e['t_bound_violations']} replicas")
-    if report.kind == "tanaka":
-        for key, val in e.items():
-            if key.startswith("lambda_diff_z") and val > 3.0:
-                fails.append(f"{key} = {val:.2f} > 3")
-    if report.kind == "stabletails" and e.get("smalljump_violations", 0) > 0:
-        fails.append(f"smalljump holdout violations: {e['smalljump_violations']}")
-    if report.kind == "criterion" and not e.get("q_trend_decreasing", False):
-        fails.append("Q(0, r) trend is not strictly decreasing")
-    return fails
+    return REGISTRY[report.kind].check(report)

@@ -1,4 +1,4 @@
-"""Deterministic mild-equation solver and the duality check.
+"""Deterministic mild-equation solver for the log-Laplace equation.
 
 Solves, by Picard iteration on a space-time grid,
 
@@ -12,22 +12,20 @@ data reduces the scheme to the exact mass ODE v' = -v^(1+beta).
 The time integral uses left rectangles on the solver time grid with substep
 refinement of the first interval, where the heat kernel concentrates.
 
-The duality check compares the Monte Carlo Laplace functional
+The harness `duality` kind compares the Monte Carlo Laplace functional
 E[exp(-<X_t, phi>)] of the particle system against exp(-<X_0, V_t>).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericsError, ResourceLimitError
+from .errors import NumericsError
 from .measures import FiniteMeasure
-from .particles import ModelParams, make_params, simulate
-from .rng import RngStream
 from .textio import fnum
 
 __all__ = [
@@ -35,9 +33,6 @@ __all__ = [
     "LogLaplaceSolution",
     "solve_mild",
     "heat_matrix",
-    "DualityMCConfig",
-    "DualityReport",
-    "duality_check",
     "save_solution_csv",
     "smoothed_indicator",
 ]
@@ -220,89 +215,3 @@ def smoothed_indicator(a: float, b: float, height: float, ramp: float):
         return height * out
 
     return phi
-
-
-@dataclass
-class DualityMCConfig:
-    n_scale: int = 4000
-    replicas: int = 400
-    seed: int = 2024
-    dt_safety: float = 1.0
-    particle_cap: int = 10_000_000
-
-
-@dataclass
-class DualityReport:
-    lhs: float  # replica average of exp(-<X_t, phi>)
-    lhs_se: float
-    rhs: float  # exp(-<X_0, V_t>)
-    z_score: float
-    replicas: int
-    censored: int
-    solver_residual: float
-    per_replica: np.ndarray = field(repr=False, default=None)
-
-
-def duality_check(
-    mu: FiniteMeasure,
-    phi,
-    t: float,
-    beta: float,
-    mc: DualityMCConfig = DualityMCConfig(),
-    grids: GridSpec | None = None,
-) -> DualityReport:
-    """Monte Carlo vs solver test of the Laplace-functional identity.
-
-    lhs averages exp(-<X_t^N, phi>) over particle replicas (replica i uses
-    stream (seed, i); cap-hit replicas are resampled on a shifted stream and
-    counted); rhs evaluates exp(-<X_0, V_t^phi>) with the Picard solver.
-    """
-    if grids is None:
-        grids = GridSpec()
-    sol = solve_mild(phi, t, beta, grids)
-    v_fn = sol.interpolator(t)
-    rhs = math.exp(-mu.integrate(v_fn))
-
-    phi_fn = phi if callable(phi) else (lambda y, _g=grids: np.interp(
-        y, grids.x_grid, _phi_on_grid(phi, grids.x_grid), left=0.0, right=0.0))
-    params = make_params(
-        beta,
-        mc.n_scale,
-        t,
-        dt_safety=mc.dt_safety,
-        particle_cap=mc.particle_cap,
-        snapshot_stride=10**9,  # only initial/final snapshots needed
-    )
-    vals = np.empty(mc.replicas)
-    censored = 0
-    for i in range(mc.replicas):
-        attempt = 0
-        while True:
-            stream = RngStream(mc.seed, i + (attempt << 32))
-            try:
-                rec = simulate(mu, params, [], stream)
-                break
-            except ResourceLimitError:
-                censored += 1
-                attempt += 1
-                if attempt > 3:
-                    raise
-        pos = rec.final_positions
-        x_phi = params.mass_per_particle * float(np.sum(phi_fn(pos))) if pos.size else 0.0
-        vals[i] = math.exp(-x_phi)
-    lhs = float(vals.mean())
-    lhs_se = float(vals.std(ddof=1) / math.sqrt(mc.replicas)) if mc.replicas > 1 else 0.0
-    if lhs_se > 0:
-        z = abs(lhs - rhs) / lhs_se
-    else:
-        z = 0.0 if lhs == rhs else math.inf
-    return DualityReport(
-        lhs=lhs,
-        lhs_se=lhs_se,
-        rhs=rhs,
-        z_score=z,
-        replicas=mc.replicas,
-        censored=censored,
-        solver_residual=sol.residual,
-        per_replica=vals,
-    )

@@ -31,6 +31,7 @@ __all__ = [
     "OccupationSeries",
     "PathRecorder",
     "dt_at_cap",
+    "dt_cap_violation",
     "make_params",
     "init_particles",
     "step",
@@ -71,12 +72,9 @@ class ModelParams:
             raise ValueError("particle_cap must be >= 1")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
-        rate_dt = self.branch_rate * self.dt
-        if rate_dt > _DT_CAP * (1 + 1e-9):
-            raise ValueError(
-                f"branch_rate*dt = {rate_dt:.6g} exceeds the cap {_DT_CAP} "
-                f"(branch_rate={self.branch_rate:.6g}, dt={self.dt:.6g})"
-            )
+        violation = dt_cap_violation(self.beta, self.n_scale, self.dt)
+        if violation:
+            raise ValueError(violation)
 
     @property
     def branch_rate(self) -> float:
@@ -93,6 +91,17 @@ class ModelParams:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
+
+
+def dt_cap_violation(beta: float, n_scale: int, dt: float) -> str | None:
+    """Why dt breaks the branch_rate*dt cap at this scale, or None if it keeps it."""
+    rate = (1.0 + beta) * n_scale**beta
+    if rate * dt > _DT_CAP * (1 + 1e-9):
+        return (
+            f"branch_rate*dt = {rate * dt:.6g} exceeds the cap {_DT_CAP} "
+            f"(branch_rate={rate:.6g}, dt={dt:.6g})"
+        )
+    return None
 
 
 def dt_at_cap(beta: float, n_scale: int, safety: float = 1.0) -> float:
@@ -199,10 +208,17 @@ class OccupationSeries:
     meta: dict
 
     def at(self, t: float) -> np.ndarray:
-        out = np.empty(self.values.shape[1])
-        for j in range(self.values.shape[1]):
-            out[j] = np.interp(t, self.times, self.values[:, j])
-        return out
+        """Every column at time t, interpolated linearly between checkpoints
+        and held constant outside them; bit for bit what np.interp gives
+        column by column (one bracket lookup, numpy's own formula)."""
+        times, values = self.times, self.values
+        j = int(np.searchsorted(times, t, side="right")) - 1  # times[j] <= t < times[j+1]
+        if j < 0:
+            return values[0].copy()
+        if j == times.size - 1 or times[j] == t:
+            return values[j].copy()
+        slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
+        return slope * (t - times[j]) + values[j]
 
 
 @dataclass

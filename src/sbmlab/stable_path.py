@@ -1,6 +1,7 @@
 """Spectrally positive stable-process side: path simulation, sup/inf tail
-experiments, the interval time change T(t), and the Laplace-curve check that
-the interval martingale is a time-changed stable process.
+experiments, and the interval time change T(t) behind the harness
+`timechange` kind's check that the interval martingale is a time-changed
+stable process.
 
 The time change is T(t) = int_0^t <X_s, psi0^(1+beta)> ds for the interval
 integrand psi0 (supported on [x1, x2], bounded by 2), accumulated exactly on
@@ -13,7 +14,7 @@ E[exp(theta^(1+beta) T(t))], which treats the random clock as independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +29,10 @@ __all__ = [
     "inf_tail_oracle",
     "inf_tail_probability",
     "sup_smalljump_probability",
-    "inf_tail_slope",
     "SmallJumpBoundReport",
     "calibrate_smalljump_bound",
     "compute_T",
     "interval_martingale",
-    "TimeChangeReport",
-    "time_change_check",
-    "check_T_bound",
 ]
 
 
@@ -152,33 +149,6 @@ def sup_smalljump_probability(
     return hits / replicas
 
 
-def inf_tail_slope(
-    beta: float,
-    t: float,
-    x_values,
-    replicas: int,
-    stream: RngStream,
-    steps: int = 256,
-    p_min: float | None = None,
-) -> tuple[float, np.ndarray]:
-    """Least-squares slope of log(-log p(x)) vs log x over the resolved range
-    (points with at least ~20 hits and p < 0.8); the bound's functional form
-    predicts slope (1+beta)/beta."""
-    x_values = np.asarray(x_values, dtype=float)
-    probs = np.array(
-        [inf_tail_probability(beta, t, x, replicas, stream, steps) for x in x_values]
-    )
-    if p_min is None:
-        p_min = 20.0 / replicas
-    resolved = (probs > p_min) & (probs < 0.8)
-    if resolved.sum() < 2:
-        raise ValueError(f"resolved range too small: probabilities {probs}")
-    slope = float(
-        np.polyfit(np.log(x_values[resolved]), np.log(-np.log(probs[resolved])), 1)[0]
-    )
-    return slope, probs
-
-
 @dataclass
 class SmallJumpBoundReport:
     c_fitted: float
@@ -254,114 +224,3 @@ def interval_martingale(
     locs = recorder.event_locations[sl]
     net = recorder.event_net_mass[sl]
     return float(np.sum(psi0(lam, x1, x2, locs) * net))
-
-
-@dataclass
-class TimeChangeReport:
-    lam: float
-    x1: float
-    x2: float
-    t: float
-    theta_grid: np.ndarray
-    t_hats: np.ndarray = field(repr=False)
-    z_values: np.ndarray = field(repr=False)
-    lhs: np.ndarray = None  # E exp(-theta Z)
-    lhs_se: np.ndarray = None
-    rhs: np.ndarray = None  # E exp(theta^(1+beta) T)
-    rhs_se: np.ndarray = None
-    z_scores: np.ndarray = None  # factored comparison
-    product_mean: np.ndarray = None  # E exp(-theta Z - theta^(1+beta) T), = 1 exactly
-    product_se: np.ndarray = None
-    product_z: np.ndarray = None
-
-    @property
-    def max_z(self) -> float:
-        return float(np.max(np.abs(self.z_scores)))
-
-
-def time_change_check(
-    recorders: list[PathRecorder],
-    lam: float,
-    x1: float,
-    x2: float,
-    t: float,
-    theta_grid,
-) -> TimeChangeReport:
-    """Laplace-curve comparison of the interval martingale against its
-    stable time change, per theta: the factored curves E[e^{-theta Z}] vs
-    E[e^{theta^(1+beta) T}] with z-scores of their difference, plus the
-    sharper product identity whose mean is exactly 1."""
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    beta = recorders[0].params.beta
-    power = 1.0 + beta
-    n = len(recorders)
-    t_hats = np.empty(n)
-    z_vals = np.empty(n)
-    for i, rec in enumerate(recorders):
-        t_hats[i] = compute_T(rec, lam, x1, x2, t) if x1 < x2 else 0.0
-        z_vals[i] = interval_martingale(rec, lam, x1, x2, t)
-
-    m = theta_grid.size
-    lhs = np.empty(m)
-    lhs_se = np.empty(m)
-    rhs = np.empty(m)
-    rhs_se = np.empty(m)
-    zs = np.empty(m)
-    prod = np.empty(m)
-    prod_se = np.empty(m)
-    prod_z = np.empty(m)
-    for j, theta in enumerate(theta_grid):
-        a = np.exp(-theta * z_vals)
-        b = np.exp(theta**power * t_hats)
-        c = np.exp(-theta * z_vals - theta**power * t_hats)
-        lhs[j] = a.mean()
-        rhs[j] = b.mean()
-        prod[j] = c.mean()
-        if n > 1:
-            lhs_se[j] = a.std(ddof=1) / math.sqrt(n)
-            rhs_se[j] = b.std(ddof=1) / math.sqrt(n)
-            prod_se[j] = c.std(ddof=1) / math.sqrt(n)
-            diff_se = np.std(a - b, ddof=1) / math.sqrt(n)
-            zs[j] = abs(lhs[j] - rhs[j]) / diff_se if diff_se > 0 else (
-                0.0 if lhs[j] == rhs[j] else math.inf
-            )
-            prod_z[j] = abs(prod[j] - 1.0) / prod_se[j] if prod_se[j] > 0 else (
-                0.0 if prod[j] == 1.0 else math.inf
-            )
-        else:
-            lhs_se[j] = rhs_se[j] = prod_se[j] = 0.0
-            zs[j] = prod_z[j] = 0.0
-    return TimeChangeReport(
-        lam=lam,
-        x1=x1,
-        x2=x2,
-        t=t,
-        theta_grid=theta_grid,
-        t_hats=t_hats,
-        z_values=z_vals,
-        lhs=lhs,
-        lhs_se=lhs_se,
-        rhs=rhs,
-        rhs_se=rhs_se,
-        z_scores=zs,
-        product_mean=prod,
-        product_se=prod_se,
-        product_z=prod_z,
-    )
-
-
-def check_T_bound(
-    recorder: PathRecorder, lam: float, x1: float, x2: float, t: float
-) -> tuple[float, float, bool]:
-    """Per-replica deterministic bound T(t) <= 2^(1+beta) * occupation of
-    [x1, x2] (the interval occupation equals the integral of the local time
-    over the interval); returns (T, bound, holds)."""
-    t_hat = compute_T(recorder, lam, x1, x2, t)
-    series = recorder.find_series("interval", x1=x1, x2=x2)
-    if series is None:
-        raise UsageError(
-            f"interval indicator for ({x1}, {x2}) was not registered before simulate"
-        )
-    occ = float(series.at(t)[0])
-    bound = 2.0 ** (1.0 + recorder.params.beta) * occ
-    return t_hat, bound, t_hat <= bound * (1 + 1e-12) + 1e-15

@@ -44,8 +44,6 @@ __all__ = [
     "tanaka_panel_terms",
     "ftc_check",
     "martingale_split",
-    "martingale_increment_moment",
-    "default_moment_q",
 ]
 
 
@@ -439,6 +437,10 @@ class PanelDecomposition:
     t: float
     lam: float
     xs: np.ndarray
+    term_initial: np.ndarray
+    term_terminal: np.ndarray
+    term_occupation: np.ndarray
+    term_martingale: np.ndarray
     local_time: np.ndarray
     recentered: np.ndarray
     deriv_field: np.ndarray
@@ -469,12 +471,17 @@ def tanaka_panel_terms(
     deriv_initial = np.array(
         [measure_apply(mu0, lambda y: g_lambda(lam, x - y)) for x in xs]
     )
-    recentered = -term_terminal + lam * occ[:m] + mart_g
+    term_occupation = lam * occ[:m]
+    recentered = -term_terminal + term_occupation + mart_g
     deriv_field = -deriv_terminal + lam * occ[m:] + mart_d
     return PanelDecomposition(
         t=t,
         lam=lam,
         xs=xs,
+        term_initial=term_initial,
+        term_terminal=term_terminal,
+        term_occupation=term_occupation,
+        term_martingale=mart_g,
         local_time=term_initial + recentered,
         recentered=recentered,
         deriv_field=deriv_field,
@@ -536,65 +543,3 @@ def martingale_split(
     i_part = float(np.sum(diff * outside * net))
     z_part = float(np.sum(-diff * (~outside) * net))
     return i_part, z_part
-
-
-def default_moment_q(beta: float) -> float:
-    """Center of the valid moment interval (1, 1+beta)."""
-    return 1.0 + 0.5 * beta
-
-
-@dataclass
-class MomentTable:
-    q: float
-    t: float
-    lam: float
-    distances: np.ndarray
-    moments: np.ndarray  # MC estimate of E|delta-M|^q per distance
-    std_errors: np.ndarray
-    slope: float  # log-log regression slope
-
-
-def martingale_increment_moment(
-    recorders: list[PathRecorder], lam: float, t: float, q: float, pairs
-) -> MomentTable:
-    """Monte Carlo q-th absolute moments of martingale increments across
-    distance scales, with the log-log regression slope."""
-    beta = recorders[0].params.beta
-    if not (1.0 < q < 1.0 + beta):
-        raise ValueError(
-            f"q must lie in (1, 1+beta) = (1, {1 + beta}); got {q} "
-            "(moments may not exist outside)"
-        )
-    pairs = [(float(a), float(b)) for a, b in pairs]
-    # pairs with equal separation pool into one distance bin (variance
-    # reduction for the heavy-tailed q-th moment, whose MC error decays
-    # only like n^(q/(1+beta) - 1))
-    dist_of = [round(abs(b - a), 12) for a, b in pairs]
-    distances = np.array(sorted(set(dist_of)))
-    moments = np.empty(distances.size)
-    ses = np.empty(distances.size)
-    for j, d in enumerate(distances):
-        group = [p for p, dd in zip(pairs, dist_of) if dd == d]
-        vals = np.empty((len(recorders), len(group)))
-        for i, rec in enumerate(recorders):
-            for g, (x1, x2) in enumerate(group):
-                if x1 == x2:
-                    vals[i, g] = 0.0
-                    continue
-                i_part, z_part = martingale_split(rec, lam, x1, x2, t)
-                vals[i, g] = abs(i_part - z_part) ** q
-        per_replica = vals.mean(axis=1)
-        moments[j] = per_replica.mean()
-        ses[j] = (
-            per_replica.std(ddof=1) / math.sqrt(len(recorders))
-            if len(recorders) > 1
-            else 0.0
-        )
-    pos = (distances > 0) & (moments > 0)
-    if pos.sum() >= 2:
-        slope = float(np.polyfit(np.log(distances[pos]), np.log(moments[pos]), 1)[0])
-    else:
-        slope = math.nan
-    return MomentTable(
-        q=q, t=t, lam=lam, distances=distances, moments=moments, std_errors=ses, slope=slope
-    )

@@ -5,7 +5,8 @@ Statistical tests use fixed seeds, so every run reproduces the same numbers.
 Monte Carlo means of heavy-tailed summaries use the total-mass control
 variate (its mean is exactly 1 by criticality of the offspring law), which
 keeps the 3-standard-error gates well calibrated at desk-scale replica
-counts.
+counts.  Criteria 4, 6 and 9 run their experiment through the harness
+(`run_experiment`), the same code the CLI and the merge run.
 
 Criterion 8 checks martingale-increment scaling against the stable time
 change that governs it: the increment clock must follow the linear law, and
@@ -33,7 +34,6 @@ from sbmlab.continuity import (
 from sbmlab.errors import ConfigError
 from sbmlab.harness import run_experiment
 from sbmlab.kernels import g_lambda, green_closed, green_numeric, heat_kernel
-from sbmlab.loglaplace import DualityMCConfig, GridSpec, duality_check, smoothed_indicator
 from sbmlab.measures import dirac
 from sbmlab.particles import (
     OccupationFunctional,
@@ -41,26 +41,24 @@ from sbmlab.particles import (
     simulate,
 )
 from sbmlab.rng import RngStream, make_offspring_law, sample_offspring
-from sbmlab.stable_path import (
-    calibrate_smalljump_bound,
-    check_T_bound,
-    inf_tail_oracle,
-    inf_tail_probability,
-    time_change_check,
-)
+from sbmlab.stable_path import calibrate_smalljump_bound, inf_tail_oracle, inf_tail_probability
 from sbmlab.tanaka import (
     estimate_local_time,
     ftc_check,
     histogram_functional,
-    interval_indicator_functional,
-    martingale_increment_moment,
     martingale_split,
-    psi0_power_functional,
     tanaka_panel_functional,
     tanaka_panel_terms,
 )
 
 BETA = 0.5
+
+
+def run_kind(kind, settings, tmp_path):
+    """One harness run of `kind` at beta = BETA, t = 0.5 and the settings."""
+    cfg = parse_config_text(f"beta = {BETA}\nt_end = 0.5\n{settings}", kind=kind)
+    cfg.out = str(tmp_path / kind)
+    return run_experiment(cfg)
 
 
 def test_criterion_01_green_oracle():
@@ -130,21 +128,20 @@ def test_criterion_03_offspring_law():
     assert ok
 
 
-def test_criterion_04_duality():
-    rep = duality_check(
-        dirac(0.0),
-        smoothed_indicator(-1.0, 1.0, 0.5, 0.25),
-        0.5,
-        BETA,
-        DualityMCConfig(n_scale=4000, replicas=400, seed=7),
-        grids=GridSpec(-10, 10, 401, 100),
-    )
-    ok = rep.z_score <= 3.0
+def test_criterion_04_duality(tmp_path):
+    # phi is the default smoothed indicator of [-1, 1], height 0.5, ramp 0.25
+    e = run_kind(
+        "duality",
+        "n_scale = 4000\nreplicas = 400\nseed = 7\nsnapshot_stride = 1000000000\n"
+        "solver_nx = 401\nsolver_nt = 100\n",
+        tmp_path,
+    ).extra
+    ok = e["z_score"] <= 3.0
     record_criterion(
         4,
         ok,
-        f"duality lhs={rep.lhs:.5f}+-{rep.lhs_se:.5f} rhs={rep.rhs:.5f} "
-        f"z={rep.z_score:.2f} (N=4000, 400 replicas)",
+        f"duality lhs={e['lhs']:.5f}+-{e['lhs_se']:.5f} rhs={e['rhs']:.5f} "
+        f"z={e['z_score']:.2f} (N=4000, 400 replicas)",
     )
     assert ok
 
@@ -206,29 +203,17 @@ def test_criterion_05_mean_formulas():
     assert ok
 
 
-def test_criterion_06_jump_compensator():
-    n_scale, t, R = 4000, 0.5, 200
-    params = make_params(BETA, n_scale, t, snapshot_stride=10**9)
-    mu = dirac(0.0)
-    ms = np.unique(np.round(np.logspace(np.log10(40), np.log10(400), 6)))
-    ys = (ms + 0.5) / n_scale
-    counts = np.zeros((R, ys.size))
-    for i in range(R):
-        rec = simulate(mu, params, [], RngStream(88, i))
-        for j, y in enumerate(ys):
-            counts[i, j] = np.sum(rec.event_net_mass > y)
-    ok = True
-    zs = []
-    for j, y in enumerate(ys):
-        mean = counts[:, j].mean()
-        se = counts[:, j].std(ddof=1) / math.sqrt(R)
-        oracle = params.c_beta * t * 1.0 * y ** (-1 - BETA) / (1 + BETA)
-        z = (mean - oracle) / se
-        zs.append(round(float(z), 2))
-        ok &= abs(z) <= 3.0
-    slope = float(np.polyfit(np.log(ys), np.log(counts.mean(axis=0)), 1)[0])
-    ok &= abs(slope + 1 + BETA) <= 0.1
-    record_criterion(6, ok, f"compensator z per level {zs}; tail slope {slope:.3f}")
+def test_criterion_06_jump_compensator(tmp_path):
+    # jump levels y = (m + 1/2)/N for 6 log-spaced lattice units m in [40, 400]
+    e = run_kind(
+        "jumps",
+        "n_scale = 4000\nreplicas = 200\nseed = 88\nsnapshot_stride = 1000000000\n"
+        "jump_units = 40 400 6\n",
+        tmp_path,
+    ).extra
+    ok = all(abs(z) <= 3.0 for z in e["z_scores"]) and abs(e["slope"] + 1 + BETA) <= 0.1
+    zs = [round(z, 2) for z in e["z_scores"]]
+    record_criterion(6, ok, f"compensator z per level {zs}; tail slope {e['slope']:.3f}")
     assert ok
 
 
@@ -312,7 +297,6 @@ def test_criterion_08_martingale_moment_scaling():
     centers = (-0.5, -0.25, 0.0, 0.25, 0.5)
     distances = (0.4, 0.2, 0.1, 0.05)
     pairs = [(c - d / 2, c + d / 2) for d in distances for c in centers]
-    tab = martingale_increment_moment(recs, lam, t, q, pairs)
 
     # the clock by midpoint quadrature over the histogram bins; every pair
     # endpoint (where |g^{x1} - g^{x2}| jumps) is a bin edge
@@ -334,6 +318,8 @@ def test_criterion_08_martingale_moment_scaling():
         return float(np.polyfit(np.log(distances), values, 1)[0])
 
     p = 1.0 + BETA
+    moments = pooled(np.abs(increments) ** q)
+    moment_slope = slope(np.log(moments))
     clock_slope = slope(np.log(pooled(clocks)))
     moment_prediction = slope(np.log(pooled(clocks ** (q / p))))
     log_slope = slope(pooled(np.log(np.abs(increments))))
@@ -343,8 +329,8 @@ def test_criterion_08_martingale_moment_scaling():
     record_criterion(
         8,
         clock_ok and log_ok,
-        f"log-log slope {tab.slope:.3f} of E|dM|^q (moments "
-        f"{[f'{m:.4f}' for m in tab.moments]}; clock prediction "
+        f"log-log slope {moment_slope:.3f} of E|dM|^q (moments "
+        f"{[f'{m:.4f}' for m in moments[::-1]]}; clock prediction "
         f"{moment_prediction:.3f}, asymptotic q/(1+beta) = {q / p:.2f}); clock slope "
         f"{clock_slope:.3f} >= 0.85; E log|dM| slope {log_slope:.3f} vs clock "
         f"{log_prediction:.3f} (gap {log_slope - log_prediction:+.3f}, bound 0.15)",
@@ -356,24 +342,22 @@ def test_criterion_08_martingale_moment_scaling():
     )
 
 
-def test_criterion_09_time_change():
-    lam, x1, x2, t = 1.0, -0.1, 0.1, 0.5
-    n_scale, R = 4000, 400
-    params = make_params(BETA, n_scale, t, snapshot_stride=10**9)
-    mu = dirac(0.0)
-    fns = [
-        psi0_power_functional(lam, x1, x2, BETA),
-        interval_indicator_functional(x1, x2),
-    ]
-    recs = [simulate(mu, params, fns, RngStream(11, i)) for i in range(R)]
-    rep = time_change_check(recs, lam, x1, x2, t, [0.5, 1.0, 2.0])
-    violations = sum(not check_T_bound(r, lam, x1, x2, t)[2] for r in recs)
-    ok = rep.max_z <= 3.0 and violations == 0
+def test_criterion_09_time_change(tmp_path):
+    rep = run_kind(
+        "timechange",
+        "n_scale = 4000\nreplicas = 400\nseed = 11\nsnapshot_stride = 1000000000\n"
+        "lam = 1.0\nx1 = -0.1\nx2 = 0.1\ntheta_grid = 0.5 1 2\n",
+        tmp_path,
+    )
+    e = rep.extra
+    violations = e["t_bound_violations"]
+    ok = max(e["z_scores"]) <= 3.0 and violations == 0
     record_criterion(
         9,
         ok,
-        f"Laplace-curve z {[f'{z:.2f}' for z in rep.z_scores]} (product-identity z "
-        f"{[f'{z:.2f}' for z in rep.product_z]}); T-bound violations {violations}/{R}",
+        f"Laplace-curve z {[f'{z:.2f}' for z in e['z_scores']]} (product-identity z "
+        f"{[f'{z:.2f}' for z in e['product_z_scores']]}); T-bound violations "
+        f"{violations}/{rep.replicas}",
     )
     assert ok
 

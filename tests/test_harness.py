@@ -9,7 +9,8 @@ import pytest
 from sbmlab.cli import main as cli_main
 from sbmlab.config import ExperimentConfig, config_hash, load_config, parse_config_text
 from sbmlab.errors import ConfigError
-from sbmlab.harness import merge_reports, run_experiment
+from sbmlab.harness import REGISTRY, merge_reports, run_experiment
+from sbmlab.particles import make_params
 
 MINIMAL = """
 beta = 0.5
@@ -27,7 +28,8 @@ class TestConfig:
         assert cfg.n_scale == 200
         assert cfg.dim == 1
         assert cfg.lam == 1.0
-        assert cfg.effective_dt() * cfg.branch_rate() <= 0.1 * (1 + 1e-9)
+        params = make_params(cfg.beta, cfg.n_scale, cfg.t_end, dt=cfg.dt)
+        assert params.dt * params.branch_rate <= 0.1 * (1 + 1e-9)
 
     def test_sections_scope_by_kind(self):
         text = MINIMAL + "\n[jumps]\nreplicas = 44\n[duality]\nreplicas = 55\n"
@@ -41,6 +43,12 @@ class TestConfig:
             parse_config_text(text, kind="simulate")
         msg = "\n".join(err.value.violations)
         assert "branch_rate" in msg and "dt" in msg
+
+    def test_negative_n_scale_with_dt_is_a_config_error(self):
+        # the dt cap is not evaluated at a negative scale (n_scale**beta is complex)
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("beta = 0.5\nn_scale = -5\ndt = 0.001\n", kind="simulate")
+        assert any("n_scale" in v for v in err.value.violations)
 
     def test_beta_one_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -57,6 +65,21 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             parse_config_text("beta = 1.4\nreplicas = 0\ndim = 5\n", kind="simulate")
         assert len(err.value.violations) >= 3
+
+    def test_seed_outside_64_bits_rejected(self):
+        # streams key on the seed's low 64 bits: wider seeds would alias
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(MINIMAL.replace("seed = 5", f"seed = {seed}"), kind="simulate")
+            assert any("seed" in v for v in err.value.violations)
+        parse_config_text(MINIMAL.replace("seed = 5", f"seed = {2**64 - 1}"), kind="simulate")
+
+    def test_replica_indices_below_retry_streams(self):
+        # retry attempt a of replica i runs on stream i + a * 2^32
+        parse_config_text(MINIMAL + f"replica_start = {2**32 - 6}\n", kind="simulate")
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + f"replica_start = {2**32 - 5}\n", kind="simulate")
+        assert any("replica_start + replicas" in v for v in err.value.violations)
 
     def test_lambda_alias(self):
         cfg = parse_config_text("beta = 0.5\nlambda = 2.5\n", kind="tanaka")
@@ -142,10 +165,10 @@ class TestRunExperiment:
 
 
 class TestMerge:
-    def _run_ranges(self, tmp_path, ranges):
+    def _run_ranges(self, tmp_path, ranges, kind="simulate"):
         outs = []
         for k, (start, count) in enumerate(ranges):
-            cfg = parse_config_text(MINIMAL, kind="simulate")
+            cfg = parse_config_text(MINIMAL, kind=kind)
             cfg.replica_start = start
             cfg.replicas = count
             cfg.out = str(tmp_path / f"part{k}")
@@ -168,6 +191,17 @@ class TestMerge:
         cfg.out = str(tmp_path / "full")
         full = run_experiment(cfg)
         assert ab.merged == full.merged
+
+    def test_tanaka_halves_merge_to_full_run(self, tmp_path):
+        # the panel table is re-simulated from the lowest merged replica
+        a, b, full = self._run_ranges(tmp_path, [(0, 3), (3, 3), (0, 6)], kind="tanaka")
+        merged = merge_reports([a, b], tmp_path / "m")
+        single = json.loads((full / "report.json").read_text())
+        assert merged.merged == single["merged"]
+        assert merged.extra == single["extra"]
+        assert (tmp_path / "m" / "tanaka_panel.csv").read_bytes() == (
+            full / "tanaka_panel.csv"
+        ).read_bytes()
 
     def test_merge_rejects_hash_mismatch(self, tmp_path):
         (a,) = self._run_ranges(tmp_path, [(0, 3)])
@@ -232,3 +266,57 @@ class TestCli:
             ["merge", str(tmp_path / "p0"), "--out", str(tmp_path / "m")]
         )
         assert rc == 0
+
+
+_PARTICLES = "n_scale = 200\nt_end = 0.1\nreplicas = 4\n"
+TINY = {
+    "simulate": _PARTICLES,
+    "duality": _PARTICLES + "solver_nx = 41\nsolver_nt = 5\nsolver_x_min = -4\nsolver_x_max = 4\n",
+    "tanaka": _PARTICLES + "x_panel = -1 1 11\nbandwidth = 0.2\n",
+    "moments": _PARTICLES,
+    "jumps": _PARTICLES + "jump_units = 2 6 3\n",
+    "timechange": _PARTICLES,
+    "stabletails": "replicas = 400\npath_steps = 32\n",
+    "criterion": "",
+    "holder": "",
+    "unbounded2d": _PARTICLES + "dim = 2\n",
+}
+
+
+def strict_json(text: str):
+    """json.loads that rejects the non-standard NaN and Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("kind", list(REGISTRY))
+    def test_kind_runs_strict_listed_and_reproducible(self, kind, tmp_path):
+        cfg = parse_config_text(f"beta = 0.5\nseed = 3\n{TINY[kind]}", kind=kind)
+        out = tmp_path / kind
+        cfg.out = str(out)
+        run_experiment(cfg)
+        report = strict_json((out / "report.json").read_text())
+        paths = ("events-replica", "snapshots-replica")  # simulate's save_paths files
+        tables = {p.name for p in out.iterdir() if not p.name.startswith(paths)}
+        assert sorted(tables) == report["artifacts"]
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        run_experiment(cfg)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    def test_stabletails_default_horizon_is_finite_json(self, tmp_path):
+        # at t = 0.5 the oracle depths used to be those of t = 1, where the
+        # oracle underflows to 0 and its slope came out NaN
+        cfg = parse_config_text(f"beta = 0.5\nseed = 3\n{TINY['stabletails']}", kind="stabletails")
+        cfg.out = str(tmp_path / "st")
+        assert cfg.t_end == 0.5
+        run_experiment(cfg)
+        report = strict_json((tmp_path / "st" / "report.json").read_text())
+        assert abs(report["extra"]["oracle_slope_deep"] - 3.0) < 0.25
+        # too few replicas to resolve the MC window: reported as null, and
+        # the run says so in its status
+        assert report["extra"]["mc_slope_resolved"] is None
+        assert report["status"] == "degraded"

@@ -1,20 +1,20 @@
-"""Mild-equation Picard solver and the Laplace-functional duality check."""
+"""Mild-equation Picard solver, and the Laplace-functional duality check
+run through the harness."""
 import math
 
 import numpy as np
 import pytest
 
+from sbmlab.config import parse_config_text
 from sbmlab.errors import NumericsError
+from sbmlab.harness import run_experiment
 from sbmlab.loglaplace import (
-    DualityMCConfig,
     GridSpec,
-    duality_check,
     heat_matrix,
     save_solution_csv,
     smoothed_indicator,
     solve_mild,
 )
-from sbmlab.measures import dirac
 
 
 def constant_phi(c):
@@ -117,36 +117,44 @@ class TestSolver:
         assert len(lines) == 1 + 6 * 21
 
 
-class TestDuality:
-    def test_phi_zero_exact(self):
-        rep = duality_check(
-            dirac(0.0), constant_phi(0.0), 0.2, 0.5,
-            DualityMCConfig(n_scale=50, replicas=4, seed=1),
-            grids=GridSpec(-4, 4, 51, 10),
-        )
-        assert rep.lhs == 1.0 and rep.rhs == 1.0 and rep.z_score == 0.0
+def run_duality(tmp_path, settings):
+    """The harness duality run at beta = 0.5 with phi the smoothed indicator
+    of [-1, 1] (ramp 0.25) and the given settings; returns the report."""
+    cfg = parse_config_text("beta = 0.5\n" + settings, kind="duality")
+    cfg.out = str(tmp_path / "duality")
+    return run_experiment(cfg)
 
-    def test_short_time_limit(self):
-        # t -> 0: both sides approach exp(-<mu, phi>)
-        mu = dirac(0.0)
-        phi = smoothed_indicator(-1, 1, 0.5, 0.25)
-        rep = duality_check(
-            mu, phi, 1e-3, 0.5,
-            DualityMCConfig(n_scale=500, replicas=100, seed=2),
-            grids=GridSpec(-4, 4, 201, 8),
+
+class TestDuality:
+    def test_phi_zero_exact(self, tmp_path):
+        rep = run_duality(
+            tmp_path,
+            "phi_height = 0\nt_end = 0.2\nn_scale = 50\nreplicas = 4\nseed = 1\n"
+            "solver_x_min = -4\nsolver_x_max = 4\nsolver_nx = 51\nsolver_nt = 10\n",
         )
-        target = math.exp(-phi(np.array([0.0]))[0])
+        e = rep.extra
+        assert e["lhs"] == 1.0 and e["rhs"] == 1.0 and e["z_score"] == 0.0
+
+    def test_short_time_limit(self, tmp_path):
+        # t -> 0: both sides approach exp(-<mu, phi>)
+        rep = run_duality(
+            tmp_path,
+            "t_end = 0.001\nn_scale = 500\nreplicas = 100\nseed = 2\n"
+            "solver_x_min = -4\nsolver_x_max = 4\nsolver_nx = 201\nsolver_nt = 8\n",
+        )
+        target = math.exp(-smoothed_indicator(-1, 1, 0.5, 0.25)(np.array([0.0]))[0])
         # both sides sit within O(t (max phi)^{1+beta}) of the limit
         slack = 1e-3 * 0.5**1.5
-        assert abs(rep.rhs - target) < 1e-3
-        assert abs(rep.lhs - target) <= 3 * rep.lhs_se + slack
+        e = rep.extra
+        assert abs(e["rhs"] - target) < 1e-3
+        assert abs(e["lhs"] - target) <= 3 * e["lhs_se"] + slack
 
-    def test_moderate_config_agrees(self):
+    def test_moderate_config_agrees(self, tmp_path):
         # smaller sibling of the acceptance run
-        rep = duality_check(
-            dirac(0.0), smoothed_indicator(-1, 1, 0.5, 0.25), 0.5, 0.5,
-            DualityMCConfig(n_scale=1000, replicas=120, seed=7),
-            grids=GridSpec(-10, 10, 301, 60),
+        rep = run_duality(
+            tmp_path,
+            "t_end = 0.5\nn_scale = 1000\nreplicas = 120\nseed = 7\n"
+            "solver_nx = 301\nsolver_nt = 60\nsnapshot_stride = 1000000000\n",
         )
-        assert rep.z_score <= 3.0
-        assert rep.censored == 0
+        assert rep.extra["z_score"] <= 3.0
+        assert rep.censoring_rate == 0.0

@@ -346,3 +346,13 @@ class TestRecorderAccess:
         assert rec.event_locations.shape[1] == 2 or rec.event_locations.size == 0
         spread = rec.final_positions.std(axis=0)
         assert (spread > 0).all()
+
+    def test_series_at_matches_column_interp(self, small_recorders):
+        # reference: np.interp one column at a time, as the series once did
+        _, _, recs = small_recorders
+        series = recs[0].series("histogram:-8:8:0.025")
+        times, values = series.times, series.values
+        between = 0.5 * (times[1:] + times[:-1])
+        for t in [*times, *between, times[0] - 1.0, times[-1] + 1.0]:
+            want = np.array([np.interp(t, times, values[:, j]) for j in range(values.shape[1])])
+            assert np.array_equal(series.at(t), want)

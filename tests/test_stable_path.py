@@ -1,23 +1,25 @@
-"""Stable path simulation, tail experiments, and the interval time change."""
+"""Stable path simulation, tail experiments, and the interval time change
+(its Laplace-curve check run through the harness)."""
+import json
 import math
 
 import numpy as np
 import pytest
 
+from sbmlab.config import parse_config_text
 from sbmlab.errors import UsageError
+from sbmlab.harness import run_experiment
 from sbmlab.measures import dirac
 from sbmlab.particles import make_params, simulate
 from sbmlab.rng import RngStream
 from sbmlab.stable_path import (
     calibrate_smalljump_bound,
-    check_T_bound,
     compute_T,
     inf_tail_oracle,
     inf_tail_probability,
     interval_martingale,
     simulate_stable_path,
     sup_smalljump_probability,
-    time_change_check,
 )
 from sbmlab.tanaka import psi0
 
@@ -127,6 +129,32 @@ class TestSupSmallJump:
             sup_smalljump_probability(0.5, 1.0, 0.0, 1.0, 100, RngStream(0, 0))
 
 
+def run_timechange(tmp_path, settings):
+    """The harness timechange run on the small_recorders paths (seed 901,
+    N = 500, t = 0.3, lambda = 0.5, [x1, x2] = [-0.1, 0.1]), with settings
+    appended; returns (out_dir, report)."""
+    cfg = parse_config_text(
+        "beta = 0.5\nn_scale = 500\nt_end = 0.3\nseed = 901\nlam = 0.5\nx1 = -0.1\nx2 = 0.1\n"
+        "snapshot_stride = 1000000000\n" + settings,
+        kind="timechange",
+    )
+    cfg.out = str(tmp_path / "timechange")
+    return tmp_path / "timechange", run_experiment(cfg)
+
+
+def timechange_rows(out):
+    """timechange.csv as a list of {column: float} rows."""
+    header, *rows = (out / "timechange.csv").read_text().splitlines()[1:]
+    return [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
+
+
+@pytest.fixture(scope="module")
+def timechange_run(tmp_path_factory):
+    return run_timechange(
+        tmp_path_factory.mktemp("tc"), "replicas = 120\ntheta_grid = 0.5 1 2\n"
+    )
+
+
 class TestTimeChange:
     def test_compute_T_degenerate(self, small_recorders):
         _, _, recs = small_recorders
@@ -145,12 +173,6 @@ class TestTimeChange:
             t3 = compute_T(rec, 0.5, -0.1, 0.1, 0.3)
             assert 0 <= t1 <= t2 <= t3
 
-    def test_T_bound_every_replica(self, small_recorders):
-        _, _, recs = small_recorders
-        for rec in recs:
-            t_hat, bound, ok = check_T_bound(rec, 0.5, -0.1, 0.1, 0.3)
-            assert ok
-
     def test_psi0_event_sum_matches_direct(self, small_recorders):
         _, _, recs = small_recorders
         rec = recs[0]
@@ -161,22 +183,30 @@ class TestTimeChange:
         )
         assert z == pytest.approx(direct, abs=1e-15)
 
-    def test_theta_zero_exact(self, small_recorders):
-        _, _, recs = small_recorders
-        rep = time_change_check(recs[:20], 0.5, -0.1, 0.1, 0.3, [0.0])
-        assert rep.lhs[0] == 1.0 and rep.rhs[0] == 1.0 and rep.product_mean[0] == 1.0
-        assert rep.z_scores[0] == 0.0
+    def test_T_bound_every_replica(self, timechange_run):
+        out, rep = timechange_run
+        assert rep.extra["t_bound_violations"] == 0
+        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        assert len(records) == 120
+        for r in records:
+            assert 0.0 <= r["T_hat"] <= 2.0**1.5 * r["interval_occupation"] * (1 + 1e-12) + 1e-15
 
-    def test_degenerate_interval(self, small_recorders):
-        _, _, recs = small_recorders
-        rep = time_change_check(recs[:20], 0.5, 0.2, 0.2, 0.3, [0.5, 1.0])
-        assert (rep.lhs == 1.0).all() and (rep.rhs == 1.0).all()
+    def test_theta_zero_exact(self, tmp_path):
+        out, rep = run_timechange(tmp_path, "replicas = 20\ntheta_grid = 0\n")
+        (row,) = timechange_rows(out)
+        assert row["lhs"] == 1.0 and row["rhs"] == 1.0 and row["product_mean"] == 1.0
+        assert rep.extra["z_scores"] == [0.0]
 
-    def test_laplace_curves_agree(self, small_recorders):
-        _, _, recs = small_recorders
-        rep = time_change_check(recs, 0.5, -0.1, 0.1, 0.3, [0.5, 1.0, 2.0])
-        assert rep.max_z <= 3.0
-        assert (np.abs(rep.product_z) <= 3.0).all()
+    def test_degenerate_interval(self, tmp_path):
+        out, _ = run_timechange(tmp_path, "replicas = 20\nx1 = 0.2\nx2 = 0.2\ntheta_grid = 0.5 1\n")
+        rows = timechange_rows(out)
+        assert len(rows) == 2
+        assert all(row["lhs"] == 1.0 and row["rhs"] == 1.0 for row in rows)
+
+    def test_laplace_curves_agree(self, timechange_run):
+        _, rep = timechange_run
+        assert max(rep.extra["z_scores"]) <= 3.0
+        assert max(rep.extra["product_z_scores"]) <= 3.0
 
 
 class TestTimeChangeT95:

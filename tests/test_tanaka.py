@@ -1,24 +1,24 @@
 """Local time estimation, the Tanaka decomposition, the derivative field,
-and martingale increment structure."""
+and martingale increment structure (its moments run through the harness)."""
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sbmlab.errors import UsageError
+from sbmlab.config import parse_config_text
+from sbmlab.errors import ConfigError, UsageError
+from sbmlab.harness import run_experiment
 from sbmlab.kernels import g_lambda, heat_kernel
 from sbmlab.measures import dirac
 from sbmlab.particles import OccupationFunctional, make_params, simulate
 from sbmlab.rng import RngStream
 from sbmlab.tanaka import (
-    default_moment_q,
     estimate_local_time,
     exp_kernel_sums,
     ftc_check,
     histogram_functional,
     kernel_panel_functional,
-    martingale_increment_moment,
     martingale_split,
     psi0,
     tanaka_panel_functional,
@@ -204,6 +204,12 @@ class TestFtcCheck:
             ftc_check(recs[0], mu, 0.5, 0.3, 5.0)
 
 
+MOMENTS = (
+    "beta = 0.5\nn_scale = 500\nt_end = 0.3\nseed = 901\nreplicas = 120\nlam = 0.5\n"
+    "snapshot_stride = 1000000000\n"
+)
+
+
 class TestMartingaleStructure:
     def test_split_identity_exact(self, small_recorders):
         mu, _, recs = small_recorders
@@ -225,29 +231,27 @@ class TestMartingaleStructure:
         assert vals.max() <= 2.0
         assert (vals[(y < -0.25) | (y > 0.25)] == 0).all()
 
-    def test_moment_zero_distance(self, small_recorders):
-        _, _, recs = small_recorders
-        tab = martingale_increment_moment(
-            recs[:30], 1.0, 0.3, 1.2, [(0.3, 0.3), (-0.1, 0.1)]
-        )
-        j = int(np.argmin(tab.distances))
-        assert tab.distances[j] == 0.0
-        assert tab.moments[j] == 0.0
+    def test_moment_zero_distance(self):
+        # a pair with x1 >= x2 has no martingale split; the config says so
+        for bad in ("0.2 0", "0.2 -0.1"):
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(MOMENTS + f"distances = {bad}\n", kind="moments")
+            assert any("distances" in v for v in err.value.violations)
 
-    def test_moment_q_domain(self, small_recorders):
-        _, _, recs = small_recorders
+    def test_moment_q_domain(self):
         for bad_q in (1.0, 1.5, 2.0, 0.8):
-            with pytest.raises(ValueError):
-                martingale_increment_moment(recs[:5], 1.0, 0.3, bad_q, [(-0.1, 0.1)])
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(MOMENTS + f"q_moment = {bad_q}\n", kind="moments")
+            assert any("q_moment" in v for v in err.value.violations)
 
-    def test_default_q_centered(self):
-        assert default_moment_q(0.5) == pytest.approx(1.25)
-
-    def test_moment_slope_positive(self, small_recorders):
-        _, _, recs = small_recorders
-        pairs = [(-d / 2, d / 2) for d in (0.4, 0.2, 0.1)]
-        tab = martingale_increment_moment(recs, 0.5, 0.3, 1.2, pairs)
-        assert 0.3 < tab.slope < 1.3
+    def test_moment_slope_positive(self, tmp_path):
+        # the small_recorders paths, one pair centered at 0 per distance
+        cfg = parse_config_text(
+            MOMENTS + "q_moment = 1.2\ndistances = 0.4 0.2 0.1\npair_centers = 0\n",
+            kind="moments",
+        )
+        cfg.out = str(tmp_path / "moments")
+        assert 0.3 < run_experiment(cfg).extra["slope"] < 1.3
 
     def test_sup_moment_stable_over_n(self):
         # Lemma-2.2-shaped check: E sup_s |M_s(psi)|^q stays bounded as N grows
