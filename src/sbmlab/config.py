@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .loglaplace import grid_violations
 from .particles import dt_cap_violation
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text", "config_hash", "KINDS"]
@@ -166,6 +167,9 @@ class ExperimentConfig:
             errs.append(f"distances must all be > 0, got {self.distances}")
         if self.kind == "timechange" and not self.x1 <= self.x2:
             errs.append(f"need x1 <= x2, got ({self.x1}, {self.x2})")
+        if self.kind == "duality":
+            errs.extend(grid_violations(self.solver_x_min, self.solver_x_max, self.solver_nx,
+                                        self.solver_nt, prefix="solver_"))
         if self.kind == "unbounded2d" and self.dim != 2:
             errs.append("unbounded2d requires dim = 2")
         return errs

@@ -30,6 +30,7 @@ __all__ = [
     "OccupationFunctional",
     "OccupationSeries",
     "PathRecorder",
+    "interp_rows",
     "dt_at_cap",
     "dt_cap_violation",
     "make_params",
@@ -199,6 +200,20 @@ class OccupationFunctional:
         return state.mass_per_particle * vals.sum(axis=0)
 
 
+def interp_rows(t: float, times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Every column of values (one row per entry of the increasing times) at
+    time t, interpolated linearly between rows and held constant outside
+    them; bit for bit what np.interp gives column by column (one bracket
+    lookup, numpy's own formula)."""
+    j = int(np.searchsorted(times, t, side="right")) - 1  # times[j] <= t < times[j+1]
+    if j < 0:
+        return values[0].copy()
+    if j == times.size - 1 or times[j] == t:
+        return values[j].copy()
+    slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
+    return slope * (t - times[j]) + values[j]
+
+
 @dataclass
 class OccupationSeries:
     """Cumulative occupation integral of one functional at checkpoint times."""
@@ -208,17 +223,8 @@ class OccupationSeries:
     meta: dict
 
     def at(self, t: float) -> np.ndarray:
-        """Every column at time t, interpolated linearly between checkpoints
-        and held constant outside them; bit for bit what np.interp gives
-        column by column (one bracket lookup, numpy's own formula)."""
-        times, values = self.times, self.values
-        j = int(np.searchsorted(times, t, side="right")) - 1  # times[j] <= t < times[j+1]
-        if j < 0:
-            return values[0].copy()
-        if j == times.size - 1 or times[j] == t:
-            return values[j].copy()
-        slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
-        return slope * (t - times[j]) + values[j]
+        """Every column at time t (`interp_rows` over the checkpoints)."""
+        return interp_rows(t, self.times, self.values)
 
 
 @dataclass

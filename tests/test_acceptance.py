@@ -274,7 +274,7 @@ def test_criterion_07_tanaka_consistency():
         f"|W| means x=0.25 {[f'{v:.4f}' for v in w_means[0.25]]}, "
         f"x=0.5 {[f'{v:.4f}' for v in w_means[0.5]]}; "
         f"|L_kernel - L_tanaka| {[f'{v:.4f}' for v in dk_means]}; "
-        f"lambda-robustness z {{x: {lam_z}}}",
+        f"lambda-robustness z at x = 0.25, 0.5 {[f'{lam_z[x]:.2f}' for x in (0.25, 0.5)]}",
     )
     assert ok
 

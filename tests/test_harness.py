@@ -81,6 +81,16 @@ class TestConfig:
             parse_config_text(MINIMAL + f"replica_start = {2**32 - 5}\n", kind="simulate")
         assert any("replica_start + replicas" in v for v in err.value.violations)
 
+    def test_duality_solver_grid_rejected(self):
+        # these used to pass validation, simulate every replica and then fail
+        # in the finalizer with a bare ValueError, losing all the records
+        text = MINIMAL + "solver_nx = 4\nsolver_nt = 0\nsolver_x_min = 2\nsolver_x_max = 2\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, kind="duality")
+        msg = "\n".join(err.value.violations)
+        assert "solver_nx" in msg and "solver_nt" in msg and "solver_x_min" in msg
+        parse_config_text(text, kind="simulate")  # the solver keys concern duality only
+
     def test_lambda_alias(self):
         cfg = parse_config_text("beta = 0.5\nlambda = 2.5\n", kind="tanaka")
         assert cfg.lam == 2.5

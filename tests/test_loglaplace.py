@@ -10,6 +10,7 @@ from sbmlab.errors import NumericsError
 from sbmlab.harness import run_experiment
 from sbmlab.loglaplace import (
     GridSpec,
+    HeatSemigroup,
     heat_matrix,
     save_solution_csv,
     smoothed_indicator,
@@ -19,6 +20,48 @@ from sbmlab.loglaplace import (
 
 def constant_phi(c):
     return lambda y: np.full(np.shape(y), float(c))
+
+
+def _dense_solve_mild(phi, t_end, beta, grids, tol=1e-9, max_iterations=200):
+    """Reference: the same Picard scheme with every heat_matrix formed densely
+    and applied to the full space-time grid; returns (values, iterations)."""
+    x_grid = grids.x_grid
+    phi_vals = phi(x_grid)
+    nt, nx, j_sub = grids.nt, grids.nx, grids.substeps
+    delta = t_end / nt
+    mats = [heat_matrix(k * delta, x_grid) for k in range(nt + 1)]
+    sub_mats = [heat_matrix(j * delta / j_sub, x_grid) for j in range(j_sub)]
+    pt_phi = np.array([mats[i] @ phi_vals for i in range(nt + 1)])
+    v = pt_phi.copy()
+    for iteration in range(1, max_iterations + 1):
+        w = np.maximum(v, 0.0) ** (1.0 + beta)
+        pw = np.empty((nt, nt + 1, nx))
+        for k in range(1, nt):
+            pw[k] = (mats[k] @ w.T).T
+        v_new = pt_phi.copy()
+        for i in range(1, nt + 1):
+            acc = np.zeros(nx)
+            for j in range(j_sub):
+                frac = j / j_sub
+                w_interp = (1.0 - frac) * w[i] + frac * w[i - 1]
+                acc += sub_mats[j] @ w_interp if j > 0 else w_interp
+            v_new[i] -= acc * (delta / j_sub)
+            for k in range(1, i):
+                v_new[i] -= delta * pw[k, i - k]
+        v_new = np.maximum(v_new, 0.0)
+        residual = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if residual < tol:
+            return v, iteration
+    raise AssertionError("dense reference did not converge")
+
+
+def edge_phi(grids):
+    """The duality test function plus a plateau over the last unit of the
+    domain, so the rows whose kernel the boundary cuts carry mass."""
+    bump = smoothed_indicator(-1, 1, 0.5, 0.25)
+    edge = smoothed_indicator(grids.x_max - 1.0, grids.x_max + 1.0, 0.4, 0.5)
+    return lambda y: bump(y) + edge(y)
 
 
 class TestSolver:
@@ -79,6 +122,53 @@ class TestSolver:
         for i, t in enumerate(sol.t_grid):
             direct = heat_matrix(t, g.x_grid) @ phi_vals
             assert np.abs(sol.values[i] - direct).max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            GridSpec(nx=51, nt=10),
+            GridSpec(nx=101, nt=12),
+            GridSpec(-3, 7, 81, 20),
+            GridSpec(-5, 5, 81, 20, substeps=1),
+            GridSpec(-5, 5, 81, 20, substeps=4),
+            GridSpec(-4, 4, 51, 1),
+            GridSpec(nx=401, nt=100),
+            GridSpec(nx=401, nt=150),
+        ],
+        ids=lambda g: f"{g.x_min:g}:{g.x_max:g}x{g.nx}x{g.nt}s{g.substeps}",
+    )
+    def test_matches_dense_reference(self, grids):
+        phi = edge_phi(grids)
+        want, iterations = _dense_solve_mild(phi, 0.5, 0.5, grids)
+        sol = solve_mild(phi, 0.5, 0.5, grids)
+        assert np.abs(sol.values - want).max() <= 1e-12
+        assert sol.iterations == iterations
+
+    def test_semigroup_matches_heat_matrix(self):
+        # from 8 sqrt(s) < h (the identity) to 8 sqrt(s) beyond the domain
+        x = GridSpec(-3, 7, 81, 20).x_grid
+        h, span = x[1] - x[0], x[-1] - x[0]
+        times = np.geomspace(1e-5, 10.0, 16)
+        assert 8 * math.sqrt(times[0]) < h and 8 * math.sqrt(times[-1]) > span
+        u = np.random.default_rng(3).uniform(0.0, 1.0, (3, x.size))
+        u[0, -1] = u[0, 0] = 5.0  # mass on the boundary points
+        heat = HeatSemigroup(times, x)
+        u_hat = heat.transform(u)
+        for k, s in enumerate(times):
+            want = (heat_matrix(s, x) @ u.T).T
+            assert np.abs(heat.apply(k, u_hat) - want).max() <= 1e-12
+        assert np.abs(heat.apply(0, u_hat) - u).max() <= 1e-12
+        with pytest.raises(ValueError):
+            HeatSemigroup([0.0], x)
+
+    def test_at_time_matches_column_interp(self):
+        phi = smoothed_indicator(-1, 1, 0.5, 0.25)
+        sol = solve_mild(phi, 0.5, 0.5, GridSpec(-4, 4, 41, 10))
+        times, values = sol.t_grid, sol.values
+        between = 0.5 * (times[1:] + times[:-1])
+        for t in [*times, *between, times[0] - 1.0, times[-1] + 1.0]:
+            want = np.array([np.interp(t, times, values[:, j]) for j in range(values.shape[1])])
+            assert np.array_equal(sol.at_time(t), want)
 
     def test_grid_refinement_cauchy(self):
         phi = smoothed_indicator(-1, 1, 0.5, 0.25)
