@@ -109,12 +109,19 @@ class ExperimentConfig:
     window: tuple[float, ...] = (-1.5, 1.5)
 
     def panel_grid(self):
+        """The Tanaka panel: the x_panel linspace (default -1 1 41) plus 0 and
+        every x_eval, sorted; a point within PANEL_TOL of one already there
+        is not added."""
         import numpy as np
 
-        if len(self.x_panel) == 3:
-            lo, hi, count = self.x_panel
-            return np.linspace(lo, hi, int(count))
-        return np.linspace(-1.0, 1.0, 41)
+        from .tanaka import PANEL_TOL
+
+        lo, hi, count = self.x_panel if len(self.x_panel) == 3 else (-1.0, 1.0, 41)
+        xs = np.linspace(lo, hi, int(count))
+        for x in (0.0, *self.x_eval):
+            if xs.size == 0 or np.abs(xs - x).min() > PANEL_TOL:
+                xs = np.append(xs, x)
+        return np.sort(xs)
 
     def validate(self) -> list[str]:
         errs = []
@@ -175,36 +182,17 @@ class ExperimentConfig:
         return errs
 
 
-_TUPLE_KEYS = {
-    "x_panel",
-    "x_eval",
-    "distances",
-    "pair_centers",
-    "theta_grid",
-    "jump_units",
-    "inf_x_values",
-    "r_grid",
-    "holder_lags",
-    "resolutions",
-    "window",
+# value parser per field, from its annotation; a new annotation must be
+# added here before a field can carry it
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "str": str,
+    "str | None": str,
+    "tuple[float, ...]": _parse_floats,
 }
-_INT_KEYS = {
-    "n_scale",
-    "dim",
-    "particle_cap",
-    "snapshot_stride",
-    "replicas",
-    "replica_start",
-    "seed",
-    "workers",
-    "max_retries",
-    "solver_nx",
-    "solver_nt",
-    "n_max",
-    "path_steps",
-}
-_STR_KEYS = {"kind", "initial_measure", "out", "save_paths", "holder_input", "holder_synthetic"}
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str, kind: str | None = None) -> ExperimentConfig:
@@ -229,7 +217,7 @@ def parse_config_text(text: str, kind: str | None = None) -> ExperimentConfig:
             errs.append(f"line {lineno}: expected 'key = value', got {raw!r}")
             continue
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_NAMES and key != "lambda":
+        if key not in _FIELD_PARSERS and key != "lambda":
             errs.append(f"line {lineno}: unknown key {key!r}")
             continue
         if section is None or section == (kind or values.get("kind")):
@@ -243,14 +231,7 @@ def parse_config_text(text: str, kind: str | None = None) -> ExperimentConfig:
     cfg_kwargs = {}
     for key, val in values.items():
         try:
-            if key in _TUPLE_KEYS:
-                cfg_kwargs[key] = _parse_floats(val)
-            elif key in _INT_KEYS:
-                cfg_kwargs[key] = int(val)
-            elif key in _STR_KEYS:
-                cfg_kwargs[key] = val
-            else:
-                cfg_kwargs[key] = float(val)
+            cfg_kwargs[key] = _FIELD_PARSERS[key](val)
         except ValueError:
             errs.append(f"key {key!r}: cannot parse value {val!r}")
     cfg = ExperimentConfig(**cfg_kwargs) if not errs else None

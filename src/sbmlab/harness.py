@@ -59,6 +59,7 @@ from .tanaka import (
     histogram_functional,
     interval_indicator_functional,
     martingale_split,
+    panel_index,
     psi0_power_functional,
     tanaka_panel_functional,
     tanaka_panel_terms,
@@ -153,11 +154,16 @@ def _phi(cfg: ExperimentConfig):
 
 def _tanaka_functionals(cfg: ExperimentConfig):
     xs = cfg.panel_grid()
+    bin_width = min(cfg.bandwidth / 4.0, 0.025)
+    # the kernel estimate reads the histogram 5 bandwidths beyond each x_eval;
+    # one bin more absorbs the rounding of the last bin edge
+    reach = 5.0 * cfg.bandwidth + bin_width
+    lo = min(-8.0, min(cfg.x_eval, default=0.0) - reach)
+    hi = max(8.0, max(cfg.x_eval, default=0.0) + reach)
     return [
         tanaka_panel_functional(cfg.lam, xs),
         tanaka_panel_functional(cfg.lam_alt, xs),
-        histogram_functional(-8.0, 8.0, min(cfg.bandwidth / 4.0, 0.025),
-                             checkpoint_stride=100),
+        histogram_functional(lo, hi, bin_width, checkpoint_stride=100),
     ]
 
 
@@ -189,18 +195,19 @@ def _record_duality(cfg: ExperimentConfig, rec, mu0) -> dict:
 
 
 def _record_tanaka(cfg: ExperimentConfig, rec, mu0) -> dict:
+    # one panel per lambda; every x_eval is a panel point (panel_grid)
     out = {}
     t = cfg.t_end
     lt = estimate_local_time(rec, t, np.asarray(cfg.x_eval), cfg.bandwidth)
-    for lam in (cfg.lam, cfg.lam_alt):
-        panel = tanaka_panel_terms(rec, mu0, lam, t)
+    panels = {lam: tanaka_panel_terms(rec, mu0, lam, t) for lam in (cfg.lam, cfg.lam_alt)}
+    for lam, panel in panels.items():
         for x in cfg.x_eval:
-            j = int(np.argmin(np.abs(panel.xs - x)))
+            j = panel_index(panel.xs, x)
             out[f"L_tanaka:lam={lam:g}:x={x:g}"] = float(panel.local_time[j])
             out[f"H:lam={lam:g}:x={x:g}"] = float(panel.deriv_field[j])
     for k, x in enumerate(cfg.x_eval):
         out[f"L_kernel:x={x:g}"] = float(lt.values[k])
-        out[f"ftc_abs:x={x:g}"] = abs(ftc_check(rec, mu0, cfg.lam, t, x))
+        out[f"ftc_abs:x={x:g}"] = abs(ftc_check(panels[cfg.lam], x))
     return out
 
 

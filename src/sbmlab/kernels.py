@@ -27,7 +27,6 @@ __all__ = [
     "green_numeric",
     "green_closed",
     "g_lambda",
-    "measure_apply",
     "green_one_sided_derivatives",
 ]
 
@@ -99,11 +98,6 @@ def g_lambda(lam: float, x):
     return float(out) if out.ndim == 0 else out
 
 
-def measure_apply(mu: FiniteMeasure, f) -> float:
-    """<mu, f> for a vectorized f bounded on the support of mu."""
-    return mu.integrate(f)
-
-
 def green_one_sided_derivatives(mu: FiniteMeasure, lam: float, x: float) -> tuple[float, float]:
     """One-sided derivatives of x -> <mu, G_lambda(. - x)>.
 
@@ -113,6 +107,6 @@ def green_one_sided_derivatives(mu: FiniteMeasure, lam: float, x: float) -> tupl
     They coincide exactly when mu has no atom at x.
     """
     _check_lambda(lam)
-    base = measure_apply(mu, lambda y: g_lambda(lam, x - y))
+    base = mu.integrate(lambda y: g_lambda(lam, x - y))
     atom = mu.atom_mass_at(x)
     return base - atom, base + atom

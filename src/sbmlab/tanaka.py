@@ -13,6 +13,13 @@ test suite cross-checks:
     Z(t, x) = L(t, x) - <X_0, G^x>, checked against Z by the fundamental
     theorem of calculus (ftc_check).
 
+Every time integral comes from an accumulator registered before simulate
+(a Tanaka panel per lambda, a kernel panel or a histogram), integrated on
+the step grid; the only positions read afterwards are those at t
+(`state_at`).  The decomposition is evaluated on the whole panel at once
+(`tanaka_panel_terms`), so a point of interest must be a panel point;
+`tanaka_terms` is the one-point reference the tests compare against.
+
 Derivative orientation: d/dx <mu, G_lambda(. - x)> = <mu, g_lambda(x - .)>,
 so every derivative-route kernel evaluates g_lambda with arguments reversed
 (see kernels module note); the even G is unaffected.
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .kernels import g_lambda, green_closed, measure_apply
+from .kernels import g_lambda, green_closed
 from .measures import FiniteMeasure
 from .particles import OccupationFunctional, ParticleState, PathRecorder
 
@@ -33,12 +40,15 @@ __all__ = [
     "exp_kernel_sums",
     "LocalTimeEstimate",
     "TanakaDecomposition",
+    "PanelDecomposition",
     "tanaka_panel_functional",
     "kernel_panel_functional",
     "histogram_functional",
     "psi0",
     "psi0_power_functional",
     "interval_indicator_functional",
+    "PANEL_TOL",
+    "panel_index",
     "estimate_local_time",
     "tanaka_terms",
     "tanaka_panel_terms",
@@ -215,6 +225,34 @@ def interval_indicator_functional(x1: float, x2: float) -> OccupationFunctional:
 
 
 # ---------------------------------------------------------------------------
+# Panels
+# ---------------------------------------------------------------------------
+
+# Two panel points closer than this are the same point: linspace grids are
+# off by a few ulps, and a point this close to a grid point is not added.
+PANEL_TOL = 1e-9
+
+
+def panel_index(xs: np.ndarray, x: float) -> int:
+    """Index of the panel point at x (within PANEL_TOL); UsageError when x is
+    not a panel point."""
+    dist = np.abs(np.asarray(xs) - x)
+    if dist.size == 0 or dist.min() > PANEL_TOL:
+        raise UsageError(f"x={x} is not a point of the registered panel; add it to the panel")
+    return int(np.argmin(dist))
+
+
+def _panel_series(recorder: PathRecorder, lam: float):
+    series = recorder.find_series("tanaka_panel", lam=lam)
+    if series is None:
+        raise UsageError(
+            f"no tanaka panel registered for lambda={lam}; register "
+            "tanaka_panel_functional before simulate"
+        )
+    return series
+
+
+# ---------------------------------------------------------------------------
 # Local time estimation
 # ---------------------------------------------------------------------------
 
@@ -226,7 +264,7 @@ class LocalTimeEstimate:
     values: np.ndarray
     bandwidth: float
     n_scale: int
-    source: str  # 'registered' or 'snapshots'
+    source: str  # the accumulator read: 'kernel_panel' or 'histogram'
     warnings: list[str] = field(default_factory=list)
 
 
@@ -235,9 +273,10 @@ def estimate_local_time(
 ) -> LocalTimeEstimate:
     """Kernel-smoothed occupation density on x_grid at time t.
 
-    Uses the registered kernel panel when one matches (step-grid accurate);
-    otherwise falls back to a trapezoid over recorded snapshots, which
-    carries the coarser snapshot-grid time error.
+    Reads a registered kernel panel at this bandwidth on exactly x_grid, or
+    else a registered histogram with bins of at most bandwidth/4 that covers
+    x_grid with a 5-bandwidth margin (positions quantized to bin centers).
+    Both are integrated on the step grid; with neither, UsageError.
     """
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
@@ -249,23 +288,23 @@ def estimate_local_time(
             f"bandwidth {bandwidth:g} below x-grid resolution {spacing:g}"
         )
     series = recorder.find_series("kernel_panel", bandwidth=bandwidth, xs=x_grid)
-    hist = None
-    if series is None:
-        hist = _matching_histogram(recorder, x_grid, bandwidth)
     if series is not None:
         values = series.at(t)
-        source = "registered"
-    elif hist is not None:
+        source = "kernel_panel"
+    else:
+        hist = _matching_histogram(recorder, x_grid, bandwidth)
+        if hist is None:
+            raise UsageError(
+                f"no kernel panel at bandwidth {bandwidth:g} on this grid and no histogram "
+                "with bins <= bandwidth/4 covering it 5 bandwidths wide; register "
+                "kernel_panel_functional or histogram_functional before simulate"
+            )
         centers = hist.meta["centers"]
         occ = hist.at(t)
         norm = 1.0 / (bandwidth * math.sqrt(2.0 * math.pi))
         d = (x_grid[:, None] - centers[None, :]) / bandwidth
         values = norm * (np.exp(-0.5 * d * d) @ occ)
-        source = "registered"
-    else:
-        values = _kernel_occupation_from_snapshots(recorder, t, x_grid, bandwidth)
-        source = "snapshots"
-        warnings.append("estimated from snapshot grid; coarser time quadrature")
+        source = "histogram"
     return LocalTimeEstimate(
         t=t,
         x_grid=x_grid,
@@ -294,27 +333,6 @@ def _matching_histogram(recorder: PathRecorder, x_grid: np.ndarray, bw: float):
     return None
 
 
-def _kernel_occupation_from_snapshots(
-    recorder: PathRecorder, t: float, xs: np.ndarray, bw: float
-) -> np.ndarray:
-    times = recorder.snapshot_times
-    mask = times <= t + 1e-12
-    if not mask.any():
-        return np.zeros(xs.size)
-    norm = 1.0 / (bw * math.sqrt(2.0 * math.pi))
-    mass = recorder.params.mass_per_particle
-    vals = []
-    for keep, pos in zip(mask, recorder.snapshots):
-        if not keep:
-            continue
-        if pos.shape[0] == 0:
-            vals.append(np.zeros(xs.size))
-            continue
-        d = (_as_1d(pos)[:, None] - xs[None, :]) / bw
-        vals.append(mass * norm * np.exp(-0.5 * d * d).sum(axis=0))
-    return np.trapezoid(np.vstack(vals), times[mask], axis=0)
-
-
 # ---------------------------------------------------------------------------
 # Tanaka decomposition
 # ---------------------------------------------------------------------------
@@ -340,7 +358,6 @@ class TanakaDecomposition:
     deriv_martingale: float
     deriv_field: float  # H(t, x) = dZ/dx estimate
     local_time_deriv: float  # dL/dx estimate (valid for atomless X_0)
-    occupation_exact: bool  # False when the occupation term used snapshots
 
 
 def _state_kernel_values(positions: np.ndarray, mass: float, lam: float, x: float):
@@ -359,50 +376,34 @@ def _event_kernel_sums(recorder: PathRecorder, lam: float, t: float, xs: np.ndar
 
 
 def _occupation_pair(recorder: PathRecorder, lam: float, t: float, x: float):
-    """(int <X_s,G^x> ds, int <X_s,g(x-.)> ds, exact_flag) at time t."""
-    series = recorder.find_series("tanaka_panel", lam=lam)
-    if series is not None:
-        xs = series.meta["xs"]
-        j = int(np.argmin(np.abs(xs - x)))
-        if abs(xs[j] - x) < 1e-12:
-            vals = series.at(t)
-            m = xs.size
-            return float(vals[j]), float(vals[m + j]), True
-    # snapshot fallback: coarser time quadrature
-    times = recorder.snapshot_times
-    mask = times <= t + 1e-12
-    mass = recorder.params.mass_per_particle
-    g_vals, d_vals = [], []
-    for keep, pos in zip(mask, recorder.snapshots):
-        if not keep:
-            continue
-        gv, dv = _state_kernel_values(pos, mass, lam, x)
-        g_vals.append(gv)
-        d_vals.append(dv)
-    return (
-        float(np.trapezoid(g_vals, times[mask])),
-        float(np.trapezoid(d_vals, times[mask])),
-        False,
-    )
+    """(int_0^t <X_s,G^x> ds, int_0^t <X_s,g(x-.)> ds) read from the
+    registered lambda panel; x must be one of its points."""
+    series = _panel_series(recorder, lam)
+    xs = series.meta["xs"]
+    j = panel_index(xs, x)
+    vals = series.at(t)
+    return float(vals[j]), float(vals[xs.size + j])
 
 
 def tanaka_terms(
     recorder: PathRecorder, mu0: FiniteMeasure, lam: float, t: float, x: float
 ) -> TanakaDecomposition:
-    """Evaluate every decomposition term at (t, x, lambda).
+    """Evaluate every decomposition term at one point (t, x, lambda).
 
-    The occupation terms use the registered panel accumulator when x is a
-    panel point (exact on the step grid) and otherwise fall back to the
-    snapshot trapezoid.  Martingale terms are exact event sums either way.
+    The scalar reference for `tanaka_panel_terms`: the same terms, each
+    computed on its own.  The occupation terms come from the registered
+    lambda panel, so x must be a panel point (UsageError otherwise); the
+    terminal terms use the positions at t and the martingale terms are exact
+    event sums.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
-    term_initial = measure_apply(mu0, lambda y: green_closed(lam, y - x))
-    deriv_initial = measure_apply(mu0, lambda y: g_lambda(lam, x - y))
+    term_initial = mu0.integrate(lambda y: green_closed(lam, y - x))
+    deriv_initial = mu0.integrate(lambda y: g_lambda(lam, x - y))
     mass = recorder.params.mass_per_particle
     positions = recorder.state_at(t)
     term_terminal, deriv_terminal = _state_kernel_values(positions, mass, lam, x)
-    occ_g, occ_d, exact = _occupation_pair(recorder, lam, t, x)
+    occ_g, occ_d = _occupation_pair(recorder, lam, t, x)
     mart_g, mart_d = _event_kernel_sums(recorder, lam, t, np.array([x]))
     term_occupation = lam * occ_g
     deriv_occupation = lam * occ_d
@@ -426,7 +427,6 @@ def tanaka_terms(
         deriv_martingale=deriv_martingale,
         deriv_field=deriv_field,
         local_time_deriv=deriv_initial + deriv_field,
-        occupation_exact=exact,
     )
 
 
@@ -451,12 +451,7 @@ def tanaka_panel_terms(
     recorder: PathRecorder, mu0: FiniteMeasure, lam: float, t: float
 ) -> PanelDecomposition:
     """Decomposition evaluated at every point of the registered panel."""
-    series = recorder.find_series("tanaka_panel", lam=lam)
-    if series is None:
-        raise UsageError(
-            f"no tanaka panel registered for lambda={lam}; register "
-            "tanaka_panel_functional before simulate"
-        )
+    series = _panel_series(recorder, lam)
     xs = np.asarray(series.meta["xs"])
     m = xs.size
     occ = series.at(t)
@@ -465,12 +460,8 @@ def tanaka_panel_terms(
     even, odd = exp_kernel_sums(_as_1d(recorder.state_at(t)), mass, a, xs)
     term_terminal, deriv_terminal = even / a, odd
     mart_g, mart_d = _event_kernel_sums(recorder, lam, t, xs)
-    term_initial = np.array(
-        [measure_apply(mu0, lambda y: green_closed(lam, y - x)) for x in xs]
-    )
-    deriv_initial = np.array(
-        [measure_apply(mu0, lambda y: g_lambda(lam, x - y)) for x in xs]
-    )
+    term_initial = np.array([mu0.integrate(lambda y: green_closed(lam, y - x)) for x in xs])
+    deriv_initial = np.array([mu0.integrate(lambda y: g_lambda(lam, x - y)) for x in xs])
     term_occupation = lam * occ[:m]
     recentered = -term_terminal + term_occupation + mart_g
     deriv_field = -deriv_terminal + lam * occ[m:] + mart_d
@@ -489,38 +480,23 @@ def tanaka_panel_terms(
     )
 
 
-def ftc_check(
-    recorder: PathRecorder, mu0: FiniteMeasure, lam: float, t: float, x: float
-) -> float:
-    """Residual W(t, x) = Z(t, x) - Z(t, 0) - int_0^x H(t, z) dz.
+def ftc_check(panel: PanelDecomposition, x: float) -> float:
+    """Residual W(t, x) = Z(t, x) - Z(t, 0) - int_0^x H(t, z) dz on a panel.
 
-    Exactly 0 at x=0 or t=0; small for fine estimators (the limit being the
-    statement that H is the spatial derivative of Z).  The integral uses the
-    registered panel grid between 0 and x.
+    Both x and 0 must be panel points (UsageError otherwise); the integral
+    is the trapezoid over the panel points between them.  Exactly 0 at x=0
+    or t=0; small for fine estimators (the limit being the statement that H
+    is the spatial derivative of Z).
     """
-    if t == 0.0:
+    j0 = panel_index(panel.xs, 0.0)
+    jx = panel_index(panel.xs, x)
+    if panel.t == 0.0:
         return 0.0
-    if x == 0.0:
-        return 0.0
-    panel = tanaka_panel_terms(recorder, mu0, lam, t)
-    xs = panel.xs
-    lo, hi = (0.0, x) if x > 0 else (x, 0.0)
-    if not (xs.min() <= lo and xs.max() >= hi):
-        raise UsageError(f"panel [{xs.min()}, {xs.max()}] does not cover [0, {x}]")
-
-    def z_at(pt: float) -> float:
-        j = int(np.argmin(np.abs(xs - pt)))
-        if abs(xs[j] - pt) < 1e-12:
-            return float(panel.recentered[j])
-        return float(tanaka_terms(recorder, mu0, lam, t, pt).recentered)
-
-    inside = (xs >= lo - 1e-12) & (xs <= hi + 1e-12)
-    zg = xs[inside]
-    hv = panel.deriv_field[inside]
-    integral = float(np.trapezoid(hv, zg))
-    if x < 0:
+    lo, hi = min(j0, jx), max(j0, jx) + 1
+    integral = float(np.trapezoid(panel.deriv_field[lo:hi], panel.xs[lo:hi]))
+    if jx < j0:
         integral = -integral
-    return z_at(x) - z_at(0.0) - integral
+    return float(panel.recentered[jx]) - float(panel.recentered[j0]) - integral
 
 
 # ---------------------------------------------------------------------------

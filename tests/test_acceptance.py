@@ -242,9 +242,9 @@ def test_criterion_07_tanaka_consistency():
         lam_diffs = {0.25: [], 0.5: []}
         for i in range(R):
             rec = simulate(mu, params, fns, RngStream(55, i))
-            for x in (0.25, 0.5):
-                w_abs[x].append(abs(ftc_check(rec, mu, 0.5, t, x)))
             panel = tanaka_panel_terms(rec, mu, 0.5, t)
+            for x in (0.25, 0.5):
+                w_abs[x].append(abs(ftc_check(panel, x)))
             j = int(np.argmin(np.abs(xs - 0.25)))
             est = estimate_local_time(rec, t, np.array([0.25]), bw)
             dk.append(abs(panel.local_time[j] - est.values[0]))

@@ -1,16 +1,26 @@
 """Configuration parsing, experiment orchestration, determinism, merging,
 censoring, and the CLI surface."""
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbmlab.cli import main as cli_main
-from sbmlab.config import ExperimentConfig, config_hash, load_config, parse_config_text
+from sbmlab.config import (
+    KINDS,
+    ExperimentConfig,
+    canonical_lines,
+    config_hash,
+    load_config,
+    parse_config_text,
+)
 from sbmlab.errors import ConfigError
 from sbmlab.harness import REGISTRY, merge_reports, run_experiment
-from sbmlab.particles import make_params
+from sbmlab.particles import dt_at_cap, make_params
 
 MINIMAL = """
 beta = 0.5
@@ -21,7 +31,64 @@ replicas = 6
 """
 
 
+_FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
+_POSITIVE = st.floats(1e-6, 1e3)
+# a value of each annotation; the fields validate() constrains are drawn
+# from their domains below
+_BY_TYPE = {
+    "int": st.integers(0, 10**6),
+    "float": _FLOATS,
+    "float | None": st.none(),
+    "str": st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=12),
+    "str | None": st.none(),
+    "tuple[float, ...]": st.lists(_FLOATS, max_size=4).map(tuple),
+}
+_DOMAINS = {
+    "beta": st.floats(0.01, 0.99),
+    "n_scale": st.integers(1, 10**6),
+    "t_end": st.floats(0.0, 10.0),
+    "dim": st.sampled_from((1, 2)),
+    "replicas": st.integers(1, 10**6),
+    "seed": st.integers(0, 2**64 - 1),
+    "workers": st.integers(1, 64),
+    "save_paths": st.sampled_from(("none", "first", "all")),
+    "lam": _POSITIVE,
+    "bandwidth": _POSITIVE,
+    "distances": st.lists(_POSITIVE, max_size=4).map(tuple),
+    "solver_nx": st.integers(8, 10**4),
+    "solver_nt": st.integers(1, 10**4),
+}
+
+
+@st.composite
+def valid_configs(draw, kind):
+    values = {
+        f.name: draw(_DOMAINS.get(f.name, _BY_TYPE[f.type]))
+        for f in fields(ExperimentConfig)
+    }
+    values["kind"] = kind
+    cap = dt_at_cap(values["beta"], values["n_scale"])
+    values["dt"] = draw(st.one_of(st.none(), st.floats(1e-3, 1.0).map(lambda u: u * cap)))
+    values["q_moment"] = 1.0 + draw(st.floats(0.01, 0.99)) * values["beta"]
+    values["x1"], values["x2"] = sorted((values["x1"], values["x2"]))
+    lo, hi = sorted((values["solver_x_min"], values["solver_x_max"]))
+    values["solver_x_min"], values["solver_x_max"] = lo, hi + 1.0
+    if kind == "unbounded2d":
+        values["dim"] = 2
+    return ExperimentConfig(**values)
+
+
 class TestConfig:
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_canonical_lines_round_trip(self, kind, data):
+        cfg = data.draw(valid_configs(kind))
+        assert cfg.validate() == []
+        back = parse_config_text("\n".join(canonical_lines(cfg)))
+        assert back == cfg
+        assert config_hash(back) == config_hash(cfg)
+
     def test_minimal_parses_with_defaults(self):
         cfg = parse_config_text(MINIMAL, kind="simulate")
         assert cfg.kind == "simulate"
@@ -279,6 +346,45 @@ class TestCli:
 
 
 _PARTICLES = "n_scale = 200\nt_end = 0.1\nreplicas = 4\n"
+
+
+def _panel_rows(path: Path) -> list[dict]:
+    lines = path.read_text().splitlines()[1:]  # the schema line
+    header = lines[0].split(",")
+    return [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+
+
+class TestTanakaPanel:
+    # x_eval 0.25 and 0.5 are off the 11-point panel; bandwidth 2 reaches
+    # past the default histogram [-8, 8], and 7.9 + 5 * 0.02 reaches its
+    # last edge, which arange rounds to 7.99999999999966
+    @pytest.mark.parametrize(
+        "settings_text",
+        [
+            "x_panel = -1 1 11\nbandwidth = 0.2\n",
+            "bandwidth = 2\n",
+            "x_eval = 0.25 7.9\nbandwidth = 0.02\n",
+        ],
+        ids=["off-panel", "wide-bandwidth", "histogram-edge"],
+    )
+    def test_records_do_not_depend_on_snapshot_storage(self, settings_text, tmp_path):
+        outs = []
+        for stride in (1, 10**9):
+            cfg = parse_config_text(
+                f"beta = 0.5\nseed = 3\n{_PARTICLES}{settings_text}snapshot_stride = {stride}\n",
+                kind="tanaka",
+            )
+            cfg.out = str(tmp_path / f"stride{stride}")
+            run_experiment(cfg)
+            outs.append(tmp_path / f"stride{stride}")
+        assert (outs[0] / "records.jsonl").read_bytes() == (outs[1] / "records.jsonl").read_bytes()
+        first = json.loads((outs[0] / "records.jsonl").read_text().splitlines()[0])
+        rows = _panel_rows(outs[0] / "tanaka_panel.csv")
+        for x in cfg.x_eval:
+            (row,) = [r for r in rows if r["x"] == x and r["lambda"] == cfg.lam]
+            assert row["local_time"] == first[f"L_tanaka:lam=1:x={x:g}"]
+
+
 TINY = {
     "simulate": _PARTICLES,
     "duality": _PARTICLES + "solver_nx = 41\nsolver_nt = 5\nsolver_x_min = -4\nsolver_x_max = 4\n",

@@ -14,7 +14,6 @@ from sbmlab.kernels import (
     green_numeric,
     green_one_sided_derivatives,
     heat_kernel,
-    measure_apply,
 )
 from sbmlab.measures import (
     FiniteMeasure,
@@ -123,7 +122,7 @@ class TestDerivativeKernel:
 
 class TestMeasureApply:
     def test_dirac_green(self):
-        assert measure_apply(dirac(0.0), lambda y: green_closed(0.5, y)) == pytest.approx(1.0)
+        assert dirac(0.0).integrate(lambda y: green_closed(0.5, y)) == pytest.approx(1.0)
 
     def test_constant(self):
         grid = np.linspace(-1, 2, 301)
@@ -131,14 +130,14 @@ class TestMeasureApply:
             np.array([0.5]), np.array([2.0]), grid, np.full(grid.size, 0.25)
         )
         c = 3.7
-        assert measure_apply(mu, lambda y: np.full(np.shape(y), c)) == pytest.approx(
+        assert mu.integrate(lambda y: np.full(np.shape(y), c)) == pytest.approx(
             c * mu.total_mass, rel=1e-12
         )
 
     def test_lebesgue_linear(self):
         grid = np.linspace(0, 1, 2001)
         mu = gridded_density(grid, np.ones(grid.size))
-        assert measure_apply(mu, lambda y: y) == pytest.approx(0.5, abs=1e-9)
+        assert mu.integrate(lambda y: y) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestOneSidedDerivatives:
@@ -165,7 +164,7 @@ class TestOneSidedDerivatives:
         lam, h = 1.0, 1e-6
 
         def field(x):
-            return measure_apply(mu, lambda y: green_closed(lam, y - x))
+            return mu.integrate(lambda y: green_closed(lam, y - x))
 
         for x in (0.3, 0.0, 1.5, -0.7):
             right, left = green_one_sided_derivatives(mu, lam, x)

@@ -94,29 +94,35 @@ class TestLocalTimeEstimate:
         assert abs(vals.mean() - closed) <= 3 * se
 
     def test_histogram_route_matches_kernel_panel(self):
+        # two recorders of one path (functionals draw no random numbers):
+        # the kernel panel is exact, the other recorder has only the histogram
         t, bw = 0.2, 0.12
         xs = np.linspace(-1, 1, 21)
         p = make_params(0.5, 400, t, snapshot_stride=10**9)
-        fns = [
-            kernel_panel_functional(bw, xs),
-            histogram_functional(-8, 8, bw / 8),
-        ]
-        rec = simulate(dirac(0.0), p, fns, RngStream(22, 0))
-        exact = rec.occupations[f"kernel_panel:{bw:g}"].at(t)
-        est = estimate_local_time(rec, t, xs, bw)
-        assert est.source == "registered"
-        assert np.abs(est.values - exact).max() < 0.01 * max(1.0, exact.max())
+        panel = simulate(dirac(0.0), p, [kernel_panel_functional(bw, xs)], RngStream(22, 0))
+        binned = simulate(dirac(0.0), p, [histogram_functional(-8, 8, bw / 8)], RngStream(22, 0))
+        exact = estimate_local_time(panel, t, xs, bw)
+        est = estimate_local_time(binned, t, xs, bw)
+        assert exact.source == "kernel_panel"
+        assert est.source == "histogram"
+        assert np.array_equal(exact.values, panel.occupations[f"kernel_panel:{bw:g}"].at(t))
+        assert np.abs(est.values - exact.values).max() < 0.01 * max(1.0, exact.values.max())
 
-    def test_snapshot_fallback_flag(self):
+    def test_no_accumulator_usage_error(self, small_recorders):
         p = make_params(0.5, 200, 0.1, snapshot_stride=5)
         rec = simulate(dirac(0.0), p, [], RngStream(23, 0))
-        est = estimate_local_time(rec, 0.1, np.linspace(-1, 1, 11), 0.2)
-        assert est.source == "snapshots"
-        assert any("snapshot" in w for w in est.warnings)
-
-    def test_bandwidth_below_resolution_warns(self, small_recorders, panel_grid):
+        with pytest.raises(UsageError):
+            estimate_local_time(rec, 0.1, np.linspace(-1, 1, 11), 0.2)
+        # a histogram too coarse for the bandwidth or too narrow for the grid
         _, _, recs = small_recorders
-        est = estimate_local_time(recs[0], 0.3, panel_grid, 0.01)
+        for xs, bw in ((np.linspace(-1, 1, 11), 0.05), (np.linspace(-7, 7, 11), 0.3)):
+            with pytest.raises(UsageError):
+                estimate_local_time(recs[0], 0.3, xs, bw)
+
+    def test_bandwidth_below_resolution_warns(self, panel_grid):
+        p = make_params(0.5, 200, 0.1, snapshot_stride=10**9)
+        rec = simulate(dirac(0.0), p, [kernel_panel_functional(0.01, panel_grid)], RngStream(23, 0))
+        est = estimate_local_time(rec, 0.1, panel_grid, 0.01)
         assert any("below" in w for w in est.warnings)
 
     def test_bandwidth_validation(self, small_recorders, panel_grid):
@@ -142,7 +148,6 @@ class TestTanakaDecomposition:
             d = tanaka_terms(rec, mu, 0.5, 0.3, 0.25)
             assert d.recentered == -d.term_terminal + d.term_occupation + d.term_martingale
             assert d.local_time == d.term_initial + d.recentered
-            assert d.occupation_exact
 
     def test_lambda_robustness(self, small_recorders):
         # Eq-level lambda-independence of the reconstruction, paired test
@@ -156,10 +161,12 @@ class TestTanakaDecomposition:
         se = diffs.std(ddof=1) / math.sqrt(diffs.size)
         assert abs(diffs.mean()) <= 3 * se
 
-    def test_offpanel_fallback_flagged(self, small_recorders):
+    def test_offpanel_point_usage_error(self, small_recorders):
         mu, _, recs = small_recorders
-        d = tanaka_terms(recs[0], mu, 0.5, 0.3, 0.1234)  # not a panel point
-        assert not d.occupation_exact
+        with pytest.raises(UsageError):
+            tanaka_terms(recs[0], mu, 0.5, 0.3, 0.1234)  # not a panel point
+        with pytest.raises(UsageError):
+            tanaka_terms(recs[0], mu, 1.0, 0.3, 0.25)  # no panel at this lambda
 
     def test_panel_terms_match_scalar_route(self, small_recorders, panel_grid):
         mu, _, recs = small_recorders
@@ -185,23 +192,32 @@ class TestTanakaDecomposition:
 class TestFtcCheck:
     def test_zero_at_origin_and_time_zero(self, small_recorders):
         mu, _, recs = small_recorders
-        assert ftc_check(recs[0], mu, 0.5, 0.3, 0.0) == 0.0
-        assert ftc_check(recs[0], mu, 0.5, 0.0, 0.5) == 0.0
+        assert ftc_check(tanaka_panel_terms(recs[0], mu, 0.5, 0.3), 0.0) == 0.0
+        assert ftc_check(tanaka_panel_terms(recs[0], mu, 0.5, 0.0), 0.5) == 0.0
 
     def test_small_residual(self, small_recorders):
         mu, _, recs = small_recorders
-        vals = [abs(ftc_check(rec, mu, 0.5, 0.3, 0.5)) for rec in recs[:40]]
+        vals = [abs(ftc_check(tanaka_panel_terms(rec, mu, 0.5, 0.3), 0.5)) for rec in recs[:40]]
         assert np.mean(vals) < 0.05
 
     def test_negative_x(self, small_recorders):
         mu, _, recs = small_recorders
-        w = ftc_check(recs[0], mu, 0.5, 0.3, -0.5)
+        panel = tanaka_panel_terms(recs[0], mu, 0.5, 0.3)
+        w = ftc_check(panel, -0.5)
         assert np.isfinite(w)
+        # the residual of the reversed range: -W(-0.5) = Z(0) - Z(-0.5) - int_{-0.5}^0 H
+        j0, jx = 20, 10
+        assert panel.xs[jx] == pytest.approx(-0.5) and panel.xs[j0] == pytest.approx(0.0)
+        integral = np.trapezoid(panel.deriv_field[jx : j0 + 1], panel.xs[jx : j0 + 1])
+        reverse = panel.recentered[j0] - panel.recentered[jx] - integral
+        assert w == pytest.approx(-reverse, abs=1e-12)
 
     def test_panel_coverage_error(self, small_recorders):
         mu, _, recs = small_recorders
-        with pytest.raises(UsageError):
-            ftc_check(recs[0], mu, 0.5, 0.3, 5.0)
+        panel = tanaka_panel_terms(recs[0], mu, 0.5, 0.3)
+        for x in (5.0, 0.1234):  # beyond the panel; inside it but not a point
+            with pytest.raises(UsageError):
+                ftc_check(panel, x)
 
 
 MOMENTS = (
