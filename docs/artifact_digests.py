@@ -8,6 +8,10 @@ report.json (which records the config) does not depend on where it ran.
 Run it on two commits and diff the tables to show which artifacts a change
 alters; it uses only `parse_config_text` and `run_experiment`, so it runs on
 older commits too.  Takes a few seconds.
+
+Every replica kind also runs at `workers = 3` (on the process pool).  The
+script exits non-zero, naming the files, if any artifact of that run differs
+from the one-worker run; report.json is compared without its `workers` line.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 from sbmlab.config import KINDS, parse_config_text
-from sbmlab.harness import run_experiment
+from sbmlab.harness import REGISTRY, run_experiment
 
 _PARTICLES = "n_scale = 200\nt_end = 0.1\nreplicas = 4\n"
 CONFIGS = {
@@ -34,21 +38,57 @@ CONFIGS = {
     "holder": "",
     "unbounded2d": _PARTICLES + "dim = 2\n",
 }
+POOL_WORKERS = 3
 
 
-def main() -> None:
+def _artifacts(kind: str, workers: int) -> dict[str, bytes]:
+    """Run kind in ./w<workers>/<kind> (relative out, as above) and read back
+    every file it wrote."""
     home = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        for kind in KINDS:
-            cfg = parse_config_text(f"beta = 0.5\nseed = 3\nout = {kind}\n{CONFIGS[kind]}", kind=kind)
-            with contextlib.redirect_stdout(sys.stderr):
-                run_experiment(cfg)
-            for path in sorted(Path(kind).iterdir()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{kind:12s} {path.name:28s} {digest}")
+    os.makedirs(f"w{workers}", exist_ok=True)
+    os.chdir(f"w{workers}")
+    try:
+        text = f"beta = 0.5\nseed = 3\nout = {kind}\nworkers = {workers}\n{CONFIGS[kind]}"
+        with contextlib.redirect_stdout(sys.stderr):
+            run_experiment(parse_config_text(text, kind=kind))
+        return {path.name: path.read_bytes() for path in sorted(Path(kind).iterdir())}
+    finally:
         os.chdir(home)
 
 
+def _without_workers_line(data: bytes) -> bytes:
+    return b"".join(
+        line for line in data.splitlines(keepends=True) if b'"workers = ' not in line
+    )
+
+
+def main() -> int:
+    home = os.getcwd()
+    differ = []
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for kind in KINDS:
+                serial = _artifacts(kind, 1)
+                for name, data in serial.items():
+                    print(f"{kind:12s} {name:28s} {hashlib.sha256(data).hexdigest()}")
+                if REGISTRY[kind].run is not None:
+                    continue  # path-free kind: no replicas, no pool
+                pooled = _artifacts(kind, POOL_WORKERS)
+                for name in sorted(serial.keys() | pooled.keys()):
+                    a, b = serial.get(name), pooled.get(name)
+                    if name == "report.json" and a is not None and b is not None:
+                        a, b = _without_workers_line(a), _without_workers_line(b)
+                    if a != b:
+                        differ.append(f"{kind}/{name}")
+        finally:
+            os.chdir(home)
+    if differ:
+        print(f"differ at workers = {POOL_WORKERS}: {' '.join(differ)}", file=sys.stderr)
+        return 1
+    print(f"every replica kind: identical at workers = 1 and {POOL_WORKERS}", file=sys.stderr)
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

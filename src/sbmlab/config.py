@@ -160,6 +160,10 @@ class ExperimentConfig:
             errs.append(f"dt must be > 0, got {self.dt}")
         if self.lam <= 0:
             errs.append(f"lam must be > 0, got {self.lam}")
+        if self.lam_alt <= 0:
+            errs.append(f"lam_alt must be > 0, got {self.lam_alt}")
+        if self.kind == "tanaka" and self.lam_alt == self.lam:
+            errs.append(f"lam_alt must differ from lam for kind tanaka, both are {self.lam}")
         if self.bandwidth <= 0:
             errs.append(f"bandwidth must be > 0, got {self.bandwidth}")
         if self.initial_measure is not None and not Path(self.initial_measure).exists():

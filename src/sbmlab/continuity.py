@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "ExponentConditions",
@@ -313,7 +312,12 @@ def holder_exponent(
     s2 = float(resid @ resid) / dof if dof > 0 else 0.0
     sxx = float(np.sum((log_h - log_h.mean()) ** 2))
     stderr = math.sqrt(s2 / sxx) if sxx > 0 else math.inf
-    tq = stats.t.ppf(0.5 + confidence / 2.0, dof) if dof > 0 else math.inf
+    if dof > 0:
+        from scipy.stats import t as student_t  # slow to import; only this fit needs it
+
+        tq = student_t.ppf(0.5 + confidence / 2.0, dof)
+    else:
+        tq = math.inf
     return HolderFit(
         exponent=float(slope),
         ci_low=float(slope - tq * stderr),

@@ -19,6 +19,12 @@ config (or changing the worker count) reproduces every numeric output
 byte for byte.  report.json carries no timestamps; wall-clock goes to
 stdout only.
 
+Scheduling: with workers > 1 each replica index is one pool task, handed to
+the next free worker.  Replica costs are heavy-tailed (event counts vary
+twentyfold at one config), so a slow replica holds up one worker rather
+than a whole pre-assigned stripe; which worker ran a replica never shows
+in its record, because the stream is keyed by the index.
+
 Artifact formats: per-replica summaries as JSONL records (one per line);
 tables as CSV whose first line is a `# schema=... config=<hash>` header;
 particle paths as the line-oriented event file ("time location offspring"
@@ -161,8 +167,7 @@ def _tanaka_functionals(cfg: ExperimentConfig):
     lo = min(-8.0, min(cfg.x_eval, default=0.0) - reach)
     hi = max(8.0, max(cfg.x_eval, default=0.0) + reach)
     return [
-        tanaka_panel_functional(cfg.lam, xs),
-        tanaka_panel_functional(cfg.lam_alt, xs),
+        tanaka_panel_functional((cfg.lam, cfg.lam_alt), xs),
         histogram_functional(lo, hi, bin_width, checkpoint_stride=100),
     ]
 
@@ -276,24 +281,21 @@ def _run_one_replica(cfg: ExperimentConfig, index: int, out_dir: str) -> dict:
     return record
 
 
-def _worker(payload) -> list[tuple[int, dict]]:
-    cfg_lines, indices, out_dir = payload
-    cfg = parse_config_text("\n".join(cfg_lines))
-    return [(i, _run_one_replica(cfg, i, out_dir)) for i in indices]
+def _worker(payload) -> dict:
+    cfg_lines, index, out_dir = payload
+    return _run_one_replica(parse_config_text("\n".join(cfg_lines)), index, out_dir)
 
 
 def _run_replicas(cfg: ExperimentConfig, out_dir: str) -> dict[int, dict]:
-    indices = list(range(cfg.replica_start, cfg.replica_start + cfg.replicas))
-    lines = canonical_lines(cfg)
+    indices = range(cfg.replica_start, cfg.replica_start + cfg.replicas)
     if cfg.workers == 1:
-        pairs = _worker((lines, indices, out_dir))
-    else:
-        chunks = [indices[k :: cfg.workers] for k in range(cfg.workers)]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = pool.map(_worker, [(lines, c, out_dir) for c in chunks])
-        pairs = [pair for chunk in results for pair in chunk]
-    return dict(sorted(pairs))
+        return {i: _run_one_replica(cfg, i, out_dir) for i in indices}
+    # one task per replica: a free worker takes the next index, so a slow
+    # replica holds up one worker, not a whole static stripe
+    lines = canonical_lines(cfg)
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        results = pool.map(_worker, [(lines, i, out_dir) for i in indices])
+        return dict(zip(indices, results))
 
 
 # ---------------------------------------------------------------------------

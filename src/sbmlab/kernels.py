@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericsError
 from .measures import FiniteMeasure
@@ -55,6 +54,8 @@ def green_numeric(lam: float, x: float) -> float:
     """Laplace-time integral int_0^inf exp(-lam s) p_s(x) ds by adaptive
     quadrature in log time (the s^(-1/2) endpoint singularity becomes a
     smooth exponential tail after the substitution s = e^u)."""
+    from scipy.integrate import quad  # slow to import; only this oracle needs it
+
     _check_lambda(lam)
     x = float(x)
 

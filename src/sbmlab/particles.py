@@ -144,6 +144,8 @@ class ParticleState:
     time: float
     positions: np.ndarray  # (n,) in d=1, (n, 2) in d=2
     mass_per_particle: float
+    # what several functionals of one step share: the sort, interval indices
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -156,11 +158,20 @@ class ParticleState:
     def sorted_positions(self) -> np.ndarray:
         """Sorted copy of the (d=1) positions, memoized so several kernel
         functionals can share one sort per step."""
-        cached = getattr(self, "_sorted", None)
-        if cached is None:
-            cached = np.sort(self.positions)
-            object.__setattr__(self, "_sorted", cached)
-        return cached
+        if "sorted" not in self._memo:
+            self._memo["sorted"] = np.sort(self.positions)
+        return self._memo["sorted"]
+
+    def interval_indices(self, x1: float, x2: float) -> np.ndarray:
+        """Indices of the (d=1) particles in [x1, x2], in order, memoized so
+        the functionals on one interval share one pass per step."""
+        if self.positions.ndim != 1:
+            raise UsageError("interval_indices is defined for d=1 states only")
+        key = ("interval", x1, x2)
+        if key not in self._memo:
+            y = self.positions
+            self._memo[key] = np.flatnonzero((y >= x1) & (y <= x2))
+        return self._memo[key]
 
 
 @dataclass
@@ -245,6 +256,8 @@ class PathRecorder:
     event_net_mass: np.ndarray
     extinction_time: float
     final_positions: np.ndarray
+    # sorted copies handed out by sorted_state_at / sorted_events_until
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def horizon(self) -> float:
@@ -293,18 +306,39 @@ class PathRecorder:
 
     def state_at(self, t: float) -> np.ndarray:
         """Positions snapshot at time t (must be a recorded snapshot time)."""
+        return self.snapshots[self._snapshot_index(t)]
+
+    def sorted_state_at(self, t: float) -> np.ndarray:
+        """Sorted copy of the (d=1) positions at time t (`state_at`),
+        memoized so that every kernel sum at t shares one sort."""
+        key = ("state", self._snapshot_index(t))
+        if key not in self._memo:
+            self._memo[key] = np.sort(self.snapshots[key[1]])
+        return self._memo[key]
+
+    def sorted_events_until(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The (d=1) event locations up to t in stably sorted order, with
+        their net masses in the same order; memoized like sorted_state_at."""
+        sl = self.events_until(t)
+        key = ("events", sl.stop)
+        if key not in self._memo:
+            order = np.argsort(self.event_locations[sl], kind="stable")
+            self._memo[key] = (self.event_locations[order], self.event_net_mass[order])
+        return self._memo[key]
+
+    def events_until(self, t: float) -> slice:
+        self._check_time(t)
+        hi = int(np.searchsorted(self.event_times, t, side="right"))
+        return slice(0, hi)
+
+    def _snapshot_index(self, t: float) -> int:
         self._check_time(t)
         idx = int(np.argmin(np.abs(self.snapshot_times - t)))
         if abs(self.snapshot_times[idx] - t) > 0.500001 * self.params.dt:
             raise UsageError(
                 f"no snapshot at t={t}; nearest is {self.snapshot_times[idx]}"
             )
-        return self.snapshots[idx]
-
-    def events_until(self, t: float) -> slice:
-        self._check_time(t)
-        hi = int(np.searchsorted(self.event_times, t, side="right"))
-        return slice(0, hi)
+        return idx
 
     def _check_time(self, t: float) -> None:
         tol = 1e-9 * max(1.0, self.horizon)

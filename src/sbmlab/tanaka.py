@@ -14,11 +14,23 @@ test suite cross-checks:
     theorem of calculus (ftc_check).
 
 Every time integral comes from an accumulator registered before simulate
-(a Tanaka panel per lambda, a kernel panel or a histogram), integrated on
-the step grid; the only positions read afterwards are those at t
-(`state_at`).  The decomposition is evaluated on the whole panel at once
-(`tanaka_panel_terms`), so a point of interest must be a panel point;
-`tanaka_terms` is the one-point reference the tests compare against.
+(a Tanaka panel, a kernel panel or a histogram), integrated on the step
+grid; the only positions read afterwards are those at t (`state_at`).  The
+decomposition is evaluated on the whole panel at once (`tanaka_panel_terms`),
+so a point of interest must be a panel point; `tanaka_terms` is the
+one-point reference the tests compare against.
+
+One Tanaka panel may carry several lambdas: `exp_kernel_sums` takes an
+array of rates and runs one sort-and-search pass for all of them, each
+lambda's columns bit for bit those of a panel of its own.  After simulate,
+the recorder sorts the positions at t and the event log up to t once
+(`sorted_state_at`, `sorted_events_until`), and every lambda's terminal and
+martingale sums reuse those sorts.
+
+The interval functionals of the time change (psi0^(1+beta) and the
+indicator of [x1, x2]) evaluate only the particles inside [x1, x2], found
+once per step (`ParticleState.interval_indices`); psi0 is zero outside, so
+their values are bit for bit the full-array ones.
 
 Derivative orientation: d/dx <mu, G_lambda(. - x)> = <mu, g_lambda(x - .)>,
 so every derivative-route kernel evaluates g_lambda with arguments reversed
@@ -34,7 +46,7 @@ import numpy as np
 from .errors import UsageError
 from .kernels import g_lambda, green_closed
 from .measures import FiniteMeasure
-from .particles import OccupationFunctional, ParticleState, PathRecorder
+from .particles import OccupationFunctional, OccupationSeries, ParticleState, PathRecorder
 
 __all__ = [
     "exp_kernel_sums",
@@ -67,14 +79,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def exp_kernel_sums(y: np.ndarray, weights, a: float, xs: np.ndarray, presorted: bool = False):
+def exp_kernel_sums(y: np.ndarray, weights, a, xs: np.ndarray, presorted: bool = False):
     """Returns (even_sums, odd_sums) of the exponential kernel against
     weighted points; odd_sums uses the derivative orientation
-    -sign(x - y) exp(-a |x - y|) with points exactly at x contributing 0."""
+    -sign(x - y) exp(-a |x - y|) with points exactly at x contributing 0.
+
+    `a` is one rate or a 1-D array of k rates.  With an array both sums are
+    (k, len(xs)) arrays, and row r is bit for bit the call at the rate a[r]:
+    the points are sorted and searched once for every rate."""
+    rates = np.asarray(a, dtype=float)
+    if rates.ndim > 1:
+        raise ValueError(f"a must be a rate or a 1-D array of rates, got shape {rates.shape}")
     n = y.size
     m = xs.size
     if n == 0:
-        return np.zeros(m), np.zeros(m)
+        return np.zeros(rates.shape + (m,)), np.zeros(rates.shape + (m,))
     w = np.broadcast_to(np.asarray(weights, dtype=float), y.shape)
     if presorted:
         ys, ws = y, w
@@ -82,15 +101,16 @@ def exp_kernel_sums(y: np.ndarray, weights, a: float, xs: np.ndarray, presorted:
         order = np.argsort(y, kind="stable")
         ys = y[order]
         ws = w[order]
-    exp_pos = ws * np.exp(a * ys)
-    exp_neg = ws * np.exp(-a * ys)
-    cum_pos = np.concatenate([[0.0], np.cumsum(exp_pos)])
-    cum_neg = np.concatenate([[0.0], np.cumsum(exp_neg)])
+    r = rates[..., None]  # rates down the rows, points or centers along them
+    cum_pos = np.zeros(r.shape[:-1] + (n + 1,))
+    cum_neg = np.zeros(r.shape[:-1] + (n + 1,))
+    np.cumsum(ws * np.exp(r * ys), axis=-1, out=cum_pos[..., 1:])
+    np.cumsum(ws * np.exp(-r * ys), axis=-1, out=cum_neg[..., 1:])
     idx_lo = np.searchsorted(ys, xs, side="left")  # count of y < x
     idx_hi = np.searchsorted(ys, xs, side="right")  # count of y <= x
-    below = np.exp(-a * xs) * cum_pos[idx_lo]  # sum over y < x of w e^{-a(x-y)}
-    above = np.exp(a * xs) * (cum_neg[-1] - cum_neg[idx_hi])  # y > x
-    at = np.exp(-a * xs) * (cum_pos[idx_hi] - cum_pos[idx_lo])  # y == x
+    below = np.exp(-r * xs) * cum_pos[..., idx_lo]  # sum over y < x of w e^{-a(x-y)}
+    above = np.exp(r * xs) * (cum_neg[..., -1:] - cum_neg[..., idx_hi])  # y > x
+    at = np.exp(-r * xs) * (cum_pos[..., idx_hi] - cum_pos[..., idx_lo])  # y == x
     even = below + above + at
     odd = -(below) + above  # -sign(x-y): -1 for y<x, +1 for y>x, 0 at x
     return even, odd
@@ -108,25 +128,34 @@ def _as_1d(positions: np.ndarray) -> np.ndarray:
 
 
 def tanaka_panel_functional(
-    lam: float, xs, checkpoint_stride: int = 1
+    lams, xs, checkpoint_stride: int = 1
 ) -> OccupationFunctional:
     """Panel accumulator of <X_s, G_lambda(.-x_j)> and <X_s, g_lambda(x_j-.)>
-    for all panel points; values are stacked [G panel, derivative panel]."""
+    for all panel points, at one lambda or at each of several distinct ones.
+
+    One kernel-sum pass over the sorted positions serves every lambda.  The
+    values hold one block per lambda, in the order given, each stacked
+    [G panel, derivative panel]; a single lambda's panel is named
+    `tanaka_panel:<lam>`."""
+    lams = tuple(float(lam) for lam in np.atleast_1d(lams))
+    if len(set(lams)) != len(lams):
+        raise ValueError(f"duplicate rates in one panel: {lams}")
+    if not lams or min(lams) <= 0:
+        raise ValueError(f"lambda must be > 0, got {lams}")
     xs = np.asarray(xs, dtype=float)
-    a = math.sqrt(2.0 * lam)
-    m = xs.size
+    a = np.sqrt(2.0 * np.asarray(lams))
 
     def state_fn(state: ParticleState) -> np.ndarray:
         y = _as_1d(state.sorted_positions())
         even, odd = exp_kernel_sums(y, state.mass_per_particle, a, xs, presorted=True)
-        return np.concatenate([even / a, odd])
+        return np.concatenate([even / a[:, None], odd], axis=1).ravel()
 
     return OccupationFunctional(
-        name=f"tanaka_panel:{lam:g}",
+        name="tanaka_panel:" + ",".join(f"{lam:g}" for lam in lams),
         state_fn=state_fn,
-        width=2 * m,
+        width=2 * xs.size * len(lams),
         checkpoint_stride=checkpoint_stride,
-        meta={"kind": "tanaka_panel", "lam": lam, "xs": xs},
+        meta={"kind": "tanaka_panel", "lams": lams, "xs": xs},
     )
 
 
@@ -181,26 +210,49 @@ def histogram_functional(
     )
 
 
+def _psi0_values(a: float, x1: float, x2: float, y: np.ndarray) -> np.ndarray:
+    """g_lambda(y - x2) - g_lambda(y - x1) with a = sqrt(2 lambda), spelled
+    out so that a is computed once: psi0 at points of [x1, x2]."""
+    d2, d1 = y - x2, y - x1
+    return -np.sign(d2) * np.exp(-a * np.abs(d2)) - -np.sign(d1) * np.exp(-a * np.abs(d1))
+
+
 def psi0(lam: float, x1: float, x2: float, y):
     """Interval integrand (g_lambda(y-x2) - g_lambda(y-x1)) 1_[x1,x2](y);
-    nonnegative and bounded by 2."""
+    nonnegative and bounded by 2.  Evaluated at every point of y (the event
+    sums use it, and the tests take it as the reference)."""
+    if lam <= 0:
+        raise ValueError(f"lambda must be > 0, got {lam}")
     y = np.asarray(y, dtype=float)
     inside = (y >= x1) & (y <= x2)
-    return (g_lambda(lam, y - x2) - g_lambda(lam, y - x1)) * inside
+    return _psi0_values(math.sqrt(2.0 * lam), x1, x2, y) * inside
 
 
 def psi0_power_functional(lam: float, x1: float, x2: float, beta: float) -> OccupationFunctional:
-    """Accumulator of <X_s, psi0^(1+beta)>: the stable time change T(t)."""
+    """Accumulator of <X_s, psi0^(1+beta)>: the stable time change T(t).
+
+    Evaluates psi0 only at the particles inside [x1, x2] (the step's
+    `interval_indices`, shared with the interval indicator) and leaves the
+    rest at 0, bit for bit what `psi0` gives."""
+    if lam <= 0:
+        raise ValueError(f"lambda must be > 0, got {lam}")
     if not x1 <= x2:
         raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
     power = 1.0 + beta
+    a = math.sqrt(2.0 * lam)
 
-    def fn(pos: np.ndarray) -> np.ndarray:
-        return psi0(lam, x1, x2, _as_1d(pos)) ** power
+    def state_fn(state: ParticleState) -> np.ndarray:
+        inside = state.interval_indices(x1, x2)
+        y = state.positions
+        vals = np.zeros(y.shape)
+        vals[inside] = _psi0_values(a, x1, x2, y[inside]) ** power
+        # the zeros stay in: this is the reduction state_value applies to a
+        # per-particle fn, so the sum is bit for bit the full-array one
+        return state.mass_per_particle * vals[:, None].sum(axis=0)
 
     return OccupationFunctional(
         name=f"psi0pow:{lam:g}:{x1:g}:{x2:g}",
-        fn=fn,
+        state_fn=state_fn,
         width=1,
         meta={"kind": "psi0_power", "lam": lam, "x1": x1, "x2": x2, "beta": beta},
     )
@@ -212,13 +264,12 @@ def interval_indicator_functional(x1: float, x2: float) -> OccupationFunctional:
     if not x1 <= x2:
         raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
 
-    def fn(pos: np.ndarray) -> np.ndarray:
-        y = _as_1d(pos)
-        return ((y >= x1) & (y <= x2)).astype(float)
+    def state_fn(state: ParticleState) -> np.ndarray:
+        return np.array([state.mass_per_particle * state.interval_indices(x1, x2).size])
 
     return OccupationFunctional(
         name=f"interval:{x1:g}:{x2:g}",
-        fn=fn,
+        state_fn=state_fn,
         width=1,
         meta={"kind": "interval", "x1": x1, "x2": x2},
     )
@@ -242,14 +293,23 @@ def panel_index(xs: np.ndarray, x: float) -> int:
     return int(np.argmin(dist))
 
 
-def _panel_series(recorder: PathRecorder, lam: float):
-    series = recorder.find_series("tanaka_panel", lam=lam)
-    if series is None:
-        raise UsageError(
-            f"no tanaka panel registered for lambda={lam}; register "
-            "tanaka_panel_functional before simulate"
-        )
-    return series
+def _panel_series(recorder: PathRecorder, lam: float) -> OccupationSeries:
+    """The occupation series of one lambda's block of the registered panel
+    that holds it: the columns [G panel, derivative panel]."""
+    for series in recorder.occupations.values():
+        meta = series.meta
+        if meta.get("kind") == "tanaka_panel" and lam in meta["lams"]:
+            width = 2 * meta["xs"].size
+            start = width * meta["lams"].index(lam)
+            return OccupationSeries(
+                times=series.times,
+                values=series.values[:, start : start + width],
+                meta=meta,
+            )
+    raise UsageError(
+        f"no tanaka panel registered for lambda={lam}; register "
+        "tanaka_panel_functional before simulate"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +427,33 @@ def _state_kernel_values(positions: np.ndarray, mass: float, lam: float, x: floa
 
 
 def _event_kernel_sums(recorder: PathRecorder, lam: float, t: float, xs: np.ndarray):
-    sl = recorder.events_until(t)
     a = math.sqrt(2.0 * lam)
-    locs = _as_1d(recorder.event_locations[sl])
-    net = recorder.event_net_mass[sl]
-    even, odd = exp_kernel_sums(locs, net, a, xs)
+    locs, net = recorder.sorted_events_until(t)
+    even, odd = exp_kernel_sums(_as_1d(locs), net, a, xs, presorted=True)
     return even / a, odd
+
+
+def _initial_terms(mu0: FiniteMeasure, lam: float, xs: np.ndarray):
+    """(<mu0, G^x>, <mu0, g(x - .)>) at every panel point x: what
+    `mu0.integrate` gives point by point, from one atoms x panel (and
+    density x panel) matrix per kernel."""
+    green = np.zeros(xs.size)
+    deriv = np.zeros(xs.size)
+    for locs, weights, trapezoid in (
+        (mu0.atom_locations, mu0.atom_masses, False),
+        (mu0.density_grid, mu0.density_values, True),
+    ):
+        if locs.size == 0:
+            continue
+        g_vals = weights * green_closed(lam, locs[None, :] - xs[:, None])
+        d_vals = weights * g_lambda(lam, xs[:, None] - locs[None, :])
+        if trapezoid:
+            green += np.trapezoid(g_vals, locs, axis=1)
+            deriv += np.trapezoid(d_vals, locs, axis=1)
+        else:
+            green += np.sum(g_vals, axis=1)
+            deriv += np.sum(d_vals, axis=1)
+    return green, deriv
 
 
 def _occupation_pair(recorder: PathRecorder, lam: float, t: float, x: float):
@@ -457,11 +538,10 @@ def tanaka_panel_terms(
     occ = series.at(t)
     mass = recorder.params.mass_per_particle
     a = math.sqrt(2.0 * lam)
-    even, odd = exp_kernel_sums(_as_1d(recorder.state_at(t)), mass, a, xs)
+    even, odd = exp_kernel_sums(_as_1d(recorder.sorted_state_at(t)), mass, a, xs, presorted=True)
     term_terminal, deriv_terminal = even / a, odd
     mart_g, mart_d = _event_kernel_sums(recorder, lam, t, xs)
-    term_initial = np.array([mu0.integrate(lambda y: green_closed(lam, y - x)) for x in xs])
-    deriv_initial = np.array([mu0.integrate(lambda y: g_lambda(lam, x - y)) for x in xs])
+    term_initial, deriv_initial = _initial_terms(mu0, lam, xs)
     term_occupation = lam * occ[:m]
     recentered = -term_terminal + term_occupation + mart_g
     deriv_field = -deriv_terminal + lam * occ[m:] + mart_d

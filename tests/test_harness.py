@@ -1,6 +1,9 @@
 """Configuration parsing, experiment orchestration, determinism, merging,
 censoring, and the CLI surface."""
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sbmlab
 from sbmlab.cli import main as cli_main
 from sbmlab.config import (
     KINDS,
@@ -53,6 +57,7 @@ _DOMAINS = {
     "workers": st.integers(1, 64),
     "save_paths": st.sampled_from(("none", "first", "all")),
     "lam": _POSITIVE,
+    "lam_alt": _POSITIVE,
     "bandwidth": _POSITIVE,
     "distances": st.lists(_POSITIVE, max_size=4).map(tuple),
     "solver_nx": st.integers(8, 10**4),
@@ -71,6 +76,8 @@ def valid_configs(draw, kind):
     values["dt"] = draw(st.one_of(st.none(), st.floats(1e-3, 1.0).map(lambda u: u * cap)))
     values["q_moment"] = 1.0 + draw(st.floats(0.01, 0.99)) * values["beta"]
     values["x1"], values["x2"] = sorted((values["x1"], values["x2"]))
+    if kind == "tanaka" and values["lam_alt"] == values["lam"]:
+        values["lam_alt"] = 2.0 * values["lam"]
     lo, hi = sorted((values["solver_x_min"], values["solver_x_max"]))
     values["solver_x_min"], values["solver_x_max"] = lo, hi + 1.0
     if kind == "unbounded2d":
@@ -158,6 +165,18 @@ class TestConfig:
         assert "solver_nx" in msg and "solver_nt" in msg and "solver_x_min" in msg
         parse_config_text(text, kind="simulate")  # the solver keys concern duality only
 
+    @pytest.mark.parametrize("kind", ["tanaka", "timechange"])
+    def test_nonpositive_lam_alt_rejected(self, kind):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + "lam_alt = -1\n", kind=kind)
+        assert any("lam_alt" in v for v in err.value.violations)
+
+    def test_tanaka_lam_alt_equal_to_lam_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + "lam = 1.5\nlam_alt = 1.5\n", kind="tanaka")
+        assert any("lam_alt" in v for v in err.value.violations)
+        parse_config_text(MINIMAL + "lam = 1.5\nlam_alt = 1.5\n", kind="timechange")
+
     def test_lambda_alias(self):
         cfg = parse_config_text("beta = 0.5\nlambda = 2.5\n", kind="tanaka")
         assert cfg.lam == 2.5
@@ -221,6 +240,20 @@ class TestRunExperiment:
         assert (tmp_path / "w1" / "records.jsonl").read_text() == (
             tmp_path / "w3" / "records.jsonl"
         ).read_text()
+
+    def test_timechange_worker_count_invariance(self, tmp_path):
+        # replicas are handed out one at a time, so which worker runs which
+        # differs between runs; the artifacts must not
+        outputs = {}
+        for workers in (1, 3):
+            cfg = parse_config_text(MINIMAL + f"workers = {workers}\n", kind="timechange")
+            cfg.out = str(tmp_path / f"w{workers}")
+            run_experiment(cfg)
+            outputs[workers] = {
+                name: (tmp_path / f"w{workers}" / name).read_bytes()
+                for name in ("records.jsonl", "timechange.csv")
+            }
+        assert outputs[1] == outputs[3]
 
     def test_censoring_counts_and_degrades(self, tmp_path):
         cfg = parse_config_text(MINIMAL, kind="simulate")
@@ -295,6 +328,20 @@ class TestMerge:
 
 
 class TestCli:
+    def test_import_loads_no_stats_or_quadrature(self):
+        # scipy.stats and scipy.integrate take about half of the start-up time;
+        # only the holder fit and the Green's function oracle use them
+        src = str(Path(sbmlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = (
+            "import sys, sbmlab.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
+
     def test_validation_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("beta = 1.5\n")

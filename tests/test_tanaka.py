@@ -10,17 +10,21 @@ from sbmlab.config import parse_config_text
 from sbmlab.errors import ConfigError, UsageError
 from sbmlab.harness import run_experiment
 from sbmlab.kernels import g_lambda, heat_kernel
-from sbmlab.measures import dirac
-from sbmlab.particles import OccupationFunctional, make_params, simulate
+from sbmlab.kernels import green_closed
+from sbmlab.measures import FiniteMeasure, dirac, gridded_density
+from sbmlab.particles import OccupationFunctional, ParticleState, make_params, simulate
 from sbmlab.rng import RngStream
 from sbmlab.tanaka import (
+    _initial_terms,
     estimate_local_time,
     exp_kernel_sums,
     ftc_check,
     histogram_functional,
+    interval_indicator_functional,
     kernel_panel_functional,
     martingale_split,
     psi0,
+    psi0_power_functional,
     tanaka_panel_functional,
     tanaka_panel_terms,
     tanaka_terms,
@@ -50,6 +54,117 @@ class TestExpKernelSums:
     def test_empty(self):
         even, odd = exp_kernel_sums(np.empty(0), 1.0, 1.0, np.array([0.0]))
         assert even[0] == 0.0 and odd[0] == 0.0
+
+    @pytest.mark.parametrize("n", [0, 1, 400])
+    def test_rate_rows_match_scalar_calls(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.normal(0, 1, n)
+        w = rng.normal(0, 1e-3, n)
+        xs = np.linspace(-1.5, 1.5, 13)
+        rates = np.sqrt(2.0 * np.array([0.5, 2.0, 10.0]))
+        for presorted in (False, True):
+            ys = np.sort(y) if presorted else y
+            even, odd = exp_kernel_sums(ys, w, rates, xs, presorted=presorted)
+            assert even.shape == odd.shape == (3, xs.size)
+            for r, a in enumerate(rates):
+                even_r, odd_r = exp_kernel_sums(ys, w, float(a), xs, presorted=presorted)
+                assert np.array_equal(even[r], even_r)
+                assert np.array_equal(odd[r], odd_r)
+
+
+class TestSharedWork:
+    """The per-step and post-processing shortcuts give bit for bit what the
+    direct evaluations give."""
+
+    def test_two_rate_panel_matches_one_rate_panels(self, panel_grid):
+        p = make_params(0.5, 300, 0.2)
+        mu = dirac(0.0)
+        both = simulate(mu, p, [tanaka_panel_functional((0.5, 2.0), panel_grid)],
+                        RngStream(41, 0))
+        apart = simulate(
+            mu, p,
+            [tanaka_panel_functional(0.5, panel_grid), tanaka_panel_functional(2.0, panel_grid)],
+            RngStream(41, 0),
+        )
+        assert np.array_equal(
+            both.occupations["tanaka_panel:0.5,2"].values,
+            np.hstack([apart.occupations[f"tanaka_panel:{lam:g}"].values for lam in (0.5, 2.0)]),
+        )
+        for lam in (0.5, 2.0):
+            a, b = tanaka_panel_terms(both, mu, lam, 0.2), tanaka_panel_terms(apart, mu, lam, 0.2)
+            for name in ("term_occupation", "term_terminal", "term_martingale", "local_time",
+                         "deriv_field", "local_time_deriv"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (lam, name)
+
+    def test_panel_rates_validated(self, panel_grid):
+        assert tanaka_panel_functional(1.0, panel_grid).name == "tanaka_panel:1"
+        with pytest.raises(ValueError, match="duplicate"):
+            tanaka_panel_functional((1.0, 2.0, 1.0), panel_grid)
+        with pytest.raises(ValueError, match="> 0"):
+            tanaka_panel_functional((1.0, -1.0), panel_grid)
+
+    def test_presorted_sums_match_unsorted(self, small_recorders, panel_grid):
+        _, params, recs = small_recorders
+        a = 1.3
+        for rec in recs[:5]:
+            for t in (0.1, 0.3):
+                sl = rec.events_until(t)
+                locs, net = rec.sorted_events_until(t)
+                assert rec.sorted_events_until(t)[0] is locs  # one sort per t
+                want = exp_kernel_sums(rec.event_locations[sl], rec.event_net_mass[sl], a, panel_grid)
+                got = exp_kernel_sums(locs, net, a, panel_grid, presorted=True)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            positions = rec.state_at(0.3)
+            want = exp_kernel_sums(positions, params.mass_per_particle, a, panel_grid)
+            got = exp_kernel_sums(
+                rec.sorted_state_at(0.3), params.mass_per_particle, a, panel_grid, presorted=True
+            )
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            dirac(0.0),
+            FiniteMeasure(np.array([-0.3, 0.0, 0.45]), np.array([0.2, 0.5, 0.3]),
+                          np.array([]), np.array([])),
+            gridded_density(np.linspace(-2, 2, 81), np.exp(-np.linspace(-2, 2, 81) ** 2)),
+        ],
+        ids=["dirac", "three_atoms", "density"],
+    )
+    def test_initial_terms_match_integrate_loop(self, mu):
+        xs = np.linspace(-1.0, 1.0, 513)
+        for lam in (0.5, 2.0):
+            green, deriv = _initial_terms(mu, lam, xs)
+            assert np.array_equal(
+                green, np.array([mu.integrate(lambda y: green_closed(lam, y - x)) for x in xs])
+            )
+            assert np.array_equal(
+                deriv, np.array([mu.integrate(lambda y: g_lambda(lam, x - y)) for x in xs])
+            )
+
+    @pytest.mark.parametrize("x1, x2", [(-0.1, 0.1), (0.0, 0.3), (-0.3, 0.0), (0.2, 0.2)])
+    def test_interval_functionals_match_full_array(self, x1, x2):
+        rng = np.random.default_rng(7)
+        mass = 1.0 / 2000
+        for n in (0, 1, 5, 3000):
+            y = rng.normal(0, 0.5, n)
+            y[: min(n, 5)] = [x1, x2, 0.0, x1 - 1.0, x2 + 1.0][: min(n, 5)]
+            state = ParticleState(0.0, y, mass)
+            inside = (y >= x1) & (y <= x2)
+            for lam, beta in ((1.0, 0.5), (0.5, 0.3)):
+                full = (g_lambda(lam, y - x2) - g_lambda(lam, y - x1)) * inside
+                assert np.array_equal(psi0(lam, x1, x2, y), full)
+                full = full ** (1.0 + beta)
+                want = mass * full[:, None].sum(axis=0) if n else np.zeros(1)
+                got = psi0_power_functional(lam, x1, x2, beta).state_value(state)
+                assert np.array_equal(got, want)
+            want = mass * inside.astype(float)[:, None].sum(axis=0) if n else np.zeros(1)
+            assert np.array_equal(interval_indicator_functional(x1, x2).state_value(state), want)
+            assert np.array_equal(state.interval_indices(x1, x2), np.flatnonzero(inside))
+
+    def test_interval_indices_need_d1(self):
+        with pytest.raises(UsageError):
+            ParticleState(0.0, np.zeros((3, 2)), 1.0).interval_indices(0.0, 1.0)
 
 
 class TestLocalTimeEstimate:
