@@ -1,0 +1,166 @@
+"""Time a change against a reference commit with the repository benchmark, in
+alternating pairs, and write the result to BENCH_<label>.json.
+
+    python3 docs/bench_record.py --label L --against REF \
+        [--workloads W ...] [--seeds S ...]
+
+Run from the root of a checkout.  The committed files of REF are exported
+into a temporary directory (`git archive`, so the repository's .git is left
+as it is, and REF is timed as a fresh checkout of it would be).  For every
+workload and seed, `bench/run.py --trace 0`, at the run length that
+BENCHMARK.json sets, runs once on REF and once on the working tree; the two
+runs form a pair, and the side that goes first alternates from pair to pair,
+so that slow drift of the machine falls on both sides alike.  Runs are sequential: two at once would time each other.
+
+BENCH_<label>.json, at the root of the checkout, holds the environment, the
+sha of REF and of the working tree's HEAD (with whether the tree differs
+from it and a digest of that difference), and per workload and end-to-end
+metric: the raw values of each side in seed order, their median and
+quartiles, the number of pairs the change wins, and the change of the
+median relative to REF.  It is rewritten after every pair, so an
+interrupted run keeps what it measured.  A run that exits non-zero stops
+the script, naming the side and the seed.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout
+
+
+def _export(rev: str, dest: Path) -> None:
+    """The committed files of rev, unpacked into dest."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def _cpu_model() -> str | None:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+def _bench(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
+    """One `bench/run.py --trace 0` run in checkout: its result object (the
+    last stdout line) and the environment it printed."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"bench/run.py exited with {proc.returncode} in {checkout} "
+                         f"({workload}, seed {seed}):\n{proc.stderr[-4000:]}")
+    lines = proc.stdout.strip().splitlines()
+    env_prefix = "bench: environment "
+    env = next((json.loads(line[len(env_prefix):]) for line in lines
+                if line.startswith(env_prefix)), {})
+    return json.loads(lines[-1]), env
+
+
+def _spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
+
+
+def _summary(runs: dict) -> dict:
+    """Per end-to-end metric: both sides' spreads, pair wins and the median's
+    relative change, from the paired runs {"ref": [...], "change": [...]}."""
+    out = {}
+    for m in SPEC["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        ref = [r["metrics"][name]["value"] for r in runs["ref"]]
+        new = [r["metrics"][name]["value"] for r in runs["change"]]
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(ref, new))
+        ref_s, new_s = _spread(ref), _spread(new)
+        out[name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "bound": m["bound"],
+            "ref": ref_s,
+            "change": new_s,
+            "pairs": len(ref),
+            "change_wins": wins,
+            "median_change": new_s["median"] / ref_s["median"] - 1.0,
+            "ref_iqr": ref_s["q3"] - ref_s["q1"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--against", required=True, metavar="REF")
+    parser.add_argument("--workloads", nargs="+", default=WORKLOADS, choices=WORKLOADS)
+    parser.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
+    args = parser.parse_args(argv)
+
+    diff = _git("diff", "HEAD").encode()
+    result = {
+        "label": args.label,
+        "command": "python3 bench/run.py --workload W --seed S "
+                   f"--seconds {SPEC['run_seconds']} --trace 0",
+        "environment": {"platform": platform.platform(), "cpu": _cpu_model()},
+        "ref": {"rev": args.against, "sha": _git("rev-parse", args.against).strip()},
+        "change": {"head_sha": _git("rev-parse", "HEAD").strip(), "dirty": bool(diff),
+                   "diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None},
+        "seeds": args.seeds,
+        "workloads": {},
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    with tempfile.TemporaryDirectory(prefix="bench-ref-") as tmp:
+        ref_root = Path(tmp)
+        _export(args.against, ref_root)
+        pair = 0
+        for workload in args.workloads:
+            runs = {"ref": [], "change": []}
+            for seed in args.seeds:
+                sides = [("ref", ref_root), ("change", ROOT)]
+                for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
+                    outcome, env = _bench(checkout, workload, seed)
+                    runs[side].append(outcome)
+                    result["environment"].update(
+                        {k: v for k, v in env.items() if k not in ("git_sha", "seed")})
+                    print(f"bench_record: {workload} seed {seed} {side}: "
+                          + " ".join(f"{k} {v['value']:.4g}"
+                                     for k, v in outcome["metrics"].items()),
+                          flush=True)
+                pair += 1
+                result["workloads"][workload] = {
+                    "metrics": _summary(runs),
+                    "correct": {s: [r["correct"] for r in rs] for s, rs in runs.items()},
+                    "failed_share": {
+                        s: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
+                        for s, rs in runs.items()
+                    },
+                }
+                path.write_text(json.dumps(result, indent=1) + "\n")
+    for workload, w in result["workloads"].items():
+        for name, m in w["metrics"].items():
+            print(f"bench_record: {workload} {name}: median {m['ref']['median']:.4g} -> "
+                  f"{m['change']['median']:.4g} ({100 * m['median_change']:+.1f}%), "
+                  f"change wins {m['change_wins']}/{m['pairs']}, ref IQR {m['ref_iqr']:.3g}")
+    print(f"bench_record: wrote {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,21 +67,27 @@ def check_exponent_conditions(beta: float, gamma: float, q: float) -> ExponentCo
     The sign condition 1/beta - gamma(1+1/beta) > 0 rearranges to
     gamma < 1/(1+beta), which the admissible gamma < beta/(1+beta) implies
     strictly (never the converse: beta/(1+beta) < 1/(1+beta) for beta < 1).
+
+    The inequalities are decided in exact rational arithmetic on the given
+    floats: in floating point the two sides of an identity can round to
+    opposite sides of a boundary (gamma = 1/3, q = 1.5 gives
+    1 - 1/q > gamma but 1 - q(1-gamma) = 0).
     """
     beta_ok = 0.0 < beta < 1.0
     gamma_pos = gamma > 0.0
+    b, g, r = Fraction(beta), Fraction(gamma), Fraction(q)
     if q > 0:
-        lhs_a = gamma < 1.0 - 1.0 / q
-        rhs_a = 1.0 - q * (1.0 - gamma) < 0.0
+        lhs_a = g < 1 - 1 / r
+        rhs_a = 1 - r * (1 - g) < 0
         eq_a = lhs_a == rhs_a
     else:
         lhs_a = False
         eq_a = True  # the algebraic rearrangement needs q > 0
     if beta_ok:
-        ratio_ok = (q > 0) and (1.0 - 1.0 / q < beta / (1.0 + beta))
-        rhs_b = 1.0 / beta - gamma * (1.0 + 1.0 / beta) > 0.0
-        eq_b = (gamma < 1.0 / (1.0 + beta)) == rhs_b
-        impl_b = (not (gamma < beta / (1.0 + beta))) or rhs_b
+        ratio_ok = (q > 0) and (1 - 1 / r < b / (1 + b))
+        rhs_b = 1 / b - g * (1 + 1 / b) > 0
+        eq_b = (g < 1 / (1 + b)) == rhs_b
+        impl_b = (not (g < b / (1 + b))) or rhs_b
     else:
         ratio_ok = False
         eq_b = True

@@ -669,35 +669,46 @@ def _run_holder(cfg: ExperimentConfig, out_dir, cfg_hash):
 # --- acceptance thresholds (check_report and the CLI --check flag) ---------
 
 
+def _exceeds(value, limit: float) -> bool:
+    """True unless value is a number with |value| <= limit: a null headline
+    (a non-finite value that report.json wrote as null) or a NaN fails."""
+    return value is None or not abs(value) <= limit
+
+
+def _fmt(value, spec: str = ".2f") -> str:
+    return "null" if value is None else format(value, spec)
+
+
 def _check_duality(report: RunReport) -> list[str]:
     z = report.extra.get("z_score", math.inf)
-    return [f"duality z-score {z:.2f} > 3"] if z > 3.0 else []
+    return [f"duality z-score {_fmt(z)} > 3"] if _exceeds(z, 3.0) else []
 
 
 def _check_tanaka(report: RunReport) -> list[str]:
     return [
-        f"{key} = {val:.2f} > 3"
+        f"{key} = {_fmt(val)} > 3"
         for key, val in report.extra.items()
-        if key.startswith("lambda_diff_z") and val > 3.0
+        if key.startswith("lambda_diff_z") and _exceeds(val, 3.0)
     ]
 
 
 def _check_jumps(report: RunReport) -> list[str]:
     fails = []
     e = report.extra
-    if any(abs(z) > 3.0 for z in e.get("z_scores", [])):
+    if any(_exceeds(z, 3.0) for z in e.get("z_scores", [])):
         fails.append(f"jump compensator z-scores {e['z_scores']} exceed 3")
     cfg = parse_config_text("\n".join(report.config_lines))
     target = -(1.0 + cfg.beta)
-    if not abs(e.get("slope", math.nan) - target) <= 0.1:
-        fails.append(f"jump tail slope {e['slope']:.3f} outside {target} +- 0.1")
+    slope = e.get("slope", math.nan)
+    if slope is None or _exceeds(slope - target, 0.1):
+        fails.append(f"jump tail slope {_fmt(slope, '.3f')} outside {target} +- 0.1")
     return fails
 
 
 def _check_timechange(report: RunReport) -> list[str]:
     fails = []
     e = report.extra
-    if any(abs(z) > 3.0 for z in e.get("z_scores", [])):
+    if any(_exceeds(z, 3.0) for z in e.get("z_scores", [])):
         fails.append(f"timechange z-scores {e['z_scores']} exceed 3")
     if e.get("t_bound_violations", 0) > 0:
         fails.append(f"T-bound violated on {e['t_bound_violations']} replicas")

@@ -1,6 +1,6 @@
 """Deterministic mild-equation solver for the log-Laplace equation.
 
-Solves, by Picard iteration on a space-time grid,
+Solves, on a space-time grid,
 
     V_t = P_t phi - int_0^t P_s (V_{t-s}^(1+beta)) ds,
 
@@ -10,7 +10,15 @@ discrete semigroup conservative (P_s 1 = 1 exactly), so spatially constant
 data reduces the scheme to the exact mass ODE v' = -v^(1+beta).
 
 The time integral uses left rectangles on the solver time grid with substep
-refinement of the first interval, where the heat kernel concentrates.
+refinement of the first interval, where the heat kernel concentrates.  Row
+i (t_i = i delta) reads w = max(V, 0)^(1+beta) at rows 1..i-1 through the
+rectangles P_{k delta} w[i-k], and its own row only through the first
+interval, whose substeps interpolate linearly between w[i] and w[i-1].  The
+scheme is lower-triangular in the time rows, a discrete Volterra equation,
+so it is solved by forward substitution (Brunner, Collocation Methods for
+Volterra Integral and Related Functional Differential Equations, CUP 2004):
+row by row in time, each row by fixed-point iteration in its own w[i],
+started from row i-1, once the rows before it are final.
 
 On a uniform grid that matrix, `heat_matrix(s)`, factors as D_s^-1 K_s W:
 K_s is the Toeplitz matrix of the truncated kernel g_s(m h), W holds the
@@ -19,10 +27,12 @@ it without forming it: one real FFT convolution of g_s with W u, zero-padded
 to at least 2 nx - 1 points so that no term wraps around, divided by r_s,
 which is the same convolution of g_s with w.  That is the same
 discretization, with the same truncation and normalization; only the
-rounding of the sums differs (about 1e-15 on the test grids).  Each Picard
-iteration transforms W V^(1+beta) once for all time rows, and for each
-s_k = k delta inverts only the rows the scheme reads, so the cost is
-O(nt^2 nx log nx) per iteration and the memory O(nt nx).
+rounding of the sums differs (about 1e-15 on the test grids).  Each row's
+spectrum of W w is computed once, when the row is final, and row i applies
+P_{k delta} to the stored spectra of rows i-1..1 in one batch; its own
+iterations transform w[i] once each and form the substep inputs in the
+spectral domain.  The cost is O(nt^2 nx log nx) for the whole solve and the
+memory O(nt nx).
 
 The harness `duality` kind compares the Monte Carlo Laplace functional
 E[exp(-<X_t, phi>)] of the particle system against exp(-<X_0, V_t>).
@@ -155,8 +165,8 @@ class LogLaplaceSolution:
     x_grid: np.ndarray
     t_grid: np.ndarray
     values: np.ndarray  # (nt+1, nx)
-    residual: float  # final Picard sup-change
-    iterations: int
+    residual: float  # largest final sup-change of a row's fixed-point iteration
+    iterations: int  # largest number of fixed-point iterations of a row
     beta: float
 
     def at_time(self, t: float) -> np.ndarray:
@@ -194,12 +204,14 @@ def solve_mild(
     max_iterations: int = 200,
     nonlinear: bool = True,
 ) -> LogLaplaceSolution:
-    """Picard iteration on the mild form, starting from the linear flow
-    V0 = P_t phi; every iterate stays within [0, max phi].
+    """Forward substitution over the time rows.  Row i iterates its own
+    equation from row i - 1 until the sup-change of an iteration falls below
+    tol; every row stays within [0, max phi].  Raises NumericsError, naming
+    the row and its time, if a row needs more than max_iterations.
 
     phi may be a vectorized callable, a (grid, values) pair, or a
     FiniteMeasure whose density component is used.  nonlinear=False disables
-    the branching term, making the fixed point exactly P_t phi.
+    the branching term, making the solution exactly P_t phi.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
@@ -216,50 +228,48 @@ def solve_mild(
     steps = HeatSemigroup(delta * np.arange(1, nt + 1), x_grid)  # row k-1: s = k delta
     subs = HeatSemigroup(delta * np.arange(1, j_sub) / j_sub, x_grid)  # row j-1: j delta/j_sub
 
-    pt_phi = np.empty((nt + 1, nx))
-    pt_phi[0] = phi_vals
-    pt_phi[1:] = steps.apply(slice(None), steps.transform(phi_vals))
-
-    v = pt_phi.copy()
+    v = np.empty((nt + 1, nx))
+    v[0] = phi_vals
+    v[1:] = steps.apply(slice(None), steps.transform(phi_vals))
     if not nonlinear:
         return LogLaplaceSolution(
             x_grid=x_grid, t_grid=t_grid, values=v, residual=0.0, iterations=0, beta=beta
         )
 
     power = 1.0 + beta
-    residual = math.inf
-    for iteration in range(1, max_iterations + 1):
-        w = np.maximum(v, 0.0) ** power  # (nt+1, nx)
-        v_new = pt_phi.copy()
-        # first interval [0, delta] with substeps and linear interpolation,
-        # for every time row i >= 1 at once
-        acc = w[1:].copy()
-        for j in range(1, j_sub):
-            frac = j / j_sub
-            w_interp = (1.0 - frac) * w[1:] + frac * w[:-1]
-            acc += subs.apply(j - 1, subs.transform(w_interp))
-        v_new[1:] -= acc * (delta / j_sub)
-        # remaining intervals, left rectangle at s_k = k delta: row i takes
-        # P_{s_k} w[i - k] for k < i, so P_{s_k} is applied to rows
-        # 1..nt-k of w only; k ascends, as the sum over k in each row does
-        w_hat = steps.transform(w[1:nt])
-        for k in range(1, nt):
-            v_new[k + 1:] -= delta * steps.apply(k - 1, w_hat[: nt - k])
-        v_new = np.maximum(v_new, 0.0)
-        residual = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if residual < tol:
-            return LogLaplaceSolution(
-                x_grid=x_grid,
-                t_grid=t_grid,
-                values=v,
-                residual=residual,
-                iterations=iteration,
-                beta=beta,
+    fracs = (np.arange(1, j_sub) / j_sub)[:, None]  # substep j interpolates at j/j_sub
+    # spectra of W w, one row per final time row; both semigroups share the
+    # grid, so one transform serves both
+    w_hat = np.empty((nt + 1, steps.n_fft // 2 + 1), dtype=complex)
+    w_hat[0] = steps.transform(phi_vals**power)
+    iterations, residual = 0, 0.0
+    for i in range(1, nt + 1):
+        # P_{t_i} phi less the left rectangles P_{k delta} w[i - k], k = 1..i-1
+        base = v[i] - delta * steps.apply(slice(0, i - 1), w_hat[i - 1 : 0 : -1]).sum(axis=0)
+        # first interval [0, delta]: the substeps read w[i] and w[i - 1]
+        prev_hat = fracs * w_hat[i - 1]
+        row = v[i - 1]
+        for count in range(1, max_iterations + 1):
+            w_row = np.maximum(row, 0.0) ** power
+            acc = w_row + subs.apply(
+                slice(None), (1.0 - fracs) * steps.transform(w_row) + prev_hat
+            ).sum(axis=0)
+            new = np.maximum(base - acc * (delta / j_sub), 0.0)
+            change = float(np.max(np.abs(new - row)))
+            row = new
+            if change < tol:
+                break
+        else:
+            raise NumericsError(
+                f"row {i} (t = {t_grid[i]:.6g}) did not reach tol={tol} in {max_iterations} "
+                f"iterations; final change {change:.3e}"
             )
-    raise NumericsError(
-        f"Picard iteration did not reach tol={tol} in {max_iterations} iterations; "
-        f"final residual {residual:.3e}"
+        v[i] = row
+        w_hat[i] = steps.transform(np.maximum(row, 0.0) ** power)
+        iterations, residual = max(iterations, count), max(residual, change)
+    return LogLaplaceSolution(
+        x_grid=x_grid, t_grid=t_grid, values=v, residual=residual, iterations=iterations,
+        beta=beta,
     )
 
 

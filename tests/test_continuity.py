@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbmlab.continuity import (
@@ -39,6 +39,9 @@ class TestExponentConditions:
         gamma=st.floats(-0.5, 1.5),
         q=st.floats(0.1, 3.0),
     )
+    # on the boundary gamma = 1 - 1/q, where float evaluation of the two
+    # sides of equivalence a rounds apart
+    @example(beta=0.5, gamma=1.0 / 3.0, q=1.5)
     @settings(max_examples=200, deadline=None)
     def test_equivalences_hypothesis(self, beta, gamma, q):
         c = check_exponent_conditions(beta, gamma, q)

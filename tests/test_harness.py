@@ -23,7 +23,7 @@ from sbmlab.config import (
     parse_config_text,
 )
 from sbmlab.errors import ConfigError
-from sbmlab.harness import REGISTRY, merge_reports, run_experiment
+from sbmlab.harness import REGISTRY, RunReport, check_report, merge_reports, run_experiment
 from sbmlab.particles import dt_at_cap, make_params
 
 MINIMAL = """
@@ -483,3 +483,33 @@ class TestRegistry:
         # the run says so in its status
         assert report["extra"]["mc_slope_resolved"] is None
         assert report["status"] == "degraded"
+
+
+class TestCheckReport:
+    def test_duality_null_z_read_back_fails(self, tmp_path):
+        # one replica has se = 0, so z = inf, which report.json writes as null
+        cfg = parse_config_text(
+            f"beta = 0.5\nseed = 3\n{TINY['duality']}replicas = 1\n", kind="duality"
+        )
+        cfg.out = str(tmp_path / "d")
+        run_experiment(cfg)
+        report = RunReport.from_json((tmp_path / "d" / "report.json").read_text())
+        assert report.extra["z_score"] is None
+        assert check_report(report) == ["duality z-score null > 3"]
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("tanaka", {"lambda_diff_z:x=0": None}),
+            ("jumps", {"z_scores": [0.5, None], "slope": -1.5}),
+            ("jumps", {"z_scores": [0.5], "slope": None}),
+            ("timechange", {"z_scores": [None], "t_bound_violations": 0}),
+        ],
+    )
+    def test_null_headline_is_a_failure(self, kind, extra):
+        lines = canonical_lines(parse_config_text("beta = 0.5", kind=kind))
+        report = RunReport(kind=kind, config_hash="", config_lines=lines, replicas=1,
+                           merged={}, extra=extra, censoring_rate=0.0, status="degraded",
+                           artifacts=[])
+        fails = check_report(report)
+        assert len(fails) == 1 and ("None" in fails[0] or "null" in fails[0])

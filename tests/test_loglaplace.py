@@ -1,5 +1,6 @@
-"""Mild-equation Picard solver, and the Laplace-functional duality check
-run through the harness."""
+"""Mild-equation solver, and the Laplace-functional duality check run
+through the harness."""
+import functools
 import math
 
 import numpy as np
@@ -23,8 +24,9 @@ def constant_phi(c):
 
 
 def _dense_solve_mild(phi, t_end, beta, grids, tol=1e-9, max_iterations=200):
-    """Reference: the same Picard scheme with every heat_matrix formed densely
-    and applied to the full space-time grid; returns (values, iterations)."""
+    """Reference: the same discrete scheme, solved by Picard sweeps over the
+    full space-time grid with every heat_matrix formed densely; returns
+    (values, iterations)."""
     x_grid = grids.x_grid
     phi_vals = phi(x_grid)
     nt, nx, j_sub = grids.nt, grids.nx, grids.substeps
@@ -62,6 +64,29 @@ def edge_phi(grids):
     bump = smoothed_indicator(-1, 1, 0.5, 0.25)
     edge = smoothed_indicator(grids.x_max - 1.0, grids.x_max + 1.0, 0.4, 0.5)
     return lambda y: bump(y) + edge(y)
+
+
+DENSE_GRIDS = [
+    GridSpec(nx=51, nt=10),
+    GridSpec(nx=101, nt=12),
+    GridSpec(-3, 7, 81, 20),
+    GridSpec(-5, 5, 81, 20, substeps=1),
+    GridSpec(-5, 5, 81, 20, substeps=4),
+    GridSpec(-4, 4, 51, 1),
+    GridSpec(nx=401, nt=100),
+    GridSpec(nx=401, nt=150),
+]
+
+
+def grid_id(g):
+    return f"{g.x_min:g}:{g.x_max:g}x{g.nx}x{g.nt}s{g.substeps}"
+
+
+@functools.lru_cache(maxsize=None)
+def dense_fixed_point(grids):
+    """The discrete solution for edge_phi at t = 0.5, beta = 0.5: the dense
+    reference iterated until its sweeps change nothing above 1e-14."""
+    return _dense_solve_mild(edge_phi(grids), 0.5, 0.5, grids, tol=1e-14)[0]
 
 
 class TestSolver:
@@ -123,26 +148,15 @@ class TestSolver:
             direct = heat_matrix(t, g.x_grid) @ phi_vals
             assert np.abs(sol.values[i] - direct).max() < 1e-8
 
-    @pytest.mark.parametrize(
-        "grids",
-        [
-            GridSpec(nx=51, nt=10),
-            GridSpec(nx=101, nt=12),
-            GridSpec(-3, 7, 81, 20),
-            GridSpec(-5, 5, 81, 20, substeps=1),
-            GridSpec(-5, 5, 81, 20, substeps=4),
-            GridSpec(-4, 4, 51, 1),
-            GridSpec(nx=401, nt=100),
-            GridSpec(nx=401, nt=150),
-        ],
-        ids=lambda g: f"{g.x_min:g}:{g.x_max:g}x{g.nx}x{g.nt}s{g.substeps}",
-    )
+    @pytest.mark.parametrize("grids", DENSE_GRIDS, ids=grid_id)
     def test_matches_dense_reference(self, grids):
-        phi = edge_phi(grids)
-        want, iterations = _dense_solve_mild(phi, 0.5, 0.5, grids)
-        sol = solve_mild(phi, 0.5, 0.5, grids)
-        assert np.abs(sol.values - want).max() <= 1e-12
-        assert sol.iterations == iterations
+        sol = solve_mild(edge_phi(grids), 0.5, 0.5, grids, tol=1e-14)
+        assert np.abs(sol.values - dense_fixed_point(grids)).max() <= 1e-12
+
+    @pytest.mark.parametrize("grids", DENSE_GRIDS, ids=grid_id)
+    def test_default_tol_reaches_fixed_point(self, grids):
+        sol = solve_mild(edge_phi(grids), 0.5, 0.5, grids)
+        assert np.abs(sol.values - dense_fixed_point(grids)).max() <= 1e-9
 
     def test_semigroup_matches_heat_matrix(self):
         # from 8 sqrt(s) < h (the identity) to 8 sqrt(s) beyond the domain
@@ -186,7 +200,8 @@ class TestSolver:
         assert err32 <= 2.0 * err21  # within 4x the extrapolated halving estimate
 
     def test_nonconvergence_raises(self):
-        with pytest.raises(NumericsError):
+        # row 1 (t = 1/30) is the first to need more than 2 iterations
+        with pytest.raises(NumericsError, match=r"row 1 \(t = 0\.0333333\)"):
             solve_mild(constant_phi(1.0), 1.0, 0.5, GridSpec(-4, 4, 51, 30),
                        max_iterations=2)
 
