@@ -5,9 +5,11 @@ N = 2000, t = 0.5, R = 600, lambda = 1, q = 1.2, the 20 pinned pairs) for
 each given seed, with two functionals registered that draw no random
 numbers, so the paths are those of the acceptance test:
 
-  * histogram_functional(-8, 8, 0.0125), from which each pair's clock
+  * the moments kind's histogram_functional(-8, 8, 0.0125), from which each
+    pair's clock
         T_d = int_0^t <X_s, |g^{x1} - g^{x2}|^{1+beta}> ds
-    is read off as the test reads it (every pair endpoint is a bin edge);
+    is read off as the kind reads it (`increment_clock_weights`; every pair
+    endpoint is a bin edge);
   * on the first 60 replicas, an exact per-particle accumulator of the same
     20 integrands, used only to bound the histogram's quadrature error.
 
@@ -33,7 +35,7 @@ from sbmlab.kernels import g_lambda, green_closed
 from sbmlab.measures import dirac
 from sbmlab.particles import OccupationFunctional, make_params, simulate
 from sbmlab.rng import RngStream
-from sbmlab.tanaka import histogram_functional, martingale_split
+from sbmlab.tanaka import histogram_functional, increment_clock_weights, martingale_increments
 
 BETA, N_SCALE, T, R, LAM, Q = 0.5, 2000, 0.5, 600, 1.0, 1.2
 CENTERS = (-0.5, -0.25, 0.0, 0.25, 0.5)
@@ -44,16 +46,13 @@ GATE = 0.15
 EXACT_REPLICAS = 60
 
 
-def _clock_integrand(y: np.ndarray, x1: float, x2: float) -> np.ndarray:
-    """|g^{x1}(y) - g^{x2}(y)|^{1+beta}."""
-    return np.abs(g_lambda(LAM, y - x1) - g_lambda(LAM, y - x2)) ** (1.0 + BETA)
-
-
 def _exact_clock_rate(state) -> np.ndarray:
     """<X_s, |g^{x1} - g^{x2}|^{1+beta}> for every pair, one pair at a time
     so that memory stays linear in the particle count."""
     y = state.positions
-    return state.mass_per_particle * np.array([_clock_integrand(y, a, b).sum() for a, b in PAIRS])
+    return state.mass_per_particle * np.array(
+        [increment_clock_weights(y, LAM, [pair], BETA).sum() for pair in PAIRS]
+    )
 
 
 def _slope(values: np.ndarray) -> float:
@@ -82,7 +81,7 @@ def run_seed(seed: int) -> dict:
         name="clock_exact", state_fn=_exact_clock_rate, width=len(PAIRS), checkpoint_stride=10**9
     )
     centers = hist.meta["centers"][:, None]
-    bin_integrand = _clock_integrand(centers, X1, X2)  # (bins, 20)
+    bin_integrand = increment_clock_weights(hist.meta["centers"], LAM, PAIRS, BETA)  # (bins, 20)
     bin_positive = bin_integrand * (g_lambda(LAM, centers - X1) > g_lambda(LAM, centers - X2))
     shape = (R, len(PAIRS))
     dm, uncomp, even_g, clock, clock_pos = (np.empty(shape) for _ in range(5))
@@ -100,14 +99,13 @@ def run_seed(seed: int) -> dict:
         y = rec.event_locations[sl]
         k = rec.event_offspring[sl] / N_SCALE
         net = rec.event_net_mass[sl]
+        dm[i] = martingale_increments(rec, LAM, PAIRS, T)
         for j, (x1, x2) in enumerate(PAIRS):
-            i_part, z_part = martingale_split(rec, LAM, x1, x2, T)
-            dm[i, j] = i_part - z_part
             uncomp[i, j] = (g_lambda(LAM, y - x1) - g_lambda(LAM, y - x2)) @ k
             even_g[i, j] = (green_closed(LAM, y - x1) - green_closed(LAM, y - x2)) @ net
 
     def per_d(a: np.ndarray) -> np.ndarray:
-        # pool the five centers of each distance, as the criterion-08 test does
+        # pool the five centers of each distance, as the moments kind does
         return a.reshape(R, len(DISTANCES), len(CENTERS)).mean(axis=(0, 2))
 
     p = 1.0 + BETA

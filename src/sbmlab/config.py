@@ -25,7 +25,8 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .loglaplace import grid_violations
-from .particles import dt_cap_violation
+from .continuity import criterion_violations
+from .particles import model_violations, whole_step_dt
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text", "config_hash", "KINDS"]
 
@@ -42,6 +43,9 @@ KINDS = (
     "unbounded2d",
 )
 
+# the moments kind's clock histogram: lo, hi, bin width (validate requires
+# every pair endpoint to be one of its bin edges)
+MOMENTS_HISTOGRAM = (-8.0, 8.0, 0.0125)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -123,18 +127,19 @@ class ExperimentConfig:
                 xs = np.append(xs, x)
         return np.sort(xs)
 
+    def moment_pairs(self) -> list[tuple[float, float]]:
+        """The moments kind's pairs (c - d/2, c + d/2), grouped by distance
+        in the order of `distances`, centers in the order of `pair_centers`."""
+        return [(c - d / 2, c + d / 2) for d in self.distances for c in self.pair_centers]
+
     def validate(self) -> list[str]:
         errs = []
         if self.kind not in KINDS:
             errs.append(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not (0.0 < self.beta < 1.0):
-            errs.append(f"beta must lie in the open interval (0, 1), got {self.beta}")
-        if self.n_scale < 1:
-            errs.append(f"n_scale must be >= 1, got {self.n_scale}")
-        if self.t_end < 0:
-            errs.append(f"t_end must be >= 0, got {self.t_end}")
-        if self.dim not in (1, 2):
-            errs.append(f"dim must be 1 or 2, got {self.dim}")
+        # the cap binds the step make_params runs, not the dt requested
+        step = self.dt if self.dt is None else whole_step_dt(self.dt, self.t_end)
+        errs.extend(model_violations(self.beta, self.n_scale, step, self.t_end, self.dim,
+                                     self.particle_cap, self.snapshot_stride))
         if self.replicas < 1:
             errs.append(f"replicas must be >= 1, got {self.replicas}")
         if self.replica_start < 0:
@@ -152,12 +157,6 @@ class ExperimentConfig:
             errs.append(f"workers must be >= 1, got {self.workers}")
         if self.save_paths not in ("none", "first", "all"):
             errs.append(f"save_paths must be none|first|all, got {self.save_paths!r}")
-        if 0.0 < self.beta < 1.0 and self.n_scale >= 1 and self.dt is not None and self.dt > 0:
-            violation = dt_cap_violation(self.beta, self.n_scale, self.dt)
-            if violation:
-                errs.append(violation)
-        if self.dt is not None and self.dt <= 0:
-            errs.append(f"dt must be > 0, got {self.dt}")
         if self.lam <= 0:
             errs.append(f"lam must be > 0, got {self.lam}")
         if self.lam_alt <= 0:
@@ -170,12 +169,8 @@ class ExperimentConfig:
             errs.append(f"initial_measure file does not exist: {self.initial_measure}")
         if self.holder_input is not None and not Path(self.holder_input).exists():
             errs.append(f"holder_input file does not exist: {self.holder_input}")
-        if self.kind == "moments" and not (1.0 < self.q_moment < 1.0 + self.beta):
-            errs.append(
-                f"q_moment must lie in (1, 1+beta) = (1, {1 + self.beta}), got {self.q_moment}"
-            )
-        if self.kind == "moments" and not all(d > 0 for d in self.distances):
-            errs.append(f"distances must all be > 0, got {self.distances}")
+        if self.kind == "moments":
+            errs.extend(self._moments_violations())
         if self.kind == "timechange" and not self.x1 <= self.x2:
             errs.append(f"need x1 <= x2, got ({self.x1}, {self.x2})")
         if self.kind == "duality":
@@ -183,6 +178,35 @@ class ExperimentConfig:
                                         self.solver_nt, prefix="solver_"))
         if self.kind == "unbounded2d" and self.dim != 2:
             errs.append("unbounded2d requires dim = 2")
+        if self.kind == "stabletails" and self.path_steps < 1:
+            errs.append(f"path_steps must be >= 1, got {self.path_steps}")
+        if self.kind == "criterion":
+            # the kind evaluates the series at r_grid[0] and its trend at every r
+            errs.extend(criterion_violations(self.beta, self.k_window,
+                                             min(self.r_grid, default=1.0), self.n_max))
+        return list(dict.fromkeys(errs))  # a rule two owners state is reported once
+
+    def _moments_violations(self) -> list[str]:
+        from .tanaka import histogram_functional
+
+        errs = []
+        if not 1.0 < self.q_moment < 1.0 + self.beta:
+            errs.append(f"q_moment must lie in (1, 1+beta) = (1, {1 + self.beta}), "
+                        f"got {self.q_moment}")
+        if not all(d > 0 for d in self.distances):
+            errs.append(f"distances must all be > 0, got {self.distances}")
+        if len(set(self.distances)) != len(self.distances) or len(self.distances) < 2:
+            errs.append(f"distances must be two or more distinct values (the kind fits "
+                        f"slopes against log d), got {self.distances}")
+        if not self.pair_centers:
+            errs.append("pair_centers must not be empty")
+        edges = histogram_functional(*MOMENTS_HISTOGRAM).meta["edges"]
+        off = sorted({x for pair in self.moment_pairs() for x in pair
+                      if abs(edges - x).min() > 1e-9})
+        if off:
+            errs.append(f"pair endpoints c +- d/2 of pair_centers and distances must be edges "
+                        f"of the clock histogram (lo, hi, bin width) = {MOMENTS_HISTOGRAM}; "
+                        f"these are not: {', '.join(f'{x:g}' for x in off)}")
         return errs
 
 

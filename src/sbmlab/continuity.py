@@ -33,6 +33,7 @@ __all__ = [
     "ExponentConditions",
     "check_exponent_conditions",
     "CriterionParams",
+    "criterion_violations",
     "SeriesValue",
     "SeriesReport",
     "gs_series",
@@ -118,14 +119,24 @@ class CriterionParams:
     n_max: int = 64
 
     def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.k_window <= 0:
-            raise ValueError("k_window must be > 0")
-        if self.r <= 0:
-            raise ValueError("r must be > 0")
-        if self.n_max < 16:
-            raise ValueError("n_max must be >= 16")
+        errs = criterion_violations(self.beta, self.k_window, self.r, self.n_max)
+        if errs:
+            raise ValueError("; ".join(errs))
+
+
+def criterion_violations(beta: float, k_window: float, r: float, n_max: int) -> list[str]:
+    """Every rule of `CriterionParams` the values break, naming each field;
+    empty if they are valid."""
+    errs = []
+    if not (0.0 < beta < 1.0):
+        errs.append(f"beta must lie in (0, 1), got {beta}")
+    if not k_window > 0:
+        errs.append(f"k_window must be > 0, got {k_window}")
+    if not r > 0:
+        errs.append(f"r must be > 0, got {r}")
+    if n_max < 16:
+        errs.append(f"n_max must be >= 16, got {n_max}")
+    return errs
 
 
 @dataclass(frozen=True)

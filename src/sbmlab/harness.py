@@ -44,7 +44,14 @@ from typing import Callable
 
 import numpy as np
 
-from .config import KINDS, ExperimentConfig, canonical_lines, config_hash, parse_config_text
+from .config import (
+    KINDS,
+    MOMENTS_HISTOGRAM,
+    ExperimentConfig,
+    canonical_lines,
+    config_hash,
+    parse_config_text,
+)
 from .continuity import CriterionParams, gs_series, holder_exponent, unboundedness_probe
 from .errors import ConfigError, ResourceLimitError
 from .loglaplace import GridSpec, smoothed_indicator, solve_mild
@@ -63,8 +70,9 @@ from .tanaka import (
     estimate_local_time,
     ftc_check,
     histogram_functional,
+    increment_clock_weights,
     interval_indicator_functional,
-    martingale_split,
+    martingale_increments,
     panel_index,
     psi0_power_functional,
     tanaka_panel_functional,
@@ -172,6 +180,10 @@ def _tanaka_functionals(cfg: ExperimentConfig):
     ]
 
 
+def _moments_functionals(cfg: ExperimentConfig):
+    return [histogram_functional(*MOMENTS_HISTOGRAM, checkpoint_stride=10**9)]
+
+
 def _timechange_functionals(cfg: ExperimentConfig):
     return [
         psi0_power_functional(cfg.lam, cfg.x1, cfg.x2, cfg.beta),
@@ -217,14 +229,25 @@ def _record_tanaka(cfg: ExperimentConfig, rec, mu0) -> dict:
 
 
 def _record_moments(cfg: ExperimentConfig, rec, mu0) -> dict:
-    out = {}
-    for d in cfg.distances:
-        vals = []
-        for c in cfg.pair_centers:
-            i_part, z_part = martingale_split(rec, cfg.lam, c - d / 2, c + d / 2, cfg.t_end)
-            vals.append(abs(i_part - z_part) ** cfg.q_moment)
-        out[f"moment:d={d:g}"] = float(np.mean(vals))
-    return out
+    # per distance, the means over the pair centers of |dM|^q, log|dM| and
+    # the clock T_d of each pair (validate makes every endpoint a bin edge)
+    t, pairs = cfg.t_end, cfg.moment_pairs()
+    hist = rec.find_series("histogram")
+    increments = martingale_increments(rec, cfg.lam, pairs, t)
+    clocks = hist.at(t) @ increment_clock_weights(hist.meta["centers"], cfg.lam, pairs, cfg.beta)
+    shape = (len(cfg.distances), len(cfg.pair_centers))
+    columns = {
+        "moment": np.abs(increments) ** cfg.q_moment,
+        "log_increment": np.log(np.abs(increments)),
+        "clock": clocks,
+        "log_clock": np.log(clocks),
+        "clock_moment": clocks ** (cfg.q_moment / (1.0 + cfg.beta)),
+    }
+    return {
+        f"{name}:d={d:g}": float(mean)
+        for name, values in columns.items()
+        for d, mean in zip(cfg.distances, values.reshape(shape).mean(axis=1))
+    }
 
 
 def _jump_levels(cfg: ExperimentConfig) -> np.ndarray:
@@ -250,9 +273,8 @@ def _record_timechange(cfg: ExperimentConfig, rec, mu0) -> dict:
 
 
 def _record_unbounded2d(cfg: ExperimentConfig, rec, mu0) -> dict:
-    lo, hi = cfg.window
-    win = ((lo, hi), (lo, hi)) if cfg.dim == 2 else (lo, hi)
-    table = unboundedness_probe(rec, cfg.resolutions, win)
+    lo, hi = cfg.window  # validate requires dim = 2
+    table = unboundedness_probe(rec, cfg.resolutions, ((lo, hi), (lo, hi)))
     return {f"max_density:h={h:g}": v for h, v in table}
 
 
@@ -375,16 +397,32 @@ def _finalize_tanaka(cfg, records, merged, out_dir, cfg_hash) -> dict:
 
 
 def _finalize_moments(cfg, records, merged, out_dir, cfg_hash) -> dict:
+    # slopes against log d of the pooled means: E|dM|^q (reported, not gated:
+    # docs/decisions.md), E T_d, E T_d^(q/(1+beta)), E log|dM| and E log T_d
     ds = np.asarray(sorted(cfg.distances))
-    means = np.array([merged[f"moment:d={d:g}"]["mean"] for d in ds])
+
+    def pooled(name: str) -> np.ndarray:
+        return np.array([merged[f"{name}:d={d:g}"]["mean"] for d in ds])
+
+    def slope(values: np.ndarray) -> float:
+        return float(np.polyfit(np.log(ds), values, 1)[0])
+
+    means = pooled("moment")
     ses = np.array([merged[f"moment:d={d:g}"]["se"] for d in ds])
-    slope = float(np.polyfit(np.log(ds), np.log(means), 1)[0])
     rows = [f"{fnum(d)},{fnum(m)},{fnum(s)}" for d, m, s in zip(ds, means, ses)]
     _atomic_write(
         Path(out_dir) / "moments.csv",
         _csv_lines("moments", cfg_hash, "distance,moment,se", rows),
     )
-    return {"slope": slope, "q": cfg.q_moment, "artifact_tables": ["moments.csv"]}
+    return {
+        "slope": slope(np.log(means)),
+        "clock_slope": slope(np.log(pooled("clock"))),
+        "moment_prediction": slope(np.log(pooled("clock_moment"))),
+        "log_slope": slope(pooled("log_increment")),
+        "log_prediction": slope(pooled("log_clock")) / (1.0 + cfg.beta),
+        "q": cfg.q_moment,
+        "artifact_tables": ["moments.csv"],
+    }
 
 
 def _finalize_jumps(cfg, records, merged, out_dir, cfg_hash) -> dict:
@@ -705,6 +743,21 @@ def _check_jumps(report: RunReport) -> list[str]:
     return fails
 
 
+def _check_moments(report: RunReport) -> list[str]:
+    # the clock follows the linear law and E log|dM| the clock's slope over
+    # 1+beta (docs/decisions.md); the slope of E|dM|^q is not gated
+    fails = []
+    e = report.extra
+    clock = e.get("clock_slope")
+    if clock is None or not clock >= 0.85:
+        fails.append(f"clock slope {_fmt(clock, '.3f')} < 0.85")
+    log_slope, prediction = e.get("log_slope"), e.get("log_prediction")
+    if log_slope is None or prediction is None or _exceeds(log_slope - prediction, 0.15):
+        fails.append(f"E log|dM| slope {_fmt(log_slope, '.3f')} is not within 0.15 of "
+                     f"the clock's {_fmt(prediction, '.3f')}")
+    return fails
+
+
 def _check_timechange(report: RunReport) -> list[str]:
     fails = []
     e = report.extra
@@ -753,7 +806,12 @@ REGISTRY: dict[str, Kind] = {
         functionals=_tanaka_functionals,
         check=_check_tanaka,
     ),
-    "moments": Kind(record=_record_moments, finalize=_finalize_moments),
+    "moments": Kind(
+        record=_record_moments,
+        finalize=_finalize_moments,
+        functionals=_moments_functionals,
+        check=_check_moments,
+    ),
     "jumps": Kind(record=_record_jumps, finalize=_finalize_jumps, check=_check_jumps),
     "timechange": Kind(
         record=_record_timechange,
@@ -771,14 +829,15 @@ assert tuple(REGISTRY) == KINDS, "REGISTRY and config.KINDS list different kinds
 
 
 def _write_report(kind, cfg_hash, config_lines, records, merged, extra, out_dir) -> RunReport:
-    """records.jsonl and report.json for one run or merge; status is
-    'degraded' when the censoring rate exceeds 5% or a reported number is
-    non-finite."""
+    """records.jsonl and report.json for one run or merge, both strict JSON
+    (a non-finite number is written as null); status is 'degraded' when the
+    censoring rate exceeds 5% or a reported number is non-finite."""
     retries = sum(r.get("_retries", 0.0) for r in records.values())
     attempts = len(records) + retries
     censoring_rate = retries / attempts if attempts else 0.0
     record_lines = [
-        json.dumps({"replica": i, **records[i]}, sort_keys=True) for i in sorted(records)
+        json.dumps(_null_nonfinite({"replica": i, **records[i]}), sort_keys=True, allow_nan=False)
+        for i in sorted(records)
     ]
     _atomic_write(out_dir / "records.jsonl", "\n".join(record_lines) + "\n")
     artifacts = sorted(
@@ -849,7 +908,8 @@ def merge_reports(paths: list[str | Path], out: str | Path) -> RunReport:
             idx = int(row.pop("replica"))
             if idx in all_records:
                 raise ConfigError([f"replica {idx} appears in more than one report"])
-            all_records[idx] = row
+            # records.jsonl writes a non-finite value as null
+            all_records[idx] = {k: math.nan if v is None else v for k, v in row.items()}
     hashes = {r.config_hash for r in reports}
     if len(hashes) != 1:
         raise ConfigError([f"config hashes differ: {sorted(hashes)}"])

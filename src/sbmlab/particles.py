@@ -32,7 +32,8 @@ __all__ = [
     "PathRecorder",
     "interp_rows",
     "dt_at_cap",
-    "dt_cap_violation",
+    "model_violations",
+    "whole_step_dt",
     "make_params",
     "init_particles",
     "step",
@@ -59,23 +60,10 @@ class ModelParams:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.n_scale < 1:
-            raise ValueError(f"n_scale must be >= 1, got {self.n_scale}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.particle_cap < 1:
-            raise ValueError("particle_cap must be >= 1")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
-        violation = dt_cap_violation(self.beta, self.n_scale, self.dt)
-        if violation:
-            raise ValueError(violation)
+        errs = model_violations(self.beta, self.n_scale, self.dt, self.t_end, self.dim,
+                                self.particle_cap, self.snapshot_stride)
+        if errs:
+            raise ValueError("; ".join(errs))
 
     @property
     def branch_rate(self) -> float:
@@ -94,15 +82,37 @@ class ModelParams:
         return int(round(self.t_end / self.dt))
 
 
-def dt_cap_violation(beta: float, n_scale: int, dt: float) -> str | None:
-    """Why dt breaks the branch_rate*dt cap at this scale, or None if it keeps it."""
-    rate = (1.0 + beta) * n_scale**beta
-    if rate * dt > _DT_CAP * (1 + 1e-9):
-        return (
-            f"branch_rate*dt = {rate * dt:.6g} exceeds the cap {_DT_CAP} "
-            f"(branch_rate={rate:.6g}, dt={dt:.6g})"
-        )
-    return None
+def model_violations(
+    beta: float, n_scale: int, dt: float | None, t_end: float, dim: int = 1,
+    particle_cap: int = 1, snapshot_stride: int = 1,
+) -> list[str]:
+    """Every rule of `ModelParams` the values break, naming each field; empty
+    if they are valid.  dt None stands for the step `make_params` fits under
+    the branch_rate*dt cap, which keeps every dt rule."""
+    errs = []
+    if not (0.0 < beta < 1.0):
+        errs.append(f"beta must lie in (0, 1), got {beta}")
+    if n_scale < 1:
+        errs.append(f"n_scale must be >= 1, got {n_scale}")
+    if not 0.0 <= t_end < math.inf:
+        errs.append(f"t_end must be finite and >= 0, got {t_end}")
+    if dim not in (1, 2):
+        errs.append(f"dim must be 1 or 2, got {dim}")
+    if particle_cap < 1:
+        errs.append(f"particle_cap must be >= 1, got {particle_cap}")
+    if snapshot_stride < 1:
+        errs.append(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    if dt is not None and not dt > 0:
+        errs.append(f"dt must be > 0, got {dt}")
+    elif dt is not None and 0.0 < beta < 1.0 and n_scale >= 1:
+        # n_scale**beta is complex at a negative scale, so the cap waits for it
+        rate = (1.0 + beta) * n_scale**beta
+        if rate * dt > _DT_CAP * (1 + 1e-9):
+            errs.append(
+                f"branch_rate*dt = {rate * dt:.6g} exceeds the cap {_DT_CAP} "
+                f"(branch_rate={rate:.6g}, dt={dt:.6g})"
+            )
+    return errs
 
 
 def dt_at_cap(beta: float, n_scale: int, safety: float = 1.0) -> float:
@@ -128,10 +138,18 @@ def make_params(
             dt = t_end / n_steps
         else:
             dt = cap
-    elif t_end > 0:
-        n_steps = max(1, int(round(t_end / dt)))
-        dt = t_end / n_steps
+    else:
+        dt = whole_step_dt(dt, t_end)
     return ModelParams(beta=beta, n_scale=n_scale, dt=dt, t_end=t_end, dim=dim, **kwargs)
+
+
+def whole_step_dt(dt: float, t_end: float) -> float:
+    """The step `make_params` runs for a requested dt: the nearest one that
+    divides a positive t_end into a finite number of whole steps (dt itself
+    otherwise)."""
+    if dt > 0 and 0.0 < t_end and math.isfinite(t_end / dt):
+        return t_end / max(1, int(round(t_end / dt)))
+    return dt
 
 
 @lru_cache(maxsize=32)

@@ -207,19 +207,17 @@ def sample_offspring(stream: RngStream, law: OffspringLaw, size: int | None = No
 
 @dataclass(frozen=True)
 class StableParams:
-    """Parameters of the driving stable process; alpha = 1 + beta in (1, 2)."""
+    """Parameters of the driving spectrally positive stable process; alpha =
+    1 + beta in (1, 2)."""
 
     alpha: float
     scale: float = 1.0
-    spectrally_positive: bool = True
 
     def __post_init__(self) -> None:
         if not (1.0 < self.alpha < 2.0):
             raise ValueError(f"alpha must lie in (1, 2), got {self.alpha}")
         if self.scale <= 0.0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
-        if not self.spectrally_positive:
-            raise ValueError("only the spectrally positive (one-sided jump) case is supported")
 
 
 def sample_stable_increment(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .particles import PathRecorder
+from .particles import PathRecorder, martingale_event_sum
 from .rng import RngStream, StableParams, sample_stable_increment
 from .tanaka import psi0
 
@@ -220,7 +220,4 @@ def interval_martingale(
     """Z_t(x1, x2) = M_t(psi0): exact branching-event sum of psi0."""
     if x1 == x2:
         return 0.0
-    sl = recorder.events_until(t)
-    locs = recorder.event_locations[sl]
-    net = recorder.event_net_mass[sl]
-    return float(np.sum(psi0(lam, x1, x2, locs) * net))
+    return martingale_event_sum(recorder, lambda y: psi0(lam, x1, x2, y), t)

@@ -46,7 +46,13 @@ import numpy as np
 from .errors import UsageError
 from .kernels import g_lambda, green_closed
 from .measures import FiniteMeasure
-from .particles import OccupationFunctional, OccupationSeries, ParticleState, PathRecorder
+from .particles import (
+    OccupationFunctional,
+    OccupationSeries,
+    ParticleState,
+    PathRecorder,
+    martingale_event_sum,
+)
 
 __all__ = [
     "exp_kernel_sums",
@@ -65,7 +71,8 @@ __all__ = [
     "tanaka_terms",
     "tanaka_panel_terms",
     "ftc_check",
-    "martingale_split",
+    "martingale_increments",
+    "increment_clock_weights",
 ]
 
 
@@ -580,22 +587,27 @@ def ftc_check(panel: PanelDecomposition, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Martingale increment structure
+# Martingale increments and their clock
 # ---------------------------------------------------------------------------
 
 
-def martingale_split(
-    recorder: PathRecorder, lam: float, x1: float, x2: float, t: float
-) -> tuple[float, float]:
-    """Outside/inside split (I, Z) of the martingale increment
-    M(g^{x1}) - M(g^{x2}); the identity I - Z = delta-M holds exactly."""
-    if not x1 < x2:
-        raise ValueError(f"need x1 < x2, got ({x1}, {x2})")
-    sl = recorder.events_until(t)
-    y = _as_1d(recorder.event_locations[sl])
-    net = recorder.event_net_mass[sl]
-    diff = g_lambda(lam, y - x1) - g_lambda(lam, y - x2)
-    outside = (y < x1) | (y > x2)
-    i_part = float(np.sum(diff * outside * net))
-    z_part = float(np.sum(-diff * (~outside) * net))
-    return i_part, z_part
+def martingale_increments(recorder: PathRecorder, lam: float, pairs, t: float) -> np.ndarray:
+    """dM = M_t(g^{x1}) - M_t(g^{x2}) for each pair (x1, x2), with
+    g^x(y) = g_lambda(y - x): one exact event sum per distinct endpoint."""
+    sums = {
+        x: martingale_event_sum(recorder, lambda y, x=x: g_lambda(lam, y - x), t)
+        for x in {x for pair in pairs for x in pair}
+    }
+    return np.array([sums[x1] - sums[x2] for x1, x2 in pairs])
+
+
+def increment_clock_weights(nodes, lam: float, pairs, beta: float) -> np.ndarray:
+    """|g^{x1} - g^{x2}|^(1+beta) at each node, one column per pair.
+
+    The clock of dM is T = int_0^t <X_s, |g^{x1} - g^{x2}|^(1+beta)> ds; a
+    histogram's occupation at t times these weights at its bin centers is T
+    by midpoint quadrature, which needs every pair endpoint (where the
+    integrand jumps) to be a bin edge."""
+    x1s, x2s = np.array(pairs, dtype=float).T
+    nodes = np.asarray(nodes, dtype=float)[:, None]
+    return np.abs(g_lambda(lam, nodes - x1s) - g_lambda(lam, nodes - x2s)) ** (1 + beta)

@@ -5,7 +5,7 @@ Statistical tests use fixed seeds, so every run reproduces the same numbers.
 Monte Carlo means of heavy-tailed summaries use the total-mass control
 variate (its mean is exactly 1 by criticality of the offspring law), which
 keeps the 3-standard-error gates well calibrated at desk-scale replica
-counts.  Criteria 4, 6 and 9 run their experiment through the harness
+counts.  Criteria 4, 6, 8 and 9 run their experiment through the harness
 (`run_experiment`), the same code the CLI and the merge run.
 
 Criterion 8 checks martingale-increment scaling against the stable time
@@ -46,7 +46,6 @@ from sbmlab.tanaka import (
     estimate_local_time,
     ftc_check,
     histogram_functional,
-    martingale_split,
     tanaka_panel_functional,
     tanaka_panel_terms,
 )
@@ -279,7 +278,7 @@ def test_criterion_07_tanaka_consistency():
     assert ok
 
 
-def test_criterion_08_martingale_moment_scaling():
+def test_criterion_08_martingale_moment_scaling(tmp_path):
     # M(g^{x1}) - M(g^{x2}) is a (1+beta)-stable process run by the clock
     # T_d = int_0^t <X_s, |g^{x1} - g^{x2}|^{1+beta}> ds, so E|dM|^q follows
     # E[T_d^{q/(1+beta)}] (d^{q/(1+beta)} = d^0.8 as d -> 0), not d^1.  The
@@ -287,58 +286,33 @@ def test_criterion_08_martingale_moment_scaling():
     # scale, where the time change fixes the slope and the estimate has
     # finite variance (|dM|^q has tail index (1+beta)/q = 1.25).  Only slopes
     # are checked: the paper's abstract does not fix the moment constants.
+    # The kind's default distances and pair centers are the pinned 20 pairs.
     # Analysis, seed table and negative controls: docs/decisions.md
-    n_scale, t, R, lam, q = 2000, 0.5, 600, 1.0, 1.2
-    params = make_params(BETA, n_scale, t, snapshot_stride=10**9)
-    mu = dirac(0.0)
-    # functionals draw no random numbers: the paths are those of the bare run
-    hist = histogram_functional(-8.0, 8.0, 0.0125, checkpoint_stride=10**9)
-    recs = [simulate(mu, params, [hist], RngStream(44, i)) for i in range(R)]
-    centers = (-0.5, -0.25, 0.0, 0.25, 0.5)
-    distances = (0.4, 0.2, 0.1, 0.05)
-    pairs = [(c - d / 2, c + d / 2) for d in distances for c in centers]
-
-    # the clock by midpoint quadrature over the histogram bins; every pair
-    # endpoint (where |g^{x1} - g^{x2}| jumps) is a bin edge
-    edges = hist.meta["edges"]
-    assert all(np.min(np.abs(edges - x)) < 1e-9 for pair in pairs for x in pair)
-    nodes = hist.meta["centers"][:, None]
-    x1s, x2s = np.array(pairs).T
-    weights = np.abs(g_lambda(lam, nodes - x1s) - g_lambda(lam, nodes - x2s)) ** (1 + BETA)
-    # the last checkpoint is the horizon t (occupation_at interpolates bin by bin)
-    clocks = np.array([r.series(hist.name).values[-1] @ weights for r in recs])
-    increments = np.array(
-        [[np.subtract(*martingale_split(r, lam, a, b, t)) for a, b in pairs] for r in recs]
+    q = 1.2
+    rep = run_kind(
+        "moments",
+        "n_scale = 2000\nreplicas = 600\nseed = 44\nsnapshot_stride = 1000000000\n"
+        f"lam = 1.0\nq_moment = {q}\n",
+        tmp_path,
     )
-
-    def pooled(values):  # mean over replicas and the centers of each distance
-        return values.reshape(R, len(distances), len(centers)).mean(axis=(0, 2))
-
-    def slope(values):
-        return float(np.polyfit(np.log(distances), values, 1)[0])
-
-    p = 1.0 + BETA
-    moments = pooled(np.abs(increments) ** q)
-    moment_slope = slope(np.log(moments))
-    clock_slope = slope(np.log(pooled(clocks)))
-    moment_prediction = slope(np.log(pooled(clocks ** (q / p))))
-    log_slope = slope(pooled(np.log(np.abs(increments))))
-    log_prediction = slope(pooled(np.log(clocks))) / p
-    clock_ok = clock_slope >= 1.0 - 0.15
-    log_ok = abs(log_slope - log_prediction) <= 0.15
+    e = rep.extra
+    moments = [rep.merged[f"moment:d={d:g}"]["mean"] for d in (0.05, 0.1, 0.2, 0.4)]
+    gap = e["log_slope"] - e["log_prediction"]
+    clock_ok = e["clock_slope"] >= 1.0 - 0.15
+    log_ok = abs(gap) <= 0.15
     record_criterion(
         8,
         clock_ok and log_ok,
-        f"log-log slope {moment_slope:.3f} of E|dM|^q (moments "
-        f"{[f'{m:.4f}' for m in moments[::-1]]}; clock prediction "
-        f"{moment_prediction:.3f}, asymptotic q/(1+beta) = {q / p:.2f}); clock slope "
-        f"{clock_slope:.3f} >= 0.85; E log|dM| slope {log_slope:.3f} vs clock "
-        f"{log_prediction:.3f} (gap {log_slope - log_prediction:+.3f}, bound 0.15)",
+        f"log-log slope {e['slope']:.3f} of E|dM|^q (moments "
+        f"{[f'{m:.4f}' for m in moments]}; clock prediction "
+        f"{e['moment_prediction']:.3f}, asymptotic q/(1+beta) = {q / (1 + BETA):.2f}); clock "
+        f"slope {e['clock_slope']:.3f} >= 0.85; E log|dM| slope {e['log_slope']:.3f} vs clock "
+        f"{e['log_prediction']:.3f} (gap {gap:+.3f}, bound 0.15)",
     )
-    assert clock_ok, f"slope of E T_d is {clock_slope:.3f}, below the linear law's 0.85"
+    assert clock_ok, f"slope of E T_d is {e['clock_slope']:.3f}, below the linear law's 0.85"
     assert log_ok, (
-        f"slope of E log|dM| is {log_slope:.3f}; the stable time change predicts "
-        f"{log_prediction:.3f} +- 0.15"
+        f"slope of E log|dM| is {e['log_slope']:.3f}; the stable time change predicts "
+        f"{e['log_prediction']:.3f} +- 0.15"
     )
 
 

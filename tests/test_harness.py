@@ -56,12 +56,23 @@ _DOMAINS = {
     "seed": st.integers(0, 2**64 - 1),
     "workers": st.integers(1, 64),
     "save_paths": st.sampled_from(("none", "first", "all")),
+    "particle_cap": st.integers(1, 10**7),
+    "snapshot_stride": st.integers(1, 10**9),
     "lam": _POSITIVE,
     "lam_alt": _POSITIVE,
     "bandwidth": _POSITIVE,
-    "distances": st.lists(_POSITIVE, max_size=4).map(tuple),
+    # moments pairs c +- d/2 on the edges of its clock histogram (bins of 1/80)
+    "distances": st.lists(st.integers(1, 80), min_size=2, max_size=4, unique=True).map(
+        lambda ks: tuple(k / 40 for k in ks)
+    ),
+    "pair_centers": st.lists(st.integers(-400, 400).map(lambda k: k / 80), min_size=1,
+                             max_size=4).map(tuple),
     "solver_nx": st.integers(8, 10**4),
     "solver_nt": st.integers(1, 10**4),
+    "path_steps": st.integers(1, 10**4),
+    "k_window": _POSITIVE,
+    "n_max": st.integers(16, 10**4),
+    "r_grid": st.lists(_POSITIVE, max_size=4).map(tuple),
 }
 
 
@@ -73,7 +84,8 @@ def valid_configs(draw, kind):
     }
     values["kind"] = kind
     cap = dt_at_cap(values["beta"], values["n_scale"])
-    values["dt"] = draw(st.one_of(st.none(), st.floats(1e-3, 1.0).map(lambda u: u * cap)))
+    # at most half the cap: the step that divides t_end is then at most the cap
+    values["dt"] = draw(st.one_of(st.none(), st.floats(1e-3, 0.5).map(lambda u: u * cap)))
     values["q_moment"] = 1.0 + draw(st.floats(0.01, 0.99)) * values["beta"]
     values["x1"], values["x2"] = sorted((values["x1"], values["x2"]))
     if kind == "tanaka" and values["lam_alt"] == values["lam"]:
@@ -123,6 +135,27 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             parse_config_text("beta = 0.5\nn_scale = -5\ndt = 0.001\n", kind="simulate")
         assert any("n_scale" in v for v in err.value.violations)
+
+    @pytest.mark.parametrize(
+        "kind, setting, key",
+        [
+            ("simulate", "particle_cap = 0", "particle_cap"),
+            ("simulate", "snapshot_stride = 0", "snapshot_stride"),
+            # dt at the cap, but t_end / dt = 47.4 rounds to 47 steps, whose
+            # dt is above it
+            ("simulate", f"n_scale = 1000\ndt = {dt_at_cap(0.5, 1000)!r}", "branch_rate"),
+            ("criterion", "n_max = 3", "n_max"),
+            ("criterion", "k_window = -1", "k_window"),
+            ("criterion", "r_grid = 1 -10 100", "r "),  # gave a NaN trend value
+            ("stabletails", "path_steps = 0", "path_steps"),
+        ],
+    )
+    def test_rule_of_the_run_is_a_config_error(self, kind, setting, key):
+        # each passed validation and then raised inside the run, after the
+        # out directory was made
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + setting + "\n", kind=kind)
+        assert any(v.startswith(key) for v in err.value.violations)
 
     def test_beta_one_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -484,6 +517,19 @@ class TestRegistry:
         assert report["extra"]["mc_slope_resolved"] is None
         assert report["status"] == "degraded"
 
+    def test_moments_replica_without_events_writes_null(self, tmp_path):
+        # at N = 1 a replica can reach t = 0.1 without branching: dM = 0 and
+        # log|dM| = -inf, written as null; a merge reads the null back
+        cfg = parse_config_text(
+            "beta = 0.5\nseed = 3\nn_scale = 1\nt_end = 0.1\nreplicas = 3\n", kind="moments"
+        )
+        cfg.out = str(tmp_path / "m")
+        assert run_experiment(cfg).status == "degraded"
+        records = (tmp_path / "m" / "records.jsonl").read_text()
+        assert None in [strict_json(row)["log_increment:d=0.05"] for row in records.splitlines()]
+        merge_reports([tmp_path / "m"], tmp_path / "merged")
+        assert (tmp_path / "merged" / "records.jsonl").read_text() == records
+
 
 class TestCheckReport:
     def test_duality_null_z_read_back_fails(self, tmp_path):
@@ -504,6 +550,8 @@ class TestCheckReport:
             ("jumps", {"z_scores": [0.5, None], "slope": -1.5}),
             ("jumps", {"z_scores": [0.5], "slope": None}),
             ("timechange", {"z_scores": [None], "t_bound_violations": 0}),
+            ("moments", {"clock_slope": None, "log_slope": 0.55, "log_prediction": 0.6}),
+            ("moments", {"clock_slope": 0.87, "log_slope": None, "log_prediction": 0.6}),
         ],
     )
     def test_null_headline_is_a_failure(self, kind, extra):

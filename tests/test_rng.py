@@ -166,8 +166,6 @@ class TestStableIncrements:
         with pytest.raises(ValueError):
             StableParams(alpha=1.5, scale=-1.0)
         with pytest.raises(ValueError):
-            StableParams(alpha=1.5, spectrally_positive=False)
-        with pytest.raises(ValueError):
             sample_stable_increment(RngStream(0, 0), StableParams(alpha=1.5), 0.0)
 
 

@@ -22,7 +22,7 @@ from sbmlab.tanaka import (
     histogram_functional,
     interval_indicator_functional,
     kernel_panel_functional,
-    martingale_split,
+    martingale_increments,
     psi0,
     psi0_power_functional,
     tanaka_panel_functional,
@@ -342,18 +342,20 @@ MOMENTS = (
 
 
 class TestMartingaleStructure:
-    def test_split_identity_exact(self, small_recorders):
-        mu, _, recs = small_recorders
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 50.0])
+    def test_increments_match_brute_force(self, small_recorders, lam):
+        # one event sum per distinct endpoint, shared by the pairs that meet
+        # there, against the per-pair sum of net * (g(y - x1) - g(y - x2))
+        _, _, recs = small_recorders
+        pairs = [(-0.1, 0.1), (0.0, 0.4), (-0.7, -0.2), (0.1, 0.4), (-0.2, 0.0)]
         for rec in recs[:10]:
-            for (x1, x2) in [(-0.1, 0.1), (0.0, 0.4), (-0.7, -0.2)]:
-                i_part, z_part = martingale_split(rec, 1.0, x1, x2, 0.3)
-                sl = rec.events_until(0.3)
-                y = rec.event_locations[sl]
-                net = rec.event_net_mass[sl]
-                dm = float(
-                    np.sum((g_lambda(1.0, y - x1) - g_lambda(1.0, y - x2)) * net)
-                )
-                assert i_part - z_part == pytest.approx(dm, abs=1e-12)
+            sl = rec.events_until(0.3)
+            y = rec.event_locations[sl]
+            net = rec.event_net_mass[sl]
+            brute = [np.sum((g_lambda(lam, y - x1) - g_lambda(lam, y - x2)) * net)
+                     for x1, x2 in pairs]
+            dm = martingale_increments(rec, lam, pairs, 0.3)
+            np.testing.assert_allclose(dm, brute, rtol=0, atol=1e-12)
 
     def test_psi0_properties(self):
         y = np.linspace(-1, 1, 2001)
@@ -363,11 +365,20 @@ class TestMartingaleStructure:
         assert (vals[(y < -0.25) | (y > 0.25)] == 0).all()
 
     def test_moment_zero_distance(self):
-        # a pair with x1 >= x2 has no martingale split; the config says so
-        for bad in ("0.2 0", "0.2 -0.1"):
+        # a pair with x1 >= x2 has no martingale increment, and a slope needs
+        # two distances (one gave a RankWarning and an arbitrary slope)
+        for bad in ("0.2 0", "0.2 -0.1", "0.1", "0.1 0.2 0.1"):
             with pytest.raises(ConfigError) as err:
                 parse_config_text(MOMENTS + f"distances = {bad}\n", kind="moments")
             assert any("distances" in v for v in err.value.violations)
+
+    def test_moment_endpoints_must_be_clock_bin_edges(self):
+        # the clock's midpoint quadrature needs |g^{x1} - g^{x2}| smooth in
+        # every bin: c +- 0.015 falls inside a bin of width 0.0125
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MOMENTS + "distances = 0.03\n", kind="moments")
+        assert any("distances" in v and "0.015" in v for v in err.value.violations)
+        parse_config_text(MOMENTS + "distances = 0.03\n", kind="simulate")
 
     def test_moment_q_domain(self):
         for bad_q in (1.0, 1.5, 2.0, 0.8):
