@@ -11,13 +11,20 @@ workload and seed, `bench/run.py --trace 0`, at the run length that
 BENCHMARK.json sets, runs once on REF and once on the working tree; the two
 runs form a pair, and the side that goes first alternates from pair to pair,
 so that slow drift of the machine falls on both sides alike.  Runs are sequential: two at once would time each other.
+After the pairs of a workload, one `bench/run.py --trace 1` run per side, at
+the first seed, records the per-layer metrics.
 
 BENCH_<label>.json, at the root of the checkout, holds the environment, the
 sha of REF and of the working tree's HEAD (with whether the tree differs
-from it and a digest of that difference), and per workload and end-to-end
+from it and a digest of that difference outside the Markdown files and the
+BENCH_*.json records, so that writing a record up leaves the digest of the
+timed code as it was), and per workload and end-to-end
 metric: the raw values of each side in seed order, their median and
 quartiles, the number of pairs the change wins, and the change of the
-median relative to REF.  It is rewritten after every pair, so an
+median relative to REF.  Per workload it also holds the artifact digests
+every run printed (the reference call's and each timed call's), and whether
+they are the same on both sides, and the per-layer metrics of each side's
+traced run.  It is rewritten after every pair, so an
 interrupted run keeps what it measured.  A run that exits non-zero stops
 the script, naming the side and the seed.
 """
@@ -27,6 +34,7 @@ import argparse
 import hashlib
 import json
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -36,6 +44,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+# left out of the working-tree digest: write-ups, which no run reads
+DIFF_EXCLUDES = ["*.md", "BENCH_*.json"]
 
 
 def _git(*args: str) -> str:
@@ -60,11 +70,13 @@ def _cpu_model() -> str | None:
     return None
 
 
-def _bench(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
-    """One `bench/run.py --trace 0` run in checkout: its result object (the
-    last stdout line) and the environment it printed."""
+def _bench(checkout: Path, workload: str, seed: int, trace: bool = False
+           ) -> tuple[dict, dict, list[str]]:
+    """One `bench/run.py` run in checkout: its result object (the last stdout
+    line), the environment it printed, and the artifact digests it printed,
+    in order."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
+           "--seconds", str(SPEC["run_seconds"]), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"bench/run.py exited with {proc.returncode} in {checkout} "
@@ -73,7 +85,9 @@ def _bench(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
     env_prefix = "bench: environment "
     env = next((json.loads(line[len(env_prefix):]) for line in lines
                 if line.startswith(env_prefix)), {})
-    return json.loads(lines[-1]), env
+    digests = [m.group(1) for line in lines[:-1]
+               for m in re.finditer(r"(\S+ sha256 [0-9a-f]{64})", line)]
+    return json.loads(lines[-1]), env, digests
 
 
 def _spread(values: list[float]) -> dict:
@@ -113,15 +127,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
     args = parser.parse_args(argv)
 
-    diff = _git("diff", "HEAD").encode()
+    diff = _git("diff", "HEAD", "--", ".", *(f":(exclude){p}" for p in DIFF_EXCLUDES)).encode()
     result = {
         "label": args.label,
         "command": "python3 bench/run.py --workload W --seed S "
-                   f"--seconds {SPEC['run_seconds']} --trace 0",
+                   f"--seconds {SPEC['run_seconds']} --trace 0, "
+                   "then --trace 1 once per side at the first seed",
         "environment": {"platform": platform.platform(), "cpu": _cpu_model()},
         "ref": {"rev": args.against, "sha": _git("rev-parse", args.against).strip()},
         "change": {"head_sha": _git("rev-parse", "HEAD").strip(), "dirty": bool(diff),
-                   "diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None},
+                   "diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None,
+                   "diff_excludes": DIFF_EXCLUDES},
         "seeds": args.seeds,
         "workloads": {},
     }
@@ -129,14 +145,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-ref-") as tmp:
         ref_root = Path(tmp)
         _export(args.against, ref_root)
+        sides = [("ref", ref_root), ("change", ROOT)]
         pair = 0
         for workload in args.workloads:
             runs = {"ref": [], "change": []}
+            digests = {"ref": [], "change": []}
+            entry = result["workloads"][workload] = {}
             for seed in args.seeds:
-                sides = [("ref", ref_root), ("change", ROOT)]
                 for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
-                    outcome, env = _bench(checkout, workload, seed)
+                    outcome, env, printed = _bench(checkout, workload, seed)
                     runs[side].append(outcome)
+                    digests[side].append(printed)
                     result["environment"].update(
                         {k: v for k, v in env.items() if k not in ("git_sha", "seed")})
                     print(f"bench_record: {workload} seed {seed} {side}: "
@@ -144,20 +163,33 @@ def main(argv=None) -> int:
                                      for k, v in outcome["metrics"].items()),
                           flush=True)
                 pair += 1
-                result["workloads"][workload] = {
+                entry.update({
                     "metrics": _summary(runs),
                     "correct": {s: [r["correct"] for r in rs] for s, rs in runs.items()},
                     "failed_share": {
                         s: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
                         for s, rs in runs.items()
                     },
-                }
+                    "digests": digests,
+                    "digests_identical": digests["ref"] == digests["change"],
+                })
                 path.write_text(json.dumps(result, indent=1) + "\n")
+            entry["layers"] = {"seed": args.seeds[0]}
+            for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
+                outcome, _, _ = _bench(checkout, workload, args.seeds[0], trace=True)
+                entry["layers"][side] = {k: v["value"] for k, v in outcome["metrics"].items()}
+                entry["layers"][f"{side}_correct"] = outcome["correct"]
+                print(f"bench_record: {workload} traced {side}: correct {outcome['correct']}",
+                      flush=True)
+            pair += 1
+            path.write_text(json.dumps(result, indent=1) + "\n")
     for workload, w in result["workloads"].items():
         for name, m in w["metrics"].items():
             print(f"bench_record: {workload} {name}: median {m['ref']['median']:.4g} -> "
                   f"{m['change']['median']:.4g} ({100 * m['median_change']:+.1f}%), "
                   f"change wins {m['change_wins']}/{m['pairs']}, ref IQR {m['ref_iqr']:.3g}")
+        print(f"bench_record: {workload} artifact digests identical on both sides: "
+              f"{w['digests_identical']}")
     print(f"bench_record: wrote {path.name}")
     return 0
 

@@ -7,7 +7,7 @@ times (f(s) - s) then rescales exactly to the branching mechanism u^(1+beta),
 so N enters only through initial-mass rounding and the motion/branching
 interleaving.  Branch events are logged as jumps (offspring - 1)/N at the
 parent location; occupation integrals of registered functionals accumulate on
-the step grid by the trapezoid rule.
+the step grid by the trapezoid rule, a block of buffered steps at a time.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ __all__ = [
     "OccupationSeries",
     "PathRecorder",
     "interp_rows",
+    "stable_order",
     "dt_at_cap",
     "model_violations",
     "whole_step_dt",
@@ -201,8 +202,10 @@ class OccupationFunctional:
     state_fn computes the summed (width,) value directly (used for kernels
     with a fast prefix-sum evaluation).  checkpoint_stride controls how often
     the cumulative integral is stored; the trapezoid itself always uses every
-    step.  meta carries descriptive fields (kernel kind, grid, bandwidth) so
-    estimators can locate matching accumulators on a recorder.
+    step (`simulate` buffers the step values and integrates them a block at a
+    time, bit for bit the step-by-step sum).  meta carries descriptive fields
+    (kernel kind, grid, bandwidth) so estimators can locate matching
+    accumulators on a recorder.
     """
 
     name: str
@@ -241,6 +244,20 @@ def interp_rows(t: float, times: np.ndarray, values: np.ndarray) -> np.ndarray:
         return values[j].copy()
     slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
     return slope * (t - times[j]) + values[j]
+
+
+def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.argsort(keys, kind="stable")` and the keys in that order.
+
+    Sorts with the default (faster, unstable) algorithm, which gives the same
+    permutation whenever the sorted keys are strictly increasing; only a tie
+    (or a NaN) falls back to the stable sort."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    if not (ordered[1:] > ordered[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+    return order, ordered
 
 
 @dataclass
@@ -340,8 +357,8 @@ class PathRecorder:
         sl = self.events_until(t)
         key = ("events", sl.stop)
         if key not in self._memo:
-            order = np.argsort(self.event_locations[sl], kind="stable")
-            self._memo[key] = (self.event_locations[order], self.event_net_mass[order])
+            order, locations = stable_order(self.event_locations[sl])
+            self._memo[key] = (locations, self.event_net_mass[order])
         return self._memo[key]
 
     def events_until(self, t: float) -> slice:
@@ -382,6 +399,11 @@ def init_particles(mu: FiniteMeasure, params: ModelParams, stream: RngStream) ->
     return ParticleState(time=0.0, positions=pos, mass_per_particle=params.mass_per_particle)
 
 
+def _no_events(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (empty) events of a step without branching."""
+    return np.empty((0, 2) if dim == 2 else 0), np.empty(0, dtype=np.int64)
+
+
 def step(
     state: ParticleState, params: ModelParams, stream: RngStream
 ) -> tuple[ParticleState, tuple[np.ndarray, np.ndarray]]:
@@ -390,38 +412,73 @@ def step(
 
     Returns the new state and the step's events as (locations, offspring
     counts).  Offspring count 1 has probability zero under the Slack law, so
-    every logged event changes mass.
+    every logged event changes mass.  The survivors keep their order and the
+    children follow, each parent's together.
     """
     new_time = state.time + params.dt
     n = state.count
     if n == 0:
-        empty = np.empty((0, 2)) if params.dim == 2 else np.empty(0)
-        return (
-            ParticleState(new_time, state.positions, state.mass_per_particle),
-            (empty, np.empty(0, dtype=np.int64)),
+        return ParticleState(new_time, state.positions, state.mass_per_particle), _no_events(
+            params.dim
         )
-    pos = state.positions + stream.gen.normal(0.0, math.sqrt(params.dt), state.positions.shape)
-    u = stream.gen.random(n)
-    mask = u < params.branch_rate * params.dt
-    n_branch = int(mask.sum())
+    gen = stream.gen
+    pos = gen.normal(0.0, math.sqrt(params.dt), state.positions.shape)
+    pos += state.positions
+    mask = gen.random(n) < params.branch_rate * params.dt
+    n_branch = np.count_nonzero(mask)
     if n_branch == 0:
-        empty = np.empty((0, 2)) if params.dim == 2 else np.empty(0)
-        return (
-            ParticleState(new_time, pos, state.mass_per_particle),
-            (empty, np.empty(0, dtype=np.int64)),
-        )
+        return ParticleState(new_time, pos, state.mass_per_particle), _no_events(params.dim)
     ks = sample_offspring(stream, _law_for(params.beta), n_branch)
     parent_pos = pos[mask]
-    if params.dim == 1:
-        children = np.repeat(parent_pos, ks)
-        new_pos = np.concatenate([pos[~mask], children])
-    else:
-        children = np.repeat(parent_pos, ks, axis=0)
-        new_pos = np.concatenate([pos[~mask], children], axis=0)
-    return (
-        ParticleState(new_time, new_pos, state.mass_per_particle),
-        (parent_pos, ks),
-    )
+    survivors = pos[np.logical_not(mask, out=mask)]
+    new_pos = np.concatenate((survivors, parent_pos.repeat(ks, axis=0)))
+    return ParticleState(new_time, new_pos, state.mass_per_particle), (parent_pos, ks)
+
+
+# steps whose functional values `simulate` buffers before integrating them
+_BLOCK_STEPS = 32
+
+
+def _cumulative_trapezoid(values: np.ndarray, dt: float, cum: np.ndarray) -> None:
+    """cum[i] = cum[i-1] + 0.5 * (values[i] + values[i-1]) * dt for every row
+    i >= 1, in place from cum[0]: one sequential cumsum over the increments,
+    so bit for bit the sum taken step by step."""
+    inc = cum[1:]
+    np.add(values[1:], values[:-1], out=inc)
+    inc *= 0.5
+    inc *= dt
+    cum.cumsum(axis=0, out=cum)
+
+
+class _BlockTrapezoid:
+    """The cumulative trapezoid of one functional on the step grid, kept at
+    its checkpoint steps (step 0, every multiple of the stride, the last).
+
+    Row 0 of `values` holds the value at the step before the block, rows
+    1..r the block's values; `flush` integrates them from the integral
+    before the block (`_cumulative_trapezoid`)."""
+
+    def __init__(self, f: OccupationFunctional, n_steps: int, dt: float, v0: np.ndarray):
+        stride = f.checkpoint_stride
+        self.steps = np.unique(np.r_[0 : n_steps + 1 : stride, n_steps])
+        self.dt = dt
+        rows = min(n_steps, _BLOCK_STEPS) + 1
+        self.values = np.empty((rows, f.width))
+        self.values[0] = v0
+        self.cum = np.zeros((rows, f.width))
+        self.out = np.zeros((self.steps.size, f.width))
+        self.stored = 1  # checkpoints in out; step 0's integral is 0
+
+    def flush(self, last_step: int, r: int) -> None:
+        """Integrate the r buffered steps that end at last_step."""
+        vals, cum = self.values[: r + 1], self.cum[: r + 1]
+        _cumulative_trapezoid(vals, self.dt, cum)
+        done = self.stored + int(self.steps[self.stored :].searchsorted(last_step, "right"))
+        first_step = last_step - r + 1  # the step in row 1
+        self.out[self.stored : done] = cum[self.steps[self.stored : done] - first_step + 1]
+        self.stored = done
+        vals[0] = vals[r]
+        cum[0] = cum[r]
 
 
 def simulate(
@@ -433,6 +490,12 @@ def simulate(
     """Run the particle system to t_end, accumulating occupation integrals of
     the registered functionals on the step grid.
 
+    Each step's functional values go into a bounded row buffer (_BLOCK_STEPS
+    rows per functional); every _BLOCK_STEPS steps, and at the last, the
+    buffered block is integrated by the trapezoid rule with one sequential
+    cumsum, bit for bit the step-by-step sum cum + 0.5 * (v + v_prev) * dt.
+    The total-mass trapezoid is formed the same way once, after the loop.
+
     Deterministic given the stream.  Raises ResourceLimitError if the
     particle count exceeds params.particle_cap (heavy-tail blowup guard).
     """
@@ -440,20 +503,16 @@ def simulate(
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate functional names: {names}")
     n_steps = params.n_steps
+    dt = params.dt
     state = init_particles(mu, params, stream)
 
     step_times = np.empty(n_steps + 1)
     masses = np.empty(n_steps + 1)
-    mass_occ = np.zeros(n_steps + 1)
     step_times[0] = 0.0
     masses[0] = state.total_mass
-    values_prev = {f.name: f.state_value(state) for f in functionals}
-    cum = {f.name: np.zeros(f.width) for f in functionals}
-    ckpt_times: dict[str, list[float]] = {f.name: [0.0] for f in functionals}
-    ckpt_values: dict[str, list[np.ndarray]] = {
-        f.name: [np.zeros(f.width)] for f in functionals
-    }
+    trapezoids = [_BlockTrapezoid(f, n_steps, dt, f.state_value(state)) for f in functionals]
 
+    snapshot_stride = params.snapshot_stride
     snapshot_times = [0.0]
     snapshots = [state.positions.copy()]
     ev_step_idx: list[int] = []
@@ -463,7 +522,7 @@ def simulate(
 
     for i in range(1, n_steps + 1):
         state, (locs, ks) = step(state, params, stream)
-        state.time = i * params.dt  # avoid additive drift over many steps
+        state.time = i * dt  # avoid additive drift over many steps
         if state.count > params.particle_cap:
             raise ResourceLimitError(
                 f"particle count {state.count} exceeded cap {params.particle_cap} "
@@ -471,31 +530,27 @@ def simulate(
             )
         step_times[i] = state.time
         masses[i] = state.total_mass
-        mass_occ[i] = mass_occ[i - 1] + 0.5 * (masses[i] + masses[i - 1]) * params.dt
-        for f in functionals:
-            v = f.state_value(state)
-            cum[f.name] = cum[f.name] + 0.5 * (v + values_prev[f.name]) * params.dt
-            values_prev[f.name] = v
-            if i % f.checkpoint_stride == 0 or i == n_steps:
-                ckpt_times[f.name].append(state.time)
-                ckpt_values[f.name].append(cum[f.name])
+        row = (i - 1) % _BLOCK_STEPS + 1
+        for f, acc in zip(functionals, trapezoids):
+            acc.values[row] = f.state_value(state)
+        if row == _BLOCK_STEPS or i == n_steps:
+            for acc in trapezoids:
+                acc.flush(i, row)
         if ks.size:
             ev_step_idx.append(i)
             ev_locations.append(locs)
             ev_offspring.append(ks)
         if math.isinf(extinction_time) and state.count == 0:
             extinction_time = state.time
-        if i % params.snapshot_stride == 0 or i == n_steps:
+        if i % snapshot_stride == 0 or i == n_steps:
             snapshot_times.append(state.time)
             snapshots.append(state.positions.copy())
 
+    mass_occ = np.zeros(n_steps + 1)
+    _cumulative_trapezoid(masses, dt, mass_occ)
     occ = {
-        f.name: OccupationSeries(
-            times=np.asarray(ckpt_times[f.name]),
-            values=np.vstack(ckpt_values[f.name]),
-            meta=dict(f.meta),
-        )
-        for f in functionals
+        f.name: OccupationSeries(times=step_times[acc.steps], values=acc.out, meta=dict(f.meta))
+        for f, acc in zip(functionals, trapezoids)
     }
 
     if ev_step_idx:

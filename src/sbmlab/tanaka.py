@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericsError, UsageError
 from .kernels import g_lambda, green_closed
 from .measures import FiniteMeasure
 from .particles import (
@@ -52,6 +52,7 @@ from .particles import (
     ParticleState,
     PathRecorder,
     martingale_event_sum,
+    stable_order,
 )
 
 __all__ = [
@@ -86,14 +87,34 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def exp_kernel_sums(y: np.ndarray, weights, a, xs: np.ndarray, presorted: bool = False):
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _kernel_constants(a, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What `exp_kernel_sums` computes from the rates and the centers alone:
+    the signed rates (+a, -a), stacked on a new first axis as columns against
+    points, and (e^{a x}, e^{-a x}) at the centers, stacked the same way.  A
+    caller that sums at the same rates and centers again and again computes
+    them once and passes them as `constants`."""
+    rates = np.asarray(a, dtype=float)
+    signed = np.multiply.outer(_SIGNS, rates[..., None])  # (-1.0) * a is -a exactly
+    return signed, np.exp(signed * xs)
+
+
+def exp_kernel_sums(y: np.ndarray, weights, a, xs: np.ndarray, presorted: bool = False,
+                    *, constants: tuple[np.ndarray, np.ndarray] | None = None):
     """Returns (even_sums, odd_sums) of the exponential kernel against
     weighted points; odd_sums uses the derivative orientation
     -sign(x - y) exp(-a |x - y|) with points exactly at x contributing 0.
 
     `a` is one rate or a 1-D array of k rates.  With an array both sums are
     (k, len(xs)) arrays, and row r is bit for bit the call at the rate a[r]:
-    the points are sorted and searched once for every rate."""
+    the points are sorted and searched once for every rate.  `constants`,
+    if given, is `_kernel_constants(a, xs)`.
+
+    Raises NumericsError when a sum is not finite because a prefix sum of
+    w e^{+-a y} that it uses overflows, which can happen once a |y| exceeds
+    about 709."""
     rates = np.asarray(a, dtype=float)
     if rates.ndim > 1:
         raise ValueError(f"a must be a rate or a 1-D array of rates, got shape {rates.shape}")
@@ -101,25 +122,42 @@ def exp_kernel_sums(y: np.ndarray, weights, a, xs: np.ndarray, presorted: bool =
     m = xs.size
     if n == 0:
         return np.zeros(rates.shape + (m,)), np.zeros(rates.shape + (m,))
-    w = np.broadcast_to(np.asarray(weights, dtype=float), y.shape)
-    if presorted:
-        ys, ws = y, w
-    else:
-        order = np.argsort(y, kind="stable")
-        ys = y[order]
-        ws = w[order]
-    r = rates[..., None]  # rates down the rows, points or centers along them
-    cum_pos = np.zeros(r.shape[:-1] + (n + 1,))
-    cum_neg = np.zeros(r.shape[:-1] + (n + 1,))
-    np.cumsum(ws * np.exp(r * ys), axis=-1, out=cum_pos[..., 1:])
-    np.cumsum(ws * np.exp(-r * ys), axis=-1, out=cum_neg[..., 1:])
-    idx_lo = np.searchsorted(ys, xs, side="left")  # count of y < x
-    idx_hi = np.searchsorted(ys, xs, side="right")  # count of y <= x
-    below = np.exp(-r * xs) * cum_pos[..., idx_lo]  # sum over y < x of w e^{-a(x-y)}
-    above = np.exp(r * xs) * (cum_neg[..., -1:] - cum_neg[..., idx_hi])  # y > x
-    at = np.exp(-r * xs) * (cum_pos[..., idx_hi] - cum_pos[..., idx_lo])  # y == x
-    even = below + above + at
-    odd = -(below) + above  # -sign(x-y): -1 for y<x, +1 for y>x, 0 at x
+    w = np.asarray(weights, dtype=float)
+    if w.ndim:
+        w = np.broadcast_to(w, y.shape)
+    if not presorted:
+        order, y = stable_order(y)
+        if w.ndim:
+            w = w[order]
+    signed, xs_exps = _kernel_constants(rates, xs) if constants is None else constants
+    # per rate, the prefix sums of w e^{a y} (first block) and w e^{-a y}
+    terms = np.exp(signed * y)
+    terms *= w
+    cum = np.zeros(terms.shape[:-1] + (n + 1,))
+    terms.cumsum(axis=-1, out=cum[..., 1:])
+    idx_lo = y.searchsorted(xs, side="left")  # count of y < x
+    idx_hi = y.searchsorted(xs, side="right")  # count of y <= x
+    exp_pos, exp_neg = xs_exps
+    cum_pos, cum_neg = cum
+    cum_pos_lo = cum_pos[..., idx_lo]
+    cum_hi = cum[..., idx_hi]
+    below = exp_neg * cum_pos_lo  # sum over y < x of w e^{-a(x-y)}
+    above = exp_pos * (cum_neg[..., -1:] - cum_hi[1])  # y > x
+    even = below + above
+    even += exp_neg * (cum_hi[0] - cum_pos_lo)  # y == x
+    odd = above - below  # -sign(x-y): -1 for y<x, +1 for y>x, 0 at x
+    # the totals are finite when their sum is; only when it is not can a
+    # prefix sum that a result uses have overflowed (a non-finite value in
+    # it carries into the result), so only then are the results tested
+    if not math.isfinite(np.add.reduce(cum[..., -1], axis=None)):
+        finite = np.atleast_1d((np.isfinite(even) & np.isfinite(odd)).all(axis=-1))  # per rate
+        if not finite.all():
+            raise NumericsError(
+                "exponential-kernel sums are not finite at rate a = "
+                f"{', '.join(f'{r:g}' for r in np.atleast_1d(rates)[~finite])} with largest "
+                f"|y| = {max(abs(y[0]), abs(y[-1])):g} (a prefix sum of w e^(+-a y) "
+                "overflows once a |y| exceeds about 709)"
+            )
     return even, odd
 
 
@@ -151,11 +189,14 @@ def tanaka_panel_functional(
         raise ValueError(f"lambda must be > 0, got {lams}")
     xs = np.asarray(xs, dtype=float)
     a = np.sqrt(2.0 * np.asarray(lams))
+    a_col = a[:, None]
+    constants = _kernel_constants(a, xs)
 
     def state_fn(state: ParticleState) -> np.ndarray:
         y = _as_1d(state.sorted_positions())
-        even, odd = exp_kernel_sums(y, state.mass_per_particle, a, xs, presorted=True)
-        return np.concatenate([even / a[:, None], odd], axis=1).ravel()
+        even, odd = exp_kernel_sums(y, state.mass_per_particle, a, xs, presorted=True,
+                                    constants=constants)
+        return np.concatenate((even / a_col, odd), axis=1).ravel()
 
     return OccupationFunctional(
         name="tanaka_panel:" + ",".join(f"{lam:g}" for lam in lams),
@@ -204,9 +245,8 @@ def histogram_functional(
     centers = 0.5 * (edges[1:] + edges[:-1])
 
     def state_fn(state: ParticleState) -> np.ndarray:
-        y = _as_1d(state.sorted_positions())
-        idx = np.searchsorted(y, edges)
-        return state.mass_per_particle * np.diff(idx).astype(float)
+        idx = _as_1d(state.sorted_positions()).searchsorted(edges)
+        return state.mass_per_particle * (idx[1:] - idx[:-1])
 
     return OccupationFunctional(
         name=f"histogram:{lo:g}:{hi:g}:{bin_width:g}",
@@ -250,9 +290,9 @@ def psi0_power_functional(lam: float, x1: float, x2: float, beta: float) -> Occu
 
     def state_fn(state: ParticleState) -> np.ndarray:
         inside = state.interval_indices(x1, x2)
-        y = state.positions
-        vals = np.zeros(y.shape)
-        vals[inside] = _psi0_values(a, x1, x2, y[inside]) ** power
+        vals = np.zeros(state.count)
+        if inside.size:
+            vals[inside] = _psi0_values(a, x1, x2, state.positions[inside]) ** power
         # the zeros stay in: this is the reduction state_value applies to a
         # per-particle fn, so the sum is bit for bit the full-array one
         return state.mass_per_particle * vals[:, None].sum(axis=0)

@@ -1,5 +1,6 @@
 """Branching particle engine: initialization, stepping, occupation
 accumulators, event log statistics, and determinism."""
+import dataclasses
 import math
 
 import numpy as np
@@ -23,9 +24,16 @@ from sbmlab.particles import (
     save_events,
     save_snapshots,
     simulate,
+    stable_order,
     step,
 )
 from sbmlab.rng import RngStream
+from sbmlab.tanaka import (
+    histogram_functional,
+    interval_indicator_functional,
+    psi0_power_functional,
+    tanaka_panel_functional,
+)
 
 
 class TestModelParams:
@@ -223,6 +231,103 @@ class TestSimulate:
             assert rec.masses[idx] == 0.0
             assert (rec.masses[idx:] == 0.0).all()
             assert (rec.masses[: idx] > 0.0).all()
+
+
+def _stepwise_integrals(mu, params, functionals, stream):
+    """The reference for simulate's occupation integrals: one trapezoid
+    update per step, cum + 0.5 * (v + v_prev) * dt, kept at the checkpoint
+    steps, and the total-mass trapezoid likewise."""
+    state = init_particles(mu, params, stream)
+    prev = {f.name: f.state_value(state) for f in functionals}
+    cum = {f.name: np.zeros(f.width) for f in functionals}
+    times = {f.name: [0.0] for f in functionals}
+    values = {f.name: [np.zeros(f.width)] for f in functionals}
+    masses, mass_occ = [state.total_mass], [0.0]
+    for i in range(1, params.n_steps + 1):
+        state, _ = step(state, params, stream)
+        state.time = i * params.dt
+        masses.append(state.total_mass)
+        mass_occ.append(mass_occ[-1] + 0.5 * (masses[-1] + masses[-2]) * params.dt)
+        for f in functionals:
+            v = f.state_value(state)
+            cum[f.name] = cum[f.name] + 0.5 * (v + prev[f.name]) * params.dt
+            prev[f.name] = v
+            if i % f.checkpoint_stride == 0 or i == params.n_steps:
+                times[f.name].append(state.time)
+                values[f.name].append(cum[f.name])
+    series = {f.name: (np.asarray(times[f.name]), np.vstack(values[f.name])) for f in functionals}
+    return series, np.asarray(mass_occ)
+
+
+def _functional_set(kind: str, stride: int) -> list[OccupationFunctional]:
+    """The functionals of a harness kind, every one at the given checkpoint stride."""
+    sets = {
+        "tanaka": [tanaka_panel_functional((1.0, 2.0), np.linspace(-1.0, 1.0, 21)),
+                   histogram_functional(-8.0, 8.0, 0.025)],
+        "timechange": [psi0_power_functional(1.0, -0.1, 0.1, 0.5),
+                       interval_indicator_functional(-0.1, 0.1)],
+        "moments": [histogram_functional(-8.0, 8.0, 0.0125)],
+    }
+    return [dataclasses.replace(f, checkpoint_stride=stride) for f in sets[kind]]
+
+
+class TestBlockTrapezoid:
+    """simulate integrates buffered blocks of step values; every series is
+    bit for bit the step-by-step trapezoid."""
+
+    @pytest.mark.parametrize("stride", [1, 7, 100, 10**9])
+    @pytest.mark.parametrize("kind", ["tanaka", "timechange", "moments"])
+    def test_matches_stepwise_trapezoid(self, kind, stride):
+        functionals = _functional_set(kind, stride)
+        runs = [
+            (dirac(0.0), make_params(0.5, 300, 0.5), RngStream(16, 0)),
+            # three particles, extinct at t = 0.25 of 1, after 17 of 68 steps
+            (dirac(0.0, 0.15), make_params(0.5, 20, 1.0), RngStream(31, 1)),
+        ]
+        for mu, params, stream in runs:
+            rec = simulate(mu, params, functionals, RngStream(stream.seed, stream.stream_index))
+            want, mass_occ = _stepwise_integrals(mu, params, functionals, stream)
+            assert params.n_steps > 64  # more than two blocks
+            for f in functionals:
+                times, values = want[f.name]
+                assert np.array_equal(rec.occupations[f.name].times, times)
+                assert np.array_equal(rec.occupations[f.name].values, values)
+            assert np.array_equal(rec.mass_occupation, mass_occ)
+        assert rec.extinction_time == 0.25
+
+
+class TestStableOrder:
+    def test_ties_take_the_stable_order(self):
+        rng = np.random.default_rng(17)
+        keys = rng.choice(np.array([-0.5, -0.0, 0.0, 0.25, 1.0]), 500)
+        order, ordered = stable_order(keys)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert np.array_equal(ordered, keys[order])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000])
+    def test_distinct_keys(self, n):
+        keys = np.random.default_rng(n).normal(size=n)
+        order, ordered = stable_order(keys)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert np.array_equal(ordered, np.sort(keys))
+
+    def test_tied_event_log_sorts_stably(self):
+        rng = np.random.default_rng(18)
+        locations = rng.choice(np.linspace(-1.0, 1.0, 9), 400)
+        net = rng.integers(-1, 5, 400) / 100.0
+        p = make_params(0.5, 100, 0.2)
+        rec = PathRecorder(
+            params=p, step_times=np.array([0.0, 0.2]), masses=np.array([1.0, 1.0]),
+            mass_occupation=np.array([0.0, 0.2]), occupations={},
+            snapshot_times=np.array([0.0, 0.2]), snapshots=[np.zeros(100), np.zeros(100)],
+            event_times=np.full(400, 0.1), event_locations=locations,
+            event_offspring=np.rint(100 * net).astype(np.int64) + 1, event_net_mass=net,
+            extinction_time=math.inf, final_positions=np.zeros(100),
+        )
+        order = np.argsort(locations, kind="stable")
+        got_locations, got_net = rec.sorted_events_until(0.2)
+        assert np.array_equal(got_locations, locations[order])
+        assert np.array_equal(got_net, net[order])
 
 
 class TestEventStatistics:

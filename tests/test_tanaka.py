@@ -7,13 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from sbmlab.config import parse_config_text
-from sbmlab.errors import ConfigError, UsageError
+from sbmlab.errors import ConfigError, NumericsError, UsageError
 from sbmlab.harness import run_experiment
 from sbmlab.kernels import g_lambda, heat_kernel
 from sbmlab.kernels import green_closed
 from sbmlab.measures import FiniteMeasure, dirac, gridded_density
 from sbmlab.particles import OccupationFunctional, ParticleState, make_params, simulate
 from sbmlab.rng import RngStream
+from sbmlab.tanaka import _kernel_constants
 from sbmlab.tanaka import (
     _initial_terms,
     estimate_local_time,
@@ -29,6 +30,33 @@ from sbmlab.tanaka import (
     tanaka_panel_terms,
     tanaka_terms,
 )
+
+
+def _reference_exp_kernel_sums(y, weights, a, xs, presorted=False):
+    """The kernel sums as first written (broadcast weights, a stable sort,
+    each exponential and gather formed on its own): exp_kernel_sums must
+    give these bit for bit."""
+    rates = np.asarray(a, dtype=float)
+    n, m = y.size, xs.size
+    if n == 0:
+        return np.zeros(rates.shape + (m,)), np.zeros(rates.shape + (m,))
+    w = np.broadcast_to(np.asarray(weights, dtype=float), y.shape)
+    if presorted:
+        ys, ws = y, w
+    else:
+        order = np.argsort(y, kind="stable")
+        ys, ws = y[order], w[order]
+    r = rates[..., None]
+    cum_pos = np.zeros(r.shape[:-1] + (n + 1,))
+    cum_neg = np.zeros(r.shape[:-1] + (n + 1,))
+    np.cumsum(ws * np.exp(r * ys), axis=-1, out=cum_pos[..., 1:])
+    np.cumsum(ws * np.exp(-r * ys), axis=-1, out=cum_neg[..., 1:])
+    idx_lo = np.searchsorted(ys, xs, side="left")
+    idx_hi = np.searchsorted(ys, xs, side="right")
+    below = np.exp(-r * xs) * cum_pos[..., idx_lo]
+    above = np.exp(r * xs) * (cum_neg[..., -1:] - cum_neg[..., idx_hi])
+    at = np.exp(-r * xs) * (cum_pos[..., idx_hi] - cum_pos[..., idx_lo])
+    return below + above + at, -(below) + above
 
 
 class TestExpKernelSums:
@@ -70,6 +98,67 @@ class TestExpKernelSums:
                 even_r, odd_r = exp_kernel_sums(ys, w, float(a), xs, presorted=presorted)
                 assert np.array_equal(even[r], even_r)
                 assert np.array_equal(odd[r], odd_r)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_bit_for_bit(self, seed):
+        # points on the panel points (exact hits, ties) and between them
+        rng = np.random.default_rng(seed)
+        xs = np.linspace(-1.5, 1.5, 31)
+        n = int(rng.integers(1, 600))
+        y = np.where(rng.random(n) < 0.3, rng.choice(xs, n), rng.normal(0, 1, n))
+        weights = rng.normal(0, 1e-2, n) if seed % 2 else 1e-3
+        a = np.sqrt(2.0 * np.array([0.5, 2.0])) if seed % 4 < 2 else 1.7
+        want = _reference_exp_kernel_sums(y, weights, a, xs)
+        for got in (exp_kernel_sums(y, weights, a, xs),
+                    exp_kernel_sums(y, weights, a, xs, constants=_kernel_constants(a, xs))):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        order = np.argsort(y, kind="stable")
+        w_sorted = weights[order] if np.ndim(weights) else weights
+        want = _reference_exp_kernel_sums(y[order], w_sorted, a, xs, presorted=True)
+        got = exp_kernel_sums(y[order], w_sorted, a, xs, presorted=True)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_panel_values_match_reference(self, panel_grid):
+        lams = (0.5, 2.0)
+        a = np.sqrt(2.0 * np.array(lams))
+        panel = tanaka_panel_functional(lams, panel_grid)
+        rng = np.random.default_rng(19)
+        for positions in (np.zeros(50), rng.choice(panel_grid, 80), rng.normal(0, 0.5, 300)):
+            state = ParticleState(0.1, positions, 0.02)
+            even, odd = _reference_exp_kernel_sums(np.sort(positions), 0.02, a, panel_grid,
+                                                   presorted=True)
+            want = np.concatenate([even / a[:, None], odd], axis=1).ravel()
+            assert np.array_equal(panel.state_value(state), want)
+
+    @pytest.mark.parametrize("y", [[-400.0, 0.0, 400.0], [-400.0, 0.0]])
+    @pytest.mark.parametrize("a", [20.0, np.array([1.0, 20.0])])
+    def test_overflow_is_loud(self, a, y):
+        # lambda = 200: a |y| = 8000 at y = -400, far past exp's range; the
+        # total of w e^{-a y} overflows, and every panel point uses it
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericsError, match=r"rate a = 20 with largest \|y\| = 400"
+        ):
+            exp_kernel_sums(np.array(y), 1e-3, a, np.linspace(-1.0, 1.0, 5))
+
+    @pytest.mark.parametrize("a", [20.0, np.array([1.0, 20.0])])
+    def test_overflow_right_of_the_panel_is_unused(self, a):
+        # w e^{a y} overflows only at y = 400, to the right of every panel
+        # point, and no sum uses a prefix sum past it
+        y, w, xs = np.array([0.0, 400.0]), 1e-3, np.linspace(-1.0, 1.0, 5)
+        with np.errstate(over="ignore"):
+            even, odd = exp_kernel_sums(y, w, a, xs)
+            want = _reference_exp_kernel_sums(y, w, a, xs)
+        assert np.array_equal(even, want[0]) and np.array_equal(odd, want[1])
+        for r, rate in enumerate(np.atleast_1d(a)):
+            kernel = w * np.exp(-rate * np.abs(xs[:, None] - y))
+            # the prefix sums drop terms below e^-36 of the total, such as
+            # w e^-400 at rate 1
+            np.testing.assert_allclose(np.atleast_2d(even)[r], kernel.sum(axis=1),
+                                       rtol=1e-14, atol=1e-18)
+            np.testing.assert_allclose(np.atleast_2d(odd)[r],
+                                       (-np.sign(xs[:, None] - y) * kernel).sum(axis=1),
+                                       rtol=1e-14, atol=1e-18)
 
 
 class TestSharedWork:
