@@ -41,16 +41,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import fft
+from numpy import fft
 
 from .errors import NumericsError
 from .measures import FiniteMeasure
 from .particles import interp_rows
-from .textio import fnum
 
 __all__ = [
     "GridSpec",
@@ -59,7 +57,6 @@ __all__ = [
     "solve_mild",
     "grid_violations",
     "heat_matrix",
-    "save_solution_csv",
     "smoothed_indicator",
 ]
 
@@ -121,6 +118,21 @@ def heat_matrix(s: float, x_grid: np.ndarray) -> np.ndarray:
     return m
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer 2^a 3^b 5^c >= n >= 1: the real-FFT
+    length that `scipy.fft.next_fast_len(n, real=True)` picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to n or above
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 class HeatSemigroup:
     """`heat_matrix(s, x_grid)` for each of the given times s > 0, applied as
     FFT convolutions and never formed: row k applies the matrix at times[k].
@@ -135,7 +147,7 @@ class HeatSemigroup:
         if (times <= 0).any():
             raise ValueError("times must be > 0")
         self.nx = x_grid.size
-        self.n_fft = n_fft = fft.next_fast_len(2 * self.nx - 1, real=True)  # no wrap-around
+        self.n_fft = n_fft = _next_fast_len(2 * self.nx - 1)  # no wrap-around
         self.weights = _trapezoid_weights(x_grid)
         # circular lags; the first nx outputs read only those below nx
         lag = np.arange(n_fft)
@@ -271,14 +283,6 @@ def solve_mild(
         x_grid=x_grid, t_grid=t_grid, values=v, residual=residual, iterations=iterations,
         beta=beta,
     )
-
-
-def save_solution_csv(sol: LogLaplaceSolution, path: str | Path) -> None:
-    lines = ["t,x,v"]
-    for i, t in enumerate(sol.t_grid):
-        for j, x in enumerate(sol.x_grid):
-            lines.append(f"{fnum(t)},{fnum(x)},{fnum(sol.values[i, j])}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def smoothed_indicator(a: float, b: float, height: float, ramp: float):

@@ -40,7 +40,6 @@ __all__ = [
     "step",
     "simulate",
     "martingale_event_sum",
-    "extract_big_jumps",
     "interval_jump_max",
     "save_events",
     "load_events",
@@ -460,7 +459,10 @@ class _BlockTrapezoid:
 
     def __init__(self, f: OccupationFunctional, n_steps: int, dt: float, v0: np.ndarray):
         stride = f.checkpoint_stride
-        self.steps = np.unique(np.r_[0 : n_steps + 1 : stride, n_steps])
+        # every stride-th step and the last; not np.unique, whose first call
+        # imports numpy.ma
+        steps = np.arange(0, n_steps + 1, stride)
+        self.steps = steps if steps[-1] == n_steps else np.append(steps, n_steps)
         self.dt = dt
         rows = min(n_steps, _BLOCK_STEPS) + 1
         self.values = np.empty((rows, f.width))
@@ -589,19 +591,6 @@ def martingale_event_sum(recorder: PathRecorder, f, t: float) -> float:
         return 0.0
     vals = np.asarray(f(recorder.event_locations[sl]))
     return float(np.sum(vals * recorder.event_net_mass[sl]))
-
-
-def extract_big_jumps(recorder: PathRecorder, threshold: float) -> list[tuple]:
-    """All logged events with net mass strictly above the threshold."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    mask = recorder.event_net_mass > threshold
-    times = recorder.event_times[mask]
-    locs = recorder.event_locations[mask]
-    sizes = recorder.event_net_mass[mask]
-    if recorder.params.dim == 1:
-        return [(float(t), float(x), float(r)) for t, x, r in zip(times, locs, sizes)]
-    return [(float(t), (float(x[0]), float(x[1])), float(r)) for t, x, r in zip(times, locs, sizes)]
 
 
 def interval_jump_max(recorder: PathRecorder, x1: float, x2: float, t: float) -> float:

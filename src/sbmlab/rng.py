@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from numpy.random import Generator, Philox
 
 __all__ = [
     "RngStream",
@@ -38,13 +38,13 @@ class RngStream:
 
     seed: int
     stream_index: int
-    gen: np.random.Generator = field(init=False, repr=False, compare=False)
+    gen: Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.stream_index < 0:
             raise ValueError(f"stream_index must be >= 0, got {self.stream_index}")
         key = (self.seed & _MASK64) | ((self.stream_index & _MASK64) << 64)
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        self.gen = Generator(Philox(key=key))
 
 
 def make_streams(seed: int, count: int) -> list[RngStream]:
@@ -81,22 +81,27 @@ def offspring_pmf(beta: float, k: int) -> float:
         return 0.0
     log_p = (
         math.log(beta)
-        + gammaln(k - 1 - beta)
-        - gammaln(1.0 - beta)
-        - gammaln(k + 1.0)
+        + math.lgamma(k - 1 - beta)
+        - math.lgamma(1.0 - beta)
+        - math.lgamma(k + 1.0)
     )
     return float(math.exp(log_p))
+
+
+# math.lgamma elementwise: a float for a 0-d input, else an object array
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 
 def _survival(beta: float, k) -> np.ndarray:
     """Exact P(K > k) for integer k >= 1 (vectorized)."""
     k_arr = np.asarray(k, dtype=np.float64)
-    return np.exp(
+    log_t = (
         math.log(beta / (1.0 + beta))
-        + gammaln(k_arr - beta)
-        - gammaln(1.0 - beta)
-        - gammaln(k_arr + 1.0)
+        + _lgamma(k_arr - beta)
+        - math.lgamma(1.0 - beta)
+        - _lgamma(k_arr + 1.0)
     )
+    return np.exp(np.asarray(log_t, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -140,9 +145,9 @@ class OffspringLaw:
         # sum has the closed form Gamma(K+1-beta)/((1+beta) Gamma(1-beta) K!).
         kt = self.k_table
         tail_sum = math.exp(
-            gammaln(kt + 1.0 - self.beta)
-            - gammaln(1.0 - self.beta)
-            - gammaln(kt + 1.0)
+            math.lgamma(kt + 1.0 - self.beta)
+            - math.lgamma(1.0 - self.beta)
+            - math.lgamma(kt + 1.0)
         ) / (1.0 + self.beta)
         return table_mean + (kt + 1) * self.tail_mass + tail_sum
 

@@ -360,20 +360,37 @@ class TestMerge:
             merge_reports([a, b], tmp_path / "m")
 
 
+def _scipy_modules_after(code: str) -> str:
+    """Run code in a fresh interpreter that imports this sbmlab, and return
+    what it prints last: the sorted names of the loaded scipy modules."""
+    src = str(Path(sbmlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    return out.stdout.strip().splitlines()[-1]
+
+
 class TestCli:
-    def test_import_loads_no_stats_or_quadrature(self):
-        # scipy.stats and scipy.integrate take about half of the start-up time;
-        # only the holder fit and the Green's function oracle use them
-        src = str(Path(sbmlab.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
+    def test_import_loads_no_scipy(self):
+        # scipy's import is about half of the start-up time; only the holder
+        # fit, the stabletails oracle and the Green's function oracle use it,
+        # and they import it where they call it
+        assert _scipy_modules_after("import sbmlab.cli") == "[]"
+
+    def test_particle_and_duality_runs_load_no_scipy(self, tmp_path):
+        calls = []
+        for kind in ("simulate", "tanaka", "timechange", "duality", "moments", "jumps"):
+            cfgfile = tmp_path / f"{kind}.cfg"
+            cfgfile.write_text(f"beta = 0.5\nseed = 3\n{TINY[kind]}")
+            calls.append([kind, "--config", str(cfgfile), "--out", str(tmp_path / kind)])
         code = (
-            "import sys, sbmlab.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+            "from sbmlab.cli import main\n"
+            f"for argv in {calls!r}:\n"
+            "    assert main(argv) == 0, argv"
         )
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert out.stdout.strip() == "[]"
+        assert _scipy_modules_after(code) == "[]"
 
     def test_validation_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
 from sbmlab.config import parse_config_text
 from sbmlab.errors import NumericsError
@@ -12,8 +13,9 @@ from sbmlab.harness import run_experiment
 from sbmlab.loglaplace import (
     GridSpec,
     HeatSemigroup,
+    _next_fast_len,
+    _trapezoid_weights,
     heat_matrix,
-    save_solution_csv,
     smoothed_indicator,
     solve_mild,
 )
@@ -175,6 +177,44 @@ class TestSolver:
         with pytest.raises(ValueError):
             HeatSemigroup([0.0], x)
 
+    def test_fft_length_is_scipy_next_fast_len(self):
+        ns = range(1, 5001)
+        assert [_next_fast_len(n) for n in ns] == [
+            scipy_fft.next_fast_len(n, real=True) for n in ns
+        ]
+
+    def test_semigroup_bit_equal_to_scipy_fft(self):
+        # numpy.fft and scipy.fft share the pocketfft algorithms; at the
+        # solver's shapes they give the same bits: 401 points, one time per
+        # row of the duality grid and its substeps, applied to one function
+        # or to one function per time
+        x = GridSpec().x_grid
+        times = np.concatenate([np.arange(1, 4) / 600.0, np.arange(1, 151) / 150.0])
+        u = np.random.default_rng(5).uniform(0.0, 1.0, (times.size, x.size))
+        heat = HeatSemigroup(times, x)
+        got = [heat.apply(slice(None), heat.transform(v)) for v in (u[0], u)]
+
+        n_fft = scipy_fft.next_fast_len(2 * x.size - 1, real=True)
+        w = _trapezoid_weights(x)
+        lag = np.arange(n_fft)
+        d = np.minimum(lag, n_fft - lag) * (x[1] - x[0])
+        s = times[:, None]
+        kernel = np.exp(-d * d / (2.0 * s))
+        kernel[d > 8.0 * np.sqrt(s)] = 0.0
+        spectra = scipy_fft.rfft(kernel, axis=-1).real
+
+        def convolve(spec, v_hat):
+            return scipy_fft.irfft(spec * v_hat, n=n_fft, axis=-1)[..., : x.size]
+
+        row_sums = convolve(spectra, scipy_fft.rfft(w, n=n_fft))
+        want = [convolve(spectra, scipy_fft.rfft(w * v, n=n_fft, axis=-1)) / row_sums
+                for v in (u[0], u)]
+        assert heat.n_fft == n_fft
+        np.testing.assert_array_equal(heat.spectra, spectra)
+        np.testing.assert_array_equal(heat.row_sums, row_sums)
+        for g, wnt in zip(got, want):
+            np.testing.assert_array_equal(g, wnt)
+
     def test_at_time_matches_column_interp(self):
         phi = smoothed_indicator(-1, 1, 0.5, 0.25)
         sol = solve_mild(phi, 0.5, 0.5, GridSpec(-4, 4, 41, 10))
@@ -212,14 +252,6 @@ class TestSolver:
             solve_mild(constant_phi(-1.0), 1.0, 0.5, GridSpec(nx=51, nt=10))
         with pytest.raises(ValueError):
             solve_mild(constant_phi(1.0), 0.0, 0.5, GridSpec(nx=51, nt=10))
-
-    def test_csv_emission(self, tmp_path):
-        sol = solve_mild(constant_phi(0.5), 0.2, 0.5, GridSpec(-2, 2, 21, 5))
-        path = tmp_path / "v.csv"
-        save_solution_csv(sol, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,x,v"
-        assert len(lines) == 1 + 6 * 21
 
 
 def run_duality(tmp_path, settings):

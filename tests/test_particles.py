@@ -16,7 +16,6 @@ from sbmlab.particles import (
     PathRecorder,
     ParticleState,
     interval_jump_max,
-    extract_big_jumps,
     init_particles,
     load_events,
     make_params,
@@ -349,22 +348,6 @@ class TestEventStatistics:
         )
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean()) <= 3 * se
-
-    def test_extract_big_jumps_empty(self, bare_recorders):
-        _, _, recs = bare_recorders
-        rec = recs[0]
-        top = rec.event_net_mass.max()
-        assert extract_big_jumps(rec, top * 1.01) == []
-        with pytest.raises(ValueError):
-            extract_big_jumps(rec, 0.0)
-
-    def test_extract_big_jumps_threshold(self, bare_recorders):
-        _, _, recs = bare_recorders
-        rec = recs[0]
-        jumps = extract_big_jumps(rec, 10.5 / 500)
-        assert len(jumps) == int(np.sum(rec.event_net_mass > 10.5 / 500))
-        for t, x, r in jumps:
-            assert r > 10.5 / 500 and 0 <= t <= rec.horizon
 
     def test_interval_jump_max_synthetic(self):
         # single injected event: (t=0.1, x=0, offspring=51) at N=100

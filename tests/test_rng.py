@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import ks_1samp, ks_2samp, levy_stable
 
+from sbmlab import rng
 from sbmlab.rng import (
     OffspringLaw,
     RngStream,
@@ -76,6 +78,67 @@ class TestOffspringPmf:
             assert float(law.survival(k)) == pytest.approx(
                 1.0 - law.cdf_table[k], abs=1e-12
             )
+
+
+def _gammaln_survival(beta, k):
+    """P(K > k) as it was computed with scipy's log-gamma."""
+    k = np.asarray(k, dtype=np.float64)
+    return np.exp(
+        math.log(beta / (1.0 + beta)) + gammaln(k - beta) - gammaln(1.0 - beta) - gammaln(k + 1.0)
+    )
+
+
+def _lgamma_rtol(*args):
+    """Relative tolerance between exp of a sum of log-gamma terms and the same
+    with scipy's log-gamma: 1e-13, plus four units in the last place of each
+    term, since each implementation rounds its result to about one unit.
+    Beyond k of about 20 the units dominate: about 1e-11 at k = 1e4."""
+    return 1e-13 + 4 * np.finfo(float).eps * sum(np.abs(gammaln(a)) for a in args)
+
+
+class TestLogGamma:
+    """math.lgamma in the law's Gamma ratios, against scipy.special.gammaln."""
+
+    KS = np.unique(np.round(np.logspace(np.log10(2.0), 7.0, 300)))
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 0.95])
+    def test_matches_gammaln(self, beta):
+        ks = self.KS
+        want = _gammaln_survival(beta, ks)
+        got = rng._survival(beta, ks)
+        assert (np.abs(got / want - 1.0) <= _lgamma_rtol(ks - beta, ks + 1.0, 1.0 - beta)).all()
+        for k in ks:
+            want_p = math.exp(
+                math.log(beta) + gammaln(k - 1 - beta) - gammaln(1.0 - beta) - gammaln(k + 1.0)
+            )
+            rtol = _lgamma_rtol(k - 1 - beta, k + 1.0, 1.0 - beta)
+            assert abs(offspring_pmf(beta, int(k)) / want_p - 1.0) <= rtol
+        law = make_offspring_law(beta)
+        kt = law.k_table
+        rtol = _lgamma_rtol(kt - beta, kt + 1.0, 1.0 - beta)
+        tail_mass = float(_gammaln_survival(beta, kt))
+        assert abs(law.tail_mass / tail_mass - 1.0) <= rtol
+        # the mean's tail terms, (K+1) T_K and the survival tail sum, each
+        # carry the tolerance of their Gamma ratio
+        tail_sum = math.exp(
+            gammaln(kt + 1.0 - beta) - gammaln(1.0 - beta) - gammaln(kt + 1.0)
+        ) / (1.0 + beta)
+        table_mean = float((np.arange(kt + 1) * law.pmf_table).sum())
+        want_mean = table_mean + (kt + 1) * tail_mass + tail_sum
+        slack = rtol * ((kt + 1) * tail_mass + tail_sum) + 4 * np.finfo(float).eps
+        assert abs(law.mean() - want_mean) <= slack
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+    def test_draws_match_gammaln_survival(self, beta, monkeypatch):
+        # a table of 20 sends about 100 (beta 0.8) to 700 (beta 0.3) of the
+        # 200 000 draws through the tail inversion, each of which evaluates
+        # the survival tens of times
+        law = make_offspring_law(beta, k_table=20)
+        got = sample_offspring(RngStream(17, 0), law, 200_000)
+        monkeypatch.setattr(rng, "_survival", _gammaln_survival)
+        want = sample_offspring(RngStream(17, 0), law, 200_000)
+        assert (want > 20).sum() > 50
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSampleOffspring:
