@@ -252,7 +252,9 @@ def _record_moments(cfg: ExperimentConfig, rec, mu0) -> dict:
 
 def _jump_levels(cfg: ExperimentConfig) -> np.ndarray:
     lo, hi, count = cfg.jump_units
-    ms = np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi), int(count))))
+    ms = np.sort(np.round(np.logspace(np.log10(lo), np.log10(hi), int(count))))
+    # drop rounding duplicates (np.unique would import numpy.ma inside the run)
+    ms = ms[np.diff(ms, prepend=-np.inf) > 0]
     return (ms + 0.5) / cfg.n_scale
 
 

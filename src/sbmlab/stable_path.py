@@ -1,7 +1,7 @@
-"""Spectrally positive stable-process side: path simulation, sup/inf tail
-experiments, and the interval time change T(t) behind the harness
-`timechange` kind's check that the interval martingale is a time-changed
-stable process.
+"""Spectrally positive stable-process side: sup/inf tail experiments on
+skeleton paths of i.i.d. stable increments, and the interval time change
+T(t) behind the harness `timechange` kind's check that the interval
+martingale is a time-changed stable process.
 
 The time change is T(t) = int_0^t <X_s, psi0^(1+beta)> ds for the interval
 integrand psi0 (supported on [x1, x2], bounded by 2), accumulated exactly on
@@ -24,8 +24,6 @@ from .rng import RngStream, StableParams, sample_stable_increment
 from .tanaka import psi0
 
 __all__ = [
-    "StablePath",
-    "simulate_stable_path",
     "inf_tail_oracle",
     "inf_tail_probability",
     "sup_smalljump_probability",
@@ -34,39 +32,6 @@ __all__ = [
     "compute_T",
     "interval_martingale",
 ]
-
-
-@dataclass
-class StablePath:
-    """Discrete skeleton of a spectrally positive (1+beta)-stable process.
-
-    increments double as the per-step jump proxy: a step increment above a
-    threshold is treated as a jump of that size (conservative: it overcounts
-    jump sizes by the small continuous part of the step)."""
-
-    beta: float
-    delta: float
-    times: np.ndarray  # (m+1,)
-    values: np.ndarray  # cumulative, values[0] = 0
-    increments: np.ndarray  # (m,)
-
-
-def simulate_stable_path(
-    stream: RngStream, beta: float, t_end: float, delta: float
-) -> StablePath:
-    """Cumulative sums of i.i.d. stable increments of duration delta."""
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if t_end < 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
-    m = int(round(t_end / delta)) if t_end > 0 else 0
-    params = StableParams(alpha=1.0 + beta)
-    if m == 0:
-        return StablePath(beta, delta, np.zeros(1), np.zeros(1), np.empty(0))
-    inc = sample_stable_increment(stream, params, delta, size=m)
-    values = np.concatenate([[0.0], np.cumsum(inc)])
-    times = np.arange(m + 1) * delta
-    return StablePath(beta, delta, times, values, inc)
 
 
 def _path_increment_matrix(

@@ -7,7 +7,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -362,11 +361,15 @@ class TestMerge:
 
 def _scipy_modules_after(code: str) -> str:
     """Run code in a fresh interpreter that imports this sbmlab, and return
-    what it prints last: the sorted names of the loaded scipy modules."""
+    what it prints last: the sorted names of the loaded scipy modules, and
+    numpy.ma if it is loaded (np.unique imports it on its first call)."""
     src = str(Path(sbmlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code += (
+        "\nimport sys; print(sorted(m for m in sys.modules"
+        " if m.startswith('scipy') or m == 'numpy.ma'))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=300)
     return out.stdout.strip().splitlines()[-1]
@@ -541,10 +544,13 @@ class TestRegistry:
             "beta = 0.5\nseed = 3\nn_scale = 1\nt_end = 0.1\nreplicas = 3\n", kind="moments"
         )
         cfg.out = str(tmp_path / "m")
-        assert run_experiment(cfg).status == "degraded"
+        # numpy warns of the log of 0 (record and slope) and of inf - inf (the se)
+        with pytest.warns(RuntimeWarning):
+            assert run_experiment(cfg).status == "degraded"
         records = (tmp_path / "m" / "records.jsonl").read_text()
         assert None in [strict_json(row)["log_increment:d=0.05"] for row in records.splitlines()]
-        merge_reports([tmp_path / "m"], tmp_path / "merged")
+        with pytest.warns(RuntimeWarning):
+            merge_reports([tmp_path / "m"], tmp_path / "merged")
         assert (tmp_path / "merged" / "records.jsonl").read_text() == records
 
 

@@ -1,5 +1,5 @@
-"""Stable path simulation, tail experiments, and the interval time change
-(its Laplace-curve check run through the harness)."""
+"""Stable-path tail experiments and the interval time change (its
+Laplace-curve check run through the harness)."""
 import json
 import math
 
@@ -18,50 +18,9 @@ from sbmlab.stable_path import (
     inf_tail_oracle,
     inf_tail_probability,
     interval_martingale,
-    simulate_stable_path,
     sup_smalljump_probability,
 )
 from sbmlab.tanaka import psi0
-
-
-class TestStablePath:
-    def test_t_end_zero(self):
-        path = simulate_stable_path(RngStream(0, 0), 0.5, 0.0, 0.01)
-        assert path.values.shape == (1,)
-        assert path.values[0] == 0.0
-
-    def test_reproducible(self):
-        a = simulate_stable_path(RngStream(1, 0), 0.5, 1.0, 1 / 128)
-        b = simulate_stable_path(RngStream(1, 0), 0.5, 1.0, 1 / 128)
-        assert np.array_equal(a.values, b.values)
-
-    def test_terminal_laplace(self):
-        vals = []
-        stream = RngStream(2, 0)
-        for _ in range(50):
-            path = simulate_stable_path(stream, 0.5, 1.0, 1 / 16)
-            vals.append(path.values[-1])
-        # pooled with direct increments for power: terminal of a 16-step path
-        # is one stable increment of duration 1 in distribution
-        from sbmlab.rng import StableParams, sample_stable_increment
-
-        direct = sample_stable_increment(stream, StableParams(alpha=1.5), 1.0, size=10**5)
-        both = np.concatenate([vals, direct])
-        e = np.exp(-both)
-        se = e.std(ddof=1) / math.sqrt(e.size)
-        assert abs(e.mean() - math.e) <= 3 * se
-
-    def test_negative_excursions_common(self):
-        stream = RngStream(3, 0)
-        hits = 0
-        for _ in range(200):
-            path = simulate_stable_path(stream, 0.5, 1.0, 1 / 64)
-            hits += path.values.min() < 0
-        assert hits / 200 > 0.5
-
-    def test_delta_validation(self):
-        with pytest.raises(ValueError):
-            simulate_stable_path(RngStream(0, 0), 0.5, 1.0, 0.0)
 
 
 class TestInfTail:
