@@ -20,12 +20,13 @@ reports them together.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .loglaplace import grid_violations
-from .continuity import criterion_violations
+from .continuity import criterion_violations, dyadic_lags
 from .particles import model_violations, whole_step_dt
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text", "config_hash", "KINDS"]
@@ -52,6 +53,15 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
+def _whole(value: float, least: int) -> bool:
+    return float(value).is_integer() and value >= least
+
+
+def _is_range(values: tuple[float, ...]) -> bool:
+    """Two finite values lo < hi."""
+    return len(values) == 2 and all(map(math.isfinite, values)) and values[0] < values[1]
+
+
 @dataclass
 class ExperimentConfig:
     kind: str = "simulate"
@@ -62,7 +72,7 @@ class ExperimentConfig:
     t_end: float = 0.5
     dim: int = 1
     particle_cap: int = 10_000_000
-    snapshot_stride: int = 1
+    snapshot_stride: int = 1  # only for the kinds that keep snapshots (Kind.keeps)
     initial_measure: str | None = None  # measure file path; default is delta_0
     # orchestration
     replicas: int = 100
@@ -176,8 +186,31 @@ class ExperimentConfig:
         if self.kind == "duality":
             errs.extend(grid_violations(self.solver_x_min, self.solver_x_max, self.solver_nx,
                                         self.solver_nt, prefix="solver_"))
-        if self.kind == "unbounded2d" and self.dim != 2:
-            errs.append("unbounded2d requires dim = 2")
+        if self.kind == "unbounded2d":
+            if self.dim != 2:
+                errs.append("unbounded2d requires dim = 2")
+            if not _is_range(self.window):
+                errs.append(f"window must be two finite values lo < hi, got {self.window}")
+            if not (self.resolutions and all(0 < h < math.inf for h in self.resolutions)):
+                errs.append(f"resolutions must be one or more finite bin widths > 0, "
+                            f"got {self.resolutions}")
+        if self.kind == "tanaka" and self.x_panel and not (
+            len(self.x_panel) == 3 and _is_range(self.x_panel[:2]) and _whole(self.x_panel[2], 2)
+        ):
+            errs.append(f"x_panel must be empty (the panel -1 1 41) or min max count, with "
+                        f"finite min < max and a whole count >= 2, got {self.x_panel}")
+        if self.kind == "jumps" and not (
+            len(self.jump_units) == 3 and all(0 < u < math.inf for u in self.jump_units[:2])
+            and _whole(self.jump_units[2], 1)
+        ):
+            errs.append(f"jump_units must be min max count, with finite min, max > 0 and a "
+                        f"whole count >= 1, got {self.jump_units}")
+        if self.kind == "holder" and not (
+            len(self.holder_lags) == 2 and all(_whole(lag, 1) for lag in self.holder_lags)
+            and len(dyadic_lags(*self.holder_lags)) >= 3
+        ):
+            errs.append(f"holder_lags must be two whole lags lo hi >= 1 with at least three "
+                        f"powers of two between them, got {self.holder_lags}")
         if self.kind == "stabletails" and self.path_steps < 1:
             errs.append(f"path_steps must be >= 1, got {self.path_steps}")
         if self.kind == "criterion":

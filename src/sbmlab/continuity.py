@@ -39,6 +39,7 @@ __all__ = [
     "gs_series",
     "modulus_tail_sum",
     "HolderFit",
+    "dyadic_lags",
     "holder_exponent",
     "unboundedness_probe",
 ]
@@ -293,6 +294,11 @@ class HolderFit:
         return self.ci_low <= target <= self.ci_high
 
 
+def dyadic_lags(lo: float, hi: float) -> list[int]:
+    """The lags `holder_exponent` fits on: the powers of two 1..2^29 in [lo, hi]."""
+    return [lag for lag in (2**j for j in range(30)) if lo <= lag <= hi]
+
+
 def holder_exponent(
     samples,
     scale_range: tuple[int, int] = (1, 64),
@@ -312,7 +318,7 @@ def holder_exponent(
     if not np.all(np.isfinite(values)):
         raise ValueError("field must be finite")
     lo, hi = scale_range
-    lags = [l for l in (2**j for j in range(0, 30)) if lo <= l <= min(hi, values.size - 1)]
+    lags = dyadic_lags(lo, min(hi, values.size - 1))
     if len(lags) < 3:
         raise ValueError("scale_range admits fewer than 3 dyadic lags")
     osc = []

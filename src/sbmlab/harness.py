@@ -11,6 +11,15 @@ path-free kind (stabletails, criterion, holder) supplies one `run` function
 instead.  `check` holds the kind's acceptance thresholds.  `run_experiment`,
 `merge_reports`, `check_report` and the CLI subcommands all read this table.
 
+What a replica keeps: a path's masses, occupation integrals and positions at
+t = 0 and t_end always; beyond them only what the kind's record reads, as
+its `keeps` declares.  The event log costs about 56 bytes per branch event
+at its peak and the snapshots one copy of the positions per stride, so
+duality keeps neither (a recorder without the log still counts its events),
+unbounded2d the snapshots, tanaka, moments, jumps and timechange the events,
+and simulate both, for its path files.  `snapshot_stride` applies only to the
+kinds that keep snapshots.  Nothing kept or dropped changes a draw.
+
 Determinism contract: replica i always uses the stream (seed, replica_start
 + i) regardless of worker count; cap-hit replicas are resampled on stream
 (seed, i + attempt * 2^32) and counted into the censoring rate.  Merged
@@ -37,7 +46,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -56,7 +64,7 @@ from .continuity import CriterionParams, gs_series, holder_exponent, unboundedne
 from .errors import ConfigError, ResourceLimitError
 from .loglaplace import GridSpec, smoothed_indicator, solve_mild
 from .measures import FiniteMeasure, dirac, load_measure
-from .particles import make_params, save_events, save_snapshots, simulate
+from .particles import KEEP_ALL, make_params, save_events, save_snapshots, simulate
 from .rng import RngStream
 from .textio import fnum
 from .stable_path import (
@@ -146,6 +154,8 @@ def _initial_measure(cfg: ExperimentConfig) -> FiniteMeasure:
 
 
 def _model_params(cfg: ExperimentConfig):
+    # the stride concerns only the kinds that keep the snapshots between the ends
+    stride = cfg.snapshot_stride if "snapshots" in REGISTRY[cfg.kind].keeps else 1
     return make_params(
         cfg.beta,
         cfg.n_scale,
@@ -153,7 +163,7 @@ def _model_params(cfg: ExperimentConfig):
         dim=cfg.dim,
         dt=cfg.dt,
         particle_cap=cfg.particle_cap,
-        snapshot_stride=cfg.snapshot_stride,
+        snapshot_stride=stride,
     )
 
 
@@ -289,7 +299,7 @@ def _run_one_replica(cfg: ExperimentConfig, index: int, out_dir: str) -> dict:
     while True:
         stream = RngStream(cfg.seed, index + (attempt << 32))
         try:
-            rec = simulate(mu0, params, functionals, stream)
+            rec = simulate(mu0, params, functionals, stream, keep=kind.keeps)
             break
         except ResourceLimitError:
             attempt += 1
@@ -314,6 +324,9 @@ def _run_replicas(cfg: ExperimentConfig, out_dir: str) -> dict[int, dict]:
     indices = range(cfg.replica_start, cfg.replica_start + cfg.replicas)
     if cfg.workers == 1:
         return {i: _run_one_replica(cfg, i, out_dir) for i in indices}
+    # imported here: it loads multiprocessing, which a one-worker run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     # one task per replica: a free worker takes the next index, so a slow
     # replica holds up one worker, not a whole static stripe
     lines = canonical_lines(cfg)
@@ -365,7 +378,7 @@ def _finalize_tanaka(cfg, records, merged, out_dir, cfg_hash) -> dict:
     # decomposition table for the first recorded replica, on the full panel
     mu0 = _initial_measure(cfg)
     rec = simulate(mu0, _model_params(cfg), _tanaka_functionals(cfg),
-                   RngStream(cfg.seed, cfg.replica_start))
+                   RngStream(cfg.seed, cfg.replica_start), keep=REGISTRY["tanaka"].keeps)
     rows = []
     for lam in (cfg.lam, cfg.lam_alt):
         p = tanaka_panel_terms(rec, mu0, lam, cfg.t_end)
@@ -789,7 +802,9 @@ class Kind:
     """What one experiment kind does (see the module docstring).  Signatures:
     functionals(cfg), record(cfg, rec, mu0) -> dict, finalize(cfg, records,
     merged, out_dir, cfg_hash) -> extra with an `artifact_tables` list,
-    run(cfg, out_dir, cfg_hash) -> (records, extra), check(report) -> fails."""
+    run(cfg, out_dir, cfg_hash) -> (records, extra), check(report) -> fails.
+    keeps is the `simulate` keep of its replicas: what record reads of a path
+    beyond the masses, the occupations and the positions at t = 0 and t_end."""
 
     record: Callable | None = None
     finalize: Callable | None = None
@@ -797,34 +812,44 @@ class Kind:
     functionals: Callable = lambda cfg: []
     check: Callable = lambda report: []
     saves_paths: bool = False  # writes the path files that save_paths asks for
+    keeps: tuple[str, ...] = KEEP_ALL
 
 
 REGISTRY: dict[str, Kind] = {
+    # the path files hold the event log and every snapshot
     "simulate": Kind(record=_record_simulate, finalize=_finalize_simulate, saves_paths=True),
-    "duality": Kind(record=_record_duality, finalize=_finalize_duality, check=_check_duality),
+    # the Laplace functional reads the positions at t_end only
+    "duality": Kind(record=_record_duality, finalize=_finalize_duality, check=_check_duality,
+                    keeps=()),
     "tanaka": Kind(
         record=_record_tanaka,
         finalize=_finalize_tanaka,
         functionals=_tanaka_functionals,
         check=_check_tanaka,
+        keeps=("events",),
     ),
     "moments": Kind(
         record=_record_moments,
         finalize=_finalize_moments,
         functionals=_moments_functionals,
         check=_check_moments,
+        keeps=("events",),
     ),
-    "jumps": Kind(record=_record_jumps, finalize=_finalize_jumps, check=_check_jumps),
+    "jumps": Kind(record=_record_jumps, finalize=_finalize_jumps, check=_check_jumps,
+                  keeps=("events",)),
     "timechange": Kind(
         record=_record_timechange,
         finalize=_finalize_timechange,
         functionals=_timechange_functionals,
         check=_check_timechange,
+        keeps=("events",),
     ),
     "stabletails": Kind(run=_run_stabletails, check=_check_stabletails),
     "criterion": Kind(run=_run_criterion, check=_check_criterion),
     "holder": Kind(run=_run_holder),
-    "unbounded2d": Kind(record=_record_unbounded2d, finalize=_finalize_unbounded2d),
+    # the occupation trapezoid runs over every snapshot
+    "unbounded2d": Kind(record=_record_unbounded2d, finalize=_finalize_unbounded2d,
+                        keeps=("snapshots",)),
 }
 # config validates kind names and [section] headers against KINDS
 assert tuple(REGISTRY) == KINDS, "REGISTRY and config.KINDS list different kinds"

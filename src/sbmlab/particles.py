@@ -6,8 +6,9 @@ rate (1+beta) * N^beta into a Slack-law offspring count; the compound rate
 times (f(s) - s) then rescales exactly to the branching mechanism u^(1+beta),
 so N enters only through initial-mass rounding and the motion/branching
 interleaving.  Branch events are logged as jumps (offspring - 1)/N at the
-parent location; occupation integrals of registered functionals accumulate on
-the step grid by the trapezoid rule, a block of buffered steps at a time.
+parent location, or only counted where no reader needs the log; occupation
+integrals of registered functionals accumulate on the step grid by the
+trapezoid rule, a block of buffered steps at a time.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ __all__ = [
     "ParticleState",
     "OccupationFunctional",
     "OccupationSeries",
+    "KEEP_ALL",
     "PathRecorder",
     "interp_rows",
     "stable_order",
@@ -272,26 +274,81 @@ class OccupationSeries:
         return interp_rows(t, self.times, self.values)
 
 
-@dataclass
+# what `simulate` can keep beyond the masses, the occupations and the states
+# at t = 0 and t_end: the branch-event log and the snapshots in between
+KEEP_ALL = ("events", "snapshots")
+
+
 class PathRecorder:
     """Step-resolution record of one replica: masses, occupation accumulators,
-    position snapshots, the full branch-event log, and the extinction time."""
+    position snapshots, the branch-event log, and the extinction time.
 
-    params: ModelParams
-    step_times: np.ndarray
-    masses: np.ndarray
-    mass_occupation: np.ndarray  # cumulative trapezoid of total mass
-    occupations: dict[str, OccupationSeries]
-    snapshot_times: np.ndarray
-    snapshots: list[np.ndarray]
-    event_times: np.ndarray
-    event_locations: np.ndarray
-    event_offspring: np.ndarray
-    event_net_mass: np.ndarray
-    extinction_time: float
-    final_positions: np.ndarray
-    # sorted copies handed out by sorted_state_at / sorted_events_until
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    A recorder built without the event arrays (`simulate` with "events" not
+    in `keep`) holds the number of events at each step instead: its
+    event_times are rebuilt from those counts when read, exactly, and reading
+    its locations, offspring or net masses raises UsageError."""
+
+    def __init__(
+        self,
+        *,
+        params: ModelParams,
+        step_times: np.ndarray,
+        masses: np.ndarray,
+        mass_occupation: np.ndarray,  # cumulative trapezoid of total mass
+        occupations: dict[str, OccupationSeries],
+        snapshot_times: np.ndarray,
+        snapshots: list[np.ndarray],
+        extinction_time: float,
+        final_positions: np.ndarray,
+        event_times: np.ndarray | None = None,
+        event_locations: np.ndarray | None = None,
+        event_offspring: np.ndarray | None = None,
+        event_net_mass: np.ndarray | None = None,
+        step_event_counts: np.ndarray | None = None,  # instead of the four above
+    ):
+        if (event_times is None) == (step_event_counts is None):
+            raise ValueError("provide exactly one of event_times / step_event_counts")
+        self.params = params
+        self.step_times = step_times
+        self.masses = masses
+        self.mass_occupation = mass_occupation
+        self.occupations = occupations
+        self.snapshot_times = snapshot_times
+        self.snapshots = snapshots
+        self.extinction_time = extinction_time
+        self.final_positions = final_positions
+        self._event_times = event_times
+        self._step_event_counts = step_event_counts
+        self._event_log = (
+            None if event_times is None else (event_locations, event_offspring, event_net_mass)
+        )
+        # sorted copies handed out by sorted_state_at / sorted_events_until
+        self._memo: dict = {}
+
+    @property
+    def event_times(self) -> np.ndarray:
+        """The time of every branch event, in order."""
+        if self._event_times is None:
+            return np.repeat(self.step_times, self._step_event_counts)
+        return self._event_times
+
+    @property
+    def event_locations(self) -> np.ndarray:
+        return self._event_array(0, "event_locations")
+
+    @property
+    def event_offspring(self) -> np.ndarray:
+        return self._event_array(1, "event_offspring")
+
+    @property
+    def event_net_mass(self) -> np.ndarray:
+        return self._event_array(2, "event_net_mass")
+
+    def _event_array(self, k: int, name: str) -> np.ndarray:
+        if self._event_log is None:
+            raise UsageError(f"{name} was not kept: the path was simulated without "
+                             f"its event log (\"events\" not in keep)")
+        return self._event_log[k]
 
     @property
     def horizon(self) -> float:
@@ -488,9 +545,16 @@ def simulate(
     params: ModelParams,
     functionals: Sequence[OccupationFunctional],
     stream: RngStream,
+    keep: Sequence[str] = KEEP_ALL,
 ) -> PathRecorder:
     """Run the particle system to t_end, accumulating occupation integrals of
     the registered functionals on the step grid.
+
+    keep names what the recorder holds beyond the masses, the occupations
+    and the positions at t = 0 and t_end (`KEEP_ALL` by default): "events",
+    the branch-event log (without it, only the event count of each step), and
+    "snapshots", the positions every params.snapshot_stride steps in between.
+    Neither changes a draw, so every other output is the same.
 
     Each step's functional values go into a bounded row buffer (_BLOCK_STEPS
     rows per functional); every _BLOCK_STEPS steps, and at the last, the
@@ -504,6 +568,9 @@ def simulate(
     names = [f.name for f in functionals]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate functional names: {names}")
+    if not set(keep) <= set(KEEP_ALL):
+        raise ValueError(f"keep must name only {KEEP_ALL}, got {tuple(keep)}")
+    keep_events = "events" in keep
     n_steps = params.n_steps
     dt = params.dt
     state = init_particles(mu, params, stream)
@@ -514,10 +581,11 @@ def simulate(
     masses[0] = state.total_mass
     trapezoids = [_BlockTrapezoid(f, n_steps, dt, f.state_value(state)) for f in functionals]
 
-    snapshot_stride = params.snapshot_stride
+    # without "snapshots", the last step is the only one after step 0 kept
+    snapshot_stride = params.snapshot_stride if "snapshots" in keep else max(n_steps, 1)
     snapshot_times = [0.0]
     snapshots = [state.positions.copy()]
-    ev_step_idx: list[int] = []
+    step_event_counts = np.zeros(n_steps + 1, dtype=np.int64)
     ev_locations: list[np.ndarray] = []
     ev_offspring: list[np.ndarray] = []
     extinction_time = math.inf if state.count > 0 else 0.0
@@ -539,9 +607,10 @@ def simulate(
             for acc in trapezoids:
                 acc.flush(i, row)
         if ks.size:
-            ev_step_idx.append(i)
-            ev_locations.append(locs)
-            ev_offspring.append(ks)
+            step_event_counts[i] = ks.size
+            if keep_events:
+                ev_locations.append(locs)
+                ev_offspring.append(ks)
         if math.isinf(extinction_time) and state.count == 0:
             extinction_time = state.time
         if i % snapshot_stride == 0 or i == n_steps:
@@ -555,16 +624,20 @@ def simulate(
         for f, acc in zip(functionals, trapezoids)
     }
 
-    if ev_step_idx:
-        counts = [k.size for k in ev_offspring]
-        event_times = np.repeat(step_times[ev_step_idx], counts)
-        event_locations = np.concatenate(ev_locations)
-        event_offspring = np.concatenate(ev_offspring)
+    if not keep_events:
+        events = {"step_event_counts": step_event_counts}
     else:
-        event_times = np.empty(0)
-        event_locations = np.empty((0, 2)) if params.dim == 2 else np.empty(0)
-        event_offspring = np.empty(0, dtype=np.int64)
-    event_net_mass = (event_offspring - 1) * params.mass_per_particle
+        if ev_locations:
+            event_locations = np.concatenate(ev_locations)
+            event_offspring = np.concatenate(ev_offspring)
+        else:
+            event_locations, event_offspring = _no_events(params.dim)
+        events = {
+            "event_times": np.repeat(step_times, step_event_counts),
+            "event_locations": event_locations,
+            "event_offspring": event_offspring,
+            "event_net_mass": (event_offspring - 1) * params.mass_per_particle,
+        }
 
     return PathRecorder(
         params=params,
@@ -574,12 +647,9 @@ def simulate(
         occupations=occ,
         snapshot_times=np.asarray(snapshot_times),
         snapshots=snapshots,
-        event_times=event_times,
-        event_locations=event_locations,
-        event_offspring=event_offspring,
-        event_net_mass=event_net_mass,
         extinction_time=extinction_time,
         final_positions=state.positions,
+        **events,
     )
 
 

@@ -1,7 +1,9 @@
 """Configuration parsing, experiment orchestration, determinism, merging,
 censoring, and the CLI surface."""
+import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -23,7 +25,7 @@ from sbmlab.config import (
 )
 from sbmlab.errors import ConfigError
 from sbmlab.harness import REGISTRY, RunReport, check_report, merge_reports, run_experiment
-from sbmlab.particles import dt_at_cap, make_params
+from sbmlab.particles import KEEP_ALL, dt_at_cap, make_params
 
 MINIMAL = """
 beta = 0.5
@@ -72,6 +74,19 @@ _DOMAINS = {
     "k_window": _POSITIVE,
     "n_max": st.integers(16, 10**4),
     "r_grid": st.lists(_POSITIVE, max_size=4).map(tuple),
+    # lo < hi, a whole count >= 2 (or the default panel)
+    "x_panel": st.one_of(
+        st.just(()),
+        st.tuples(_FLOATS, _POSITIVE, st.integers(2, 10**4)).map(
+            lambda v: (v[0], v[0] + v[1], float(v[2]))),
+    ),
+    "jump_units": st.tuples(_POSITIVE, _POSITIVE, st.integers(1, 100).map(float)),
+    # lo <= 2^j and hi >= 2^(j+2): three dyadic lags at least
+    "holder_lags": st.integers(0, 20).flatmap(
+        lambda j: st.tuples(st.integers(1, 2**j), st.integers(2 ** (j + 2), 2**24))
+    ).map(lambda v: tuple(map(float, v))),
+    "window": st.tuples(_FLOATS, _POSITIVE).map(lambda v: (v[0], v[0] + v[1])),
+    "resolutions": st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
 }
 
 
@@ -186,6 +201,32 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             parse_config_text(MINIMAL + f"replica_start = {2**32 - 5}\n", kind="simulate")
         assert any("replica_start + replicas" in v for v in err.value.violations)
+
+    @pytest.mark.parametrize(
+        "kind, setting, key",
+        [
+            ("jumps", "jump_units = 40 400 -1", "jump_units"),  # np.logspace raised
+            ("jumps", "jump_units = 40 400", "jump_units"),  # the unpacking raised
+            ("jumps", "jump_units = 0 400 6", "jump_units"),  # log10(0): NaN levels
+            ("holder", "holder_lags = 4", "holder_lags"),
+            ("holder", "holder_lags = 4 8", "holder_lags"),  # two dyadic lags
+            ("unbounded2d", "dim = 2\nwindow = 1", "window"),
+            ("unbounded2d", "dim = 2\nresolutions = 0.1 0", "resolutions"),
+            ("tanaka", "x_panel = -1 1", "x_panel"),  # used the default panel
+            ("tanaka", "x_panel = -1 1 10.5", "x_panel"),
+        ],
+    )
+    def test_tuple_key_the_kind_unpacks_is_checked(self, kind, setting, key, tmp_path):
+        # each passed validation, and then failed inside the run or ran on
+        # other values than the ones given
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + setting + "\n", kind=kind)
+        assert any(v.startswith(key) for v in err.value.violations)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(MINIMAL + setting + "\n")
+        assert cli_main([kind, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        parse_config_text(MINIMAL + setting + "\n", kind="simulate")  # a key of other kinds
 
     def test_duality_solver_grid_rejected(self):
         # these used to pass validation, simulate every replica and then fail
@@ -361,14 +402,15 @@ class TestMerge:
 
 def _scipy_modules_after(code: str) -> str:
     """Run code in a fresh interpreter that imports this sbmlab, and return
-    what it prints last: the sorted names of the loaded scipy modules, and
-    numpy.ma if it is loaded (np.unique imports it on its first call)."""
+    what it prints last: the sorted names of the loaded scipy modules,
+    numpy.ma if it is loaded (np.unique imports it on its first call), and
+    multiprocessing if it is loaded (a process pool imports it)."""
     src = str(Path(sbmlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     code += (
         "\nimport sys; print(sorted(m for m in sys.modules"
-        " if m.startswith('scipy') or m == 'numpy.ma'))"
+        " if m.startswith('scipy') or m in ('numpy.ma', 'multiprocessing')))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=300)
@@ -522,6 +564,21 @@ class TestRegistry:
         first = {p.name: p.read_bytes() for p in out.iterdir()}
         run_experiment(cfg)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    @pytest.mark.parametrize("kind", [k for k, v in REGISTRY.items() if v.run is None])
+    def test_keeping_everything_changes_no_artifact(self, kind, tmp_path, monkeypatch):
+        # a kind's replicas keep only what its record reads (Kind.keeps); with
+        # the whole path kept, every artifact must be byte for byte the same
+        text = f"beta = 0.5\nseed = 3\n{TINY[kind]}snapshot_stride = 3\n"
+        outputs = []
+        for keeps in (REGISTRY[kind].keeps, KEEP_ALL):
+            monkeypatch.setitem(REGISTRY, kind, dataclasses.replace(REGISTRY[kind], keeps=keeps))
+            cfg = parse_config_text(text, kind=kind)
+            cfg.out = str(tmp_path / "out")  # report.json holds it
+            run_experiment(cfg)
+            outputs.append({p.name: p.read_bytes() for p in Path(cfg.out).iterdir()})
+            shutil.rmtree(cfg.out)
+        assert outputs[0] == outputs[1]
 
     def test_stabletails_default_horizon_is_finite_json(self, tmp_path):
         # at t = 0.5 the oracle depths used to be those of t = 1, where the

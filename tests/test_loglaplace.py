@@ -177,6 +177,14 @@ class TestSolver:
         with pytest.raises(ValueError):
             HeatSemigroup([0.0], x)
 
+    def test_semigroup_holds_no_transform_buffers(self):
+        # a view would keep the complex spectrum, or the full-length inverse
+        # transform, alive for the whole solve
+        heat = HeatSemigroup([0.1, 0.2], GridSpec().x_grid)
+        for array, width in ((heat.spectra, heat.n_fft // 2 + 1), (heat.row_sums, heat.nx)):
+            assert array.base is None and array.flags.c_contiguous
+            assert array.shape == (2, width) and array.dtype == np.float64
+
     def test_fft_length_is_scipy_next_fast_len(self):
         ns = range(1, 5001)
         assert [_next_fast_len(n) for n in ns] == [

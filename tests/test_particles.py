@@ -11,6 +11,7 @@ from sbmlab.errors import ResourceLimitError, UsageError
 from sbmlab.kernels import g_lambda, green_closed, heat_kernel
 from sbmlab.measures import FiniteMeasure, dirac, gridded_density
 from sbmlab.particles import (
+    KEEP_ALL,
     ModelParams,
     OccupationFunctional,
     PathRecorder,
@@ -293,6 +294,58 @@ class TestBlockTrapezoid:
                 assert np.array_equal(rec.occupations[f.name].values, values)
             assert np.array_equal(rec.mass_occupation, mass_occ)
         assert rec.extinction_time == 0.25
+
+
+class TestKeep:
+    """simulate keeps the event log and the snapshots between the ends only
+    where asked; neither changes a draw or any other output."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_every_other_output_is_the_same(self, dim):
+        # 0.5 at N = 300: a few hundred events over 63 steps
+        params = make_params(0.5, 300, 0.5, dim=dim, snapshot_stride=4)
+        functionals = _functional_set("timechange", 10) if dim == 1 else []
+        recs = {keep: simulate(dirac(0.0), params, functionals, RngStream(40, 2), keep=keep)
+                for keep in (KEEP_ALL, ("snapshots",), ("events",), ())}
+        full = recs[KEEP_ALL]
+        assert full.event_times.size > 100
+        for keep, rec in recs.items():
+            assert np.array_equal(rec.masses, full.masses)
+            assert np.array_equal(rec.mass_occupation, full.mass_occupation)
+            for f in functionals:
+                assert np.array_equal(rec.occupations[f.name].times, full.occupations[f.name].times)
+                assert np.array_equal(rec.occupations[f.name].values,
+                                      full.occupations[f.name].values)
+            assert np.array_equal(rec.final_positions, full.final_positions)
+            assert rec.extinction_time == full.extinction_time
+            assert np.array_equal(rec.event_times, full.event_times)
+            if "snapshots" in keep:
+                assert np.array_equal(rec.snapshot_times, full.snapshot_times)
+                kept = range(len(full.snapshots))
+            else:
+                # the positions at t = 0 and t_end
+                assert np.array_equal(rec.snapshot_times, [0.0, 0.5])
+                kept = (0, -1)
+            assert len(rec.snapshots) == len(kept)
+            assert all(np.array_equal(a, full.snapshots[k]) for a, k in zip(rec.snapshots, kept))
+            assert np.array_equal(rec.state_at(0.5), full.state_at(0.5))
+
+    def test_event_arrays_not_kept_are_unreadable(self):
+        params = make_params(0.5, 300, 0.5)
+        full = simulate(dirac(0.0), params, [], RngStream(41, 0))
+        rec = simulate(dirac(0.0), params, [], RngStream(41, 0), keep=("snapshots",))
+        assert rec.event_times.size == full.event_offspring.size > 0
+        for name in ("event_locations", "event_offspring", "event_net_mass"):
+            with pytest.raises(UsageError, match=name):
+                getattr(rec, name)
+        with pytest.raises(UsageError):
+            martingale_event_sum(rec, lambda y: np.ones(y.shape[0]), 0.5)
+
+    def test_keep_names_are_checked(self):
+        params = make_params(0.5, 100, 0.1)
+        for keep in (("events", "snaps"), "events"):
+            with pytest.raises(ValueError, match="keep"):
+                simulate(dirac(0.0), params, [], RngStream(42, 0), keep=keep)
 
 
 class TestStableOrder:
