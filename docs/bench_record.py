@@ -12,7 +12,9 @@ BENCHMARK.json sets, runs once on REF and once on the working tree; the two
 runs form a pair, and the side that goes first alternates from pair to pair,
 so that slow drift of the machine falls on both sides alike.  Runs are sequential: two at once would time each other.
 After the pairs of a workload, one `bench/run.py --trace 1` run per side, at
-the first seed, records the per-layer metrics.
+the first seed, records the per-layer metrics.  After every workload, the
+tier-1 suite (`PYTHONPATH=src python -m pytest -q
+--continue-on-collection-errors`, with `--durations=0`) runs once per side.
 
 BENCH_<label>.json, at the root of the checkout, holds the environment, the
 sha of REF and of the working tree's HEAD (with whether the tree differs
@@ -24,7 +26,9 @@ quartiles, the number of pairs the change wins, and the change of the
 median relative to REF.  Per workload it also holds the artifact digests
 every run printed (the reference call's and each timed call's), and whether
 they are the same on both sides, and the per-layer metrics of each side's
-traced run.  It is rewritten after every pair, so an
+traced run.  Per side it holds the tier-1 run: its wall time, exit
+code and summary line, and the duration of every phase of the acceptance
+tests that pytest lists.  It is rewritten after every pair, so an
 interrupted run keeps what it measured.  A run that exits non-zero stops
 the script, naming the side and the seed.
 """
@@ -33,12 +37,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +52,9 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 # left out of the working-tree digest: write-ups, which no run reads
 DIFF_EXCLUDES = ["*.md", "BENCH_*.json"]
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0"]
+# one `--durations` line: seconds, phase, test id
+DURATION = re.compile(r"^\s*([0-9.]+)s\s+(setup|call|teardown)\s+(tests/test_acceptance\.py::\S+)")
 
 
 def _git(*args: str) -> str:
@@ -88,6 +97,26 @@ def _bench(checkout: Path, workload: str, seed: int, trace: bool = False
     digests = [m.group(1) for line in lines[:-1]
                for m in re.finditer(r"(\S+ sha256 [0-9a-f]{64})", line)]
     return json.loads(lines[-1]), env, digests
+
+
+def _tier1(checkout: Path) -> dict:
+    """One run of the tier-1 suite in checkout: its wall time, exit code and
+    summary line, and the acceptance tests' `--durations` lines."""
+    env = dict(os.environ, PYTHONPATH="src")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {
+        "wall_s": wall,
+        "exit_code": proc.returncode,
+        "summary": lines[-1] if lines else "",
+        "acceptance_durations": [
+            {"test": m.group(3), "phase": m.group(2), "s": float(m.group(1))}
+            for m in map(DURATION.match, lines) if m
+        ],
+    }
 
 
 def _spread(values: list[float]) -> dict:
@@ -182,6 +211,12 @@ def main(argv=None) -> int:
                 print(f"bench_record: {workload} traced {side}: correct {outcome['correct']}",
                       flush=True)
             pair += 1
+            path.write_text(json.dumps(result, indent=1) + "\n")
+        result["tier1"] = {"command": "PYTHONPATH=src python -m " + " ".join(TIER1[1:])}
+        for side, checkout in sides:
+            result["tier1"][side] = run = _tier1(checkout)
+            print(f"bench_record: tier-1 {side}: {run['wall_s']:.1f} s, exit {run['exit_code']}, "
+                  f"{run['summary']}", flush=True)
             path.write_text(json.dumps(result, indent=1) + "\n")
     for workload, w in result["workloads"].items():
         for name, m in w["metrics"].items():

@@ -11,14 +11,18 @@ path-free kind (stabletails, criterion, holder) supplies one `run` function
 instead.  `check` holds the kind's acceptance thresholds.  `run_experiment`,
 `merge_reports`, `check_report` and the CLI subcommands all read this table.
 
-What a replica keeps: a path's masses, occupation integrals and positions at
-t = 0 and t_end always; beyond them only what the kind's record reads, as
-its `keeps` declares.  The event log costs about 56 bytes per branch event
-at its peak and the snapshots one copy of the positions per stride, so
-duality keeps neither (a recorder without the log still counts its events),
-unbounded2d the snapshots, tanaka, moments, jumps and timechange the events,
-and simulate both, for its path files.  `snapshot_stride` applies only to the
-kinds that keep snapshots.  Nothing kept or dropped changes a draw.
+What a replica keeps: a path's masses, occupation integrals, event terms and
+positions at t = 0 and t_end always; beyond them only what the kind's record
+reads, as its `keeps` declares.  The event log costs about 56 bytes per
+branch event at its peak and the snapshots one copy of the positions per
+stride.  An event sum needs neither: an `EventFunctional` among a kind's
+functionals keeps its terms f(location) * net_mass, 8 bytes per event,
+formed a block of steps at a time.  So timechange (the psi0 terms of Z_t)
+and jumps (the net masses, f = 1) keep no log, and duality keeps nothing
+beyond the ends (a recorder without the log still counts its events);
+unbounded2d keeps the snapshots, tanaka and moments the events, and simulate
+both, for its path files.  `snapshot_stride` applies only to the kinds that
+keep snapshots.  Nothing kept or dropped changes a draw.
 
 Determinism contract: replica i always uses the stream (seed, replica_start
 + i) regardless of worker count; cap-hit replicas are resampled on stream
@@ -64,7 +68,14 @@ from .continuity import CriterionParams, gs_series, holder_exponent, unboundedne
 from .errors import ConfigError, ResourceLimitError
 from .loglaplace import GridSpec, smoothed_indicator, solve_mild
 from .measures import FiniteMeasure, dirac, load_measure
-from .particles import KEEP_ALL, make_params, save_events, save_snapshots, simulate
+from .particles import (
+    KEEP_ALL,
+    EventFunctional,
+    make_params,
+    save_events,
+    save_snapshots,
+    simulate,
+)
 from .rng import RngStream
 from .textio import fnum
 from .stable_path import (
@@ -82,6 +93,7 @@ from .tanaka import (
     interval_indicator_functional,
     martingale_increments,
     panel_index,
+    psi0_event_functional,
     psi0_power_functional,
     tanaka_panel_functional,
     tanaka_panel_terms,
@@ -194,10 +206,16 @@ def _moments_functionals(cfg: ExperimentConfig):
     return [histogram_functional(*MOMENTS_HISTOGRAM, checkpoint_stride=10**9)]
 
 
+def _jumps_functionals(cfg: ExperimentConfig):
+    # f = 1: the terms are the events' net masses, bit for bit
+    return [EventFunctional("net_mass", lambda y: np.ones(y.shape[0]), {"kind": "net_mass"})]
+
+
 def _timechange_functionals(cfg: ExperimentConfig):
     return [
         psi0_power_functional(cfg.lam, cfg.x1, cfg.x2, cfg.beta),
         interval_indicator_functional(cfg.x1, cfg.x2),
+        psi0_event_functional(cfg.lam, cfg.x1, cfg.x2),
     ]
 
 
@@ -269,10 +287,8 @@ def _jump_levels(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _record_jumps(cfg: ExperimentConfig, rec, mu0) -> dict:
-    ys = _jump_levels(cfg)
-    return {
-        f"count:y={y:g}": float(np.sum(rec.event_net_mass > y)) for y in ys
-    }
+    net = rec.find_event_series("net_mass").values
+    return {f"count:y={y:g}": float(np.sum(net > y)) for y in _jump_levels(cfg)}
 
 
 def _record_timechange(cfg: ExperimentConfig, rec, mu0) -> dict:
@@ -835,14 +851,15 @@ REGISTRY: dict[str, Kind] = {
         check=_check_moments,
         keeps=("events",),
     ),
-    "jumps": Kind(record=_record_jumps, finalize=_finalize_jumps, check=_check_jumps,
-                  keeps=("events",)),
+    # the counts read the net-mass event terms
+    "jumps": Kind(record=_record_jumps, finalize=_finalize_jumps,
+                  functionals=_jumps_functionals, check=_check_jumps, keeps=()),
     "timechange": Kind(
         record=_record_timechange,
         finalize=_finalize_timechange,
         functionals=_timechange_functionals,
         check=_check_timechange,
-        keeps=("events",),
+        keeps=(),  # Z_t sums the psi0 event terms
     ),
     "stabletails": Kind(run=_run_stabletails, check=_check_stabletails),
     "criterion": Kind(run=_run_criterion, check=_check_criterion),

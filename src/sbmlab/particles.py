@@ -8,7 +8,9 @@ so N enters only through initial-mass rounding and the motion/branching
 interleaving.  Branch events are logged as jumps (offspring - 1)/N at the
 parent location, or only counted where no reader needs the log; occupation
 integrals of registered functionals accumulate on the step grid by the
-trapezoid rule, a block of buffered steps at a time.
+trapezoid rule, a block of buffered steps at a time, and the event terms
+f(location) * net_mass of registered event functionals are formed on the
+same blocks, one float per event, so a martingale sum needs no log.
 """
 from __future__ import annotations
 
@@ -30,6 +32,8 @@ __all__ = [
     "ParticleState",
     "OccupationFunctional",
     "OccupationSeries",
+    "EventFunctional",
+    "EventSeries",
     "KEEP_ALL",
     "PathRecorder",
     "interp_rows",
@@ -274,6 +278,47 @@ class OccupationSeries:
         return interp_rows(t, self.times, self.values)
 
 
+@dataclass
+class EventFunctional:
+    """A named f whose branching-event terms f(location) * net_mass `simulate`
+    keeps, one float per event in time order, without the event log.
+
+    fn maps an array of event locations ((n,) in d=1, (n, 2) in d=2) to n
+    values.  `simulate` evaluates it once per block of steps, on the block's
+    events, so each term is elementwise the one `martingale_event_sum` forms
+    from the log, and np.sum over the first `events_until(t)` terms is that
+    sum bit for bit.  meta locates the terms on a recorder
+    (`PathRecorder.find_event_series`), as it does for occupations."""
+
+    name: str
+    fn: Callable[[np.ndarray], np.ndarray]
+    meta: dict = field(default_factory=dict)
+
+
+@dataclass
+class EventSeries:
+    """The event terms of one EventFunctional, one per branch event."""
+
+    values: np.ndarray  # (events,)
+    meta: dict
+
+
+def _meta_matches(meta: dict, kind: str, fields: dict) -> bool:
+    """meta is of the given kind and agrees with every field (arrays by
+    shape and np.allclose)."""
+    if meta.get("kind") != kind:
+        return False
+    for key, want in fields.items():
+        have = meta.get(key)
+        if isinstance(want, np.ndarray) or isinstance(have, np.ndarray):
+            if not (have is not None and np.shape(have) == np.shape(want)
+                    and np.allclose(have, want)):
+                return False
+        elif have != want:
+            return False
+    return True
+
+
 # what `simulate` can keep beyond the masses, the occupations and the states
 # at t = 0 and t_end: the branch-event log and the snapshots in between
 KEEP_ALL = ("events", "snapshots")
@@ -281,7 +326,8 @@ KEEP_ALL = ("events", "snapshots")
 
 class PathRecorder:
     """Step-resolution record of one replica: masses, occupation accumulators,
-    position snapshots, the branch-event log, and the extinction time.
+    event-functional terms, position snapshots, the branch-event log, and the
+    extinction time.
 
     A recorder built without the event arrays (`simulate` with "events" not
     in `keep`) holds the number of events at each step instead: its
@@ -305,6 +351,7 @@ class PathRecorder:
         event_offspring: np.ndarray | None = None,
         event_net_mass: np.ndarray | None = None,
         step_event_counts: np.ndarray | None = None,  # instead of the four above
+        event_values: dict[str, EventSeries] | None = None,
     ):
         if (event_times is None) == (step_event_counts is None):
             raise ValueError("provide exactly one of event_times / step_event_counts")
@@ -313,6 +360,7 @@ class PathRecorder:
         self.masses = masses
         self.mass_occupation = mass_occupation
         self.occupations = occupations
+        self.event_values = {} if event_values is None else event_values
         self.snapshot_times = snapshot_times
         self.snapshots = snapshots
         self.extinction_time = extinction_time
@@ -369,26 +417,14 @@ class PathRecorder:
 
     def find_series(self, kind: str, **fields) -> OccupationSeries | None:
         """Locate a registered accumulator by meta kind and matching fields."""
-        for series in self.occupations.values():
-            m = series.meta
-            if m.get("kind") != kind:
-                continue
-            ok = True
-            for key, want in fields.items():
-                have = m.get(key)
-                if isinstance(want, np.ndarray) or isinstance(have, np.ndarray):
-                    ok = (
-                        have is not None
-                        and np.shape(have) == np.shape(want)
-                        and np.allclose(have, want)
-                    )
-                else:
-                    ok = have == want
-                if not ok:
-                    break
-            if ok:
-                return series
-        return None
+        return next((s for s in self.occupations.values()
+                     if _meta_matches(s.meta, kind, fields)), None)
+
+    def find_event_series(self, kind: str, **fields) -> EventSeries | None:
+        """Locate the terms of a registered event functional as find_series
+        locates an accumulator."""
+        return next((s for s in self.event_values.values()
+                     if _meta_matches(s.meta, kind, fields)), None)
 
     def total_occupation_at(self, t: float) -> float:
         """<Y_t, 1>: time integral of total mass."""
@@ -418,9 +454,14 @@ class PathRecorder:
         return self._memo[key]
 
     def events_until(self, t: float) -> slice:
+        """The events at times <= t: a prefix of the log and of every event
+        series.  Without the log it counts them step by step, so event_times
+        is not rebuilt."""
         self._check_time(t)
-        hi = int(np.searchsorted(self.event_times, t, side="right"))
-        return slice(0, hi)
+        if self._event_times is None:
+            j = int(np.searchsorted(self.step_times, t, side="right"))
+            return slice(0, int(self._step_event_counts[:j].sum()))
+        return slice(0, int(np.searchsorted(self._event_times, t, side="right")))
 
     def _snapshot_index(self, t: float) -> int:
         self._check_time(t)
@@ -543,24 +584,28 @@ class _BlockTrapezoid:
 def simulate(
     mu: FiniteMeasure,
     params: ModelParams,
-    functionals: Sequence[OccupationFunctional],
+    functionals: Sequence[OccupationFunctional | EventFunctional],
     stream: RngStream,
     keep: Sequence[str] = KEEP_ALL,
 ) -> PathRecorder:
     """Run the particle system to t_end, accumulating occupation integrals of
-    the registered functionals on the step grid.
+    the registered occupation functionals on the step grid and the event
+    terms of the registered event functionals.
 
-    keep names what the recorder holds beyond the masses, the occupations
-    and the positions at t = 0 and t_end (`KEEP_ALL` by default): "events",
-    the branch-event log (without it, only the event count of each step), and
-    "snapshots", the positions every params.snapshot_stride steps in between.
-    Neither changes a draw, so every other output is the same.
+    keep names what the recorder holds beyond the masses, the occupations,
+    the event terms and the positions at t = 0 and t_end (`KEEP_ALL` by
+    default): "events", the branch-event log (without it, only the event
+    count of each step), and "snapshots", the positions every
+    params.snapshot_stride steps in between.  Neither changes a draw, so
+    every other output is the same.
 
     Each step's functional values go into a bounded row buffer (_BLOCK_STEPS
     rows per functional); every _BLOCK_STEPS steps, and at the last, the
     buffered block is integrated by the trapezoid rule with one sequential
     cumsum, bit for bit the step-by-step sum cum + 0.5 * (v + v_prev) * dt.
-    The total-mass trapezoid is formed the same way once, after the loop.
+    At the same flush each event functional's fn(locations) * net_mass is
+    formed once on the block's events.  The total-mass trapezoid is formed
+    once, after the loop.
 
     Deterministic given the stream.  Raises ResourceLimitError if the
     particle count exceeds params.particle_cap (heavy-tail blowup guard).
@@ -570,6 +615,8 @@ def simulate(
         raise ValueError(f"duplicate functional names: {names}")
     if not set(keep) <= set(KEEP_ALL):
         raise ValueError(f"keep must name only {KEEP_ALL}, got {tuple(keep)}")
+    event_fns = [f for f in functionals if isinstance(f, EventFunctional)]
+    functionals = [f for f in functionals if not isinstance(f, EventFunctional)]
     keep_events = "events" in keep
     n_steps = params.n_steps
     dt = params.dt
@@ -588,6 +635,9 @@ def simulate(
     step_event_counts = np.zeros(n_steps + 1, dtype=np.int64)
     ev_locations: list[np.ndarray] = []
     ev_offspring: list[np.ndarray] = []
+    ev_terms: list[list[np.ndarray]] = [[] for _ in event_fns]
+    block_locations: list[np.ndarray] = []  # the current block's events
+    block_offspring: list[np.ndarray] = []
     extinction_time = math.inf if state.count > 0 else 0.0
 
     for i in range(1, n_steps + 1):
@@ -603,14 +653,25 @@ def simulate(
         row = (i - 1) % _BLOCK_STEPS + 1
         for f, acc in zip(functionals, trapezoids):
             acc.values[row] = f.state_value(state)
+        if ks.size:
+            step_event_counts[i] = ks.size
+            if keep_events or event_fns:
+                block_locations.append(locs)
+                block_offspring.append(ks)
         if row == _BLOCK_STEPS or i == n_steps:
             for acc in trapezoids:
                 acc.flush(i, row)
-        if ks.size:
-            step_event_counts[i] = ks.size
-            if keep_events:
-                ev_locations.append(locs)
-                ev_offspring.append(ks)
+            if block_offspring:
+                locs = np.concatenate(block_locations)
+                ks = np.concatenate(block_offspring)
+                if event_fns:
+                    net = (ks - 1) * params.mass_per_particle
+                    for f, terms in zip(event_fns, ev_terms):
+                        terms.append(np.asarray(f.fn(locs)) * net)
+                if keep_events:
+                    ev_locations.append(locs)
+                    ev_offspring.append(ks)
+                block_locations, block_offspring = [], []
         if math.isinf(extinction_time) and state.count == 0:
             extinction_time = state.time
         if i % snapshot_stride == 0 or i == n_steps:
@@ -622,6 +683,11 @@ def simulate(
     occ = {
         f.name: OccupationSeries(times=step_times[acc.steps], values=acc.out, meta=dict(f.meta))
         for f, acc in zip(functionals, trapezoids)
+    }
+    event_values = {
+        f.name: EventSeries(values=np.concatenate(terms) if terms else np.empty(0),
+                            meta=dict(f.meta))
+        for f, terms in zip(event_fns, ev_terms)
     }
 
     if not keep_events:
@@ -645,6 +711,7 @@ def simulate(
         masses=masses,
         mass_occupation=mass_occ,
         occupations=occ,
+        event_values=event_values,
         snapshot_times=np.asarray(snapshot_times),
         snapshots=snapshots,
         extinction_time=extinction_time,

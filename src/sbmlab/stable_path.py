@@ -6,7 +6,8 @@ martingale is a time-changed stable process.
 The time change is T(t) = int_0^t <X_s, psi0^(1+beta)> ds for the interval
 integrand psi0 (supported on [x1, x2], bounded by 2), accumulated exactly on
 the particle step grid; the interval martingale Z_t = M_t(psi0) is the exact
-branching-event sum.  The exponential martingale of the jump measure gives
+branching-event sum, of the terms simulate keeps for it without the event
+log.  The exponential martingale of the jump measure gives
 the product identity E[exp(-theta Z_t - theta^(1+beta) T(t))] = 1, reported
 alongside the factored curve comparison E[exp(-theta Z_t)] vs
 E[exp(theta^(1+beta) T(t))], which treats the random clock as independent.
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .particles import PathRecorder, martingale_event_sum
+from .particles import PathRecorder
 from .rng import RngStream, StableParams, sample_stable_increment
-from .tanaka import psi0
 
 __all__ = [
     "inf_tail_oracle",
@@ -182,7 +182,17 @@ def compute_T(recorder: PathRecorder, lam: float, x1: float, x2: float, t: float
 def interval_martingale(
     recorder: PathRecorder, lam: float, x1: float, x2: float, t: float
 ) -> float:
-    """Z_t(x1, x2) = M_t(psi0): exact branching-event sum of psi0."""
+    """Z_t(x1, x2) = M_t(psi0): exact branching-event sum of psi0.
+
+    Requires psi0_event_functional(lam, x1, x2) registered before simulate;
+    the sum runs over its terms up to t, bit for bit `martingale_event_sum`
+    of psi0 over the log."""
     if x1 == x2:
         return 0.0
-    return martingale_event_sum(recorder, lambda y: psi0(lam, x1, x2, y), t)
+    series = recorder.find_event_series("psi0_event", lam=lam, x1=x1, x2=x2)
+    if series is None:
+        raise UsageError(
+            f"psi0 event functional for (lam={lam}, x1={x1}, x2={x2}) was not "
+            "registered before simulate"
+        )
+    return float(np.sum(series.values[recorder.events_until(t)]))

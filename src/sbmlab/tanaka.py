@@ -47,6 +47,7 @@ from .errors import NumericsError, UsageError
 from .kernels import g_lambda, green_closed
 from .measures import FiniteMeasure
 from .particles import (
+    EventFunctional,
     OccupationFunctional,
     OccupationSeries,
     ParticleState,
@@ -65,6 +66,7 @@ __all__ = [
     "histogram_functional",
     "psi0",
     "psi0_power_functional",
+    "psi0_event_functional",
     "interval_indicator_functional",
     "PANEL_TOL",
     "panel_index",
@@ -302,6 +304,21 @@ def psi0_power_functional(lam: float, x1: float, x2: float, beta: float) -> Occu
         state_fn=state_fn,
         width=1,
         meta={"kind": "psi0_power", "lam": lam, "x1": x1, "x2": x2, "beta": beta},
+    )
+
+
+def psi0_event_functional(lam: float, x1: float, x2: float) -> EventFunctional:
+    """The event terms psi0(y) * net_mass of the interval martingale
+    Z_t = M_t(psi0), kept by simulate one per branch event; psi0 runs on
+    every event location, as the log-based `martingale_event_sum` runs it."""
+    if lam <= 0:
+        raise ValueError(f"lambda must be > 0, got {lam}")
+    if not x1 <= x2:
+        raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
+    return EventFunctional(
+        name=f"psi0event:{lam:g}:{x1:g}:{x2:g}",
+        fn=lambda y: psi0(lam, x1, x2, y),
+        meta={"kind": "psi0_event", "lam": lam, "x1": x1, "x2": x2},
     )
 
 

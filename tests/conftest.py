@@ -13,6 +13,7 @@ from sbmlab.rng import RngStream
 from sbmlab.tanaka import (
     histogram_functional,
     interval_indicator_functional,
+    psi0_event_functional,
     psi0_power_functional,
     tanaka_panel_functional,
 )
@@ -29,7 +30,8 @@ def panel_grid():
 def small_recorders(panel_grid):
     """120 replicas at N=500, t=0.3, beta=0.5 with the full functional set:
     Tanaka panels at lambda 0.5 and 2, a histogram, psi0^1.5 and the interval
-    indicator on [-0.1, 0.1]."""
+    indicator on [-0.1, 0.1], and the psi0 event terms of the interval
+    martingale."""
     params = make_params(0.5, 500, 0.3, snapshot_stride=10**9)
     mu = dirac(0.0)
     fns = [
@@ -38,6 +40,7 @@ def small_recorders(panel_grid):
         histogram_functional(-8.0, 8.0, 0.025, checkpoint_stride=20),
         psi0_power_functional(0.5, -0.1, 0.1, 0.5),
         interval_indicator_functional(-0.1, 0.1),
+        psi0_event_functional(0.5, -0.1, 0.1),
     ]
     return mu, params, [simulate(mu, params, fns, RngStream(901, i)) for i in range(120)]
 

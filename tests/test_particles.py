@@ -12,6 +12,7 @@ from sbmlab.kernels import g_lambda, green_closed, heat_kernel
 from sbmlab.measures import FiniteMeasure, dirac, gridded_density
 from sbmlab.particles import (
     KEEP_ALL,
+    EventFunctional,
     ModelParams,
     OccupationFunctional,
     PathRecorder,
@@ -31,6 +32,8 @@ from sbmlab.rng import RngStream
 from sbmlab.tanaka import (
     histogram_functional,
     interval_indicator_functional,
+    psi0,
+    psi0_event_functional,
     psi0_power_functional,
     tanaka_panel_functional,
 )
@@ -346,6 +349,77 @@ class TestKeep:
         for keep in (("events", "snaps"), "events"):
             with pytest.raises(ValueError, match="keep"):
                 simulate(dirac(0.0), params, [], RngStream(42, 0), keep=keep)
+
+
+def _ones(y: np.ndarray) -> np.ndarray:
+    return np.ones(y.shape[0])
+
+
+class TestEventFunctional:
+    """simulate keeps the terms f(location) * net_mass of an event functional
+    a block of steps at a time, bit for bit the log's, with or without it."""
+
+    RUNS = [
+        # 260 steps (eight blocks and four steps), about 13 000 events
+        (dirac(0.0), make_params(0.5, 300, 1.0), RngStream(16, 0)),
+        # three particles, extinct at t = 0.25 of 1, after 17 of 68 steps
+        (dirac(0.0, 0.15), make_params(0.5, 20, 1.0), RngStream(31, 1)),
+    ]
+
+    @pytest.mark.parametrize("run", range(len(RUNS)))
+    def test_terms_are_the_logs_bit_for_bit(self, run):
+        mu, params, stream = self.RUNS[run]
+        functionals = [psi0_event_functional(0.5, -0.3, 0.1),
+                       EventFunctional("net", _ones, {"kind": "net_mass"})]
+        recs = {keep: simulate(mu, params, functionals,
+                               RngStream(stream.seed, stream.stream_index), keep=keep)
+                for keep in (KEEP_ALL, ())}
+        full = recs[KEEP_ALL]
+        want = psi0(0.5, -0.3, 0.1, full.event_locations) * full.event_net_mass
+        assert full.event_net_mass.size > 2
+        for rec in recs.values():
+            terms = rec.find_event_series("psi0_event", lam=0.5, x1=-0.3, x2=0.1).values
+            assert terms.tobytes() == want.tobytes()
+            net = rec.find_event_series("net_mass").values
+            assert net.tobytes() == full.event_net_mass.tobytes()
+            for t in (0.5, 1.0):  # an interior t and t_end
+                sl = rec.events_until(t)
+                assert float(np.sum(terms[sl])) == martingale_event_sum(
+                    full, lambda y: psi0(0.5, -0.3, 0.1, y), t)
+
+    def test_terms_in_two_dimensions(self):
+        params = make_params(0.5, 300, 0.5, dim=2)
+        f = EventFunctional("net", _ones, {"kind": "net_mass"})
+        full = simulate(dirac(0.0), params, [f], RngStream(40, 2))
+        rec = simulate(dirac(0.0), params, [f], RngStream(40, 2), keep=())
+        assert full.event_net_mass.size > 100
+        for r in (full, rec):
+            assert r.find_event_series("net_mass").values.tobytes() == \
+                full.event_net_mass.tobytes()
+
+    def test_no_event_no_term(self):
+        rec = simulate(dirac(0.0), make_params(0.5, 100, 0.0),
+                       [EventFunctional("net", _ones, {"kind": "net_mass"})], RngStream(13, 0))
+        assert rec.find_event_series("net_mass").values.shape == (0,)
+        assert rec.find_event_series("psi0_event") is None
+
+    def test_names_are_shared_with_occupations(self):
+        params = make_params(0.5, 100, 0.1)
+        fns = [interval_indicator_functional(-0.1, 0.1),
+               EventFunctional("interval:-0.1:0.1", _ones)]
+        with pytest.raises(ValueError, match="duplicate"):
+            simulate(dirac(0.0), params, fns, RngStream(42, 0))
+
+    def test_events_until_counts_without_the_log(self):
+        params = make_params(0.5, 300, 0.5)
+        full = simulate(dirac(0.0), params, [], RngStream(41, 0))
+        rec = simulate(dirac(0.0), params, [], RngStream(41, 0), keep=())
+        assert full.event_times.size > 100
+        with pytest.raises(UsageError):
+            rec.event_locations
+        for t in full.step_times:
+            assert rec.events_until(t) == full.events_until(t)
+            assert full.events_until(t).stop == np.searchsorted(full.event_times, t, "right")
 
 
 class TestStableOrder:

@@ -132,6 +132,16 @@ class TestTimeChange:
             t3 = compute_T(rec, 0.5, -0.1, 0.1, 0.3)
             assert 0 <= t1 <= t2 <= t3
 
+    def test_interval_martingale_unregistered(self, small_recorders):
+        # one path, no fallback to the log: the terms must be registered
+        _, params, recs = small_recorders
+        with pytest.raises(UsageError, match="psi0 event functional"):
+            interval_martingale(recs[0], 0.5, -0.3, 0.3, 0.3)
+        bare = simulate(dirac(0.0), params, [], RngStream(901, 0))
+        assert bare.event_locations.size > 0
+        with pytest.raises(UsageError, match="psi0 event functional"):
+            interval_martingale(bare, 0.5, -0.1, 0.1, 0.3)
+
     def test_psi0_event_sum_matches_direct(self, small_recorders):
         _, _, recs = small_recorders
         rec = recs[0]
@@ -140,7 +150,7 @@ class TestTimeChange:
         direct = float(
             np.sum(psi0(0.5, -0.1, 0.1, rec.event_locations[sl]) * rec.event_net_mass[sl])
         )
-        assert z == pytest.approx(direct, abs=1e-15)
+        assert z == direct
 
     def test_T_bound_every_replica(self, timechange_run):
         out, rep = timechange_run
