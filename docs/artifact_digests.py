@@ -12,15 +12,24 @@ older commits too.  Takes a few seconds.
 Every replica kind also runs at `workers = 3` (on the process pool).  The
 script exits non-zero, naming the files, if any artifact of that run differs
 from the one-worker run; report.json is compared without its `workers` line.
+
+    PYTHONPATH=src python3 docs/artifact_digests.py --write tests/artifact_digests.txt
+
+writes the table, after a line each with the Python and numpy versions, to
+the committed file that tests/test_artifact_digests.py checks.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from sbmlab.config import KINDS, parse_config_text
 from sbmlab.harness import REGISTRY, run_experiment
@@ -62,27 +71,48 @@ def _without_workers_line(data: bytes) -> bytes:
     )
 
 
-def main() -> int:
+def versions() -> list[str]:
+    """The header lines of a written table: the versions that the digests
+    depend on."""
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}"]
+
+
+def digest_table(workdir: str | Path) -> tuple[list[str], list[str]]:
+    """Every kind's artifacts run in workdir: one line per artifact (kind,
+    file name, sha256), and the replica-kind artifacts that differ at
+    workers = POOL_WORKERS."""
     home = os.getcwd()
-    differ = []
+    lines, differ = [], []
+    os.chdir(workdir)
+    try:
+        for kind in KINDS:
+            serial = _artifacts(kind, 1)
+            for name, data in serial.items():
+                lines.append(f"{kind:12s} {name:28s} {hashlib.sha256(data).hexdigest()}")
+            if REGISTRY[kind].run is not None:
+                continue  # path-free kind: no replicas, no pool
+            pooled = _artifacts(kind, POOL_WORKERS)
+            for name in sorted(serial.keys() | pooled.keys()):
+                a, b = serial.get(name), pooled.get(name)
+                if name == "report.json" and a is not None and b is not None:
+                    a, b = _without_workers_line(a), _without_workers_line(b)
+                if a != b:
+                    differ.append(f"{kind}/{name}")
+    finally:
+        os.chdir(home)
+    return lines, differ
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--write", metavar="FILE", help="write the table, with the versions, to FILE")
+    args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            for kind in KINDS:
-                serial = _artifacts(kind, 1)
-                for name, data in serial.items():
-                    print(f"{kind:12s} {name:28s} {hashlib.sha256(data).hexdigest()}")
-                if REGISTRY[kind].run is not None:
-                    continue  # path-free kind: no replicas, no pool
-                pooled = _artifacts(kind, POOL_WORKERS)
-                for name in sorted(serial.keys() | pooled.keys()):
-                    a, b = serial.get(name), pooled.get(name)
-                    if name == "report.json" and a is not None and b is not None:
-                        a, b = _without_workers_line(a), _without_workers_line(b)
-                    if a != b:
-                        differ.append(f"{kind}/{name}")
-        finally:
-            os.chdir(home)
+        lines, differ = digest_table(tmp)
+    if args.write:
+        Path(args.write).write_text("\n".join(versions() + lines) + "\n")
+    else:
+        print("\n".join(lines))
     if differ:
         print(f"differ at workers = {POOL_WORKERS}: {' '.join(differ)}", file=sys.stderr)
         return 1

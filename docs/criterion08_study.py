@@ -10,6 +10,8 @@ numbers, so the paths are those of the acceptance test:
         T_d = int_0^t <X_s, |g^{x1} - g^{x2}|^{1+beta}> ds
     is read off as the kind reads it (`increment_clock_weights`; every pair
     endpoint is a bin edge);
+  * the moments kind's increment_event_functional, whose event sums at the
+    pair endpoints give dM as the kind reads it (`martingale_increments`);
   * on the first 60 replicas, an exact per-particle accumulator of the same
     20 integrands, used only to bound the histogram's quadrature error.
 
@@ -35,7 +37,12 @@ from sbmlab.kernels import g_lambda, green_closed
 from sbmlab.measures import dirac
 from sbmlab.particles import OccupationFunctional, make_params, simulate
 from sbmlab.rng import RngStream
-from sbmlab.tanaka import histogram_functional, increment_clock_weights, martingale_increments
+from sbmlab.tanaka import (
+    histogram_functional,
+    increment_clock_weights,
+    increment_event_functional,
+    martingale_increments,
+)
 
 BETA, N_SCALE, T, R, LAM, Q = 0.5, 2000, 0.5, 600, 1.0, 1.2
 CENTERS = (-0.5, -0.25, 0.0, 0.25, 0.5)
@@ -80,6 +87,7 @@ def run_seed(seed: int) -> dict:
     exact = OccupationFunctional(
         name="clock_exact", state_fn=_exact_clock_rate, width=len(PAIRS), checkpoint_stride=10**9
     )
+    increments = increment_event_functional(LAM, PAIRS)
     centers = hist.meta["centers"][:, None]
     bin_integrand = increment_clock_weights(hist.meta["centers"], LAM, PAIRS, BETA)  # (bins, 20)
     bin_positive = bin_integrand * (g_lambda(LAM, centers - X1) > g_lambda(LAM, centers - X2))
@@ -87,7 +95,7 @@ def run_seed(seed: int) -> dict:
     dm, uncomp, even_g, clock, clock_pos = (np.empty(shape) for _ in range(5))
     clock_err = 0.0
     for i in range(R):
-        fns = [hist, exact] if i < EXACT_REPLICAS else [hist]
+        fns = [hist, increments, exact] if i < EXACT_REPLICAS else [hist, increments]
         rec = simulate(dirac(0.0), params, fns, RngStream(seed, i))
         occ = rec.occupation_at(hist.name, T)
         clock[i] = occ @ bin_integrand
@@ -99,7 +107,7 @@ def run_seed(seed: int) -> dict:
         y = rec.event_locations[sl]
         k = rec.event_offspring[sl] / N_SCALE
         net = rec.event_net_mass[sl]
-        dm[i] = martingale_increments(rec, LAM, PAIRS, T)
+        dm[i] = martingale_increments(rec, LAM, PAIRS)
         for j, (x1, x2) in enumerate(PAIRS):
             uncomp[i, j] = (g_lambda(LAM, y - x1) - g_lambda(LAM, y - x2)) @ k
             even_g[i, j] = (green_closed(LAM, y - x1) - green_closed(LAM, y - x2)) @ net

@@ -72,7 +72,7 @@ class ExperimentConfig:
     t_end: float = 0.5
     dim: int = 1
     particle_cap: int = 10_000_000
-    snapshot_stride: int = 1  # only for the kinds that keep snapshots (Kind.keeps)
+    snapshot_stride: int = 1  # the stride of the simulate kind's path files
     initial_measure: str | None = None  # measure file path; default is delta_0
     # orchestration
     replicas: int = 100

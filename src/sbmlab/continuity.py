@@ -29,6 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .particles import OccupationFunctional
+from .tanaka import histogram_functional
+
 __all__ = [
     "ExponentConditions",
     "check_exponent_conditions",
@@ -41,6 +44,7 @@ __all__ = [
     "HolderFit",
     "dyadic_lags",
     "holder_exponent",
+    "probe_functionals",
     "unboundedness_probe",
 ]
 
@@ -358,56 +362,52 @@ def holder_exponent(
 # ---------------------------------------------------------------------------
 
 
+def _probe_histogram(dim: int, window, h: float) -> OccupationFunctional:
+    """The occupation histogram of bin width h over the window ((lo, hi) in
+    d=1, ((xlo, xhi), (ylo, yhi)) in d=2); bins are closed on the left, and
+    particles outside every bin are not counted."""
+    if not h > 0:
+        raise ValueError(f"bin width must be > 0, got {h}")
+    if dim == 1:
+        return histogram_functional(float(window[0]), float(window[1]), h, checkpoint_stride=10**9)
+    (xlo, xhi), (ylo, yhi) = window
+    ex, ey = (np.arange(lo, hi + h * 0.5, h) for lo, hi in window)
+    nx, ny = ex.size - 1, ey.size - 1
+
+    def state_fn(state) -> np.ndarray:
+        ix = ex.searchsorted(state.positions[:, 0], side="right") - 1
+        iy = ey.searchsorted(state.positions[:, 1], side="right") - 1
+        inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+        counts = np.bincount(ix[inside] * ny + iy[inside], minlength=nx * ny)
+        return state.mass_per_particle * counts
+
+    return OccupationFunctional(
+        name=f"histogram2d:{xlo:g}:{xhi:g}:{ylo:g}:{yhi:g}:{h:g}",
+        state_fn=state_fn,
+        width=nx * ny,
+        checkpoint_stride=10**9,
+        meta={"kind": "histogram2d", "edges": (ex, ey)},
+    )
+
+
+def probe_functionals(dim: int, resolutions, window) -> list[OccupationFunctional]:
+    """The occupation histograms `unboundedness_probe` reads, one per bin
+    width, to register before simulate."""
+    return [_probe_histogram(dim, window, h) for h in resolutions]
+
+
 def unboundedness_probe(recorder, resolutions, window) -> list[tuple[float, float]]:
     """For each bin width, the maximum over bins of occupation mass per bin
-    area inside the window; occupation is the snapshot-grid trapezoid.
+    area inside the window at t_end, read from the histograms of
+    `probe_functionals` (integrated on the step grid).
 
     A continuous occupation density (d=1) stabilizes under refinement; the
-    locally unbounded d=2 density keeps growing as bins shrink."""
+    locally unbounded d=2 density goes on growing as bins shrink."""
     dim = recorder.params.dim
-    if dim == 1:
-        lo, hi = window
-        bounds = [(float(lo), float(hi))]
-    else:
-        (xlo, xhi), (ylo, yhi) = window
-        bounds = [(float(xlo), float(xhi)), (float(ylo), float(yhi))]
-    mass = recorder.params.mass_per_particle
-    times = recorder.snapshot_times
-
-    def in_window(pos: np.ndarray) -> np.ndarray:
-        if dim == 1:
-            return pos[(pos >= bounds[0][0]) & (pos <= bounds[0][1])]
-        keep = (
-            (pos[:, 0] >= bounds[0][0])
-            & (pos[:, 0] <= bounds[0][1])
-            & (pos[:, 1] >= bounds[1][0])
-            & (pos[:, 1] <= bounds[1][1])
-        )
-        return pos[keep]
-
-    total_occ = np.trapezoid(
-        [mass * in_window(p).shape[0] for p in recorder.snapshots], times
-    )
-    if total_occ <= 0:
-        raise ValueError("window has zero occupation")
-
     out = []
     for h in resolutions:
-        if h <= 0:
-            raise ValueError(f"bin width must be > 0, got {h}")
-        edges = [
-            np.arange(lo_i, hi_i + h * 0.5, h) for (lo_i, hi_i) in bounds
-        ]
-        shape = tuple(len(e) - 1 for e in edges)
-        series = np.empty((times.size,) + shape)
-        for i, pos in enumerate(recorder.snapshots):
-            p = in_window(pos)
-            if dim == 1:
-                counts, _ = np.histogram(p, bins=edges[0])
-            else:
-                counts, _, _ = np.histogram2d(p[:, 0], p[:, 1], bins=edges)
-            series[i] = counts * mass
-        occ = np.trapezoid(series, times, axis=0)
-        area = h**dim
-        out.append((float(h), float(occ.max() / area)))
+        occ = recorder.series(_probe_histogram(dim, window, h).name).at(recorder.horizon)
+        if not occ.any():
+            raise ValueError("window has zero occupation")
+        out.append((float(h), float(occ.max() / h**dim)))
     return out

@@ -11,18 +11,17 @@ path-free kind (stabletails, criterion, holder) supplies one `run` function
 instead.  `check` holds the kind's acceptance thresholds.  `run_experiment`,
 `merge_reports`, `check_report` and the CLI subcommands all read this table.
 
-What a replica keeps: a path's masses, occupation integrals, event terms and
-positions at t = 0 and t_end always; beyond them only what the kind's record
-reads, as its `keeps` declares.  The event log costs about 56 bytes per
-branch event at its peak and the snapshots one copy of the positions per
-stride.  An event sum needs neither: an `EventFunctional` among a kind's
-functionals keeps its terms f(location) * net_mass, 8 bytes per event,
-formed a block of steps at a time.  So timechange (the psi0 terms of Z_t)
-and jumps (the net masses, f = 1) keep no log, and duality keeps nothing
-beyond the ends (a recorder without the log still counts its events);
-unbounded2d keeps the snapshots, tanaka and moments the events, and simulate
-both, for its path files.  `snapshot_stride` applies only to the kinds that
-keep snapshots.  Nothing kept or dropped changes a draw.
+What a replica holds: a path's masses, occupation integrals, event counts,
+event-functional totals and positions at t = 0 and t_end.  Only the simulate
+kind stores the path (`simulate(..., keep_path=kind.saves_paths)`): the event
+log and the snapshots every `snapshot_stride` steps, for its path files.
+Every other record reads sums at t_end, which need no path: an
+`EventFunctional` among a kind's functionals sums over each block of steps'
+events as simulate flushes it, so tanaka (the martingale terms at every
+panel point), moments (M_t(g^x) at every pair endpoint), timechange (psi0)
+and jumps (the counts above each level) keep only a (width,) total, and
+unbounded2d reads occupation histograms.  Keeping the path or not changes
+no draw.
 
 Determinism contract: replica i always uses the stream (seed, replica_start
 + i) regardless of worker count; cap-hit replicas are resampled on stream
@@ -64,12 +63,17 @@ from .config import (
     config_hash,
     parse_config_text,
 )
-from .continuity import CriterionParams, gs_series, holder_exponent, unboundedness_probe
+from .continuity import (
+    CriterionParams,
+    gs_series,
+    holder_exponent,
+    probe_functionals,
+    unboundedness_probe,
+)
 from .errors import ConfigError, ResourceLimitError
 from .loglaplace import GridSpec, smoothed_indicator, solve_mild
 from .measures import FiniteMeasure, dirac, load_measure
 from .particles import (
-    KEEP_ALL,
     EventFunctional,
     make_params,
     save_events,
@@ -90,11 +94,13 @@ from .tanaka import (
     ftc_check,
     histogram_functional,
     increment_clock_weights,
+    increment_event_functional,
     interval_indicator_functional,
     martingale_increments,
     panel_index,
     psi0_event_functional,
     psi0_power_functional,
+    tanaka_event_functional,
     tanaka_panel_functional,
     tanaka_panel_terms,
 )
@@ -166,8 +172,6 @@ def _initial_measure(cfg: ExperimentConfig) -> FiniteMeasure:
 
 
 def _model_params(cfg: ExperimentConfig):
-    # the stride concerns only the kinds that keep the snapshots between the ends
-    stride = cfg.snapshot_stride if "snapshots" in REGISTRY[cfg.kind].keeps else 1
     return make_params(
         cfg.beta,
         cfg.n_scale,
@@ -175,7 +179,7 @@ def _model_params(cfg: ExperimentConfig):
         dim=cfg.dim,
         dt=cfg.dt,
         particle_cap=cfg.particle_cap,
-        snapshot_stride=stride,
+        snapshot_stride=cfg.snapshot_stride,
     )
 
 
@@ -198,17 +202,23 @@ def _tanaka_functionals(cfg: ExperimentConfig):
     hi = max(8.0, max(cfg.x_eval, default=0.0) + reach)
     return [
         tanaka_panel_functional((cfg.lam, cfg.lam_alt), xs),
+        tanaka_event_functional((cfg.lam, cfg.lam_alt), xs),
         histogram_functional(lo, hi, bin_width, checkpoint_stride=100),
     ]
 
 
 def _moments_functionals(cfg: ExperimentConfig):
-    return [histogram_functional(*MOMENTS_HISTOGRAM, checkpoint_stride=10**9)]
+    return [
+        histogram_functional(*MOMENTS_HISTOGRAM, checkpoint_stride=10**9),
+        increment_event_functional(cfg.lam, cfg.moment_pairs()),
+    ]
 
 
 def _jumps_functionals(cfg: ExperimentConfig):
-    # f = 1: the terms are the events' net masses, bit for bit
-    return [EventFunctional("net_mass", lambda y: np.ones(y.shape[0]), {"kind": "net_mass"})]
+    # exact integer counts, so their total does not depend on the blocks
+    levels = _jump_levels(cfg)
+    return [EventFunctional("jump_counts", lambda y, net: (net[:, None] > levels).sum(axis=0),
+                            levels.size, {"kind": "jump_counts"})]
 
 
 def _timechange_functionals(cfg: ExperimentConfig):
@@ -242,9 +252,8 @@ def _record_duality(cfg: ExperimentConfig, rec, mu0) -> dict:
 def _record_tanaka(cfg: ExperimentConfig, rec, mu0) -> dict:
     # one panel per lambda; every x_eval is a panel point (panel_grid)
     out = {}
-    t = cfg.t_end
-    lt = estimate_local_time(rec, t, np.asarray(cfg.x_eval), cfg.bandwidth)
-    panels = {lam: tanaka_panel_terms(rec, mu0, lam, t) for lam in (cfg.lam, cfg.lam_alt)}
+    lt = estimate_local_time(rec, cfg.t_end, np.asarray(cfg.x_eval), cfg.bandwidth)
+    panels = {lam: tanaka_panel_terms(rec, mu0, lam) for lam in (cfg.lam, cfg.lam_alt)}
     for lam, panel in panels.items():
         for x in cfg.x_eval:
             j = panel_index(panel.xs, x)
@@ -261,7 +270,7 @@ def _record_moments(cfg: ExperimentConfig, rec, mu0) -> dict:
     # the clock T_d of each pair (validate makes every endpoint a bin edge)
     t, pairs = cfg.t_end, cfg.moment_pairs()
     hist = rec.find_series("histogram")
-    increments = martingale_increments(rec, cfg.lam, pairs, t)
+    increments = martingale_increments(rec, cfg.lam, pairs)
     clocks = hist.at(t) @ increment_clock_weights(hist.meta["centers"], cfg.lam, pairs, cfg.beta)
     shape = (len(cfg.distances), len(cfg.pair_centers))
     columns = {
@@ -287,22 +296,25 @@ def _jump_levels(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _record_jumps(cfg: ExperimentConfig, rec, mu0) -> dict:
-    net = rec.find_event_series("net_mass").values
-    return {f"count:y={y:g}": float(np.sum(net > y)) for y in _jump_levels(cfg)}
+    counts = rec.find_event_total("jump_counts").values
+    return {f"count:y={y:g}": float(c) for y, c in zip(_jump_levels(cfg), counts)}
 
 
 def _record_timechange(cfg: ExperimentConfig, rec, mu0) -> dict:
     t = cfg.t_end
     t_hat = compute_T(rec, cfg.lam, cfg.x1, cfg.x2, t)
-    z_hat = interval_martingale(rec, cfg.lam, cfg.x1, cfg.x2, t)
+    z_hat = interval_martingale(rec, cfg.lam, cfg.x1, cfg.x2)
     series = rec.find_series("interval", x1=cfg.x1, x2=cfg.x2)
     occ = float(series.at(t)[0])
     return {"T_hat": t_hat, "Z_hat": z_hat, "interval_occupation": occ}
 
 
+def _unbounded2d_functionals(cfg: ExperimentConfig):
+    return probe_functionals(2, cfg.resolutions, (cfg.window, cfg.window))  # validate: dim = 2
+
+
 def _record_unbounded2d(cfg: ExperimentConfig, rec, mu0) -> dict:
-    lo, hi = cfg.window  # validate requires dim = 2
-    table = unboundedness_probe(rec, cfg.resolutions, ((lo, hi), (lo, hi)))
+    table = unboundedness_probe(rec, cfg.resolutions, (cfg.window, cfg.window))
     return {f"max_density:h={h:g}": v for h, v in table}
 
 
@@ -315,7 +327,7 @@ def _run_one_replica(cfg: ExperimentConfig, index: int, out_dir: str) -> dict:
     while True:
         stream = RngStream(cfg.seed, index + (attempt << 32))
         try:
-            rec = simulate(mu0, params, functionals, stream, keep=kind.keeps)
+            rec = simulate(mu0, params, functionals, stream, keep_path=kind.saves_paths)
             break
         except ResourceLimitError:
             attempt += 1
@@ -394,10 +406,10 @@ def _finalize_tanaka(cfg, records, merged, out_dir, cfg_hash) -> dict:
     # decomposition table for the first recorded replica, on the full panel
     mu0 = _initial_measure(cfg)
     rec = simulate(mu0, _model_params(cfg), _tanaka_functionals(cfg),
-                   RngStream(cfg.seed, cfg.replica_start), keep=REGISTRY["tanaka"].keeps)
+                   RngStream(cfg.seed, cfg.replica_start), keep_path=False)
     rows = []
     for lam in (cfg.lam, cfg.lam_alt):
-        p = tanaka_panel_terms(rec, mu0, lam, cfg.t_end)
+        p = tanaka_panel_terms(rec, mu0, lam)
         columns = (p.term_initial, p.term_terminal, p.term_occupation, p.term_martingale,
                    p.local_time, p.recentered, p.deriv_field)
         for j, x in enumerate(p.xs):
@@ -819,8 +831,8 @@ class Kind:
     functionals(cfg), record(cfg, rec, mu0) -> dict, finalize(cfg, records,
     merged, out_dir, cfg_hash) -> extra with an `artifact_tables` list,
     run(cfg, out_dir, cfg_hash) -> (records, extra), check(report) -> fails.
-    keeps is the `simulate` keep of its replicas: what record reads of a path
-    beyond the masses, the occupations and the positions at t = 0 and t_end."""
+    saves_paths also makes its replicas keep the path (`simulate`'s
+    keep_path)."""
 
     record: Callable | None = None
     finalize: Callable | None = None
@@ -828,45 +840,37 @@ class Kind:
     functionals: Callable = lambda cfg: []
     check: Callable = lambda report: []
     saves_paths: bool = False  # writes the path files that save_paths asks for
-    keeps: tuple[str, ...] = KEEP_ALL
 
 
 REGISTRY: dict[str, Kind] = {
-    # the path files hold the event log and every snapshot
+    # the path files hold the event log and the snapshots
     "simulate": Kind(record=_record_simulate, finalize=_finalize_simulate, saves_paths=True),
-    # the Laplace functional reads the positions at t_end only
-    "duality": Kind(record=_record_duality, finalize=_finalize_duality, check=_check_duality,
-                    keeps=()),
+    "duality": Kind(record=_record_duality, finalize=_finalize_duality, check=_check_duality),
     "tanaka": Kind(
         record=_record_tanaka,
         finalize=_finalize_tanaka,
         functionals=_tanaka_functionals,
         check=_check_tanaka,
-        keeps=("events",),
     ),
     "moments": Kind(
         record=_record_moments,
         finalize=_finalize_moments,
         functionals=_moments_functionals,
         check=_check_moments,
-        keeps=("events",),
     ),
-    # the counts read the net-mass event terms
     "jumps": Kind(record=_record_jumps, finalize=_finalize_jumps,
-                  functionals=_jumps_functionals, check=_check_jumps, keeps=()),
+                  functionals=_jumps_functionals, check=_check_jumps),
     "timechange": Kind(
         record=_record_timechange,
         finalize=_finalize_timechange,
         functionals=_timechange_functionals,
         check=_check_timechange,
-        keeps=(),  # Z_t sums the psi0 event terms
     ),
     "stabletails": Kind(run=_run_stabletails, check=_check_stabletails),
     "criterion": Kind(run=_run_criterion, check=_check_criterion),
     "holder": Kind(run=_run_holder),
-    # the occupation trapezoid runs over every snapshot
     "unbounded2d": Kind(record=_record_unbounded2d, finalize=_finalize_unbounded2d,
-                        keeps=("snapshots",)),
+                        functionals=_unbounded2d_functionals),
 }
 # config validates kind names and [section] headers against KINDS
 assert tuple(REGISTRY) == KINDS, "REGISTRY and config.KINDS list different kinds"

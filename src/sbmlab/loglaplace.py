@@ -156,7 +156,7 @@ class HeatSemigroup:
         kernel = np.exp(-d * d / (2.0 * s))
         kernel[d > 8.0 * np.sqrt(s)] = 0.0
         # the kernel is even, so its spectrum is real; both are copied out, so
-        # that neither keeps the complex spectrum or the full-length inverse
+        # that neither holds the complex spectrum or the full-length inverse
         # transform alive
         self.spectra = fft.rfft(kernel, axis=-1).real.copy()
         self.row_sums = self._convolve(self.spectra, fft.rfft(self.weights, n=n_fft)).copy()

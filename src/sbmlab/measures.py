@@ -85,9 +85,6 @@ class FiniteMeasure:
             return float(self.atom_masses[idx])
         return 0.0
 
-    def is_atomless(self) -> bool:
-        return self.atom_locations.size == 0
-
     def sample_positions(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. positions from the normalized measure.
 

@@ -5,12 +5,12 @@ Each particle carries mass 1/N, moves as a Brownian motion, and branches at
 rate (1+beta) * N^beta into a Slack-law offspring count; the compound rate
 times (f(s) - s) then rescales exactly to the branching mechanism u^(1+beta),
 so N enters only through initial-mass rounding and the motion/branching
-interleaving.  Branch events are logged as jumps (offspring - 1)/N at the
-parent location, or only counted where no reader needs the log; occupation
+interleaving.  Branch events are counted step by step, and logged as jumps
+(offspring - 1)/N at the parent location only for a kept path; occupation
 integrals of registered functionals accumulate on the step grid by the
-trapezoid rule, a block of buffered steps at a time, and the event terms
-f(location) * net_mass of registered event functionals are formed on the
-same blocks, one float per event, so a martingale sum needs no log.
+trapezoid rule, a block of buffered steps at a time, and each registered
+event functional adds its sum over the same block's events to a running
+total, so an event sum at t_end needs no log.
 """
 from __future__ import annotations
 
@@ -33,8 +33,7 @@ __all__ = [
     "OccupationFunctional",
     "OccupationSeries",
     "EventFunctional",
-    "EventSeries",
-    "KEEP_ALL",
+    "EventTotal",
     "PathRecorder",
     "interp_rows",
     "stable_order",
@@ -45,10 +44,8 @@ __all__ = [
     "init_particles",
     "step",
     "simulate",
-    "martingale_event_sum",
     "interval_jump_max",
     "save_events",
-    "load_events",
     "save_snapshots",
 ]
 
@@ -94,7 +91,7 @@ def model_violations(
 ) -> list[str]:
     """Every rule of `ModelParams` the values break, naming each field; empty
     if they are valid.  dt None stands for the step `make_params` fits under
-    the branch_rate*dt cap, which keeps every dt rule."""
+    the branch_rate*dt cap, which obeys every dt rule."""
     errs = []
     if not (0.0 < beta < 1.0):
         errs.append(f"beta must lie in (0, 1), got {beta}")
@@ -280,26 +277,26 @@ class OccupationSeries:
 
 @dataclass
 class EventFunctional:
-    """A named f whose branching-event terms f(location) * net_mass `simulate`
-    keeps, one float per event in time order, without the event log.
+    """A named sum over the branch events up to t_end, kept without the log.
 
-    fn maps an array of event locations ((n,) in d=1, (n, 2) in d=2) to n
-    values.  `simulate` evaluates it once per block of steps, on the block's
-    events, so each term is elementwise the one `martingale_event_sum` forms
-    from the log, and np.sum over the first `events_until(t)` terms is that
-    sum bit for bit.  meta locates the terms on a recorder
-    (`PathRecorder.find_event_series`), as it does for occupations."""
+    sum_fn(locations, net_mass) maps a batch of events (locations (n,) in
+    d=1, (n, 2) in d=2, and their net masses (n,)) to its (width,) sum.
+    `simulate` calls it once per block of steps, on the block's events, and
+    adds the result to a running total in block order, so the total depends
+    on the path alone (not on the worker count).  meta locates the total on a
+    recorder (`PathRecorder.find_event_total`), as it does for occupations."""
 
     name: str
-    fn: Callable[[np.ndarray], np.ndarray]
+    sum_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    width: int = 1
     meta: dict = field(default_factory=dict)
 
 
 @dataclass
-class EventSeries:
-    """The event terms of one EventFunctional, one per branch event."""
+class EventTotal:
+    """The sum of one EventFunctional over every branch event up to t_end."""
 
-    values: np.ndarray  # (events,)
+    values: np.ndarray  # (width,)
     meta: dict
 
 
@@ -319,20 +316,15 @@ def _meta_matches(meta: dict, kind: str, fields: dict) -> bool:
     return True
 
 
-# what `simulate` can keep beyond the masses, the occupations and the states
-# at t = 0 and t_end: the branch-event log and the snapshots in between
-KEEP_ALL = ("events", "snapshots")
-
-
 class PathRecorder:
     """Step-resolution record of one replica: masses, occupation accumulators,
-    event-functional terms, position snapshots, the branch-event log, and the
-    extinction time.
+    event-functional totals, the number of branch events at each step,
+    position snapshots, the extinction time and, for a kept path, the
+    branch-event log.
 
-    A recorder built without the event arrays (`simulate` with "events" not
-    in `keep`) holds the number of events at each step instead: its
-    event_times are rebuilt from those counts when read, exactly, and reading
-    its locations, offspring or net masses raises UsageError."""
+    Without the log (`simulate` with keep_path False) reading the event
+    locations, offspring or net masses raises UsageError; the event times
+    come from the per-step counts either way."""
 
     def __init__(
         self,
@@ -346,39 +338,29 @@ class PathRecorder:
         snapshots: list[np.ndarray],
         extinction_time: float,
         final_positions: np.ndarray,
-        event_times: np.ndarray | None = None,
-        event_locations: np.ndarray | None = None,
+        step_event_counts: np.ndarray,  # (steps + 1,): the events of each step
+        event_locations: np.ndarray | None = None,  # the log, for a kept path
         event_offspring: np.ndarray | None = None,
-        event_net_mass: np.ndarray | None = None,
-        step_event_counts: np.ndarray | None = None,  # instead of the four above
-        event_values: dict[str, EventSeries] | None = None,
+        event_totals: dict[str, EventTotal] | None = None,
     ):
-        if (event_times is None) == (step_event_counts is None):
-            raise ValueError("provide exactly one of event_times / step_event_counts")
         self.params = params
         self.step_times = step_times
         self.masses = masses
         self.mass_occupation = mass_occupation
         self.occupations = occupations
-        self.event_values = {} if event_values is None else event_values
+        self.event_totals = {} if event_totals is None else event_totals
         self.snapshot_times = snapshot_times
         self.snapshots = snapshots
         self.extinction_time = extinction_time
         self.final_positions = final_positions
-        self._event_times = event_times
-        self._step_event_counts = step_event_counts
-        self._event_log = (
-            None if event_times is None else (event_locations, event_offspring, event_net_mass)
-        )
-        # sorted copies handed out by sorted_state_at / sorted_events_until
-        self._memo: dict = {}
+        self.step_event_counts = step_event_counts
+        self._event_log = None if event_offspring is None else (
+            event_locations, event_offspring, (event_offspring - 1) * params.mass_per_particle)
 
     @property
     def event_times(self) -> np.ndarray:
         """The time of every branch event, in order."""
-        if self._event_times is None:
-            return np.repeat(self.step_times, self._step_event_counts)
-        return self._event_times
+        return np.repeat(self.step_times, self.step_event_counts)
 
     @property
     def event_locations(self) -> np.ndarray:
@@ -395,7 +377,7 @@ class PathRecorder:
     def _event_array(self, k: int, name: str) -> np.ndarray:
         if self._event_log is None:
             raise UsageError(f"{name} was not kept: the path was simulated without "
-                             f"its event log (\"events\" not in keep)")
+                             "its event log (keep_path False)")
         return self._event_log[k]
 
     @property
@@ -420,10 +402,10 @@ class PathRecorder:
         return next((s for s in self.occupations.values()
                      if _meta_matches(s.meta, kind, fields)), None)
 
-    def find_event_series(self, kind: str, **fields) -> EventSeries | None:
-        """Locate the terms of a registered event functional as find_series
+    def find_event_total(self, kind: str, **fields) -> EventTotal | None:
+        """Locate the total of a registered event functional as find_series
         locates an accumulator."""
-        return next((s for s in self.event_values.values()
+        return next((s for s in self.event_totals.values()
                      if _meta_matches(s.meta, kind, fields)), None)
 
     def total_occupation_at(self, t: float) -> float:
@@ -435,33 +417,12 @@ class PathRecorder:
         """Positions snapshot at time t (must be a recorded snapshot time)."""
         return self.snapshots[self._snapshot_index(t)]
 
-    def sorted_state_at(self, t: float) -> np.ndarray:
-        """Sorted copy of the (d=1) positions at time t (`state_at`),
-        memoized so that every kernel sum at t shares one sort."""
-        key = ("state", self._snapshot_index(t))
-        if key not in self._memo:
-            self._memo[key] = np.sort(self.snapshots[key[1]])
-        return self._memo[key]
-
-    def sorted_events_until(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The (d=1) event locations up to t in stably sorted order, with
-        their net masses in the same order; memoized like sorted_state_at."""
-        sl = self.events_until(t)
-        key = ("events", sl.stop)
-        if key not in self._memo:
-            order, locations = stable_order(self.event_locations[sl])
-            self._memo[key] = (locations, self.event_net_mass[order])
-        return self._memo[key]
-
     def events_until(self, t: float) -> slice:
-        """The events at times <= t: a prefix of the log and of every event
-        series.  Without the log it counts them step by step, so event_times
-        is not rebuilt."""
+        """The events at times <= t, a prefix of the log, counted step by
+        step."""
         self._check_time(t)
-        if self._event_times is None:
-            j = int(np.searchsorted(self.step_times, t, side="right"))
-            return slice(0, int(self._step_event_counts[:j].sum()))
-        return slice(0, int(np.searchsorted(self._event_times, t, side="right")))
+        j = int(np.searchsorted(self.step_times, t, side="right"))
+        return slice(0, int(self.step_event_counts[:j].sum()))
 
     def _snapshot_index(self, t: float) -> int:
         self._check_time(t)
@@ -586,26 +547,25 @@ def simulate(
     params: ModelParams,
     functionals: Sequence[OccupationFunctional | EventFunctional],
     stream: RngStream,
-    keep: Sequence[str] = KEEP_ALL,
+    keep_path: bool = True,
 ) -> PathRecorder:
     """Run the particle system to t_end, accumulating occupation integrals of
-    the registered occupation functionals on the step grid and the event
-    terms of the registered event functionals.
+    the registered occupation functionals on the step grid and the totals of
+    the registered event functionals.
 
-    keep names what the recorder holds beyond the masses, the occupations,
-    the event terms and the positions at t = 0 and t_end (`KEEP_ALL` by
-    default): "events", the branch-event log (without it, only the event
-    count of each step), and "snapshots", the positions every
-    params.snapshot_stride steps in between.  Neither changes a draw, so
-    every other output is the same.
+    The recorder always holds the masses, the occupations, the event totals,
+    the number of events at each step and the positions at t = 0 and t_end.
+    keep_path (the default) adds the path: the branch-event log and the
+    positions every params.snapshot_stride steps in between.  It changes no
+    draw, so every other output is the same either way.
 
     Each step's functional values go into a bounded row buffer (_BLOCK_STEPS
     rows per functional); every _BLOCK_STEPS steps, and at the last, the
     buffered block is integrated by the trapezoid rule with one sequential
     cumsum, bit for bit the step-by-step sum cum + 0.5 * (v + v_prev) * dt.
-    At the same flush each event functional's fn(locations) * net_mass is
-    formed once on the block's events.  The total-mass trapezoid is formed
-    once, after the loop.
+    At the same flush each event functional's sum_fn over the block's events
+    is added to its total.  The total-mass trapezoid is formed once, after
+    the loop.
 
     Deterministic given the stream.  Raises ResourceLimitError if the
     particle count exceeds params.particle_cap (heavy-tail blowup guard).
@@ -613,11 +573,8 @@ def simulate(
     names = [f.name for f in functionals]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate functional names: {names}")
-    if not set(keep) <= set(KEEP_ALL):
-        raise ValueError(f"keep must name only {KEEP_ALL}, got {tuple(keep)}")
     event_fns = [f for f in functionals if isinstance(f, EventFunctional)]
     functionals = [f for f in functionals if not isinstance(f, EventFunctional)]
-    keep_events = "events" in keep
     n_steps = params.n_steps
     dt = params.dt
     state = init_particles(mu, params, stream)
@@ -627,15 +584,15 @@ def simulate(
     step_times[0] = 0.0
     masses[0] = state.total_mass
     trapezoids = [_BlockTrapezoid(f, n_steps, dt, f.state_value(state)) for f in functionals]
+    totals = [np.zeros(f.width) for f in event_fns]
 
-    # without "snapshots", the last step is the only one after step 0 kept
-    snapshot_stride = params.snapshot_stride if "snapshots" in keep else max(n_steps, 1)
+    # without the path, the last step is the only one after step 0 kept
+    snapshot_stride = params.snapshot_stride if keep_path else max(n_steps, 1)
     snapshot_times = [0.0]
     snapshots = [state.positions.copy()]
     step_event_counts = np.zeros(n_steps + 1, dtype=np.int64)
     ev_locations: list[np.ndarray] = []
     ev_offspring: list[np.ndarray] = []
-    ev_terms: list[list[np.ndarray]] = [[] for _ in event_fns]
     block_locations: list[np.ndarray] = []  # the current block's events
     block_offspring: list[np.ndarray] = []
     extinction_time = math.inf if state.count > 0 else 0.0
@@ -655,7 +612,7 @@ def simulate(
             acc.values[row] = f.state_value(state)
         if ks.size:
             step_event_counts[i] = ks.size
-            if keep_events or event_fns:
+            if keep_path or event_fns:
                 block_locations.append(locs)
                 block_offspring.append(ks)
         if row == _BLOCK_STEPS or i == n_steps:
@@ -664,11 +621,10 @@ def simulate(
             if block_offspring:
                 locs = np.concatenate(block_locations)
                 ks = np.concatenate(block_offspring)
-                if event_fns:
-                    net = (ks - 1) * params.mass_per_particle
-                    for f, terms in zip(event_fns, ev_terms):
-                        terms.append(np.asarray(f.fn(locs)) * net)
-                if keep_events:
+                net = (ks - 1) * params.mass_per_particle
+                for f, total in zip(event_fns, totals):
+                    total += f.sum_fn(locs, net)
+                if keep_path:
                     ev_locations.append(locs)
                     ev_offspring.append(ks)
                 block_locations, block_offspring = [], []
@@ -684,26 +640,16 @@ def simulate(
         f.name: OccupationSeries(times=step_times[acc.steps], values=acc.out, meta=dict(f.meta))
         for f, acc in zip(functionals, trapezoids)
     }
-    event_values = {
-        f.name: EventSeries(values=np.concatenate(terms) if terms else np.empty(0),
-                            meta=dict(f.meta))
-        for f, terms in zip(event_fns, ev_terms)
+    event_totals = {
+        f.name: EventTotal(values=total, meta=dict(f.meta)) for f, total in zip(event_fns, totals)
     }
-
-    if not keep_events:
-        events = {"step_event_counts": step_event_counts}
-    else:
-        if ev_locations:
+    log = {}
+    if keep_path:
+        event_locations, event_offspring = _no_events(params.dim)
+        if ev_offspring:
             event_locations = np.concatenate(ev_locations)
             event_offspring = np.concatenate(ev_offspring)
-        else:
-            event_locations, event_offspring = _no_events(params.dim)
-        events = {
-            "event_times": np.repeat(step_times, step_event_counts),
-            "event_locations": event_locations,
-            "event_offspring": event_offspring,
-            "event_net_mass": (event_offspring - 1) * params.mass_per_particle,
-        }
+        log = {"event_locations": event_locations, "event_offspring": event_offspring}
 
     return PathRecorder(
         params=params,
@@ -711,23 +657,14 @@ def simulate(
         masses=masses,
         mass_occupation=mass_occ,
         occupations=occ,
-        event_values=event_values,
+        event_totals=event_totals,
         snapshot_times=np.asarray(snapshot_times),
         snapshots=snapshots,
         extinction_time=extinction_time,
         final_positions=state.positions,
-        **events,
+        step_event_counts=step_event_counts,
+        **log,
     )
-
-
-def martingale_event_sum(recorder: PathRecorder, f, t: float) -> float:
-    """Branching-martingale estimate: sum of f(location) * net_mass over
-    events up to t.  Exact at the particle level for any bounded f."""
-    sl = recorder.events_until(t)
-    if sl.stop == 0:
-        return 0.0
-    vals = np.asarray(f(recorder.event_locations[sl]))
-    return float(np.sum(vals * recorder.event_net_mass[sl]))
 
 
 def interval_jump_max(recorder: PathRecorder, x1: float, x2: float, t: float) -> float:
@@ -769,23 +706,6 @@ def save_events(recorder: PathRecorder, path: str | Path) -> None:
         ):
             lines.append(f"{fnum(t)} {fnum(xy[0])} {fnum(xy[1])} {int(k)}")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def load_events(path: str | Path, dim: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read an event log back as (times, locations, offspring)."""
-    times, locs, ks = [], [], []
-    for line in Path(path).read_text().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        times.append(float(parts[0]))
-        if dim == 1:
-            locs.append(float(parts[1]))
-            ks.append(int(parts[2]))
-        else:
-            locs.append((float(parts[1]), float(parts[2])))
-            ks.append(int(parts[3]))
-    return np.asarray(times), np.asarray(locs), np.asarray(ks, dtype=np.int64)
 
 
 def save_snapshots(recorder: PathRecorder, path: str | Path) -> None:

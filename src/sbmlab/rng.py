@@ -121,10 +121,6 @@ class OffspringLaw:
     tail_mass: float  # P(K > k_table), exact
 
     @property
-    def tail_index(self) -> float:
-        return 2.0 + self.beta
-
-    @property
     def tail_constant(self) -> float:
         # survival T_k ~ tail_constant * k^(-1-beta)
         return self.beta / ((1.0 + self.beta) * math.gamma(1.0 - self.beta))

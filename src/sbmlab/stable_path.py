@@ -5,11 +5,11 @@ martingale is a time-changed stable process.
 
 The time change is T(t) = int_0^t <X_s, psi0^(1+beta)> ds for the interval
 integrand psi0 (supported on [x1, x2], bounded by 2), accumulated exactly on
-the particle step grid; the interval martingale Z_t = M_t(psi0) is the exact
-branching-event sum, of the terms simulate keeps for it without the event
-log.  The exponential martingale of the jump measure gives
-the product identity E[exp(-theta Z_t - theta^(1+beta) T(t))] = 1, reported
-alongside the factored curve comparison E[exp(-theta Z_t)] vs
+the particle step grid; the interval martingale Z_t = M_t(psi0) at t_end is
+the exact branching-event sum that simulate totals a block of steps at a
+time, without the event log.  The exponential martingale of the jump measure
+gives the product identity E[exp(-theta Z_t - theta^(1+beta) T(t))] = 1,
+reported alongside the factored curve comparison E[exp(-theta Z_t)] vs
 E[exp(theta^(1+beta) T(t))], which treats the random clock as independent.
 """
 from __future__ import annotations
@@ -179,20 +179,17 @@ def compute_T(recorder: PathRecorder, lam: float, x1: float, x2: float, t: float
     return float(series.at(t)[0])
 
 
-def interval_martingale(
-    recorder: PathRecorder, lam: float, x1: float, x2: float, t: float
-) -> float:
-    """Z_t(x1, x2) = M_t(psi0): exact branching-event sum of psi0.
+def interval_martingale(recorder: PathRecorder, lam: float, x1: float, x2: float) -> float:
+    """Z_t(x1, x2) = M_t(psi0) at t_end: exact branching-event sum of psi0.
 
-    Requires psi0_event_functional(lam, x1, x2) registered before simulate;
-    the sum runs over its terms up to t, bit for bit `martingale_event_sum`
-    of psi0 over the log."""
+    Requires psi0_event_functional(lam, x1, x2) registered before simulate,
+    whose total it reads."""
     if x1 == x2:
         return 0.0
-    series = recorder.find_event_series("psi0_event", lam=lam, x1=x1, x2=x2)
-    if series is None:
+    total = recorder.find_event_total("psi0_event", lam=lam, x1=x1, x2=x2)
+    if total is None:
         raise UsageError(
             f"psi0 event functional for (lam={lam}, x1={x1}, x2={x2}) was not "
             "registered before simulate"
         )
-    return float(np.sum(series.values[recorder.events_until(t)]))
+    return float(total.values[0])

@@ -14,18 +14,17 @@ test suite cross-checks:
     theorem of calculus (ftc_check).
 
 Every time integral comes from an accumulator registered before simulate
-(a Tanaka panel, a kernel panel or a histogram), integrated on the step
-grid; the only positions read afterwards are those at t (`state_at`).  The
-decomposition is evaluated on the whole panel at once (`tanaka_panel_terms`),
-so a point of interest must be a panel point; `tanaka_terms` is the
-one-point reference the tests compare against.
+(a Tanaka panel or a histogram), integrated on the step grid, and every
+martingale sum M_t at t_end from an event functional, summed a block of
+steps at a time; the only positions read afterwards are those at t_end.
+The decomposition is evaluated on the whole panel at once
+(`tanaka_panel_terms`), so a point of interest must be a panel point;
+`tanaka_terms` is the one-point reference the tests compare against, read
+from a kept path (snapshots and event log).
 
 One Tanaka panel may carry several lambdas: `exp_kernel_sums` takes an
 array of rates and runs one sort-and-search pass for all of them, each
-lambda's columns bit for bit those of a panel of its own.  After simulate,
-the recorder sorts the positions at t and the event log up to t once
-(`sorted_state_at`, `sorted_events_until`), and every lambda's terminal and
-martingale sums reuse those sorts.
+lambda's columns bit for bit those of a panel of its own.
 
 The interval functionals of the time change (psi0^(1+beta) and the
 indicator of [x1, x2]) evaluate only the particles inside [x1, x2], found
@@ -52,7 +51,6 @@ from .particles import (
     OccupationSeries,
     ParticleState,
     PathRecorder,
-    martingale_event_sum,
     stable_order,
 )
 
@@ -62,11 +60,12 @@ __all__ = [
     "TanakaDecomposition",
     "PanelDecomposition",
     "tanaka_panel_functional",
-    "kernel_panel_functional",
+    "tanaka_event_functional",
     "histogram_functional",
     "psi0",
     "psi0_power_functional",
     "psi0_event_functional",
+    "increment_event_functional",
     "interval_indicator_functional",
     "PANEL_TOL",
     "panel_index",
@@ -174,6 +173,17 @@ def _as_1d(positions: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _panel_rates(lams, xs) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The distinct positive rates of a panel as a tuple, the panel points as
+    an array, and the kernel rates a = sqrt(2 lambda)."""
+    lams = tuple(float(lam) for lam in np.atleast_1d(lams))
+    if len(set(lams)) != len(lams):
+        raise ValueError(f"duplicate rates in one panel: {lams}")
+    if not lams or min(lams) <= 0:
+        raise ValueError(f"lambda must be > 0, got {lams}")
+    return lams, np.asarray(xs, dtype=float), np.sqrt(2.0 * np.asarray(lams))
+
+
 def tanaka_panel_functional(
     lams, xs, checkpoint_stride: int = 1
 ) -> OccupationFunctional:
@@ -184,13 +194,7 @@ def tanaka_panel_functional(
     values hold one block per lambda, in the order given, each stacked
     [G panel, derivative panel]; a single lambda's panel is named
     `tanaka_panel:<lam>`."""
-    lams = tuple(float(lam) for lam in np.atleast_1d(lams))
-    if len(set(lams)) != len(lams):
-        raise ValueError(f"duplicate rates in one panel: {lams}")
-    if not lams or min(lams) <= 0:
-        raise ValueError(f"lambda must be > 0, got {lams}")
-    xs = np.asarray(xs, dtype=float)
-    a = np.sqrt(2.0 * np.asarray(lams))
+    lams, xs, a = _panel_rates(lams, xs)
     a_col = a[:, None]
     constants = _kernel_constants(a, xs)
 
@@ -209,27 +213,24 @@ def tanaka_panel_functional(
     )
 
 
-def kernel_panel_functional(
-    bandwidth: float, xs, checkpoint_stride: int = 1
-) -> OccupationFunctional:
-    """Panel accumulator of the Gaussian smoothing kernel centered at each
-    panel point; its occupation integral is the kernel local-time estimate."""
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    xs = np.asarray(xs, dtype=float)
-    norm = 1.0 / (bandwidth * math.sqrt(2.0 * math.pi))
+def tanaka_event_functional(lams, xs) -> EventFunctional:
+    """The martingale terms M_t(G^x) and M_t(g^x) at every panel point: per
+    lambda, the even and odd exponential-kernel sums over the branch events
+    weighted by their net masses (G = even / a), stacked like
+    `tanaka_panel_functional`'s blocks.  One `exp_kernel_sums` call per block
+    of steps serves every lambda."""
+    lams, xs, a = _panel_rates(lams, xs)
+    constants = _kernel_constants(a, xs)
 
-    def fn(pos: np.ndarray) -> np.ndarray:
-        y = _as_1d(pos)
-        d = (y[:, None] - xs[None, :]) / bandwidth
-        return norm * np.exp(-0.5 * d * d)
+    def sum_fn(y: np.ndarray, net: np.ndarray) -> np.ndarray:
+        even, odd = exp_kernel_sums(_as_1d(y), net, a, xs, constants=constants)
+        return np.concatenate((even, odd), axis=1).ravel()
 
-    return OccupationFunctional(
-        name=f"kernel_panel:{bandwidth:g}",
-        fn=fn,
-        width=xs.size,
-        checkpoint_stride=checkpoint_stride,
-        meta={"kind": "kernel_panel", "bandwidth": bandwidth, "xs": xs},
+    return EventFunctional(
+        name="tanaka_event:" + ",".join(f"{lam:g}" for lam in lams),
+        sum_fn=sum_fn,
+        width=2 * xs.size * len(lams),
+        meta={"kind": "tanaka_event", "lams": lams, "xs": xs},
     )
 
 
@@ -308,17 +309,36 @@ def psi0_power_functional(lam: float, x1: float, x2: float, beta: float) -> Occu
 
 
 def psi0_event_functional(lam: float, x1: float, x2: float) -> EventFunctional:
-    """The event terms psi0(y) * net_mass of the interval martingale
-    Z_t = M_t(psi0), kept by simulate one per branch event; psi0 runs on
-    every event location, as the log-based `martingale_event_sum` runs it."""
+    """The interval martingale Z_t = M_t(psi0): the sum of psi0(y) * net_mass
+    over the branch events, psi0 evaluated at every event location."""
     if lam <= 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
     if not x1 <= x2:
         raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
     return EventFunctional(
         name=f"psi0event:{lam:g}:{x1:g}:{x2:g}",
-        fn=lambda y: psi0(lam, x1, x2, y),
+        sum_fn=lambda y, net: np.sum(psi0(lam, x1, x2, y) * net),
         meta={"kind": "psi0_event", "lam": lam, "x1": x1, "x2": x2},
+    )
+
+
+def increment_event_functional(lam: float, pairs) -> EventFunctional:
+    """M_t(g^x) = sum of g_lambda(y - x) * net_mass over the branch events at
+    every endpoint x of the pairs (`martingale_increments` reads it), each a
+    direct sum over the events, with no prefix-sum cancellation.
+
+    The event sums here and in `psi0_event_functional` are formed without
+    BLAS (einsum, sum of products): a BLAS call starts the BLAS thread pool,
+    whose waiting threads slowed a one-worker timechange run by a third on
+    two cores."""
+    if lam <= 0:
+        raise ValueError(f"lambda must be > 0, got {lam}")
+    xs = np.array(sorted({float(x) for pair in pairs for x in pair}))
+    return EventFunctional(
+        name=f"increment_event:{lam:g}",
+        sum_fn=lambda y, net: np.einsum("ij,i->j", g_lambda(lam, _as_1d(y)[:, None] - xs), net),
+        width=xs.size,
+        meta={"kind": "increment_event", "lam": lam, "xs": xs},
     )
 
 
@@ -357,23 +377,29 @@ def panel_index(xs: np.ndarray, x: float) -> int:
     return int(np.argmin(dist))
 
 
+def _panel_block(entries: dict, kind: str, lam: float, xs=None):
+    """The registered panel of the given kind (an occupation series or an
+    event total) that holds lam, on the points xs if given, and the slice of
+    its columns that is lam's block [G panel, derivative panel]."""
+    for entry in entries.values():
+        meta = entry.meta
+        if (meta.get("kind") == kind and lam in meta["lams"]
+                and (xs is None or np.array_equal(meta["xs"], xs))):
+            width = 2 * meta["xs"].size
+            start = width * meta["lams"].index(lam)
+            return entry, slice(start, start + width)
+    raise UsageError(
+        f"no {kind} registered for lambda={lam}"
+        + ("" if xs is None else " on this panel")
+        + f"; register {kind}_functional before simulate"
+    )
+
+
 def _panel_series(recorder: PathRecorder, lam: float) -> OccupationSeries:
     """The occupation series of one lambda's block of the registered panel
     that holds it: the columns [G panel, derivative panel]."""
-    for series in recorder.occupations.values():
-        meta = series.meta
-        if meta.get("kind") == "tanaka_panel" and lam in meta["lams"]:
-            width = 2 * meta["xs"].size
-            start = width * meta["lams"].index(lam)
-            return OccupationSeries(
-                times=series.times,
-                values=series.values[:, start : start + width],
-                meta=meta,
-            )
-    raise UsageError(
-        f"no tanaka panel registered for lambda={lam}; register "
-        "tanaka_panel_functional before simulate"
-    )
+    series, cols = _panel_block(recorder.occupations, "tanaka_panel", lam)
+    return OccupationSeries(times=series.times, values=series.values[:, cols], meta=series.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +414,6 @@ class LocalTimeEstimate:
     values: np.ndarray
     bandwidth: float
     n_scale: int
-    source: str  # the accumulator read: 'kernel_panel' or 'histogram'
     warnings: list[str] = field(default_factory=list)
 
 
@@ -397,10 +422,9 @@ def estimate_local_time(
 ) -> LocalTimeEstimate:
     """Kernel-smoothed occupation density on x_grid at time t.
 
-    Reads a registered kernel panel at this bandwidth on exactly x_grid, or
-    else a registered histogram with bins of at most bandwidth/4 that covers
-    x_grid with a 5-bandwidth margin (positions quantized to bin centers).
-    Both are integrated on the step grid; with neither, UsageError.
+    Reads a registered histogram with bins of at most bandwidth/4 that covers
+    x_grid with a 5-bandwidth margin (positions quantized to bin centers),
+    integrated on the step grid; without one, UsageError.
     """
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
@@ -411,31 +435,23 @@ def estimate_local_time(
         warnings.append(
             f"bandwidth {bandwidth:g} below x-grid resolution {spacing:g}"
         )
-    series = recorder.find_series("kernel_panel", bandwidth=bandwidth, xs=x_grid)
-    if series is not None:
-        values = series.at(t)
-        source = "kernel_panel"
-    else:
-        hist = _matching_histogram(recorder, x_grid, bandwidth)
-        if hist is None:
-            raise UsageError(
-                f"no kernel panel at bandwidth {bandwidth:g} on this grid and no histogram "
-                "with bins <= bandwidth/4 covering it 5 bandwidths wide; register "
-                "kernel_panel_functional or histogram_functional before simulate"
-            )
-        centers = hist.meta["centers"]
-        occ = hist.at(t)
-        norm = 1.0 / (bandwidth * math.sqrt(2.0 * math.pi))
-        d = (x_grid[:, None] - centers[None, :]) / bandwidth
-        values = norm * (np.exp(-0.5 * d * d) @ occ)
-        source = "histogram"
+    hist = _matching_histogram(recorder, x_grid, bandwidth)
+    if hist is None:
+        raise UsageError(
+            "no histogram with bins <= bandwidth/4 covering this grid 5 bandwidths wide "
+            f"(bandwidth {bandwidth:g}); register histogram_functional before simulate"
+        )
+    centers = hist.meta["centers"]
+    occ = hist.at(t)
+    norm = 1.0 / (bandwidth * math.sqrt(2.0 * math.pi))
+    d = (x_grid[:, None] - centers[None, :]) / bandwidth
+    values = norm * (np.exp(-0.5 * d * d) @ occ)
     return LocalTimeEstimate(
         t=t,
         x_grid=x_grid,
         values=np.maximum(values, 0.0),
         bandwidth=bandwidth,
         n_scale=recorder.params.n_scale,
-        source=source,
         warnings=warnings,
     )
 
@@ -484,17 +500,10 @@ class TanakaDecomposition:
     local_time_deriv: float  # dL/dx estimate (valid for atomless X_0)
 
 
-def _state_kernel_values(positions: np.ndarray, mass: float, lam: float, x: float):
+def _kernel_values(points: np.ndarray, weights, lam: float, x: float):
     a = math.sqrt(2.0 * lam)
-    even, odd = exp_kernel_sums(_as_1d(positions), mass, a, np.array([x]))
+    even, odd = exp_kernel_sums(_as_1d(points), weights, a, np.array([x]))
     return float(even[0] / a), float(odd[0])
-
-
-def _event_kernel_sums(recorder: PathRecorder, lam: float, t: float, xs: np.ndarray):
-    a = math.sqrt(2.0 * lam)
-    locs, net = recorder.sorted_events_until(t)
-    even, odd = exp_kernel_sums(_as_1d(locs), net, a, xs, presorted=True)
-    return even / a, odd
 
 
 def _initial_terms(mu0: FiniteMeasure, lam: float, xs: np.ndarray):
@@ -538,8 +547,8 @@ def tanaka_terms(
     The scalar reference for `tanaka_panel_terms`: the same terms, each
     computed on its own.  The occupation terms come from the registered
     lambda panel, so x must be a panel point (UsageError otherwise); the
-    terminal terms use the positions at t and the martingale terms are exact
-    event sums.
+    terminal terms use the snapshot at t and the martingale terms are the
+    kernel sums over the event log up to t, so the path must be kept.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
@@ -547,13 +556,13 @@ def tanaka_terms(
     deriv_initial = mu0.integrate(lambda y: g_lambda(lam, x - y))
     mass = recorder.params.mass_per_particle
     positions = recorder.state_at(t)
-    term_terminal, deriv_terminal = _state_kernel_values(positions, mass, lam, x)
+    term_terminal, deriv_terminal = _kernel_values(positions, mass, lam, x)
     occ_g, occ_d = _occupation_pair(recorder, lam, t, x)
-    mart_g, mart_d = _event_kernel_sums(recorder, lam, t, np.array([x]))
+    sl = recorder.events_until(t)
+    term_martingale, deriv_martingale = _kernel_values(
+        recorder.event_locations[sl], recorder.event_net_mass[sl], lam, x)
     term_occupation = lam * occ_g
     deriv_occupation = lam * occ_d
-    term_martingale = float(mart_g[0])
-    deriv_martingale = float(mart_d[0])
     recentered = -term_terminal + term_occupation + term_martingale
     deriv_field = -deriv_terminal + deriv_occupation + deriv_martingale
     return TanakaDecomposition(
@@ -593,18 +602,23 @@ class PanelDecomposition:
 
 
 def tanaka_panel_terms(
-    recorder: PathRecorder, mu0: FiniteMeasure, lam: float, t: float
+    recorder: PathRecorder, mu0: FiniteMeasure, lam: float
 ) -> PanelDecomposition:
-    """Decomposition evaluated at every point of the registered panel."""
+    """Decomposition at t_end (the recorder's horizon), evaluated at every
+    point of the registered panel; the martingale terms are read from the
+    registered `tanaka_event_functional` on the same points."""
+    t = recorder.horizon
     series = _panel_series(recorder, lam)
     xs = np.asarray(series.meta["xs"])
     m = xs.size
     occ = series.at(t)
     mass = recorder.params.mass_per_particle
     a = math.sqrt(2.0 * lam)
-    even, odd = exp_kernel_sums(_as_1d(recorder.sorted_state_at(t)), mass, a, xs, presorted=True)
+    even, odd = exp_kernel_sums(_as_1d(recorder.final_positions), mass, a, xs)
     term_terminal, deriv_terminal = even / a, odd
-    mart_g, mart_d = _event_kernel_sums(recorder, lam, t, xs)
+    total, cols = _panel_block(recorder.event_totals, "tanaka_event", lam, xs)
+    mart = total.values[cols]
+    mart_g, mart_d = mart[:m] / a, mart[m:]
     term_initial, deriv_initial = _initial_terms(mu0, lam, xs)
     term_occupation = lam * occ[:m]
     recentered = -term_terminal + term_occupation + mart_g
@@ -648,14 +662,16 @@ def ftc_check(panel: PanelDecomposition, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def martingale_increments(recorder: PathRecorder, lam: float, pairs, t: float) -> np.ndarray:
-    """dM = M_t(g^{x1}) - M_t(g^{x2}) for each pair (x1, x2), with
-    g^x(y) = g_lambda(y - x): one exact event sum per distinct endpoint."""
-    sums = {
-        x: martingale_event_sum(recorder, lambda y, x=x: g_lambda(lam, y - x), t)
-        for x in {x for pair in pairs for x in pair}
-    }
-    return np.array([sums[x1] - sums[x2] for x1, x2 in pairs])
+def martingale_increments(recorder: PathRecorder, lam: float, pairs) -> np.ndarray:
+    """dM = M_t(g^{x1}) - M_t(g^{x2}) at t_end for each pair (x1, x2), with
+    g^x(y) = g_lambda(y - x), read from the registered
+    `increment_event_functional` (one event sum per distinct endpoint)."""
+    total = recorder.find_event_total("increment_event", lam=lam)
+    if total is None:
+        raise UsageError(f"no increment event functional registered for lambda={lam}; "
+                         "register increment_event_functional before simulate")
+    xs, sums = total.meta["xs"], total.values
+    return np.array([sums[panel_index(xs, x1)] - sums[panel_index(xs, x2)] for x1, x2 in pairs])
 
 
 def increment_clock_weights(nodes, lam: float, pairs, beta: float) -> np.ndarray:

@@ -15,6 +15,7 @@ from sbmlab.tanaka import (
     interval_indicator_functional,
     psi0_event_functional,
     psi0_power_functional,
+    tanaka_event_functional,
     tanaka_panel_functional,
 )
 
@@ -29,14 +30,15 @@ def panel_grid():
 @pytest.fixture(scope="session")
 def small_recorders(panel_grid):
     """120 replicas at N=500, t=0.3, beta=0.5 with the full functional set:
-    Tanaka panels at lambda 0.5 and 2, a histogram, psi0^1.5 and the interval
-    indicator on [-0.1, 0.1], and the psi0 event terms of the interval
-    martingale."""
+    Tanaka panels at lambda 0.5 and 2 with their martingale terms, a
+    histogram, psi0^1.5 and the interval indicator on [-0.1, 0.1], and the
+    interval martingale's psi0 event sum; every path is kept."""
     params = make_params(0.5, 500, 0.3, snapshot_stride=10**9)
     mu = dirac(0.0)
     fns = [
         tanaka_panel_functional(0.5, panel_grid),
         tanaka_panel_functional(2.0, panel_grid),
+        tanaka_event_functional((0.5, 2.0), panel_grid),
         histogram_functional(-8.0, 8.0, 0.025, checkpoint_stride=20),
         psi0_power_functional(0.5, -0.1, 0.1, 0.5),
         interval_indicator_functional(-0.1, 0.1),

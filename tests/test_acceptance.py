@@ -31,6 +31,7 @@ from sbmlab.continuity import (
     check_exponent_conditions,
     gs_series,
     holder_exponent,
+    probe_functionals,
     unboundedness_probe,
 )
 from sbmlab.errors import ConfigError
@@ -44,7 +45,7 @@ from sbmlab.particles import (
 )
 from sbmlab.rng import RngStream, make_offspring_law, sample_offspring
 from sbmlab.stable_path import calibrate_smalljump_bound, inf_tail_oracle, inf_tail_probability
-from sbmlab.tanaka import tanaka_panel_functional, tanaka_panel_terms
+from sbmlab.tanaka import tanaka_event_functional, tanaka_panel_functional, tanaka_panel_terms
 
 BETA = 0.5
 
@@ -416,11 +417,12 @@ def test_criterion_12_regularity_exponents():
     mu = dirac(0.0)
     probe = {}
     for dim in (1, 2):
-        params = make_params(BETA, 10000, 0.3, dim=dim, snapshot_stride=2)
+        params = make_params(BETA, 10000, 0.3, dim=dim)
+        win = ((-1.5, 1.5), (-1.5, 1.5)) if dim == 2 else (-1.5, 1.5)
+        fns = probe_functionals(dim, [0.2, 0.1, 0.05], win)
         ratios, increasing = [], []
         for i in range(3):
-            rec = simulate(mu, params, [], RngStream(33, 100 + i))
-            win = ((-1.5, 1.5), (-1.5, 1.5)) if dim == 2 else (-1.5, 1.5)
+            rec = simulate(mu, params, fns, RngStream(33, 100 + i), keep_path=False)
             tab = unboundedness_probe(rec, [0.2, 0.1, 0.05], win)
             vals = [v for _, v in tab]
             ratios.append(vals[-1] / vals[0])
@@ -441,13 +443,13 @@ def test_criterion_12_regularity_exponents():
     # soft part: coverage of beta/(1+beta) by the derivative-field fit
     xs = np.linspace(-2, 2, 513)
     params = make_params(BETA, 4000, 0.5, snapshot_stride=10**9)
-    fns = [tanaka_panel_functional(0.5, xs)]
+    fns = [tanaka_panel_functional(0.5, xs), tanaka_event_functional(0.5, xs)]
     cover = 0
     above = 0
     R = 30
     for i in range(R):
-        rec = simulate(mu, params, fns, RngStream(66, i))
-        field = tanaka_panel_terms(rec, mu, 0.5, 0.5).deriv_field
+        rec = simulate(mu, params, fns, RngStream(66, i), keep_path=False)
+        field = tanaka_panel_terms(rec, mu, 0.5).deriv_field
         fit = holder_exponent(field, (4, 64), dx=float(xs[1] - xs[0]))
         cover += fit.covers(1.0 / 3.0)
         above += fit.exponent >= 0.15

@@ -13,8 +13,10 @@ from sbmlab.continuity import (
     gs_series,
     holder_exponent,
     modulus_tail_sum,
+    probe_functionals,
     unboundedness_probe,
 )
+from sbmlab.errors import UsageError
 from sbmlab.measures import dirac
 from sbmlab.particles import make_params, simulate
 from sbmlab.rng import RngStream
@@ -180,10 +182,16 @@ class TestHolderExponent:
 
 @pytest.fixture(scope="module")
 def probe_recorders():
+    # the probe's histograms over (-1.5, 1.5)^dim, and an empty d=1 window
+    fns = {
+        1: probe_functionals(1, [0.2, 0.1, 0.05], (-1.5, 1.5))
+        + probe_functionals(1, [0.1], (50.0, 51.0)),
+        2: probe_functionals(2, [0.2, 0.1, 0.05], ((-1.5, 1.5), (-1.5, 1.5))),
+    }
     out = {}
     for dim in (1, 2):
-        p = make_params(0.5, 4000, 0.25, dim=dim, snapshot_stride=2)
-        out[dim] = simulate(dirac(0.0), p, [], RngStream(44, 0))
+        p = make_params(0.5, 4000, 0.25, dim=dim)
+        out[dim] = simulate(dirac(0.0), p, fns[dim], RngStream(44, 0), keep_path=False)
     return out
 
 
@@ -206,3 +214,7 @@ class TestUnboundednessProbe:
     def test_bad_resolution(self, probe_recorders):
         with pytest.raises(ValueError):
             unboundedness_probe(probe_recorders[1], [0.0], (-1.0, 1.0))
+        with pytest.raises(ValueError):
+            probe_functionals(2, [-0.1], ((-1.0, 1.0), (-1.0, 1.0)))
+        with pytest.raises(UsageError):  # a width that was not registered
+            unboundedness_probe(probe_recorders[1], [0.3], (-1.5, 1.5))

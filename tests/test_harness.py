@@ -1,6 +1,5 @@
 """Configuration parsing, experiment orchestration, determinism, merging,
 censoring, and the CLI surface."""
-import dataclasses
 import json
 import os
 import shutil
@@ -24,8 +23,9 @@ from sbmlab.config import (
     parse_config_text,
 )
 from sbmlab.errors import ConfigError
+from sbmlab import harness
 from sbmlab.harness import REGISTRY, RunReport, check_report, merge_reports, run_experiment
-from sbmlab.particles import KEEP_ALL, dt_at_cap, make_params
+from sbmlab.particles import dt_at_cap, make_params, simulate
 
 MINIMAL = """
 beta = 0.5
@@ -567,12 +567,16 @@ class TestRegistry:
 
     @pytest.mark.parametrize("kind", [k for k, v in REGISTRY.items() if v.run is None])
     def test_keeping_everything_changes_no_artifact(self, kind, tmp_path, monkeypatch):
-        # a kind's replicas keep only what its record reads (Kind.keeps); with
-        # the whole path kept, every artifact must be byte for byte the same
+        # only the simulate kind keeps the path (keep_path = Kind.saves_paths);
+        # with the path kept by every simulate call, every artifact must be
+        # byte for byte the same (the simulate kind keeps it either way: its
+        # record reads the event log)
         text = f"beta = 0.5\nseed = 3\n{TINY[kind]}snapshot_stride = 3\n"
         outputs = []
-        for keeps in (REGISTRY[kind].keeps, KEEP_ALL):
-            monkeypatch.setitem(REGISTRY, kind, dataclasses.replace(REGISTRY[kind], keeps=keeps))
+        for forced in (None, True):
+            if forced:
+                monkeypatch.setattr(harness, "simulate",
+                                    lambda *args, keep_path: simulate(*args, keep_path=True))
             cfg = parse_config_text(text, kind=kind)
             cfg.out = str(tmp_path / "out")  # report.json holds it
             run_experiment(cfg)

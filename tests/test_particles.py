@@ -11,7 +11,6 @@ from sbmlab.errors import ResourceLimitError, UsageError
 from sbmlab.kernels import g_lambda, green_closed, heat_kernel
 from sbmlab.measures import FiniteMeasure, dirac, gridded_density
 from sbmlab.particles import (
-    KEEP_ALL,
     EventFunctional,
     ModelParams,
     OccupationFunctional,
@@ -19,9 +18,7 @@ from sbmlab.particles import (
     ParticleState,
     interval_jump_max,
     init_particles,
-    load_events,
     make_params,
-    martingale_event_sum,
     save_events,
     save_snapshots,
     simulate,
@@ -31,12 +28,21 @@ from sbmlab.particles import (
 from sbmlab.rng import RngStream
 from sbmlab.tanaka import (
     histogram_functional,
+    increment_event_functional,
     interval_indicator_functional,
     psi0,
     psi0_event_functional,
     psi0_power_functional,
+    tanaka_event_functional,
     tanaka_panel_functional,
 )
+
+
+def martingale_event_sum(recorder: PathRecorder, f, t: float) -> float:
+    """The brute-force reference for an event total: the sum of
+    f(location) * net_mass over the logged events up to t."""
+    sl = recorder.events_until(t)
+    return float(np.sum(np.asarray(f(recorder.event_locations[sl])) * recorder.event_net_mass[sl]))
 
 
 class TestModelParams:
@@ -301,42 +307,36 @@ class TestBlockTrapezoid:
 
 class TestKeep:
     """simulate keeps the event log and the snapshots between the ends only
-    where asked; neither changes a draw or any other output."""
+    for keep_path; neither changes a draw or any other output."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_every_other_output_is_the_same(self, dim):
         # 0.5 at N = 300: a few hundred events over 63 steps
         params = make_params(0.5, 300, 0.5, dim=dim, snapshot_stride=4)
         functionals = _functional_set("timechange", 10) if dim == 1 else []
-        recs = {keep: simulate(dirac(0.0), params, functionals, RngStream(40, 2), keep=keep)
-                for keep in (KEEP_ALL, ("snapshots",), ("events",), ())}
-        full = recs[KEEP_ALL]
+        full, rec = (simulate(dirac(0.0), params, functionals, RngStream(40, 2), keep_path=keep)
+                     for keep in (True, False))
         assert full.event_times.size > 100
-        for keep, rec in recs.items():
-            assert np.array_equal(rec.masses, full.masses)
-            assert np.array_equal(rec.mass_occupation, full.mass_occupation)
+        assert np.array_equal(full.snapshot_times, [*full.step_times[::4], 0.5])
+        for r in (full, rec):
+            assert np.array_equal(r.masses, full.masses)
+            assert np.array_equal(r.mass_occupation, full.mass_occupation)
             for f in functionals:
-                assert np.array_equal(rec.occupations[f.name].times, full.occupations[f.name].times)
-                assert np.array_equal(rec.occupations[f.name].values,
+                assert np.array_equal(r.occupations[f.name].times, full.occupations[f.name].times)
+                assert np.array_equal(r.occupations[f.name].values,
                                       full.occupations[f.name].values)
-            assert np.array_equal(rec.final_positions, full.final_positions)
-            assert rec.extinction_time == full.extinction_time
-            assert np.array_equal(rec.event_times, full.event_times)
-            if "snapshots" in keep:
-                assert np.array_equal(rec.snapshot_times, full.snapshot_times)
-                kept = range(len(full.snapshots))
-            else:
-                # the positions at t = 0 and t_end
-                assert np.array_equal(rec.snapshot_times, [0.0, 0.5])
-                kept = (0, -1)
-            assert len(rec.snapshots) == len(kept)
-            assert all(np.array_equal(a, full.snapshots[k]) for a, k in zip(rec.snapshots, kept))
-            assert np.array_equal(rec.state_at(0.5), full.state_at(0.5))
+            assert np.array_equal(r.final_positions, full.final_positions)
+            assert r.extinction_time == full.extinction_time
+            assert np.array_equal(r.event_times, full.event_times)
+            assert np.array_equal(r.state_at(0.5), full.state_at(0.5))
+        # without the path, the positions at t = 0 and t_end
+        assert np.array_equal(rec.snapshot_times, [0.0, 0.5])
+        assert all(np.array_equal(a, full.snapshots[k]) for a, k in zip(rec.snapshots, (0, -1)))
 
     def test_event_arrays_not_kept_are_unreadable(self):
         params = make_params(0.5, 300, 0.5)
         full = simulate(dirac(0.0), params, [], RngStream(41, 0))
-        rec = simulate(dirac(0.0), params, [], RngStream(41, 0), keep=("snapshots",))
+        rec = simulate(dirac(0.0), params, [], RngStream(41, 0), keep_path=False)
         assert rec.event_times.size == full.event_offspring.size > 0
         for name in ("event_locations", "event_offspring", "event_net_mass"):
             with pytest.raises(UsageError, match=name):
@@ -344,20 +344,15 @@ class TestKeep:
         with pytest.raises(UsageError):
             martingale_event_sum(rec, lambda y: np.ones(y.shape[0]), 0.5)
 
-    def test_keep_names_are_checked(self):
-        params = make_params(0.5, 100, 0.1)
-        for keep in (("events", "snaps"), "events"):
-            with pytest.raises(ValueError, match="keep"):
-                simulate(dirac(0.0), params, [], RngStream(42, 0), keep=keep)
 
-
-def _ones(y: np.ndarray) -> np.ndarray:
-    return np.ones(y.shape[0])
+def _net_mass(y: np.ndarray, net: np.ndarray) -> np.ndarray:
+    return np.array([net.sum()])
 
 
 class TestEventFunctional:
-    """simulate keeps the terms f(location) * net_mass of an event functional
-    a block of steps at a time, bit for bit the log's, with or without it."""
+    """simulate sums an event functional over each block of steps' events
+    into a total that the log's sum gives up to rounding, with or without
+    the log."""
 
     RUNS = [
         # 260 steps (eight blocks and four steps), about 13 000 events
@@ -365,58 +360,68 @@ class TestEventFunctional:
         # three particles, extinct at t = 0.25 of 1, after 17 of 68 steps
         (dirac(0.0, 0.15), make_params(0.5, 20, 1.0), RngStream(31, 1)),
     ]
+    XS = np.linspace(-1.0, 1.0, 21)
+    PAIRS = [(-0.3, 0.1), (0.0, 0.4), (-0.1, 0.1)]
 
     @pytest.mark.parametrize("run", range(len(RUNS)))
-    def test_terms_are_the_logs_bit_for_bit(self, run):
+    def test_totals_match_the_log(self, run):
         mu, params, stream = self.RUNS[run]
         functionals = [psi0_event_functional(0.5, -0.3, 0.1),
-                       EventFunctional("net", _ones, {"kind": "net_mass"})]
-        recs = {keep: simulate(mu, params, functionals,
-                               RngStream(stream.seed, stream.stream_index), keep=keep)
-                for keep in (KEEP_ALL, ())}
-        full = recs[KEEP_ALL]
-        want = psi0(0.5, -0.3, 0.1, full.event_locations) * full.event_net_mass
+                       EventFunctional("net", _net_mass, 1, {"kind": "net_mass"}),
+                       tanaka_event_functional((0.5, 2.0), self.XS),
+                       increment_event_functional(1.0, self.PAIRS)]
+        full, rec = (simulate(mu, params, functionals,
+                              RngStream(stream.seed, stream.stream_index), keep_path=keep)
+                     for keep in (True, False))
         assert full.event_net_mass.size > 2
-        for rec in recs.values():
-            terms = rec.find_event_series("psi0_event", lam=0.5, x1=-0.3, x2=0.1).values
-            assert terms.tobytes() == want.tobytes()
-            net = rec.find_event_series("net_mass").values
-            assert net.tobytes() == full.event_net_mass.tobytes()
-            for t in (0.5, 1.0):  # an interior t and t_end
-                sl = rec.events_until(t)
-                assert float(np.sum(terms[sl])) == martingale_event_sum(
-                    full, lambda y: psi0(0.5, -0.3, 0.1, y), t)
+        # the log changes no total
+        for name, total in full.event_totals.items():
+            assert total.values.tobytes() == rec.event_totals[name].values.tobytes()
+        y, net = full.event_locations, full.event_net_mass
+        want = {"psi0_event": psi0(0.5, -0.3, 0.1, y)[:, None] * net[:, None],
+                "net_mass": net[:, None]}
+        blocks, d = [], self.XS[None, :] - y[:, None]
+        for lam in (0.5, 2.0):  # the even and odd kernels of exp_kernel_sums
+            even = np.exp(-math.sqrt(2.0 * lam) * np.abs(d)) * net[:, None]
+            blocks += [even, -np.sign(d) * even]
+        want["tanaka_event"] = np.hstack(blocks)
+        endpoints = increment_event_functional(1.0, self.PAIRS).meta["xs"]
+        want["increment_event"] = g_lambda(1.0, y[:, None] - endpoints) * net[:, None]
+        for kind, terms in want.items():
+            got = rec.find_event_total(kind).values
+            assert got.shape == (terms.shape[1],)
+            assert (np.abs(got - terms.sum(axis=0)) <= 1e-12 * np.abs(terms).sum(axis=0)).all()
 
     def test_terms_in_two_dimensions(self):
         params = make_params(0.5, 300, 0.5, dim=2)
-        f = EventFunctional("net", _ones, {"kind": "net_mass"})
+        f = EventFunctional("net", _net_mass, 1, {"kind": "net_mass"})
         full = simulate(dirac(0.0), params, [f], RngStream(40, 2))
-        rec = simulate(dirac(0.0), params, [f], RngStream(40, 2), keep=())
-        assert full.event_net_mass.size > 100
+        rec = simulate(dirac(0.0), params, [f], RngStream(40, 2), keep_path=False)
+        net = full.event_net_mass
+        assert net.size > 100
         for r in (full, rec):
-            assert r.find_event_series("net_mass").values.tobytes() == \
-                full.event_net_mass.tobytes()
+            total = r.find_event_total("net_mass").values[0]
+            assert abs(total - net.sum()) <= 1e-12 * np.abs(net).sum()
 
     def test_no_event_no_term(self):
         rec = simulate(dirac(0.0), make_params(0.5, 100, 0.0),
-                       [EventFunctional("net", _ones, {"kind": "net_mass"})], RngStream(13, 0))
-        assert rec.find_event_series("net_mass").values.shape == (0,)
-        assert rec.find_event_series("psi0_event") is None
+                       [EventFunctional("net", _net_mass, 1, {"kind": "net_mass"})],
+                       RngStream(13, 0))
+        assert rec.find_event_total("net_mass").values.tobytes() == np.zeros(1).tobytes()
+        assert rec.find_event_total("psi0_event") is None
 
     def test_names_are_shared_with_occupations(self):
         params = make_params(0.5, 100, 0.1)
         fns = [interval_indicator_functional(-0.1, 0.1),
-               EventFunctional("interval:-0.1:0.1", _ones)]
+               EventFunctional("interval:-0.1:0.1", _net_mass)]
         with pytest.raises(ValueError, match="duplicate"):
             simulate(dirac(0.0), params, fns, RngStream(42, 0))
 
     def test_events_until_counts_without_the_log(self):
         params = make_params(0.5, 300, 0.5)
         full = simulate(dirac(0.0), params, [], RngStream(41, 0))
-        rec = simulate(dirac(0.0), params, [], RngStream(41, 0), keep=())
+        rec = simulate(dirac(0.0), params, [], RngStream(41, 0), keep_path=False)
         assert full.event_times.size > 100
-        with pytest.raises(UsageError):
-            rec.event_locations
         for t in full.step_times:
             assert rec.events_until(t) == full.events_until(t)
             assert full.events_until(t).stop == np.searchsorted(full.event_times, t, "right")
@@ -436,25 +441,6 @@ class TestStableOrder:
         order, ordered = stable_order(keys)
         assert np.array_equal(order, np.argsort(keys, kind="stable"))
         assert np.array_equal(ordered, np.sort(keys))
-
-    def test_tied_event_log_sorts_stably(self):
-        rng = np.random.default_rng(18)
-        locations = rng.choice(np.linspace(-1.0, 1.0, 9), 400)
-        net = rng.integers(-1, 5, 400) / 100.0
-        p = make_params(0.5, 100, 0.2)
-        rec = PathRecorder(
-            params=p, step_times=np.array([0.0, 0.2]), masses=np.array([1.0, 1.0]),
-            mass_occupation=np.array([0.0, 0.2]), occupations={},
-            snapshot_times=np.array([0.0, 0.2]), snapshots=[np.zeros(100), np.zeros(100)],
-            event_times=np.full(400, 0.1), event_locations=locations,
-            event_offspring=np.rint(100 * net).astype(np.int64) + 1, event_net_mass=net,
-            extinction_time=math.inf, final_positions=np.zeros(100),
-        )
-        order = np.argsort(locations, kind="stable")
-        got_locations, got_net = rec.sorted_events_until(0.2)
-        assert np.array_equal(got_locations, locations[order])
-        assert np.array_equal(got_net, net[order])
-
 
 class TestEventStatistics:
     def test_martingale_sum_no_events(self):
@@ -481,19 +467,19 @@ class TestEventStatistics:
         p = make_params(0.5, 100, 0.2)
         rec = PathRecorder(
             params=p,
-            step_times=np.array([0.0, 0.2]),
-            masses=np.array([1.0, 1.5]),
-            mass_occupation=np.array([0.0, 0.25]),
+            step_times=np.array([0.0, 0.1, 0.2]),
+            masses=np.array([1.0, 1.5, 1.5]),
+            mass_occupation=np.array([0.0, 0.125, 0.275]),
             occupations={},
             snapshot_times=np.array([0.0, 0.2]),
             snapshots=[np.zeros(100), np.zeros(150)],
-            event_times=np.array([0.1]),
+            step_event_counts=np.array([0, 1, 0]),
             event_locations=np.array([0.0]),
             event_offspring=np.array([51]),
-            event_net_mass=np.array([0.5]),
             extinction_time=math.inf,
             final_positions=np.zeros(150),
         )
+        assert rec.event_net_mass.tolist() == [0.5]
         assert interval_jump_max(rec, -0.5, 0.5, 0.2) == pytest.approx(0.5)
         assert interval_jump_max(rec, 0.5, 1.0, 0.2) == 0.0
         assert interval_jump_max(rec, -0.5, 0.5, 0.05) == 0.0
@@ -522,13 +508,20 @@ class TestEventStatistics:
         assert all(p <= bb for p, bb in zip(probs_hold, bound))
 
 
+def _load_events(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A d=1 event file read back as (times, locations, offspring)."""
+    rows = [line.split() for line in path.read_text().splitlines()]
+    times, locs, ks = zip(*rows) if rows else ((), (), ())
+    return np.array(times, dtype=float), np.array(locs, dtype=float), np.array(ks, dtype=np.int64)
+
+
 class TestPersistence:
     def test_events_roundtrip(self, tmp_path, bare_recorders):
         _, _, recs = bare_recorders
         rec = recs[0]
         path = tmp_path / "events.txt"
         save_events(rec, path)
-        times, locs, ks = load_events(path)
+        times, locs, ks = _load_events(path)
         assert np.array_equal(times, rec.event_times)
         assert np.array_equal(locs, rec.event_locations)
         assert np.array_equal(ks, rec.event_offspring)

@@ -21,15 +21,29 @@ from sbmlab.tanaka import (
     exp_kernel_sums,
     ftc_check,
     histogram_functional,
+    increment_event_functional,
     interval_indicator_functional,
-    kernel_panel_functional,
     martingale_increments,
     psi0,
     psi0_power_functional,
+    tanaka_event_functional,
     tanaka_panel_functional,
     tanaka_panel_terms,
     tanaka_terms,
 )
+
+
+def _kernel_panel(bandwidth: float, xs: np.ndarray) -> OccupationFunctional:
+    """The exact kernel route: an accumulator of the Gaussian smoothing
+    kernel centered at each point of xs, whose occupation integral is the
+    kernel local-time estimate that the histogram route approximates."""
+    norm = 1.0 / (bandwidth * math.sqrt(2.0 * math.pi))
+
+    def fn(pos: np.ndarray) -> np.ndarray:
+        d = (pos[:, None] - xs[None, :]) / bandwidth
+        return norm * np.exp(-0.5 * d * d)
+
+    return OccupationFunctional(name="kernel_panel", fn=fn, width=xs.size)
 
 
 def _reference_exp_kernel_sums(y, weights, a, xs, presorted=False):
@@ -168,19 +182,23 @@ class TestSharedWork:
     def test_two_rate_panel_matches_one_rate_panels(self, panel_grid):
         p = make_params(0.5, 300, 0.2)
         mu = dirac(0.0)
-        both = simulate(mu, p, [tanaka_panel_functional((0.5, 2.0), panel_grid)],
+        both = simulate(mu, p, [tanaka_panel_functional((0.5, 2.0), panel_grid),
+                                tanaka_event_functional((0.5, 2.0), panel_grid)],
                         RngStream(41, 0))
         apart = simulate(
             mu, p,
-            [tanaka_panel_functional(0.5, panel_grid), tanaka_panel_functional(2.0, panel_grid)],
+            [f(lam, panel_grid) for f in (tanaka_panel_functional, tanaka_event_functional)
+             for lam in (0.5, 2.0)],
             RngStream(41, 0),
         )
-        assert np.array_equal(
-            both.occupations["tanaka_panel:0.5,2"].values,
-            np.hstack([apart.occupations[f"tanaka_panel:{lam:g}"].values for lam in (0.5, 2.0)]),
-        )
+        pooled, blocks = ({**r.occupations, **r.event_totals} for r in (both, apart))
+        for name in ("tanaka_panel", "tanaka_event"):
+            assert np.array_equal(
+                pooled[f"{name}:0.5,2"].values,
+                np.hstack([blocks[f"{name}:{lam:g}"].values for lam in (0.5, 2.0)]),
+            )
         for lam in (0.5, 2.0):
-            a, b = tanaka_panel_terms(both, mu, lam, 0.2), tanaka_panel_terms(apart, mu, lam, 0.2)
+            a, b = tanaka_panel_terms(both, mu, lam), tanaka_panel_terms(apart, mu, lam)
             for name in ("term_occupation", "term_terminal", "term_martingale", "local_time",
                          "deriv_field", "local_time_deriv"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (lam, name)
@@ -196,17 +214,15 @@ class TestSharedWork:
         _, params, recs = small_recorders
         a = 1.3
         for rec in recs[:5]:
-            for t in (0.1, 0.3):
-                sl = rec.events_until(t)
-                locs, net = rec.sorted_events_until(t)
-                assert rec.sorted_events_until(t)[0] is locs  # one sort per t
-                want = exp_kernel_sums(rec.event_locations[sl], rec.event_net_mass[sl], a, panel_grid)
-                got = exp_kernel_sums(locs, net, a, panel_grid, presorted=True)
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            order = np.argsort(rec.event_locations, kind="stable")
+            want = exp_kernel_sums(rec.event_locations, rec.event_net_mass, a, panel_grid)
+            got = exp_kernel_sums(rec.event_locations[order], rec.event_net_mass[order], a,
+                                  panel_grid, presorted=True)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
             positions = rec.state_at(0.3)
             want = exp_kernel_sums(positions, params.mass_per_particle, a, panel_grid)
             got = exp_kernel_sums(
-                rec.sorted_state_at(0.3), params.mass_per_particle, a, panel_grid, presorted=True
+                np.sort(positions), params.mass_per_particle, a, panel_grid, presorted=True
             )
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -288,11 +304,11 @@ class TestLocalTimeEstimate:
         assert closed == pytest.approx(numeric, abs=1e-10)
         p = make_params(0.5, 500, t, snapshot_stride=10**9)
         mu = dirac(0.0)
-        fns = [kernel_panel_functional(bw, np.array([0.0]))]
+        fns = [_kernel_panel(bw, np.array([0.0]))]
         vals = []
         for i in range(150):
             rec = simulate(mu, p, fns, RngStream(21, i))
-            vals.append(estimate_local_time(rec, t, np.array([0.0]), bw).values[0])
+            vals.append(rec.occupations["kernel_panel"].at(t)[0])
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - closed) <= 3 * se
@@ -303,14 +319,11 @@ class TestLocalTimeEstimate:
         t, bw = 0.2, 0.12
         xs = np.linspace(-1, 1, 21)
         p = make_params(0.5, 400, t, snapshot_stride=10**9)
-        panel = simulate(dirac(0.0), p, [kernel_panel_functional(bw, xs)], RngStream(22, 0))
+        panel = simulate(dirac(0.0), p, [_kernel_panel(bw, xs)], RngStream(22, 0))
         binned = simulate(dirac(0.0), p, [histogram_functional(-8, 8, bw / 8)], RngStream(22, 0))
-        exact = estimate_local_time(panel, t, xs, bw)
+        exact = panel.occupations["kernel_panel"].at(t)
         est = estimate_local_time(binned, t, xs, bw)
-        assert exact.source == "kernel_panel"
-        assert est.source == "histogram"
-        assert np.array_equal(exact.values, panel.occupations[f"kernel_panel:{bw:g}"].at(t))
-        assert np.abs(est.values - exact.values).max() < 0.01 * max(1.0, exact.values.max())
+        assert np.abs(est.values - exact).max() < 0.01 * max(1.0, exact.max())
 
     def test_no_accumulator_usage_error(self, small_recorders):
         p = make_params(0.5, 200, 0.1, snapshot_stride=5)
@@ -325,7 +338,7 @@ class TestLocalTimeEstimate:
 
     def test_bandwidth_below_resolution_warns(self, panel_grid):
         p = make_params(0.5, 200, 0.1, snapshot_stride=10**9)
-        rec = simulate(dirac(0.0), p, [kernel_panel_functional(0.01, panel_grid)], RngStream(23, 0))
+        rec = simulate(dirac(0.0), p, [histogram_functional(-1.1, 1.1, 0.0025)], RngStream(23, 0))
         est = estimate_local_time(rec, 0.1, panel_grid, 0.01)
         assert any("below" in w for w in est.warnings)
 
@@ -375,7 +388,7 @@ class TestTanakaDecomposition:
     def test_panel_terms_match_scalar_route(self, small_recorders, panel_grid):
         mu, _, recs = small_recorders
         rec = recs[0]
-        panel = tanaka_panel_terms(rec, mu, 0.5, 0.3)
+        panel = tanaka_panel_terms(rec, mu, 0.5)
         j = int(np.argmin(np.abs(panel_grid - 0.25)))
         d = tanaka_terms(rec, mu, 0.5, 0.3, float(panel_grid[j]))
         assert panel.local_time[j] == pytest.approx(d.local_time, rel=1e-12)
@@ -385,7 +398,11 @@ class TestTanakaDecomposition:
         p = make_params(0.5, 100, 0.05)
         rec = simulate(dirac(0.0), p, [], RngStream(24, 0))
         with pytest.raises(UsageError):
-            tanaka_panel_terms(rec, dirac(0.0), 1.0, 0.05)
+            tanaka_panel_terms(rec, dirac(0.0), 1.0)
+        rec = simulate(dirac(0.0), p, [tanaka_panel_functional(1.0, np.array([0.0]))],
+                       RngStream(24, 0))
+        with pytest.raises(UsageError, match="tanaka_event"):
+            tanaka_panel_terms(rec, dirac(0.0), 1.0)
 
     def test_lambda_validation(self, small_recorders):
         mu, _, recs = small_recorders
@@ -394,19 +411,22 @@ class TestTanakaDecomposition:
 
 
 class TestFtcCheck:
-    def test_zero_at_origin_and_time_zero(self, small_recorders):
+    def test_zero_at_origin_and_time_zero(self, small_recorders, panel_grid):
         mu, _, recs = small_recorders
-        assert ftc_check(tanaka_panel_terms(recs[0], mu, 0.5, 0.3), 0.0) == 0.0
-        assert ftc_check(tanaka_panel_terms(recs[0], mu, 0.5, 0.0), 0.5) == 0.0
+        assert ftc_check(tanaka_panel_terms(recs[0], mu, 0.5), 0.0) == 0.0
+        # a path simulated to t = 0
+        fns = [tanaka_panel_functional(0.5, panel_grid), tanaka_event_functional(0.5, panel_grid)]
+        rec = simulate(mu, make_params(0.5, 500, 0.0), fns, RngStream(901, 0))
+        assert ftc_check(tanaka_panel_terms(rec, mu, 0.5), 0.5) == 0.0
 
     def test_small_residual(self, small_recorders):
         mu, _, recs = small_recorders
-        vals = [abs(ftc_check(tanaka_panel_terms(rec, mu, 0.5, 0.3), 0.5)) for rec in recs[:40]]
+        vals = [abs(ftc_check(tanaka_panel_terms(rec, mu, 0.5), 0.5)) for rec in recs[:40]]
         assert np.mean(vals) < 0.05
 
     def test_negative_x(self, small_recorders):
         mu, _, recs = small_recorders
-        panel = tanaka_panel_terms(recs[0], mu, 0.5, 0.3)
+        panel = tanaka_panel_terms(recs[0], mu, 0.5)
         w = ftc_check(panel, -0.5)
         assert np.isfinite(w)
         # the residual of the reversed range: -W(-0.5) = Z(0) - Z(-0.5) - int_{-0.5}^0 H
@@ -418,7 +438,7 @@ class TestFtcCheck:
 
     def test_panel_coverage_error(self, small_recorders):
         mu, _, recs = small_recorders
-        panel = tanaka_panel_terms(recs[0], mu, 0.5, 0.3)
+        panel = tanaka_panel_terms(recs[0], mu, 0.5)
         for x in (5.0, 0.1234):  # beyond the panel; inside it but not a point
             with pytest.raises(UsageError):
                 ftc_check(panel, x)
@@ -435,16 +455,19 @@ class TestMartingaleStructure:
     def test_increments_match_brute_force(self, small_recorders, lam):
         # one event sum per distinct endpoint, shared by the pairs that meet
         # there, against the per-pair sum of net * (g(y - x1) - g(y - x2))
-        _, _, recs = small_recorders
+        # over the log of the small_recorders paths
+        mu, params, _ = small_recorders
         pairs = [(-0.1, 0.1), (0.0, 0.4), (-0.7, -0.2), (0.1, 0.4), (-0.2, 0.0)]
-        for rec in recs[:10]:
-            sl = rec.events_until(0.3)
-            y = rec.event_locations[sl]
-            net = rec.event_net_mass[sl]
+        fns = [increment_event_functional(lam, pairs)]
+        for i in range(10):
+            rec = simulate(mu, params, fns, RngStream(901, i))
+            y, net = rec.event_locations, rec.event_net_mass
             brute = [np.sum((g_lambda(lam, y - x1) - g_lambda(lam, y - x2)) * net)
                      for x1, x2 in pairs]
-            dm = martingale_increments(rec, lam, pairs, 0.3)
+            dm = martingale_increments(rec, lam, pairs)
             np.testing.assert_allclose(dm, brute, rtol=0, atol=1e-12)
+        with pytest.raises(UsageError, match="increment_event_functional"):
+            martingale_increments(rec, 2 * lam, pairs)
 
     def test_psi0_properties(self):
         y = np.linspace(-1, 1, 2001)
