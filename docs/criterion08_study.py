@@ -83,10 +83,8 @@ def skewness_slope(shares: np.ndarray) -> float:
 
 def run_seed(seed: int) -> dict:
     params = make_params(BETA, N_SCALE, T, snapshot_stride=10**9)
-    hist = histogram_functional(-8.0, 8.0, 0.0125, checkpoint_stride=10**9)
-    exact = OccupationFunctional(
-        name="clock_exact", state_fn=_exact_clock_rate, width=len(PAIRS), checkpoint_stride=10**9
-    )
+    hist = histogram_functional(-8.0, 8.0, 0.0125)
+    exact = OccupationFunctional(name="clock_exact", state_fn=_exact_clock_rate, width=len(PAIRS))
     increments = increment_event_functional(LAM, PAIRS)
     centers = hist.meta["centers"][:, None]
     bin_integrand = increment_clock_weights(hist.meta["centers"], LAM, PAIRS, BETA)  # (bins, 20)
@@ -97,16 +95,15 @@ def run_seed(seed: int) -> dict:
     for i in range(R):
         fns = [hist, increments, exact] if i < EXACT_REPLICAS else [hist, increments]
         rec = simulate(dirac(0.0), params, fns, RngStream(seed, i))
-        occ = rec.occupation_at(hist.name, T)
+        occ = rec.totals[hist.name].values
         clock[i] = occ @ bin_integrand
         if i < EXACT_REPLICAS:
-            clock_exact = rec.occupation_at(exact.name, T)
+            clock_exact = rec.totals[exact.name].values
             clock_err = max(clock_err, float(np.max(np.abs(clock[i] / clock_exact - 1))))
         clock_pos[i] = occ @ bin_positive
-        sl = rec.events_until(T)
-        y = rec.event_locations[sl]
-        k = rec.event_offspring[sl] / N_SCALE
-        net = rec.event_net_mass[sl]
+        y = rec.event_locations
+        k = rec.event_offspring / N_SCALE
+        net = rec.event_net_mass
         dm[i] = martingale_increments(rec, LAM, PAIRS)
         for j, (x1, x2) in enumerate(PAIRS):
             uncomp[i, j] = (g_lambda(LAM, y - x1) - g_lambda(LAM, y - x2)) @ k

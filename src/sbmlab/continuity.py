@@ -29,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import UsageError
 from .particles import OccupationFunctional
 from .tanaka import histogram_functional
 
@@ -369,7 +370,7 @@ def _probe_histogram(dim: int, window, h: float) -> OccupationFunctional:
     if not h > 0:
         raise ValueError(f"bin width must be > 0, got {h}")
     if dim == 1:
-        return histogram_functional(float(window[0]), float(window[1]), h, checkpoint_stride=10**9)
+        return histogram_functional(float(window[0]), float(window[1]), h)
     (xlo, xhi), (ylo, yhi) = window
     ex, ey = (np.arange(lo, hi + h * 0.5, h) for lo, hi in window)
     nx, ny = ex.size - 1, ey.size - 1
@@ -385,7 +386,6 @@ def _probe_histogram(dim: int, window, h: float) -> OccupationFunctional:
         name=f"histogram2d:{xlo:g}:{xhi:g}:{ylo:g}:{yhi:g}:{h:g}",
         state_fn=state_fn,
         width=nx * ny,
-        checkpoint_stride=10**9,
         meta={"kind": "histogram2d", "edges": (ex, ey)},
     )
 
@@ -406,7 +406,11 @@ def unboundedness_probe(recorder, resolutions, window) -> list[tuple[float, floa
     dim = recorder.params.dim
     out = []
     for h in resolutions:
-        occ = recorder.series(_probe_histogram(dim, window, h).name).at(recorder.horizon)
+        total = recorder.totals.get(_probe_histogram(dim, window, h).name)
+        if total is None:
+            raise UsageError(f"no probe histogram of width {h:g} was registered before "
+                             "simulate; register probe_functionals")
+        occ = total.values
         if not occ.any():
             raise ValueError("window has zero occupation")
         out.append((float(h), float(occ.max() / h**dim)))

@@ -11,17 +11,19 @@ path-free kind (stabletails, criterion, holder) supplies one `run` function
 instead.  `check` holds the kind's acceptance thresholds.  `run_experiment`,
 `merge_reports`, `check_report` and the CLI subcommands all read this table.
 
-What a replica holds: a path's masses, occupation integrals, event counts,
-event-functional totals and positions at t = 0 and t_end.  Only the simulate
-kind stores the path (`simulate(..., keep_path=kind.saves_paths)`): the event
-log and the snapshots every `snapshot_stride` steps, for its path files.
-Every other record reads sums at t_end, which need no path: an
-`EventFunctional` among a kind's functionals sums over each block of steps'
-events as simulate flushes it, so tanaka (the martingale terms at every
-panel point), moments (M_t(g^x) at every pair endpoint), timechange (psi0)
-and jumps (the counts above each level) keep only a (width,) total, and
-unbounded2d reads occupation histograms.  Keeping the path or not changes
-no draw.
+What a replica holds: a path's masses, event counts, positions at t = 0
+and t_end, and one (width,) `Total` at t_end per registered functional.
+Only the simulate kind stores the path (`simulate(...,
+keep_path=kind.saves_paths)`): the event log and the snapshots every
+`snapshot_stride` steps, for its path files.  Every other record reads its
+functionals at t_end, which needs no path and no table in time: an
+occupation functional's trapezoid integral and an event functional's sum
+over the branch events both end as one total, so tanaka (the panel
+occupations, the martingale terms at every panel point and the histogram),
+moments (the clock histogram and M_t(g^x) at every pair endpoint),
+timechange (T, the interval occupation and Z = M_t(psi0)), jumps (the
+counts above each level) and unbounded2d (the probe histograms) read only
+totals.  Keeping the path or not changes no draw.
 
 Determinism contract: replica i always uses the stream (seed, replica_start
 + i) regardless of worker count; cap-hit replicas are resampled on stream
@@ -203,13 +205,13 @@ def _tanaka_functionals(cfg: ExperimentConfig):
     return [
         tanaka_panel_functional((cfg.lam, cfg.lam_alt), xs),
         tanaka_event_functional((cfg.lam, cfg.lam_alt), xs),
-        histogram_functional(lo, hi, bin_width, checkpoint_stride=100),
+        histogram_functional(lo, hi, bin_width),
     ]
 
 
 def _moments_functionals(cfg: ExperimentConfig):
     return [
-        histogram_functional(*MOMENTS_HISTOGRAM, checkpoint_stride=10**9),
+        histogram_functional(*MOMENTS_HISTOGRAM),
         increment_event_functional(cfg.lam, cfg.moment_pairs()),
     ]
 
@@ -252,7 +254,7 @@ def _record_duality(cfg: ExperimentConfig, rec, mu0) -> dict:
 def _record_tanaka(cfg: ExperimentConfig, rec, mu0) -> dict:
     # one panel per lambda; every x_eval is a panel point (panel_grid)
     out = {}
-    lt = estimate_local_time(rec, cfg.t_end, np.asarray(cfg.x_eval), cfg.bandwidth)
+    lt = estimate_local_time(rec, np.asarray(cfg.x_eval), cfg.bandwidth)
     panels = {lam: tanaka_panel_terms(rec, mu0, lam) for lam in (cfg.lam, cfg.lam_alt)}
     for lam, panel in panels.items():
         for x in cfg.x_eval:
@@ -268,10 +270,10 @@ def _record_tanaka(cfg: ExperimentConfig, rec, mu0) -> dict:
 def _record_moments(cfg: ExperimentConfig, rec, mu0) -> dict:
     # per distance, the means over the pair centers of |dM|^q, log|dM| and
     # the clock T_d of each pair (validate makes every endpoint a bin edge)
-    t, pairs = cfg.t_end, cfg.moment_pairs()
-    hist = rec.find_series("histogram")
+    pairs = cfg.moment_pairs()
+    hist = rec.find_total("histogram")
     increments = martingale_increments(rec, cfg.lam, pairs)
-    clocks = hist.at(t) @ increment_clock_weights(hist.meta["centers"], cfg.lam, pairs, cfg.beta)
+    clocks = hist.values @ increment_clock_weights(hist.meta["centers"], cfg.lam, pairs, cfg.beta)
     shape = (len(cfg.distances), len(cfg.pair_centers))
     columns = {
         "moment": np.abs(increments) ** cfg.q_moment,
@@ -296,16 +298,14 @@ def _jump_levels(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _record_jumps(cfg: ExperimentConfig, rec, mu0) -> dict:
-    counts = rec.find_event_total("jump_counts").values
+    counts = rec.find_total("jump_counts").values
     return {f"count:y={y:g}": float(c) for y, c in zip(_jump_levels(cfg), counts)}
 
 
 def _record_timechange(cfg: ExperimentConfig, rec, mu0) -> dict:
-    t = cfg.t_end
-    t_hat = compute_T(rec, cfg.lam, cfg.x1, cfg.x2, t)
+    t_hat = compute_T(rec, cfg.lam, cfg.x1, cfg.x2)
     z_hat = interval_martingale(rec, cfg.lam, cfg.x1, cfg.x2)
-    series = rec.find_series("interval", x1=cfg.x1, x2=cfg.x2)
-    occ = float(series.at(t)[0])
+    occ = float(rec.find_total("interval", x1=cfg.x1, x2=cfg.x2).values[0])
     return {"T_hat": t_hat, "Z_hat": z_hat, "interval_occupation": occ}
 
 

@@ -48,7 +48,6 @@ from numpy import fft
 
 from .errors import NumericsError
 from .measures import FiniteMeasure
-from .particles import interp_rows
 
 __all__ = [
     "GridSpec",
@@ -172,6 +171,20 @@ class HeatSemigroup:
 
     def _convolve(self, spectra: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
         return fft.irfft(spectra * u_hat, n=self.n_fft, axis=-1)[..., : self.nx]
+
+
+def interp_rows(t: float, times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Every column of values (one row per entry of the increasing times) at
+    time t, interpolated linearly between rows and held constant outside
+    them; bit for bit what np.interp gives column by column (one bracket
+    lookup, numpy's own formula)."""
+    j = int(np.searchsorted(times, t, side="right")) - 1  # times[j] <= t < times[j+1]
+    if j < 0:
+        return values[0].copy()
+    if j == times.size - 1 or times[j] == t:
+        return values[j].copy()
+    slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
+    return slope * (t - times[j]) + values[j]
 
 
 @dataclass

@@ -6,11 +6,11 @@ rate (1+beta) * N^beta into a Slack-law offspring count; the compound rate
 times (f(s) - s) then rescales exactly to the branching mechanism u^(1+beta),
 so N enters only through initial-mass rounding and the motion/branching
 interleaving.  Branch events are counted step by step, and logged as jumps
-(offspring - 1)/N at the parent location only for a kept path; occupation
-integrals of registered functionals accumulate on the step grid by the
-trapezoid rule, a block of buffered steps at a time, and each registered
-event functional adds its sum over the same block's events to a running
-total, so an event sum at t_end needs no log.
+(offspring - 1)/N at the parent location only for a kept path.  Every
+registered functional ends as one `Total` at t_end: an occupation integral
+accumulates on the step grid by the trapezoid rule, a block of buffered
+steps at a time, and an event functional adds its sum over the same
+block's events, so neither keeps a table in time nor needs the log.
 """
 from __future__ import annotations
 
@@ -31,11 +31,9 @@ __all__ = [
     "ModelParams",
     "ParticleState",
     "OccupationFunctional",
-    "OccupationSeries",
     "EventFunctional",
-    "EventTotal",
+    "Total",
     "PathRecorder",
-    "interp_rows",
     "stable_order",
     "dt_at_cap",
     "model_violations",
@@ -199,53 +197,24 @@ class ParticleState:
 class OccupationFunctional:
     """A named functional registered for occupation accumulation.
 
-    Either fn maps a positions array to per-particle values of shape (n,) or
-    (n, width), with <X_s, f> = mass_per_particle times the particle sum, or
-    state_fn computes the summed (width,) value directly (used for kernels
-    with a fast prefix-sum evaluation).  checkpoint_stride controls how often
-    the cumulative integral is stored; the trapezoid itself always uses every
-    step (`simulate` buffers the step values and integrates them a block at a
-    time, bit for bit the step-by-step sum).  meta carries descriptive fields
-    (kernel kind, grid, bandwidth) so estimators can locate matching
-    accumulators on a recorder.
+    state_fn computes <X_s, f> from a state as a (width,) array (a kernel
+    panel by its prefix sums, a histogram by one search of the sorted
+    positions).  `simulate` integrates it over [0, t_end] on the step grid
+    by the trapezoid rule, buffering the step values and integrating them a
+    block at a time, bit for bit the step-by-step sum.  meta carries
+    descriptive fields (kernel kind, grid, bandwidth) so estimators can
+    locate matching totals on a recorder.
     """
 
     name: str
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
+    state_fn: Callable[[ParticleState], np.ndarray]
     width: int = 1
-    state_fn: Callable[[ParticleState], np.ndarray] | None = None
-    checkpoint_stride: int = 1
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if (self.fn is None) == (self.state_fn is None):
-            raise ValueError("provide exactly one of fn / state_fn")
-        if self.checkpoint_stride < 1:
-            raise ValueError("checkpoint_stride must be >= 1")
 
     def state_value(self, state: ParticleState) -> np.ndarray:
         if state.count == 0:
             return np.zeros(self.width)
-        if self.state_fn is not None:
-            return np.asarray(self.state_fn(state), dtype=float)
-        vals = np.asarray(self.fn(state.positions))
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return state.mass_per_particle * vals.sum(axis=0)
-
-
-def interp_rows(t: float, times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Every column of values (one row per entry of the increasing times) at
-    time t, interpolated linearly between rows and held constant outside
-    them; bit for bit what np.interp gives column by column (one bracket
-    lookup, numpy's own formula)."""
-    j = int(np.searchsorted(times, t, side="right")) - 1  # times[j] <= t < times[j+1]
-    if j < 0:
-        return values[0].copy()
-    if j == times.size - 1 or times[j] == t:
-        return values[j].copy()
-    slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
-    return slope * (t - times[j]) + values[j]
+        return np.asarray(self.state_fn(state), dtype=float)
 
 
 def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,19 +232,6 @@ def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class OccupationSeries:
-    """Cumulative occupation integral of one functional at checkpoint times."""
-
-    times: np.ndarray  # (m,)
-    values: np.ndarray  # (m, width), nondecreasing for f >= 0
-    meta: dict
-
-    def at(self, t: float) -> np.ndarray:
-        """Every column at time t (`interp_rows` over the checkpoints)."""
-        return interp_rows(t, self.times, self.values)
-
-
-@dataclass
 class EventFunctional:
     """A named sum over the branch events up to t_end, kept without the log.
 
@@ -284,7 +240,7 @@ class EventFunctional:
     `simulate` calls it once per block of steps, on the block's events, and
     adds the result to a running total in block order, so the total depends
     on the path alone (not on the worker count).  meta locates the total on a
-    recorder (`PathRecorder.find_event_total`), as it does for occupations."""
+    recorder (`PathRecorder.find_total`), as it does for occupations."""
 
     name: str
     sum_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -293,8 +249,10 @@ class EventFunctional:
 
 
 @dataclass
-class EventTotal:
-    """The sum of one EventFunctional over every branch event up to t_end."""
+class Total:
+    """One registered functional at t_end: the occupation integral
+    int_0^t_end <X_s, f> ds of an OccupationFunctional, or the sum of an
+    EventFunctional over every branch event."""
 
     values: np.ndarray  # (width,)
     meta: dict
@@ -317,8 +275,8 @@ def _meta_matches(meta: dict, kind: str, fields: dict) -> bool:
 
 
 class PathRecorder:
-    """Step-resolution record of one replica: masses, occupation accumulators,
-    event-functional totals, the number of branch events at each step,
+    """Step-resolution record of one replica: masses, the total at t_end of
+    every registered functional, the number of branch events at each step,
     position snapshots, the extinction time and, for a kept path, the
     branch-event log.
 
@@ -333,7 +291,7 @@ class PathRecorder:
         step_times: np.ndarray,
         masses: np.ndarray,
         mass_occupation: np.ndarray,  # cumulative trapezoid of total mass
-        occupations: dict[str, OccupationSeries],
+        totals: dict[str, Total],
         snapshot_times: np.ndarray,
         snapshots: list[np.ndarray],
         extinction_time: float,
@@ -341,14 +299,12 @@ class PathRecorder:
         step_event_counts: np.ndarray,  # (steps + 1,): the events of each step
         event_locations: np.ndarray | None = None,  # the log, for a kept path
         event_offspring: np.ndarray | None = None,
-        event_totals: dict[str, EventTotal] | None = None,
     ):
         self.params = params
         self.step_times = step_times
         self.masses = masses
         self.mass_occupation = mass_occupation
-        self.occupations = occupations
-        self.event_totals = {} if event_totals is None else event_totals
+        self.totals = totals
         self.snapshot_times = snapshot_times
         self.snapshots = snapshots
         self.extinction_time = extinction_time
@@ -384,59 +340,11 @@ class PathRecorder:
     def horizon(self) -> float:
         return float(self.step_times[-1])
 
-    def occupation_at(self, name: str, t: float) -> np.ndarray:
-        """Accumulator value at time t (linear interpolation between checkpoints)."""
-        self._check_time(t)
-        return self.series(name).at(t)
-
-    def series(self, name: str) -> OccupationSeries:
-        if name not in self.occupations:
-            raise UsageError(
-                f"functional {name!r} was not registered before simulate; "
-                f"registered: {sorted(self.occupations)}"
-            )
-        return self.occupations[name]
-
-    def find_series(self, kind: str, **fields) -> OccupationSeries | None:
-        """Locate a registered accumulator by meta kind and matching fields."""
-        return next((s for s in self.occupations.values()
-                     if _meta_matches(s.meta, kind, fields)), None)
-
-    def find_event_total(self, kind: str, **fields) -> EventTotal | None:
-        """Locate the total of a registered event functional as find_series
-        locates an accumulator."""
-        return next((s for s in self.event_totals.values()
-                     if _meta_matches(s.meta, kind, fields)), None)
-
-    def total_occupation_at(self, t: float) -> float:
-        """<Y_t, 1>: time integral of total mass."""
-        self._check_time(t)
-        return float(np.interp(t, self.step_times, self.mass_occupation))
-
-    def state_at(self, t: float) -> np.ndarray:
-        """Positions snapshot at time t (must be a recorded snapshot time)."""
-        return self.snapshots[self._snapshot_index(t)]
-
-    def events_until(self, t: float) -> slice:
-        """The events at times <= t, a prefix of the log, counted step by
-        step."""
-        self._check_time(t)
-        j = int(np.searchsorted(self.step_times, t, side="right"))
-        return slice(0, int(self.step_event_counts[:j].sum()))
-
-    def _snapshot_index(self, t: float) -> int:
-        self._check_time(t)
-        idx = int(np.argmin(np.abs(self.snapshot_times - t)))
-        if abs(self.snapshot_times[idx] - t) > 0.500001 * self.params.dt:
-            raise UsageError(
-                f"no snapshot at t={t}; nearest is {self.snapshot_times[idx]}"
-            )
-        return idx
-
-    def _check_time(self, t: float) -> None:
-        tol = 1e-9 * max(1.0, self.horizon)
-        if t < -tol or t > self.horizon + tol:
-            raise UsageError(f"t={t} outside the recorded horizon [0, {self.horizon}]")
+    def find_total(self, kind: str, **fields) -> Total | None:
+        """Locate a registered functional's total by meta kind and matching
+        fields."""
+        return next((s for s in self.totals.values() if _meta_matches(s.meta, kind, fields)),
+                    None)
 
 
 def init_particles(mu: FiniteMeasure, params: ModelParams, stream: RngStream) -> ParticleState:
@@ -509,35 +417,25 @@ def _cumulative_trapezoid(values: np.ndarray, dt: float, cum: np.ndarray) -> Non
 
 
 class _BlockTrapezoid:
-    """The cumulative trapezoid of one functional on the step grid, kept at
-    its checkpoint steps (step 0, every multiple of the stride, the last).
+    """The trapezoid integral of one functional on the step grid, a block of
+    steps at a time.
 
     Row 0 of `values` holds the value at the step before the block, rows
     1..r the block's values; `flush` integrates them from the integral
-    before the block (`_cumulative_trapezoid`)."""
+    before the block (`_cumulative_trapezoid`) and carries the last row
+    over, so that between blocks cum[0] is the integral so far."""
 
     def __init__(self, f: OccupationFunctional, n_steps: int, dt: float, v0: np.ndarray):
-        stride = f.checkpoint_stride
-        # every stride-th step and the last; not np.unique, whose first call
-        # imports numpy.ma
-        steps = np.arange(0, n_steps + 1, stride)
-        self.steps = steps if steps[-1] == n_steps else np.append(steps, n_steps)
         self.dt = dt
         rows = min(n_steps, _BLOCK_STEPS) + 1
         self.values = np.empty((rows, f.width))
         self.values[0] = v0
         self.cum = np.zeros((rows, f.width))
-        self.out = np.zeros((self.steps.size, f.width))
-        self.stored = 1  # checkpoints in out; step 0's integral is 0
 
-    def flush(self, last_step: int, r: int) -> None:
-        """Integrate the r buffered steps that end at last_step."""
+    def flush(self, r: int) -> None:
+        """Integrate the r buffered steps."""
         vals, cum = self.values[: r + 1], self.cum[: r + 1]
         _cumulative_trapezoid(vals, self.dt, cum)
-        done = self.stored + int(self.steps[self.stored :].searchsorted(last_step, "right"))
-        first_step = last_step - r + 1  # the step in row 1
-        self.out[self.stored : done] = cum[self.steps[self.stored : done] - first_step + 1]
-        self.stored = done
         vals[0] = vals[r]
         cum[0] = cum[r]
 
@@ -549,12 +447,13 @@ def simulate(
     stream: RngStream,
     keep_path: bool = True,
 ) -> PathRecorder:
-    """Run the particle system to t_end, accumulating occupation integrals of
-    the registered occupation functionals on the step grid and the totals of
-    the registered event functionals.
+    """Run the particle system to t_end, integrating the registered
+    occupation functionals on the step grid and summing the registered event
+    functionals over the branch events.
 
-    The recorder always holds the masses, the occupations, the event totals,
-    the number of events at each step and the positions at t = 0 and t_end.
+    The recorder always holds the masses, the total of every functional at
+    t_end, the number of events at each step and the positions at t = 0 and
+    t_end.
     keep_path (the default) adds the path: the branch-event log and the
     positions every params.snapshot_stride steps in between.  It changes no
     draw, so every other output is the same either way.
@@ -584,7 +483,7 @@ def simulate(
     step_times[0] = 0.0
     masses[0] = state.total_mass
     trapezoids = [_BlockTrapezoid(f, n_steps, dt, f.state_value(state)) for f in functionals]
-    totals = [np.zeros(f.width) for f in event_fns]
+    sums = [np.zeros(f.width) for f in event_fns]
 
     # without the path, the last step is the only one after step 0 kept
     snapshot_stride = params.snapshot_stride if keep_path else max(n_steps, 1)
@@ -617,12 +516,12 @@ def simulate(
                 block_offspring.append(ks)
         if row == _BLOCK_STEPS or i == n_steps:
             for acc in trapezoids:
-                acc.flush(i, row)
+                acc.flush(row)
             if block_offspring:
                 locs = np.concatenate(block_locations)
                 ks = np.concatenate(block_offspring)
                 net = (ks - 1) * params.mass_per_particle
-                for f, total in zip(event_fns, totals):
+                for f, total in zip(event_fns, sums):
                     total += f.sum_fn(locs, net)
                 if keep_path:
                     ev_locations.append(locs)
@@ -636,13 +535,9 @@ def simulate(
 
     mass_occ = np.zeros(n_steps + 1)
     _cumulative_trapezoid(masses, dt, mass_occ)
-    occ = {
-        f.name: OccupationSeries(times=step_times[acc.steps], values=acc.out, meta=dict(f.meta))
-        for f, acc in zip(functionals, trapezoids)
-    }
-    event_totals = {
-        f.name: EventTotal(values=total, meta=dict(f.meta)) for f, total in zip(event_fns, totals)
-    }
+    totals = {f.name: Total(acc.cum[0].copy(), dict(f.meta))
+              for f, acc in zip(functionals, trapezoids)}
+    totals.update((f.name, Total(total, dict(f.meta))) for f, total in zip(event_fns, sums))
     log = {}
     if keep_path:
         event_locations, event_offspring = _no_events(params.dim)
@@ -656,8 +551,7 @@ def simulate(
         step_times=step_times,
         masses=masses,
         mass_occupation=mass_occ,
-        occupations=occ,
-        event_totals=event_totals,
+        totals=totals,
         snapshot_times=np.asarray(snapshot_times),
         snapshots=snapshots,
         extinction_time=extinction_time,
@@ -667,8 +561,9 @@ def simulate(
     )
 
 
-def interval_jump_max(recorder: PathRecorder, x1: float, x2: float, t: float) -> float:
-    """Largest upward mass jump located in [x1, x2] before t (0 if none).
+def interval_jump_max(recorder: PathRecorder, x1: float, x2: float) -> float:
+    """Largest upward mass jump located in [x1, x2] up to t_end (0 if none),
+    read from the kept event log.
 
     Deaths (offspring 0) move mass downward and never count as interval
     jumps, matching the superprocess whose jumps are all upward atoms.
@@ -677,9 +572,8 @@ def interval_jump_max(recorder: PathRecorder, x1: float, x2: float, t: float) ->
         raise ValueError(f"need x1 < x2, got ({x1}, {x2})")
     if recorder.params.dim != 1:
         raise UsageError("interval_jump_max is defined for d=1 recorders only")
-    sl = recorder.events_until(t)
-    locs = recorder.event_locations[sl]
-    net = recorder.event_net_mass[sl]
+    locs = recorder.event_locations
+    net = recorder.event_net_mass
     mask = (locs >= x1) & (locs <= x2) & (net > 0)
     if not mask.any():
         return 0.0

@@ -4,10 +4,11 @@ T(t) behind the harness `timechange` kind's check that the interval
 martingale is a time-changed stable process.
 
 The time change is T(t) = int_0^t <X_s, psi0^(1+beta)> ds for the interval
-integrand psi0 (supported on [x1, x2], bounded by 2), accumulated exactly on
-the particle step grid; the interval martingale Z_t = M_t(psi0) at t_end is
-the exact branching-event sum that simulate totals a block of steps at a
-time, without the event log.  The exponential martingale of the jump measure
+integrand psi0 (supported on [x1, x2], bounded by 2), and the interval
+martingale is Z_t = M_t(psi0).  Both are read at t = t_end as totals that
+simulate forms a block of steps at a time, with no event log and no table
+in time: T the trapezoid integral on the particle step grid, Z the exact
+sum over the branch events.  The exponential martingale of the jump measure
 gives the product identity E[exp(-theta Z_t - theta^(1+beta) T(t))] = 1,
 reported alongside the factored curve comparison E[exp(-theta Z_t)] vs
 E[exp(theta^(1+beta) T(t))], which treats the random clock as independent.
@@ -160,23 +161,23 @@ def calibrate_smalljump_bound(
 # ---------------------------------------------------------------------------
 
 
-def compute_T(recorder: PathRecorder, lam: float, x1: float, x2: float, t: float) -> float:
-    """T(t): the occupation accumulator of psi0^(1+beta) at time t.
+def compute_T(recorder: PathRecorder, lam: float, x1: float, x2: float) -> float:
+    """T(t) at t_end: the occupation integral of psi0^(1+beta).
 
     Requires psi0_power_functional(lam, x1, x2, beta) registered before
-    simulate.  Nondecreasing and additive in t by the accumulator property.
-    """
+    simulate, whose total it reads.  Nondecreasing in t: a shorter run on
+    the same stream and step is a prefix of a longer one."""
     if x1 == x2:
         return 0.0
     if not x1 < x2:
         raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
-    series = recorder.find_series("psi0_power", lam=lam, x1=x1, x2=x2)
-    if series is None:
+    total = recorder.find_total("psi0_power", lam=lam, x1=x1, x2=x2)
+    if total is None:
         raise UsageError(
             f"psi0 power functional for (lam={lam}, x1={x1}, x2={x2}) was not "
             "registered before simulate"
         )
-    return float(series.at(t)[0])
+    return float(total.values[0])
 
 
 def interval_martingale(recorder: PathRecorder, lam: float, x1: float, x2: float) -> float:
@@ -186,7 +187,7 @@ def interval_martingale(recorder: PathRecorder, lam: float, x1: float, x2: float
     whose total it reads."""
     if x1 == x2:
         return 0.0
-    total = recorder.find_event_total("psi0_event", lam=lam, x1=x1, x2=x2)
+    total = recorder.find_total("psi0_event", lam=lam, x1=x1, x2=x2)
     if total is None:
         raise UsageError(
             f"psi0 event functional for (lam={lam}, x1={x1}, x2={x2}) was not "

@@ -13,14 +13,15 @@ test suite cross-checks:
     Z(t, x) = L(t, x) - <X_0, G^x>, checked against Z by the fundamental
     theorem of calculus (ftc_check).
 
-Every time integral comes from an accumulator registered before simulate
-(a Tanaka panel or a histogram), integrated on the step grid, and every
-martingale sum M_t at t_end from an event functional, summed a block of
-steps at a time; the only positions read afterwards are those at t_end.
-The decomposition is evaluated on the whole panel at once
-(`tanaka_panel_terms`), so a point of interest must be a panel point;
-`tanaka_terms` is the one-point reference the tests compare against, read
-from a kept path (snapshots and event log).
+Everything is read at t = t_end, the recorder's horizon: every time
+integral is the total of an occupation functional registered before
+simulate (a Tanaka panel or a histogram), integrated on the step grid, and
+every martingale sum M_t the total of an event functional, summed a block
+of steps at a time; the only positions read afterwards are those at t_end.
+A reading at an earlier t is a run simulated to that t.  The decomposition
+is evaluated on the whole panel at once (`tanaka_panel_terms`), so a point
+of interest must be a panel point; `tanaka_terms` is the one-point
+reference the tests compare against, which sums over the kept event log.
 
 One Tanaka panel may carry several lambdas: `exp_kernel_sums` takes an
 array of rates and runs one sort-and-search pass for all of them, each
@@ -48,7 +49,6 @@ from .measures import FiniteMeasure
 from .particles import (
     EventFunctional,
     OccupationFunctional,
-    OccupationSeries,
     ParticleState,
     PathRecorder,
     stable_order,
@@ -184,9 +184,7 @@ def _panel_rates(lams, xs) -> tuple[tuple, np.ndarray, np.ndarray]:
     return lams, np.asarray(xs, dtype=float), np.sqrt(2.0 * np.asarray(lams))
 
 
-def tanaka_panel_functional(
-    lams, xs, checkpoint_stride: int = 1
-) -> OccupationFunctional:
+def tanaka_panel_functional(lams, xs) -> OccupationFunctional:
     """Panel accumulator of <X_s, G_lambda(.-x_j)> and <X_s, g_lambda(x_j-.)>
     for all panel points, at one lambda or at each of several distinct ones.
 
@@ -208,7 +206,6 @@ def tanaka_panel_functional(
         name="tanaka_panel:" + ",".join(f"{lam:g}" for lam in lams),
         state_fn=state_fn,
         width=2 * xs.size * len(lams),
-        checkpoint_stride=checkpoint_stride,
         meta={"kind": "tanaka_panel", "lams": lams, "xs": xs},
     )
 
@@ -234,9 +231,7 @@ def tanaka_event_functional(lams, xs) -> EventFunctional:
     )
 
 
-def histogram_functional(
-    lo: float, hi: float, bin_width: float, checkpoint_stride: int = 1
-) -> OccupationFunctional:
+def histogram_functional(lo: float, hi: float, bin_width: float) -> OccupationFunctional:
     """Binned occupation accumulator: <X_s, 1_bin> for fixed bins on [lo, hi].
 
     A cheap per-step route to the kernel local-time estimate: the occupation
@@ -255,7 +250,6 @@ def histogram_functional(
         name=f"histogram:{lo:g}:{hi:g}:{bin_width:g}",
         state_fn=state_fn,
         width=centers.size,
-        checkpoint_stride=checkpoint_stride,
         meta={"kind": "histogram", "edges": edges, "centers": centers},
     )
 
@@ -296,8 +290,8 @@ def psi0_power_functional(lam: float, x1: float, x2: float, beta: float) -> Occu
         vals = np.zeros(state.count)
         if inside.size:
             vals[inside] = _psi0_values(a, x1, x2, state.positions[inside]) ** power
-        # the zeros stay in: this is the reduction state_value applies to a
-        # per-particle fn, so the sum is bit for bit the full-array one
+        # the zeros stay in and the sum runs down one column, so T is bit for
+        # bit the sum of psi0^(1+beta) over every particle
         return state.mass_per_particle * vals[:, None].sum(axis=0)
 
     return OccupationFunctional(
@@ -377,29 +371,22 @@ def panel_index(xs: np.ndarray, x: float) -> int:
     return int(np.argmin(dist))
 
 
-def _panel_block(entries: dict, kind: str, lam: float, xs=None):
-    """The registered panel of the given kind (an occupation series or an
-    event total) that holds lam, on the points xs if given, and the slice of
-    its columns that is lam's block [G panel, derivative panel]."""
-    for entry in entries.values():
+def _panel_block(recorder: PathRecorder, kind: str, lam: float, xs=None):
+    """lam's block [G panel, derivative panel] of the total of the registered
+    panel of the given kind (occupation or event) that holds lam, on the
+    points xs if given, and the panel's points."""
+    for entry in recorder.totals.values():
         meta = entry.meta
         if (meta.get("kind") == kind and lam in meta["lams"]
                 and (xs is None or np.array_equal(meta["xs"], xs))):
             width = 2 * meta["xs"].size
             start = width * meta["lams"].index(lam)
-            return entry, slice(start, start + width)
+            return entry.values[start : start + width], meta["xs"]
     raise UsageError(
         f"no {kind} registered for lambda={lam}"
         + ("" if xs is None else " on this panel")
         + f"; register {kind}_functional before simulate"
     )
-
-
-def _panel_series(recorder: PathRecorder, lam: float) -> OccupationSeries:
-    """The occupation series of one lambda's block of the registered panel
-    that holds it: the columns [G panel, derivative panel]."""
-    series, cols = _panel_block(recorder.occupations, "tanaka_panel", lam)
-    return OccupationSeries(times=series.times, values=series.values[:, cols], meta=series.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +396,12 @@ def _panel_series(recorder: PathRecorder, lam: float) -> OccupationSeries:
 
 @dataclass
 class LocalTimeEstimate:
-    t: float
-    x_grid: np.ndarray
     values: np.ndarray
-    bandwidth: float
-    n_scale: int
     warnings: list[str] = field(default_factory=list)
 
 
-def estimate_local_time(
-    recorder: PathRecorder, t: float, x_grid, bandwidth: float
-) -> LocalTimeEstimate:
-    """Kernel-smoothed occupation density on x_grid at time t.
+def estimate_local_time(recorder: PathRecorder, x_grid, bandwidth: float) -> LocalTimeEstimate:
+    """Kernel-smoothed occupation density on x_grid at t_end.
 
     Reads a registered histogram with bins of at most bandwidth/4 that covers
     x_grid with a 5-bandwidth margin (positions quantized to bin centers),
@@ -442,25 +423,18 @@ def estimate_local_time(
             f"(bandwidth {bandwidth:g}); register histogram_functional before simulate"
         )
     centers = hist.meta["centers"]
-    occ = hist.at(t)
+    occ = hist.values
     norm = 1.0 / (bandwidth * math.sqrt(2.0 * math.pi))
     d = (x_grid[:, None] - centers[None, :]) / bandwidth
     values = norm * (np.exp(-0.5 * d * d) @ occ)
-    return LocalTimeEstimate(
-        t=t,
-        x_grid=x_grid,
-        values=np.maximum(values, 0.0),
-        bandwidth=bandwidth,
-        n_scale=recorder.params.n_scale,
-        warnings=warnings,
-    )
+    return LocalTimeEstimate(values=np.maximum(values, 0.0), warnings=warnings)
 
 
 def _matching_histogram(recorder: PathRecorder, x_grid: np.ndarray, bw: float):
-    """A registered histogram usable for bandwidth bw: bins at most bw/4 and
-    covering the x_grid with a 5-bandwidth margin."""
-    for series in recorder.occupations.values():
-        m = series.meta
+    """The total of a registered histogram usable for bandwidth bw: bins at
+    most bw/4 and covering the x_grid with a 5-bandwidth margin."""
+    for total in recorder.totals.values():
+        m = total.meta
         if m.get("kind") != "histogram":
             continue
         edges = m["edges"]
@@ -469,7 +443,7 @@ def _matching_histogram(recorder: PathRecorder, x_grid: np.ndarray, bw: float):
             and edges[0] <= x_grid.min() - 5 * bw
             and edges[-1] >= x_grid.max() + 5 * bw
         ):
-            return series
+            return total
     return None
 
 
@@ -529,44 +503,33 @@ def _initial_terms(mu0: FiniteMeasure, lam: float, xs: np.ndarray):
     return green, deriv
 
 
-def _occupation_pair(recorder: PathRecorder, lam: float, t: float, x: float):
-    """(int_0^t <X_s,G^x> ds, int_0^t <X_s,g(x-.)> ds) read from the
-    registered lambda panel; x must be one of its points."""
-    series = _panel_series(recorder, lam)
-    xs = series.meta["xs"]
-    j = panel_index(xs, x)
-    vals = series.at(t)
-    return float(vals[j]), float(vals[xs.size + j])
-
-
 def tanaka_terms(
-    recorder: PathRecorder, mu0: FiniteMeasure, lam: float, t: float, x: float
+    recorder: PathRecorder, mu0: FiniteMeasure, lam: float, x: float
 ) -> TanakaDecomposition:
-    """Evaluate every decomposition term at one point (t, x, lambda).
+    """Evaluate every decomposition term at one point (t_end, x, lambda).
 
     The scalar reference for `tanaka_panel_terms`: the same terms, each
     computed on its own.  The occupation terms come from the registered
-    lambda panel, so x must be a panel point (UsageError otherwise); the
-    terminal terms use the snapshot at t and the martingale terms are the
-    kernel sums over the event log up to t, so the path must be kept.
+    lambda panel's total, so x must be a panel point (UsageError otherwise);
+    the terminal terms use the positions at t_end and the martingale terms
+    are the kernel sums over the whole event log, so the path must be kept.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
     term_initial = mu0.integrate(lambda y: green_closed(lam, y - x))
     deriv_initial = mu0.integrate(lambda y: g_lambda(lam, x - y))
     mass = recorder.params.mass_per_particle
-    positions = recorder.state_at(t)
-    term_terminal, deriv_terminal = _kernel_values(positions, mass, lam, x)
-    occ_g, occ_d = _occupation_pair(recorder, lam, t, x)
-    sl = recorder.events_until(t)
+    term_terminal, deriv_terminal = _kernel_values(recorder.final_positions, mass, lam, x)
+    occ, xs = _panel_block(recorder, "tanaka_panel", lam)
+    j = panel_index(xs, x)
     term_martingale, deriv_martingale = _kernel_values(
-        recorder.event_locations[sl], recorder.event_net_mass[sl], lam, x)
-    term_occupation = lam * occ_g
-    deriv_occupation = lam * occ_d
+        recorder.event_locations, recorder.event_net_mass, lam, x)
+    term_occupation = lam * float(occ[j])
+    deriv_occupation = lam * float(occ[xs.size + j])
     recentered = -term_terminal + term_occupation + term_martingale
     deriv_field = -deriv_terminal + deriv_occupation + deriv_martingale
     return TanakaDecomposition(
-        t=t,
+        t=recorder.horizon,
         x=x,
         lam=lam,
         term_initial=term_initial,
@@ -608,16 +571,13 @@ def tanaka_panel_terms(
     point of the registered panel; the martingale terms are read from the
     registered `tanaka_event_functional` on the same points."""
     t = recorder.horizon
-    series = _panel_series(recorder, lam)
-    xs = np.asarray(series.meta["xs"])
+    occ, xs = _panel_block(recorder, "tanaka_panel", lam)
     m = xs.size
-    occ = series.at(t)
     mass = recorder.params.mass_per_particle
     a = math.sqrt(2.0 * lam)
     even, odd = exp_kernel_sums(_as_1d(recorder.final_positions), mass, a, xs)
     term_terminal, deriv_terminal = even / a, odd
-    total, cols = _panel_block(recorder.event_totals, "tanaka_event", lam, xs)
-    mart = total.values[cols]
+    mart, _ = _panel_block(recorder, "tanaka_event", lam, xs)
     mart_g, mart_d = mart[:m] / a, mart[m:]
     term_initial, deriv_initial = _initial_terms(mu0, lam, xs)
     term_occupation = lam * occ[:m]
@@ -666,7 +626,7 @@ def martingale_increments(recorder: PathRecorder, lam: float, pairs) -> np.ndarr
     """dM = M_t(g^{x1}) - M_t(g^{x2}) at t_end for each pair (x1, x2), with
     g^x(y) = g_lambda(y - x), read from the registered
     `increment_event_functional` (one event sum per distinct endpoint)."""
-    total = recorder.find_event_total("increment_event", lam=lam)
+    total = recorder.find_total("increment_event", lam=lam)
     if total is None:
         raise UsageError(f"no increment event functional registered for lambda={lam}; "
                          "register increment_event_functional before simulate")

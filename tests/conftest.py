@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sbmlab.measures import dirac
-from sbmlab.particles import make_params, simulate
+from sbmlab.particles import OccupationFunctional, make_params, simulate
 from sbmlab.rng import RngStream
 from sbmlab.tanaka import (
     histogram_functional,
@@ -20,6 +20,20 @@ from sbmlab.tanaka import (
 )
 
 ACCEPTANCE_REPORT = Path(__file__).with_name("acceptance_report.txt")
+
+
+def per_particle_functional(name: str, fn, width: int = 1) -> OccupationFunctional:
+    """An occupation functional of per-particle values fn(positions), of
+    shape (n,) or (n, width): <X_s, f> is the particle mass times their sum
+    down each column."""
+
+    def state_fn(state) -> np.ndarray:
+        vals = np.asarray(fn(state.positions))
+        if vals.ndim == 1:
+            vals = vals[:, None]
+        return state.mass_per_particle * vals.sum(axis=0)
+
+    return OccupationFunctional(name, state_fn, width)
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +53,7 @@ def small_recorders(panel_grid):
         tanaka_panel_functional(0.5, panel_grid),
         tanaka_panel_functional(2.0, panel_grid),
         tanaka_event_functional((0.5, 2.0), panel_grid),
-        histogram_functional(-8.0, 8.0, 0.025, checkpoint_stride=20),
+        histogram_functional(-8.0, 8.0, 0.025),
         psi0_power_functional(0.5, -0.1, 0.1, 0.5),
         interval_indicator_functional(-0.1, 0.1),
         psi0_event_functional(0.5, -0.1, 0.1),

@@ -19,12 +19,14 @@ max-oscillation statistic in most replicas).
 """
 import json
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from scipy.integrate import quad
 
-from conftest import record_criterion
+from conftest import per_particle_functional, record_criterion
 from sbmlab.config import parse_config_text
 from sbmlab.continuity import (
     CriterionParams,
@@ -38,11 +40,7 @@ from sbmlab.errors import ConfigError
 from sbmlab.harness import check_report, run_experiment
 from sbmlab.kernels import g_lambda, green_closed, green_numeric, heat_kernel
 from sbmlab.measures import dirac
-from sbmlab.particles import (
-    OccupationFunctional,
-    make_params,
-    simulate,
-)
+from sbmlab.particles import make_params, simulate
 from sbmlab.rng import RngStream, make_offspring_law, sample_offspring
 from sbmlab.stable_path import calibrate_smalljump_bound, inf_tail_oracle, inf_tail_probability
 from sbmlab.tanaka import tanaka_event_functional, tanaka_panel_functional, tanaka_panel_terms
@@ -145,53 +143,57 @@ def test_criterion_04_duality(tmp_path):
     assert ok
 
 
+def _phi1(y):
+    return green_closed(1.0, y - 0.5)
+
+
+def _phi2(y):
+    return np.exp(-2.0 * (y + 0.3) ** 2)
+
+
+C05_LEVELS = (0.25, 1.0)
+
+
+def _criterion_05_replica(i: int) -> dict:
+    """Per t level, replica i's <X_t, phi1>, <X_t, phi2>, int_0^t <X_s, phi>
+    ds for both, total mass and total occupation, from a run to t on stream
+    (77, i) at dt = 1/476: the run to 0.25 is the first 119 steps of the run
+    to 1."""
+    fns = [per_particle_functional("phi1", _phi1), per_particle_functional("phi2", _phi2)]
+    out = {}
+    for t in C05_LEVELS:
+        params = make_params(BETA, 1000, t, dt=1.0 / 476, snapshot_stride=10**9)
+        rec = simulate(dirac(0.0), params, fns, RngStream(77, i), keep_path=False)
+        pos, mass = rec.final_positions, params.mass_per_particle
+        out[t] = (mass * float(np.sum(_phi1(pos))), mass * float(np.sum(_phi2(pos))),
+                  rec.totals["phi1"].values[0], rec.totals["phi2"].values[0],
+                  rec.masses[-1], rec.mass_occupation[-1])
+    return out
+
+
 def test_criterion_05_mean_formulas():
-    t_levels = (0.25, 1.0)
-    phi1 = lambda y: green_closed(1.0, y - 0.5)
-    phi2 = lambda y: np.exp(-2.0 * (y + 0.3) ** 2)
-    n_steps = 476
-    params = make_params(BETA, 1000, 1.0, dt=1.0 / n_steps, snapshot_stride=n_steps // 4)
-    mu = dirac(0.0)
-    fns = [
-        OccupationFunctional("phi1", lambda pos: phi1(pos)),
-        OccupationFunctional("phi2", lambda pos: phi2(pos)),
-    ]
     R = 400
-    data = {
-        (kind, name, t): np.empty(R)
-        for kind in ("X", "Y")
-        for name in ("phi1", "phi2")
-        for t in t_levels
-    }
-    ctrl_mass = {t: np.empty(R) for t in t_levels}
-    ctrl_occ = {t: np.empty(R) for t in t_levels}
-    for i in range(R):
-        rec = simulate(mu, params, fns, RngStream(77, i))
-        for t in t_levels:
-            pos = rec.state_at(t)
-            mass = params.mass_per_particle
-            data[("X", "phi1", t)][i] = mass * float(np.sum(phi1(pos)))
-            data[("X", "phi2", t)][i] = mass * float(np.sum(phi2(pos)))
-            data[("Y", "phi1", t)][i] = rec.occupation_at("phi1", t)[0]
-            data[("Y", "phi2", t)][i] = rec.occupation_at("phi2", t)[0]
-            ctrl_mass[t][i] = float(np.interp(t, rec.step_times, rec.masses))
-            ctrl_occ[t][i] = rec.total_occupation_at(t)
+    workers = min(len(os.sched_getaffinity(0)), 4)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        replicas = list(pool.map(_criterion_05_replica, range(R)))
+    # per t level, one row per quantity of _criterion_05_replica
+    columns = {t: np.array([r[t] for r in replicas]).T.copy() for t in C05_LEVELS}
 
     def pt_phi(phi, t):
         return quad(lambda y: heat_kernel(t, y) * phi(y), -30, 30, epsabs=1e-12)[0]
 
     ok = True
     details = []
-    for name, phi in (("phi1", phi1), ("phi2", phi2)):
-        for t in t_levels:
-            for kind in ("X", "Y"):
-                vals = data[(kind, name, t)]
+    for k, (name, phi) in enumerate((("phi1", _phi1), ("phi2", _phi2))):
+        for t in C05_LEVELS:
+            x_phi, y_phi, ctrl_mass, ctrl_occ = columns[t][[k, 2 + k, 4, 5]]
+            for kind, vals in (("X", x_phi), ("Y", y_phi)):
                 if kind == "X":
                     oracle = pt_phi(phi, t)
-                    control, c_mean = ctrl_mass[t], 1.0
+                    control, c_mean = ctrl_mass, 1.0
                 else:
                     oracle = quad(lambda s: pt_phi(phi, s), 0, t, epsabs=1e-10, limit=100)[0]
-                    control, c_mean = ctrl_occ[t], t
+                    control, c_mean = ctrl_occ, t
                 slope = np.cov(vals, control)[0, 1] / np.var(control)
                 adj = vals - slope * (control - c_mean)
                 se = adj.std(ddof=1) / math.sqrt(R)

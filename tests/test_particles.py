@@ -1,14 +1,17 @@
 """Branching particle engine: initialization, stepping, occupation
 accumulators, event log statistics, and determinism."""
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import per_particle_functional
+from sbmlab import particles
+from sbmlab.continuity import unboundedness_probe
 from sbmlab.errors import ResourceLimitError, UsageError
 from sbmlab.kernels import g_lambda, green_closed, heat_kernel
+from sbmlab.loglaplace import interp_rows
 from sbmlab.measures import FiniteMeasure, dirac, gridded_density
 from sbmlab.particles import (
     EventFunctional,
@@ -27,6 +30,7 @@ from sbmlab.particles import (
 )
 from sbmlab.rng import RngStream
 from sbmlab.tanaka import (
+    estimate_local_time,
     histogram_functional,
     increment_event_functional,
     interval_indicator_functional,
@@ -38,11 +42,10 @@ from sbmlab.tanaka import (
 )
 
 
-def martingale_event_sum(recorder: PathRecorder, f, t: float) -> float:
+def martingale_event_sum(recorder: PathRecorder, f) -> float:
     """The brute-force reference for an event total: the sum of
-    f(location) * net_mass over the logged events up to t."""
-    sl = recorder.events_until(t)
-    return float(np.sum(np.asarray(f(recorder.event_locations[sl])) * recorder.event_net_mass[sl]))
+    f(location) * net_mass over every logged event."""
+    return float(np.sum(np.asarray(f(recorder.event_locations)) * recorder.event_net_mass))
 
 
 class TestModelParams:
@@ -139,21 +142,21 @@ class TestStep:
 class TestSimulate:
     def test_t_end_zero(self):
         p = make_params(0.5, 100, 0.0)
-        f = OccupationFunctional("one", lambda pos: np.ones(pos.shape[0]))
+        f = per_particle_functional("one", lambda pos: np.ones(pos.shape[0]))
         rec = simulate(dirac(0.0), p, [f], RngStream(6, 0))
         assert rec.step_times.size == 1
         assert rec.snapshot_times.size == 1
-        assert rec.occupations["one"].values[-1] == pytest.approx(0.0)
+        assert rec.totals["one"].values.tobytes() == np.zeros(1).tobytes()
         assert rec.event_times.size == 0
 
     def test_unit_accumulator_equals_mass_trapezoid(self, bare_recorders):
         p = make_params(0.5, 300, 0.2)
-        f = OccupationFunctional("one", lambda pos: np.ones(pos.shape[0]))
+        f = per_particle_functional("one", lambda pos: np.ones(pos.shape[0]))
         rec = simulate(dirac(0.0), p, [f], RngStream(7, 0))
         direct = np.concatenate(
             [[0.0], np.cumsum(0.5 * (rec.masses[1:] + rec.masses[:-1]) * p.dt)]
         )
-        assert np.array_equal(rec.occupations["one"].values[:, 0], direct)
+        assert np.array_equal(rec.totals["one"].values, direct[-1:])
         assert np.array_equal(rec.mass_occupation, direct)
 
     def test_mean_semigroup_formula(self):
@@ -190,11 +193,11 @@ class TestSimulate:
         t = 0.3
         p = make_params(0.5, 400, t, snapshot_stride=10**9)
         f_call = lambda y: green_closed(1.0, y - 0.5)
-        f = OccupationFunctional("g", lambda pos: f_call(pos))
+        f = per_particle_functional("g", f_call)
         vals = []
         for i in range(200):
             rec = simulate(dirac(0.0), p, [f], RngStream(9, i))
-            vals.append(rec.occupations["g"].values[-1, 0])
+            vals.append(rec.totals["g"].values[0])
         vals = np.asarray(vals)
 
         def p_s_f(s):
@@ -214,8 +217,7 @@ class TestSimulate:
         assert np.array_equal(rec1.final_positions, rec2.final_positions)
         assert np.array_equal(rec1.event_net_mass, rec2.event_net_mass)
         assert np.array_equal(
-            rec1.occupations["tanaka_panel:1"].values,
-            rec2.occupations["tanaka_panel:1"].values,
+            rec1.totals["tanaka_panel:1"].values, rec2.totals["tanaka_panel:1"].values
         )
 
     def test_particle_cap(self):
@@ -244,13 +246,11 @@ class TestSimulate:
 
 def _stepwise_integrals(mu, params, functionals, stream):
     """The reference for simulate's occupation integrals: one trapezoid
-    update per step, cum + 0.5 * (v + v_prev) * dt, kept at the checkpoint
-    steps, and the total-mass trapezoid likewise."""
+    update per step, cum + 0.5 * (v + v_prev) * dt, up to t_end, and the
+    cumulative total-mass trapezoid likewise."""
     state = init_particles(mu, params, stream)
     prev = {f.name: f.state_value(state) for f in functionals}
     cum = {f.name: np.zeros(f.width) for f in functionals}
-    times = {f.name: [0.0] for f in functionals}
-    values = {f.name: [np.zeros(f.width)] for f in functionals}
     masses, mass_occ = [state.total_mass], [0.0]
     for i in range(1, params.n_steps + 1):
         state, _ = step(state, params, stream)
@@ -261,33 +261,31 @@ def _stepwise_integrals(mu, params, functionals, stream):
             v = f.state_value(state)
             cum[f.name] = cum[f.name] + 0.5 * (v + prev[f.name]) * params.dt
             prev[f.name] = v
-            if i % f.checkpoint_stride == 0 or i == params.n_steps:
-                times[f.name].append(state.time)
-                values[f.name].append(cum[f.name])
-    series = {f.name: (np.asarray(times[f.name]), np.vstack(values[f.name])) for f in functionals}
-    return series, np.asarray(mass_occ)
+    return cum, np.asarray(mass_occ)
 
 
-def _functional_set(kind: str, stride: int) -> list[OccupationFunctional]:
-    """The functionals of a harness kind, every one at the given checkpoint stride."""
-    sets = {
+def _functional_set(kind: str) -> list[OccupationFunctional]:
+    """The occupation functionals of a harness kind."""
+    return {
         "tanaka": [tanaka_panel_functional((1.0, 2.0), np.linspace(-1.0, 1.0, 21)),
                    histogram_functional(-8.0, 8.0, 0.025)],
         "timechange": [psi0_power_functional(1.0, -0.1, 0.1, 0.5),
                        interval_indicator_functional(-0.1, 0.1)],
         "moments": [histogram_functional(-8.0, 8.0, 0.0125)],
-    }
-    return [dataclasses.replace(f, checkpoint_stride=stride) for f in sets[kind]]
+    }[kind]
 
 
 class TestBlockTrapezoid:
-    """simulate integrates buffered blocks of step values; every series is
-    bit for bit the step-by-step trapezoid."""
+    """simulate integrates buffered blocks of step values; every total is
+    bit for bit the step-by-step trapezoid, whatever the block length."""
 
-    @pytest.mark.parametrize("stride", [1, 7, 100, 10**9])
+    @pytest.mark.parametrize("block", [1, 7, 100, 10**9])
     @pytest.mark.parametrize("kind", ["tanaka", "timechange", "moments"])
-    def test_matches_stepwise_trapezoid(self, kind, stride):
-        functionals = _functional_set(kind, stride)
+    def test_matches_stepwise_trapezoid(self, kind, block, monkeypatch):
+        # block 1 flushes every step, 7 leaves a part block at the end, 100
+        # splits only the first run and 10**9 takes each run in one block
+        monkeypatch.setattr(particles, "_BLOCK_STEPS", block)
+        functionals = _functional_set(kind)
         runs = [
             (dirac(0.0), make_params(0.5, 300, 0.5), RngStream(16, 0)),
             # three particles, extinct at t = 0.25 of 1, after 17 of 68 steps
@@ -296,11 +294,9 @@ class TestBlockTrapezoid:
         for mu, params, stream in runs:
             rec = simulate(mu, params, functionals, RngStream(stream.seed, stream.stream_index))
             want, mass_occ = _stepwise_integrals(mu, params, functionals, stream)
-            assert params.n_steps > 64  # more than two blocks
+            assert params.n_steps > 64  # more than two blocks of the default 32
             for f in functionals:
-                times, values = want[f.name]
-                assert np.array_equal(rec.occupations[f.name].times, times)
-                assert np.array_equal(rec.occupations[f.name].values, values)
+                assert np.array_equal(rec.totals[f.name].values, want[f.name])
             assert np.array_equal(rec.mass_occupation, mass_occ)
         assert rec.extinction_time == 0.25
 
@@ -313,7 +309,7 @@ class TestKeep:
     def test_every_other_output_is_the_same(self, dim):
         # 0.5 at N = 300: a few hundred events over 63 steps
         params = make_params(0.5, 300, 0.5, dim=dim, snapshot_stride=4)
-        functionals = _functional_set("timechange", 10) if dim == 1 else []
+        functionals = _functional_set("timechange") if dim == 1 else []
         full, rec = (simulate(dirac(0.0), params, functionals, RngStream(40, 2), keep_path=keep)
                      for keep in (True, False))
         assert full.event_times.size > 100
@@ -322,13 +318,10 @@ class TestKeep:
             assert np.array_equal(r.masses, full.masses)
             assert np.array_equal(r.mass_occupation, full.mass_occupation)
             for f in functionals:
-                assert np.array_equal(r.occupations[f.name].times, full.occupations[f.name].times)
-                assert np.array_equal(r.occupations[f.name].values,
-                                      full.occupations[f.name].values)
+                assert np.array_equal(r.totals[f.name].values, full.totals[f.name].values)
             assert np.array_equal(r.final_positions, full.final_positions)
             assert r.extinction_time == full.extinction_time
             assert np.array_equal(r.event_times, full.event_times)
-            assert np.array_equal(r.state_at(0.5), full.state_at(0.5))
         # without the path, the positions at t = 0 and t_end
         assert np.array_equal(rec.snapshot_times, [0.0, 0.5])
         assert all(np.array_equal(a, full.snapshots[k]) for a, k in zip(rec.snapshots, (0, -1)))
@@ -342,7 +335,7 @@ class TestKeep:
             with pytest.raises(UsageError, match=name):
                 getattr(rec, name)
         with pytest.raises(UsageError):
-            martingale_event_sum(rec, lambda y: np.ones(y.shape[0]), 0.5)
+            martingale_event_sum(rec, lambda y: np.ones(y.shape[0]))
 
 
 def _net_mass(y: np.ndarray, net: np.ndarray) -> np.ndarray:
@@ -375,8 +368,8 @@ class TestEventFunctional:
                      for keep in (True, False))
         assert full.event_net_mass.size > 2
         # the log changes no total
-        for name, total in full.event_totals.items():
-            assert total.values.tobytes() == rec.event_totals[name].values.tobytes()
+        for name, total in full.totals.items():
+            assert total.values.tobytes() == rec.totals[name].values.tobytes()
         y, net = full.event_locations, full.event_net_mass
         want = {"psi0_event": psi0(0.5, -0.3, 0.1, y)[:, None] * net[:, None],
                 "net_mass": net[:, None]}
@@ -388,7 +381,7 @@ class TestEventFunctional:
         endpoints = increment_event_functional(1.0, self.PAIRS).meta["xs"]
         want["increment_event"] = g_lambda(1.0, y[:, None] - endpoints) * net[:, None]
         for kind, terms in want.items():
-            got = rec.find_event_total(kind).values
+            got = rec.find_total(kind).values
             assert got.shape == (terms.shape[1],)
             assert (np.abs(got - terms.sum(axis=0)) <= 1e-12 * np.abs(terms).sum(axis=0)).all()
 
@@ -400,15 +393,15 @@ class TestEventFunctional:
         net = full.event_net_mass
         assert net.size > 100
         for r in (full, rec):
-            total = r.find_event_total("net_mass").values[0]
+            total = r.find_total("net_mass").values[0]
             assert abs(total - net.sum()) <= 1e-12 * np.abs(net).sum()
 
     def test_no_event_no_term(self):
         rec = simulate(dirac(0.0), make_params(0.5, 100, 0.0),
                        [EventFunctional("net", _net_mass, 1, {"kind": "net_mass"})],
                        RngStream(13, 0))
-        assert rec.find_event_total("net_mass").values.tobytes() == np.zeros(1).tobytes()
-        assert rec.find_event_total("psi0_event") is None
+        assert rec.find_total("net_mass").values.tobytes() == np.zeros(1).tobytes()
+        assert rec.find_total("psi0_event") is None
 
     def test_names_are_shared_with_occupations(self):
         params = make_params(0.5, 100, 0.1)
@@ -416,15 +409,6 @@ class TestEventFunctional:
                EventFunctional("interval:-0.1:0.1", _net_mass)]
         with pytest.raises(ValueError, match="duplicate"):
             simulate(dirac(0.0), params, fns, RngStream(42, 0))
-
-    def test_events_until_counts_without_the_log(self):
-        params = make_params(0.5, 300, 0.5)
-        full = simulate(dirac(0.0), params, [], RngStream(41, 0))
-        rec = simulate(dirac(0.0), params, [], RngStream(41, 0), keep_path=False)
-        assert full.event_times.size > 100
-        for t in full.step_times:
-            assert rec.events_until(t) == full.events_until(t)
-            assert full.events_until(t).stop == np.searchsorted(full.event_times, t, "right")
 
 
 class TestStableOrder:
@@ -446,18 +430,18 @@ class TestEventStatistics:
     def test_martingale_sum_no_events(self):
         p = make_params(0.5, 100, 0.0)
         rec = simulate(dirac(0.0), p, [], RngStream(13, 0))
-        assert martingale_event_sum(rec, lambda y: np.ones(y.shape[0]), 0.0) == 0.0
+        assert martingale_event_sum(rec, lambda y: np.ones(y.shape[0])) == 0.0
 
     def test_martingale_sum_telescopes_mass(self, bare_recorders):
         _, _, recs = bare_recorders
         for rec in recs[:20]:
-            total = martingale_event_sum(rec, lambda y: np.ones(y.shape[0]), rec.horizon)
+            total = martingale_event_sum(rec, lambda y: np.ones(y.shape[0]))
             assert total == pytest.approx(rec.masses[-1] - rec.masses[0], abs=1e-12)
 
     def test_martingale_mean_zero(self, bare_recorders):
         _, _, recs = bare_recorders
         vals = np.array(
-            [martingale_event_sum(r, lambda y: g_lambda(1.0, y), 0.5) for r in recs]
+            [martingale_event_sum(r, lambda y: g_lambda(1.0, y)) for r in recs]
         )
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean()) <= 3 * se
@@ -470,7 +454,7 @@ class TestEventStatistics:
             step_times=np.array([0.0, 0.1, 0.2]),
             masses=np.array([1.0, 1.5, 1.5]),
             mass_occupation=np.array([0.0, 0.125, 0.275]),
-            occupations={},
+            totals={},
             snapshot_times=np.array([0.0, 0.2]),
             snapshots=[np.zeros(100), np.zeros(150)],
             step_event_counts=np.array([0, 1, 0]),
@@ -480,11 +464,24 @@ class TestEventStatistics:
             final_positions=np.zeros(150),
         )
         assert rec.event_net_mass.tolist() == [0.5]
-        assert interval_jump_max(rec, -0.5, 0.5, 0.2) == pytest.approx(0.5)
-        assert interval_jump_max(rec, 0.5, 1.0, 0.2) == 0.0
-        assert interval_jump_max(rec, -0.5, 0.5, 0.05) == 0.0
+        assert interval_jump_max(rec, -0.5, 0.5) == pytest.approx(0.5)
+        assert interval_jump_max(rec, 0.5, 1.0) == 0.0
         with pytest.raises(ValueError):
-            interval_jump_max(rec, 0.5, -0.5, 0.2)
+            interval_jump_max(rec, 0.5, -0.5)
+
+    def test_interval_jump_max_reads_the_last_step(self):
+        # 22 steps of 0.1/22 end 1.4e-17 past t_end = 0.1; the 12 events of
+        # the last step count like every other, births among them
+        p = make_params(0.5, 200, 0.1)
+        rec = simulate(dirac(0.0), p, [], RngStream(3, 0))
+        assert p.n_steps * p.dt > 0.1 and rec.step_event_counts[-1] == 12
+        locs, net = rec.event_locations, rec.event_net_mass
+        last_births = locs[(rec.event_times == rec.horizon) & (net > 0)]
+        assert last_births.size > 0
+        for y in (*last_births, 0.0):
+            for x1, x2 in ((y - 1e-9, y + 1e-9), (y - 0.5, y + 0.5)):
+                inside = (locs >= x1) & (locs <= x2) & (net > 0)
+                assert interval_jump_max(rec, x1, x2) == net[inside].max(initial=0.0)
 
     def test_interval_jump_shape(self, bare_recorders):
         # P(max jump >= b |dx|^{1/(1+beta)}) decreasing in b; the fitted
@@ -496,7 +493,7 @@ class TestEventStatistics:
 
         def exceed_prob(width, b):
             y = b * width**power
-            hits = [interval_jump_max(r, -width / 2, width / 2, t) >= y for r in recs]
+            hits = [interval_jump_max(r, -width / 2, width / 2) >= y for r in recs]
             return float(np.mean(hits))
 
         bs = [0.2, 0.4, 0.8, 1.6]
@@ -538,14 +535,25 @@ class TestPersistence:
 
 class TestRecorderAccess:
     def test_occupation_unknown_name(self, bare_recorders):
+        # a reader of an occupation that was not registered says so
         _, _, recs = bare_recorders
-        with pytest.raises(UsageError):
-            recs[0].occupation_at("nope", 0.1)
+        assert recs[0].totals == {} and recs[0].find_total("histogram") is None
+        with pytest.raises(UsageError, match="histogram_functional"):
+            estimate_local_time(recs[0], np.linspace(-1.0, 1.0, 5), 0.2)
+        with pytest.raises(UsageError, match="probe_functionals"):
+            unboundedness_probe(recs[0], [0.1], (-1.0, 1.0))
 
-    def test_time_out_of_range(self, bare_recorders):
-        _, _, recs = bare_recorders
-        with pytest.raises(UsageError):
-            recs[0].total_occupation_at(1.0)
+    def test_series_at_matches_column_interp(self, small_recorders):
+        # a recorder's step series (mass, its occupation, the event counts)
+        # read at any time by interp_rows is np.interp one column at a time
+        _, _, recs = small_recorders
+        rec = recs[0]
+        times = rec.step_times
+        values = np.column_stack([rec.masses, rec.mass_occupation, rec.step_event_counts])
+        between = 0.5 * (times[1:] + times[:-1])
+        for t in [*times, *between, times[0] - 1.0, times[-1] + 1.0]:
+            want = np.array([np.interp(t, times, values[:, j]) for j in range(values.shape[1])])
+            assert np.array_equal(interp_rows(t, times, values), want)
 
     def test_dim2_simulate(self):
         p = make_params(0.5, 200, 0.1, dim=2, snapshot_stride=5)
@@ -554,13 +562,3 @@ class TestRecorderAccess:
         assert rec.event_locations.shape[1] == 2 or rec.event_locations.size == 0
         spread = rec.final_positions.std(axis=0)
         assert (spread > 0).all()
-
-    def test_series_at_matches_column_interp(self, small_recorders):
-        # reference: np.interp one column at a time, as the series once did
-        _, _, recs = small_recorders
-        series = recs[0].series("histogram:-8:8:0.025")
-        times, values = series.times, series.values
-        between = 0.5 * (times[1:] + times[:-1])
-        for t in [*times, *between, times[0] - 1.0, times[-1] + 1.0]:
-            want = np.array([np.interp(t, times, values[:, j]) for j in range(values.shape[1])])
-            assert np.array_equal(series.at(t), want)

@@ -10,7 +10,7 @@ from sbmlab.config import parse_config_text
 from sbmlab.errors import UsageError
 from sbmlab.harness import run_experiment
 from sbmlab.measures import dirac
-from sbmlab.particles import make_params, simulate
+from sbmlab.particles import ModelParams, make_params, simulate
 from sbmlab.rng import RngStream
 from sbmlab.stable_path import (
     calibrate_smalljump_bound,
@@ -20,7 +20,7 @@ from sbmlab.stable_path import (
     interval_martingale,
     sup_smalljump_probability,
 )
-from sbmlab.tanaka import psi0
+from sbmlab.tanaka import psi0, psi0_power_functional
 
 
 class TestInfTail:
@@ -117,19 +117,23 @@ def timechange_run(tmp_path_factory):
 class TestTimeChange:
     def test_compute_T_degenerate(self, small_recorders):
         _, _, recs = small_recorders
-        assert compute_T(recs[0], 0.5, 0.2, 0.2, 0.3) == 0.0
+        assert compute_T(recs[0], 0.5, 0.2, 0.2) == 0.0
 
     def test_compute_T_unregistered(self, small_recorders):
         _, _, recs = small_recorders
         with pytest.raises(UsageError):
-            compute_T(recs[0], 0.5, -0.3, 0.3, 0.3)
+            compute_T(recs[0], 0.5, -0.3, 0.3)
 
-    def test_T_nondecreasing_additive(self, small_recorders):
-        _, _, recs = small_recorders
-        for rec in recs[:10]:
-            t1 = compute_T(rec, 0.5, -0.1, 0.1, 0.1)
-            t2 = compute_T(rec, 0.5, -0.1, 0.1, 0.2)
-            t3 = compute_T(rec, 0.5, -0.1, 0.1, 0.3)
+    def test_T_nondecreasing_additive(self):
+        # one stream at one step: the runs to t = 0.1 and 0.2 are the first
+        # 34 and 68 steps of the run to t = 0.3
+        fns = [psi0_power_functional(0.5, -0.1, 0.1, 0.5)]
+        for i in range(10):
+            t1, t2, t3 = (
+                compute_T(simulate(dirac(0.0), ModelParams(0.5, 500, 0.3 / 102, t), fns,
+                                   RngStream(901, i), keep_path=False), 0.5, -0.1, 0.1)
+                for t in (0.1, 0.2, 0.3)
+            )
             assert 0 <= t1 <= t2 <= t3
 
     def test_interval_martingale_unregistered(self, small_recorders):
@@ -180,8 +184,6 @@ class TestTimeChangeT95:
     def test_t95_ratio_bounded_across_widths(self):
         # P(T <= c|x1-x2|) >= 1 - eps shape: the 95th percentile of T/width
         # stays within a constant band as the interval shrinks
-        from sbmlab.tanaka import psi0_power_functional
-
         t95 = []
         widths = (0.4, 0.2, 0.1)
         for w in widths:
@@ -190,6 +192,6 @@ class TestTimeChangeT95:
             vals = []
             for i in range(80):
                 rec = simulate(dirac(0.0), p, fns, RngStream(31, i))
-                vals.append(compute_T(rec, 1.0, -w / 2, w / 2, 0.3) / w)
+                vals.append(compute_T(rec, 1.0, -w / 2, w / 2) / w)
             t95.append(np.percentile(vals, 95))
         assert max(t95) / min(t95) < 4.0

@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import per_particle_functional
 from sbmlab.config import parse_config_text
 from sbmlab.errors import ConfigError, NumericsError, UsageError
 from sbmlab.harness import run_experiment
 from sbmlab.kernels import g_lambda, heat_kernel
 from sbmlab.kernels import green_closed
 from sbmlab.measures import FiniteMeasure, dirac, gridded_density
-from sbmlab.particles import OccupationFunctional, ParticleState, make_params, simulate
+from sbmlab.particles import (
+    ModelParams,
+    OccupationFunctional,
+    ParticleState,
+    make_params,
+    simulate,
+)
 from sbmlab.rng import RngStream
 from sbmlab.tanaka import _kernel_constants
 from sbmlab.tanaka import (
@@ -43,7 +50,7 @@ def _kernel_panel(bandwidth: float, xs: np.ndarray) -> OccupationFunctional:
         d = (pos[:, None] - xs[None, :]) / bandwidth
         return norm * np.exp(-0.5 * d * d)
 
-    return OccupationFunctional(name="kernel_panel", fn=fn, width=xs.size)
+    return per_particle_functional("kernel_panel", fn, xs.size)
 
 
 def _reference_exp_kernel_sums(y, weights, a, xs, presorted=False):
@@ -191,7 +198,7 @@ class TestSharedWork:
              for lam in (0.5, 2.0)],
             RngStream(41, 0),
         )
-        pooled, blocks = ({**r.occupations, **r.event_totals} for r in (both, apart))
+        pooled, blocks = both.totals, apart.totals
         for name in ("tanaka_panel", "tanaka_event"):
             assert np.array_equal(
                 pooled[f"{name}:0.5,2"].values,
@@ -219,7 +226,7 @@ class TestSharedWork:
             got = exp_kernel_sums(rec.event_locations[order], rec.event_net_mass[order], a,
                                   panel_grid, presorted=True)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            positions = rec.state_at(0.3)
+            positions = rec.final_positions
             want = exp_kernel_sums(positions, params.mass_per_particle, a, panel_grid)
             got = exp_kernel_sums(
                 np.sort(positions), params.mass_per_particle, a, panel_grid, presorted=True
@@ -273,24 +280,31 @@ class TestSharedWork:
 
 
 class TestLocalTimeEstimate:
-    def test_zero_at_time_zero(self, small_recorders, panel_grid):
-        _, _, recs = small_recorders
-        est = estimate_local_time(recs[0], 0.0, panel_grid, 0.1)
+    def test_zero_at_time_zero(self, panel_grid):
+        fns = [histogram_functional(-8.0, 8.0, 0.025)]
+        rec = simulate(dirac(0.0), make_params(0.5, 500, 0.0), fns, RngStream(901, 0))
+        est = estimate_local_time(rec, panel_grid, 0.1)
         assert (est.values == 0.0).all()
 
     def test_quadrature_matches_total_occupation(self, small_recorders):
         _, _, recs = small_recorders
         wide = np.linspace(-6, 6, 241)
         for rec in recs[:10]:
-            est = estimate_local_time(rec, 0.3, wide, 0.1)
-            total = rec.total_occupation_at(0.3)
+            est = estimate_local_time(rec, wide, 0.1)
+            total = rec.mass_occupation[-1]
             assert np.trapezoid(est.values, wide) == pytest.approx(total, rel=0.01)
 
-    def test_nondecreasing_in_time(self, small_recorders, panel_grid):
-        _, _, recs = small_recorders
-        rec = recs[0]
-        e1 = estimate_local_time(rec, 0.15, panel_grid, 0.1)
-        e2 = estimate_local_time(rec, 0.3, panel_grid, 0.1)
+    def test_nondecreasing_in_time(self, panel_grid):
+        # one stream at one step: the run to t = 0.15 is the first 51 steps
+        # of the run to t = 0.3
+        fns = [histogram_functional(-8.0, 8.0, 0.025)]
+        e1, e2 = (
+            estimate_local_time(
+                simulate(dirac(0.0), ModelParams(0.5, 500, 0.3 / 102, t), fns,
+                         RngStream(901, 0), keep_path=False),
+                panel_grid, 0.1)
+            for t in (0.15, 0.3)
+        )
         assert (e2.values >= e1.values - 1e-12).all()
 
     def test_replica_mean_vs_heat_oracle(self):
@@ -308,7 +322,7 @@ class TestLocalTimeEstimate:
         vals = []
         for i in range(150):
             rec = simulate(mu, p, fns, RngStream(21, i))
-            vals.append(rec.occupations["kernel_panel"].at(t)[0])
+            vals.append(rec.totals["kernel_panel"].values[0])
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - closed) <= 3 * se
@@ -321,39 +335,41 @@ class TestLocalTimeEstimate:
         p = make_params(0.5, 400, t, snapshot_stride=10**9)
         panel = simulate(dirac(0.0), p, [_kernel_panel(bw, xs)], RngStream(22, 0))
         binned = simulate(dirac(0.0), p, [histogram_functional(-8, 8, bw / 8)], RngStream(22, 0))
-        exact = panel.occupations["kernel_panel"].at(t)
-        est = estimate_local_time(binned, t, xs, bw)
+        exact = panel.totals["kernel_panel"].values
+        est = estimate_local_time(binned, xs, bw)
         assert np.abs(est.values - exact).max() < 0.01 * max(1.0, exact.max())
 
     def test_no_accumulator_usage_error(self, small_recorders):
         p = make_params(0.5, 200, 0.1, snapshot_stride=5)
         rec = simulate(dirac(0.0), p, [], RngStream(23, 0))
         with pytest.raises(UsageError):
-            estimate_local_time(rec, 0.1, np.linspace(-1, 1, 11), 0.2)
+            estimate_local_time(rec, np.linspace(-1, 1, 11), 0.2)
         # a histogram too coarse for the bandwidth or too narrow for the grid
         _, _, recs = small_recorders
         for xs, bw in ((np.linspace(-1, 1, 11), 0.05), (np.linspace(-7, 7, 11), 0.3)):
             with pytest.raises(UsageError):
-                estimate_local_time(recs[0], 0.3, xs, bw)
+                estimate_local_time(recs[0], xs, bw)
 
     def test_bandwidth_below_resolution_warns(self, panel_grid):
         p = make_params(0.5, 200, 0.1, snapshot_stride=10**9)
         rec = simulate(dirac(0.0), p, [histogram_functional(-1.1, 1.1, 0.0025)], RngStream(23, 0))
-        est = estimate_local_time(rec, 0.1, panel_grid, 0.01)
+        est = estimate_local_time(rec, panel_grid, 0.01)
         assert any("below" in w for w in est.warnings)
 
     def test_bandwidth_validation(self, small_recorders, panel_grid):
         _, _, recs = small_recorders
         with pytest.raises(ValueError):
-            estimate_local_time(recs[0], 0.3, panel_grid, 0.0)
+            estimate_local_time(recs[0], panel_grid, 0.0)
 
 
 class TestTanakaDecomposition:
-    def test_time_zero_trivial(self, small_recorders):
+    def test_time_zero_trivial(self, panel_grid):
         # at t=0 the reconstruction collapses: L = 0 and the recentered /
         # derivative fields reduce to minus the initial-measure terms
-        mu, _, recs = small_recorders
-        d = tanaka_terms(recs[0], mu, 0.5, 0.0, 0.25)
+        mu = dirac(0.0)
+        fns = [tanaka_panel_functional(0.5, panel_grid)]
+        rec = simulate(mu, make_params(0.5, 500, 0.0), fns, RngStream(901, 0))
+        d = tanaka_terms(rec, mu, 0.5, 0.25)
         assert d.local_time == pytest.approx(0.0, abs=1e-14)
         assert d.term_occupation == 0.0 and d.term_martingale == 0.0
         assert d.recentered == pytest.approx(-d.term_initial, abs=1e-14)
@@ -362,7 +378,7 @@ class TestTanakaDecomposition:
     def test_algebraic_identity_exact(self, small_recorders):
         mu, _, recs = small_recorders
         for rec in recs[:10]:
-            d = tanaka_terms(rec, mu, 0.5, 0.3, 0.25)
+            d = tanaka_terms(rec, mu, 0.5, 0.25)
             assert d.recentered == -d.term_terminal + d.term_occupation + d.term_martingale
             assert d.local_time == d.term_initial + d.recentered
 
@@ -371,8 +387,8 @@ class TestTanakaDecomposition:
         mu, _, recs = small_recorders
         diffs = []
         for rec in recs:
-            a = tanaka_terms(rec, mu, 0.5, 0.3, 0.25).local_time
-            b = tanaka_terms(rec, mu, 2.0, 0.3, 0.25).local_time
+            a = tanaka_terms(rec, mu, 0.5, 0.25).local_time
+            b = tanaka_terms(rec, mu, 2.0, 0.25).local_time
             diffs.append(a - b)
         diffs = np.asarray(diffs)
         se = diffs.std(ddof=1) / math.sqrt(diffs.size)
@@ -381,18 +397,33 @@ class TestTanakaDecomposition:
     def test_offpanel_point_usage_error(self, small_recorders):
         mu, _, recs = small_recorders
         with pytest.raises(UsageError):
-            tanaka_terms(recs[0], mu, 0.5, 0.3, 0.1234)  # not a panel point
+            tanaka_terms(recs[0], mu, 0.5, 0.1234)  # not a panel point
         with pytest.raises(UsageError):
-            tanaka_terms(recs[0], mu, 1.0, 0.3, 0.25)  # no panel at this lambda
+            tanaka_terms(recs[0], mu, 1.0, 0.25)  # no panel at this lambda
 
     def test_panel_terms_match_scalar_route(self, small_recorders, panel_grid):
         mu, _, recs = small_recorders
         rec = recs[0]
         panel = tanaka_panel_terms(rec, mu, 0.5)
         j = int(np.argmin(np.abs(panel_grid - 0.25)))
-        d = tanaka_terms(rec, mu, 0.5, 0.3, float(panel_grid[j]))
+        d = tanaka_terms(rec, mu, 0.5, float(panel_grid[j]))
         assert panel.local_time[j] == pytest.approx(d.local_time, rel=1e-12)
         assert panel.deriv_field[j] == pytest.approx(d.deriv_field, rel=1e-12)
+
+    def test_scalar_route_reads_the_last_step(self):
+        # 22 steps of 0.1/22 end 1.4e-17 past t_end = 0.1: the scalar route
+        # sums the last step's 12 events too, as the panel's totals do
+        mu, xs = dirac(0.0), np.linspace(-1.0, 1.0, 11)
+        p = make_params(0.5, 200, 0.1)
+        fns = [tanaka_panel_functional(0.5, xs), tanaka_event_functional(0.5, xs)]
+        rec = simulate(mu, p, fns, RngStream(3, 0))
+        assert p.n_steps * p.dt > 0.1
+        assert rec.event_times.size == 372 and rec.step_event_counts[-1] == 12
+        panel = tanaka_panel_terms(rec, mu, 0.5)
+        for j in (3, 5, 7):
+            d = tanaka_terms(rec, mu, 0.5, float(xs[j]))
+            for name in ("term_martingale", "local_time", "deriv_field"):
+                assert getattr(panel, name)[j] == pytest.approx(getattr(d, name), rel=1e-12)
 
     def test_missing_panel_usage_error(self):
         p = make_params(0.5, 100, 0.05)
@@ -407,7 +438,7 @@ class TestTanakaDecomposition:
     def test_lambda_validation(self, small_recorders):
         mu, _, recs = small_recorders
         with pytest.raises(ValueError):
-            tanaka_terms(recs[0], mu, 0.0, 0.3, 0.25)
+            tanaka_terms(recs[0], mu, 0.0, 0.25)
 
 
 class TestFtcCheck:
