@@ -48,6 +48,9 @@ KINDS = (
 # every pair endpoint to be one of its bin edges)
 MOMENTS_HISTOGRAM = (-8.0, 8.0, 0.0125)
 
+# the holder kind's synthetic fields (harness._holder_field)
+HOLDER_SYNTHETICS = ("linear", "sqrt_cusp", "brownian")
+
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
@@ -116,9 +119,9 @@ class ExperimentConfig:
     r_grid: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
     # holder
     holder_input: str | None = None  # CSV of field values; else synthetic
-    holder_synthetic: str = "brownian"  # linear | sqrt_cusp | brownian
-    holder_lags: tuple[float, ...] = (4.0, 64.0)
-    # unbounded2d
+    holder_synthetic: str = "brownian"  # one of HOLDER_SYNTHETICS
+    holder_lags: tuple[float, ...] = (4.0, 64.0)  # also the tanaka kind's fit of H
+    # unbounded2d (the d = 1 probe is the continuous control)
     resolutions: tuple[float, ...] = (0.2, 0.1, 0.05)
     window: tuple[float, ...] = (-1.5, 1.5)
 
@@ -187,13 +190,13 @@ class ExperimentConfig:
             errs.extend(grid_violations(self.solver_x_min, self.solver_x_max, self.solver_nx,
                                         self.solver_nt, prefix="solver_"))
         if self.kind == "unbounded2d":
-            if self.dim != 2:
-                errs.append("unbounded2d requires dim = 2")
             if not _is_range(self.window):
                 errs.append(f"window must be two finite values lo < hi, got {self.window}")
-            if not (self.resolutions and all(0 < h < math.inf for h in self.resolutions)):
-                errs.append(f"resolutions must be one or more finite bin widths > 0, "
-                            f"got {self.resolutions}")
+            # a probe histogram's name prints its width with 6 significant digits
+            if not (self.resolutions and all(0 < h < math.inf for h in self.resolutions)
+                    and len({f"{h:g}" for h in self.resolutions}) == len(self.resolutions)):
+                errs.append(f"resolutions must be one or more finite bin widths > 0, distinct "
+                            f"to 6 significant digits, got {self.resolutions}")
         if self.kind == "tanaka" and self.x_panel and not (
             len(self.x_panel) == 3 and _is_range(self.x_panel[:2]) and _whole(self.x_panel[2], 2)
         ):
@@ -205,12 +208,15 @@ class ExperimentConfig:
         ):
             errs.append(f"jump_units must be min max count, with finite min, max > 0 and a "
                         f"whole count >= 1, got {self.jump_units}")
-        if self.kind == "holder" and not (
+        if self.kind in ("holder", "tanaka") and not (
             len(self.holder_lags) == 2 and all(_whole(lag, 1) for lag in self.holder_lags)
             and len(dyadic_lags(*self.holder_lags)) >= 3
         ):
             errs.append(f"holder_lags must be two whole lags lo hi >= 1 with at least three "
                         f"powers of two between them, got {self.holder_lags}")
+        if self.kind == "holder" and self.holder_synthetic not in HOLDER_SYNTHETICS:
+            errs.append(f"holder_synthetic must be one of {HOLDER_SYNTHETICS}, "
+                        f"got {self.holder_synthetic!r}")
         if self.kind == "stabletails" and self.path_steps < 1:
             errs.append(f"path_steps must be >= 1, got {self.path_steps}")
         if self.kind == "criterion":

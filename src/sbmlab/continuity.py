@@ -288,12 +288,10 @@ def gs_series(params: CriterionParams, r_grid=(1.0, 10.0, 100.0, 1000.0)) -> Ser
 @dataclass
 class HolderFit:
     exponent: float
-    ci_low: float
+    ci_low: float  # the 95% interval of the slope
     ci_high: float
     scales: np.ndarray  # lag values in grid units times dx
     oscillations: np.ndarray
-    stderr: float
-    residual_rms: float
 
     def covers(self, target: float) -> bool:
         return self.ci_low <= target <= self.ci_high
@@ -304,18 +302,15 @@ def dyadic_lags(lo: float, hi: float) -> list[int]:
     return [lag for lag in (2**j for j in range(30)) if lo <= lag <= hi]
 
 
-def holder_exponent(
-    samples,
-    scale_range: tuple[int, int] = (1, 64),
-    dx: float = 1.0,
-    confidence: float = 0.95,
-) -> HolderFit:
+def holder_exponent(samples, scale_range: tuple[int, int] = (1, 64), dx: float = 1.0) -> HolderFit:
     """Least-squares slope of log max-oscillation against log scale over
-    dyadic lags within scale_range (in grid units).
+    dyadic lags within scale_range (in grid units), with its 95% interval.
 
     The oscillation at lag l is the largest (max - min) over windows of l+1
     consecutive samples.  The slope is invariant under affine rescaling of
-    the field; a constant field has no oscillation and raises ValueError.
+    the field.  ValueError for a field it cannot fit: one that is not 1-d,
+    has fewer than 64 samples or fewer than 3 dyadic lags below its size, is
+    not finite, or is constant (no oscillation).
     """
     values = np.asarray(samples, dtype=float)
     if values.ndim != 1 or values.size < 64:
@@ -338,23 +333,18 @@ def holder_exponent(
     slope, intercept = np.polyfit(log_h, log_w, 1)
     resid = log_w - (slope * log_h + intercept)
     dof = len(lags) - 2
-    s2 = float(resid @ resid) / dof if dof > 0 else 0.0
+    s2 = float(resid @ resid) / dof
     sxx = float(np.sum((log_h - log_h.mean()) ** 2))
-    stderr = math.sqrt(s2 / sxx) if sxx > 0 else math.inf
-    if dof > 0:
-        from scipy.stats import t as student_t  # slow to import; only this fit needs it
+    stderr = math.sqrt(s2 / sxx)
+    from scipy.stats import t as student_t  # slow to import; only this fit needs it
 
-        tq = student_t.ppf(0.5 + confidence / 2.0, dof)
-    else:
-        tq = math.inf
+    tq = student_t.ppf(0.975, dof)
     return HolderFit(
         exponent=float(slope),
         ci_low=float(slope - tq * stderr),
         ci_high=float(slope + tq * stderr),
         scales=np.asarray(lags, dtype=float) * dx,
         oscillations=osc,
-        stderr=stderr,
-        residual_rms=math.sqrt(float(resid @ resid) / len(lags)),
     )
 
 
@@ -402,7 +392,9 @@ def unboundedness_probe(recorder, resolutions, window) -> list[tuple[float, floa
     `probe_functionals` (integrated on the step grid).
 
     A continuous occupation density (d=1) stabilizes under refinement; the
-    locally unbounded d=2 density goes on growing as bins shrink."""
+    locally unbounded d=2 density goes on growing as bins shrink.  The
+    unbounded2d kind runs the probe in either dimension, d=1 being the
+    control."""
     dim = recorder.params.dim
     out = []
     for h in resolutions:

@@ -22,8 +22,11 @@ over the branch events both end as one total, so tanaka (the panel
 occupations, the martingale terms at every panel point and the histogram),
 moments (the clock histogram and M_t(g^x) at every pair endpoint),
 timechange (T, the interval occupation and Z = M_t(psi0)), jumps (the
-counts above each level) and unbounded2d (the probe histograms) read only
-totals.  Keeping the path or not changes no draw.
+counts above each level) and unbounded2d (the probe histograms, in d = 1
+as the continuous control or in d = 2) read only totals.  Keeping the path
+or not changes no draw.  A tanaka record also carries the Holder fit of
+H(t_end, .) over the panel, when the panel is an x_panel linspace of at
+least 64 points (`_holder_fit`).
 
 Determinism contract: replica i always uses the stream (seed, replica_start
 + i) regardless of worker count; cap-hit replicas are resampled on stream
@@ -58,6 +61,7 @@ from typing import Callable
 import numpy as np
 
 from .config import (
+    HOLDER_SYNTHETICS,
     KINDS,
     MOMENTS_HISTOGRAM,
     ExperimentConfig,
@@ -264,7 +268,29 @@ def _record_tanaka(cfg: ExperimentConfig, rec, mu0) -> dict:
     for k, x in enumerate(cfg.x_eval):
         out[f"L_kernel:x={x:g}"] = float(lt.values[k])
         out[f"ftc_abs:x={x:g}"] = abs(ftc_check(panels[cfg.lam], x))
-    return out
+    return out | _holder_fit(cfg, panels[cfg.lam])
+
+
+def _holder_fit(cfg: ExperimentConfig, panel) -> dict:
+    """The Holder fit of H at lam over holder_lags: exponent, 95% interval and
+    whether that covers beta/(1+beta).  Nothing unless the panel is the
+    x_panel linspace itself (panel_grid added no point) and `holder_exponent`
+    accepts the field; it rejects a panel below 64 points before it imports
+    scipy."""
+    if len(cfg.x_panel) != 3 or panel.xs.size != cfg.x_panel[2]:
+        return {}
+    lags = tuple(int(v) for v in cfg.holder_lags)
+    try:
+        fit = holder_exponent(panel.deriv_field, lags, dx=float(panel.xs[1] - panel.xs[0]))
+    except ValueError:
+        return {}
+    tag = f"lam={cfg.lam:g}"
+    return {
+        f"holder_exponent:{tag}": fit.exponent,
+        f"holder_ci_low:{tag}": fit.ci_low,
+        f"holder_ci_high:{tag}": fit.ci_high,
+        f"holder_covers:{tag}": float(fit.covers(cfg.beta / (1.0 + cfg.beta))),
+    }
 
 
 def _record_moments(cfg: ExperimentConfig, rec, mu0) -> dict:
@@ -309,12 +335,17 @@ def _record_timechange(cfg: ExperimentConfig, rec, mu0) -> dict:
     return {"T_hat": t_hat, "Z_hat": z_hat, "interval_occupation": occ}
 
 
+def _probe_window(cfg: ExperimentConfig):
+    """The probe's window: (lo, hi) in d = 1, the square (window, window) in d = 2."""
+    return cfg.window if cfg.dim == 1 else (cfg.window, cfg.window)
+
+
 def _unbounded2d_functionals(cfg: ExperimentConfig):
-    return probe_functionals(2, cfg.resolutions, (cfg.window, cfg.window))  # validate: dim = 2
+    return probe_functionals(cfg.dim, cfg.resolutions, _probe_window(cfg))
 
 
 def _record_unbounded2d(cfg: ExperimentConfig, rec, mu0) -> dict:
-    table = unboundedness_probe(rec, cfg.resolutions, (cfg.window, cfg.window))
+    table = unboundedness_probe(rec, cfg.resolutions, _probe_window(cfg))
     return {f"max_density:h={h:g}": v for h, v in table}
 
 
@@ -389,7 +420,7 @@ def _finalize_duality(cfg, records, merged, out_dir, cfg_hash) -> dict:
     grids = GridSpec(cfg.solver_x_min, cfg.solver_x_max, cfg.solver_nx, cfg.solver_nt)
     sol = solve_mild(_phi(cfg), cfg.t_end, cfg.beta, grids)
     mu0 = _initial_measure(cfg)
-    rhs = math.exp(-mu0.integrate(sol.interpolator(cfg.t_end)))
+    rhs = math.exp(-mu0.integrate(sol.interpolator()))
     lhs = merged["laplace_value"]["mean"]
     se = merged["laplace_value"]["se"]
     z = abs(lhs - rhs) / se if se > 0 else (0.0 if lhs == rhs else math.inf)
@@ -718,15 +749,15 @@ def _holder_field(cfg: ExperimentConfig):
         vals = np.loadtxt(cfg.holder_input, delimiter=",")
         return np.atleast_1d(vals), 1.0
     n = 4096
-    if cfg.holder_synthetic == "linear":
-        return np.linspace(0.0, 1.0, n), 1.0 / (n - 1)
-    if cfg.holder_synthetic == "sqrt_cusp":
-        x = np.linspace(0.0, 1.0, n)
-        return np.abs(x - 0.5) ** 0.5, 1.0 / (n - 1)
-    if cfg.holder_synthetic == "brownian":
-        gen = RngStream(cfg.seed, 0).gen
-        return np.cumsum(gen.normal(0.0, math.sqrt(1.0 / n), n)), 1.0 / n
-    raise ConfigError([f"unknown holder_synthetic {cfg.holder_synthetic!r}"])
+    x = np.linspace(0.0, 1.0, n)
+    gen = RngStream(cfg.seed, 0).gen
+    fields = {
+        "linear": lambda: (x, 1.0 / (n - 1)),
+        "sqrt_cusp": lambda: (np.abs(x - 0.5) ** 0.5, 1.0 / (n - 1)),
+        "brownian": lambda: (np.cumsum(gen.normal(0.0, math.sqrt(1.0 / n), n)), 1.0 / n),
+    }
+    assert tuple(fields) == HOLDER_SYNTHETICS, "validate() reads HOLDER_SYNTHETICS"
+    return fields[cfg.holder_synthetic]()
 
 
 def _run_holder(cfg: ExperimentConfig, out_dir, cfg_hash):

@@ -1,6 +1,6 @@
 """Deterministic analytic kernels: heat kernel, the resolvent Green's
-function G_lambda in numeric and closed form, its a.e. derivative kernel
-g_lambda, and measure functionals including one-sided derivatives at atoms.
+function G_lambda in numeric and closed form, and its a.e. derivative
+kernel g_lambda.
 
 Closed forms used throughout:
 
@@ -19,14 +19,12 @@ import math
 import numpy as np
 
 from .errors import NumericsError
-from .measures import FiniteMeasure
 
 __all__ = [
     "heat_kernel",
     "green_numeric",
     "green_closed",
     "g_lambda",
-    "green_one_sided_derivatives",
 ]
 
 
@@ -97,17 +95,3 @@ def g_lambda(lam: float, x):
     x = np.asarray(x, dtype=float)
     out = -np.sign(x) * np.exp(-a * np.abs(x))
     return float(out) if out.ndim == 0 else out
-
-
-def green_one_sided_derivatives(mu: FiniteMeasure, lam: float, x: float) -> tuple[float, float]:
-    """One-sided derivatives of x -> <mu, G_lambda(. - x)>.
-
-    Returns (right, left) where
-        right = <mu, g_lambda(x - .)> - mu({x})
-        left  = <mu, g_lambda(x - .)> + mu({x})
-    They coincide exactly when mu has no atom at x.
-    """
-    _check_lambda(lam)
-    base = mu.integrate(lambda y: g_lambda(lam, x - y))
-    atom = mu.atom_mass_at(x)
-    return base - atom, base + atom

@@ -47,7 +47,6 @@ import numpy as np
 from numpy import fft
 
 from .errors import NumericsError
-from .measures import FiniteMeasure
 
 __all__ = [
     "GridSpec",
@@ -173,20 +172,6 @@ class HeatSemigroup:
         return fft.irfft(spectra * u_hat, n=self.n_fft, axis=-1)[..., : self.nx]
 
 
-def interp_rows(t: float, times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Every column of values (one row per entry of the increasing times) at
-    time t, interpolated linearly between rows and held constant outside
-    them; bit for bit what np.interp gives column by column (one bracket
-    lookup, numpy's own formula)."""
-    j = int(np.searchsorted(times, t, side="right")) - 1  # times[j] <= t < times[j+1]
-    if j < 0:
-        return values[0].copy()
-    if j == times.size - 1 or times[j] == t:
-        return values[j].copy()
-    slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
-    return slope * (t - times[j]) + values[j]
-
-
 @dataclass
 class LogLaplaceSolution:
     x_grid: np.ndarray
@@ -196,25 +181,13 @@ class LogLaplaceSolution:
     iterations: int  # largest number of fixed-point iterations of a row
     beta: float
 
-    def at_time(self, t: float) -> np.ndarray:
-        """V(t, .) on the space grid, interpolated linearly in t and held
-        constant outside the time grid (`interp_rows`)."""
-        return interp_rows(t, self.t_grid, self.values)
-
-    def interpolator(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
-        row = self.at_time(t)
-        return lambda y: np.interp(y, self.x_grid, row)
+    def interpolator(self) -> Callable[[np.ndarray], np.ndarray]:
+        """V(t_end, .), interpolated linearly on the space grid."""
+        return lambda y: np.interp(y, self.x_grid, self.values[-1])
 
 
 def _phi_on_grid(phi, x_grid: np.ndarray) -> np.ndarray:
-    if callable(phi):
-        vals = np.asarray(phi(x_grid), dtype=float)
-    elif isinstance(phi, FiniteMeasure):
-        vals = np.interp(x_grid, phi.density_grid, phi.density_values, left=0.0, right=0.0)
-    else:
-        grid, values = phi
-        vals = np.interp(x_grid, np.asarray(grid, float), np.asarray(values, float),
-                         left=0.0, right=0.0)
+    vals = np.asarray(phi(x_grid), dtype=float)
     if vals.shape != x_grid.shape:
         raise ValueError("phi must evaluate to one value per grid point")
     if not np.all(np.isfinite(vals)) or (vals < 0).any():
@@ -229,16 +202,13 @@ def solve_mild(
     grids: GridSpec = GridSpec(),
     tol: float = 1e-9,
     max_iterations: int = 200,
-    nonlinear: bool = True,
 ) -> LogLaplaceSolution:
     """Forward substitution over the time rows.  Row i iterates its own
     equation from row i - 1 until the sup-change of an iteration falls below
     tol; every row stays within [0, max phi].  Raises NumericsError, naming
     the row and its time, if a row needs more than max_iterations.
 
-    phi may be a vectorized callable, a (grid, values) pair, or a
-    FiniteMeasure whose density component is used.  nonlinear=False disables
-    the branching term, making the solution exactly P_t phi.
+    phi is a vectorized callable.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
@@ -258,10 +228,6 @@ def solve_mild(
     v = np.empty((nt + 1, nx))
     v[0] = phi_vals
     v[1:] = steps.apply(slice(None), steps.transform(phi_vals))
-    if not nonlinear:
-        return LogLaplaceSolution(
-            x_grid=x_grid, t_grid=t_grid, values=v, residual=0.0, iterations=0, beta=beta
-        )
 
     power = 1.0 + beta
     fracs = (np.arange(1, j_sub) / j_sub)[:, None]  # substep j interpolates at j/j_sub

@@ -78,13 +78,6 @@ class FiniteMeasure:
             total += float(np.trapezoid(vals, self.density_grid))
         return total
 
-    def atom_mass_at(self, x: float) -> float:
-        """Mass of the atom exactly at x (0 if none)."""
-        idx = np.searchsorted(self.atom_locations, x)
-        if idx < self.atom_locations.size and self.atom_locations[idx] == x:
-            return float(self.atom_masses[idx])
-        return 0.0
-
     def sample_positions(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. positions from the normalized measure.
 

@@ -116,9 +116,9 @@ def model_violations(
     return errs
 
 
-def dt_at_cap(beta: float, n_scale: int, safety: float = 1.0) -> float:
-    """Largest admissible dt for the given scale (safety < 1 refines it)."""
-    return _DT_CAP * safety / ((1.0 + beta) * n_scale**beta)
+def dt_at_cap(beta: float, n_scale: int) -> float:
+    """Largest admissible dt for the given scale."""
+    return _DT_CAP / ((1.0 + beta) * n_scale**beta)
 
 
 def make_params(
@@ -126,14 +126,13 @@ def make_params(
     n_scale: int,
     t_end: float,
     dim: int = 1,
-    dt_safety: float = 1.0,
     dt: float | None = None,
     **kwargs,
 ) -> ModelParams:
     """ModelParams with a dt that divides t_end exactly, at or below the
-    branch_rate*dt cap (tightened by dt_safety < 1)."""
+    branch_rate*dt cap."""
     if dt is None:
-        cap = dt_at_cap(beta, n_scale, dt_safety)
+        cap = dt_at_cap(beta, n_scale)
         if t_end > 0:
             n_steps = max(1, math.ceil(t_end / cap - 1e-9))
             dt = t_end / n_steps
@@ -258,22 +257,6 @@ class Total:
     meta: dict
 
 
-def _meta_matches(meta: dict, kind: str, fields: dict) -> bool:
-    """meta is of the given kind and agrees with every field (arrays by
-    shape and np.allclose)."""
-    if meta.get("kind") != kind:
-        return False
-    for key, want in fields.items():
-        have = meta.get(key)
-        if isinstance(want, np.ndarray) or isinstance(have, np.ndarray):
-            if not (have is not None and np.shape(have) == np.shape(want)
-                    and np.allclose(have, want)):
-                return False
-        elif have != want:
-            return False
-    return True
-
-
 class PathRecorder:
     """Step-resolution record of one replica: masses, the total at t_end of
     every registered functional, the number of branch events at each step,
@@ -341,10 +324,10 @@ class PathRecorder:
         return float(self.step_times[-1])
 
     def find_total(self, kind: str, **fields) -> Total | None:
-        """Locate a registered functional's total by meta kind and matching
-        fields."""
-        return next((s for s in self.totals.values() if _meta_matches(s.meta, kind, fields)),
-                    None)
+        """Locate a registered functional's total by its meta kind and the
+        scalar meta fields given."""
+        return next((s for s in self.totals.values() if s.meta.get("kind") == kind
+                     and all(s.meta.get(k) == v for k, v in fields.items())), None)
 
 
 def init_particles(mu: FiniteMeasure, params: ModelParams, stream: RngStream) -> ParticleState:

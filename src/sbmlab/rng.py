@@ -15,7 +15,6 @@ from numpy.random import Generator, Philox
 
 __all__ = [
     "RngStream",
-    "make_streams",
     "OffspringLaw",
     "make_offspring_law",
     "offspring_pmf",
@@ -45,13 +44,6 @@ class RngStream:
             raise ValueError(f"stream_index must be >= 0, got {self.stream_index}")
         key = (self.seed & _MASK64) | ((self.stream_index & _MASK64) << 64)
         self.gen = Generator(Philox(key=key))
-
-
-def make_streams(seed: int, count: int) -> list[RngStream]:
-    """Deterministic list of independent streams [(seed, 0), ..., (seed, count-1)]."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return [RngStream(seed, i) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

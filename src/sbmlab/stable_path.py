@@ -35,13 +35,17 @@ __all__ = [
 ]
 
 
-def _path_increment_matrix(
-    stream: RngStream, beta: float, n_paths: int, m: int, delta: float
-) -> np.ndarray:
+# paths drawn per batch; the batches fix the order of the draws on the stream
+_CHUNK = 4000
+
+
+def _path_batches(stream: RngStream, beta: float, replicas: int, t: float, steps: int):
+    """The increments of `replicas` paths of `steps` steps over [0, t], as
+    (paths, steps) matrices of at most _CHUNK paths each."""
     params = StableParams(alpha=1.0 + beta)
-    return sample_stable_increment(stream, params, delta, size=n_paths * m).reshape(
-        n_paths, m
-    )
+    for done in range(0, replicas, _CHUNK):
+        n = min(_CHUNK, replicas - done)
+        yield sample_stable_increment(stream, params, t / steps, size=n * steps).reshape(n, steps)
 
 
 def inf_tail_oracle(beta: float, t: float, x) -> np.ndarray:
@@ -71,20 +75,13 @@ def inf_tail_probability(
     replicas: int,
     stream: RngStream,
     steps: int = 256,
-    chunk: int = 4000,
 ) -> float:
     """Empirical P(inf_{u<=t} L_u < -x) over path replicas."""
     if x <= 0:
         raise ValueError(f"x must be > 0, got {x}")
-    delta = t / steps
     hits = 0
-    done = 0
-    while done < replicas:
-        n = min(chunk, replicas - done)
-        inc = _path_increment_matrix(stream, beta, n, steps, delta)
-        mins = np.cumsum(inc, axis=1).min(axis=1)
-        hits += int((mins < -x).sum())
-        done += n
+    for inc in _path_batches(stream, beta, replicas, t, steps):
+        hits += int((np.cumsum(inc, axis=1).min(axis=1) < -x).sum())
     return hits / replicas
 
 
@@ -96,22 +93,15 @@ def sup_smalljump_probability(
     replicas: int,
     stream: RngStream,
     steps: int = 256,
-    chunk: int = 4000,
 ) -> float:
     """Empirical P(sup_u L_u 1{jumps up to u <= y} >= x) with the per-step
     increment as the jump proxy."""
     if x <= 0 or y <= 0:
         raise ValueError(f"x and y must be > 0, got ({x}, {y})")
-    delta = t / steps
     hits = 0
-    done = 0
-    while done < replicas:
-        n = min(chunk, replicas - done)
-        inc = _path_increment_matrix(stream, beta, n, steps, delta)
-        s = np.cumsum(inc, axis=1)
+    for inc in _path_batches(stream, beta, replicas, t, steps):
         jump_ok = np.maximum.accumulate(inc, axis=1) <= y
-        hits += int(((s >= x) & jump_ok).any(axis=1).sum())
-        done += n
+        hits += int(((np.cumsum(inc, axis=1) >= x) & jump_ok).any(axis=1).sum())
     return hits / replicas
 
 

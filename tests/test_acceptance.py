@@ -5,17 +5,18 @@ Statistical tests use fixed seeds, so every run reproduces the same numbers.
 Monte Carlo means of heavy-tailed summaries use the total-mass control
 variate (its mean is exactly 1 by criticality of the offspring law), which
 keeps the 3-standard-error gates well calibrated at desk-scale replica
-counts.  Criteria 4, 6, 7, 8 and 9 run their experiment through the harness
-(`run_experiment`, on up to 4 cores), the same code the CLI and the merge
-run.
+counts.  Criteria 4, 6, 7, 8, 9 and 12 run their experiments through the
+harness (`run_experiment`, on up to 4 cores), the same code the CLI and the
+merge run.
 
 Criterion 8 checks martingale-increment scaling against the stable time
 change that governs it: the increment clock must follow the linear law, and
 the slope of E log|dM| must match the clock's (docs/decisions.md has the
 analysis of why E|dM|^q itself is not gated on d^1).  Criterion 12's
-derivative-field Holder coverage is the spec's declared soft item and is
-reported without failing the suite (particle-level event jumps dominate the
-max-oscillation statistic in most replicas).
+derivative-field Holder coverage, read from the fit that `tanaka` records
+carry, is the spec's declared soft item and is reported without failing the
+suite (particle-level event jumps dominate the max-oscillation statistic in
+most replicas).
 """
 import json
 import math
@@ -33,8 +34,6 @@ from sbmlab.continuity import (
     check_exponent_conditions,
     gs_series,
     holder_exponent,
-    probe_functionals,
-    unboundedness_probe,
 )
 from sbmlab.errors import ConfigError
 from sbmlab.harness import check_report, run_experiment
@@ -43,7 +42,6 @@ from sbmlab.measures import dirac
 from sbmlab.particles import make_params, simulate
 from sbmlab.rng import RngStream, make_offspring_law, sample_offspring
 from sbmlab.stable_path import calibrate_smalljump_bound, inf_tail_oracle, inf_tail_probability
-from sbmlab.tanaka import tanaka_event_functional, tanaka_panel_functional, tanaka_panel_terms
 
 BETA = 0.5
 
@@ -56,6 +54,11 @@ def run_kind(kind, settings, tmp_path):
     cfg.out = str(tmp_path / kind)
     cfg.workers = min(len(os.sched_getaffinity(0)), 4)
     return run_experiment(cfg)
+
+
+def _records(out) -> list[dict]:
+    """The records.jsonl of a run_kind output directory, one dict per replica."""
+    return [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
 
 
 def test_criterion_01_green_oracle():
@@ -237,9 +240,8 @@ def test_criterion_07_tanaka_consistency(tmp_path):
         for x in (0.25, 0.5):
             w_means[x].append(rep.merged[f"ftc_abs:x={x:g}"]["mean"])
         # the merged means cannot give the mean of a per-replica |difference|
-        records = (out / "tanaka" / "records.jsonl").read_text().splitlines()
         dk = [abs(r["L_kernel:x=0.25"] - r["L_tanaka:lam=0.5:x=0.25"])
-              for r in map(json.loads, records)]
+              for r in _records(out / "tanaka")]
         dk_means.append(float(np.mean(dk)))
     lam_z = [rep.extra[f"lambda_diff_z:x={x:g}"] for x in (0.25, 0.5)]
 
@@ -323,6 +325,11 @@ def test_criterion_10_stable_tails():
     #     MC-resolved range; (b) the (1+beta)/beta exponent read from the
     #     oracle curve at depth (the MC-resolved window is provably too
     #     shallow for the asymptotic slope; its fit is reported)
+    # This stays a loop: the stabletails kind draws its small-jump half on
+    # stream (seed, 1) with the path count and steps of its tails, while this
+    # line draws it on stream (6, 0) with 30000 paths at 256 steps, and its
+    # tails on (5, 0) with 40000 at 512.  A config could say that only with
+    # new keys or a re-seed (docs/decisions.md, "Why criterion 10 stays a loop").
     stream = RngStream(5, 0)
     xs = np.array([1.5, 2.0, 2.5, 3.0])
     R = 40000
@@ -402,8 +409,23 @@ def test_criterion_11_criterion_series():
     assert ok
 
 
-def test_criterion_12_regularity_exponents():
-    # hard parts: synthetic oracles and the d=1 vs d=2 refinement trends
+def test_criterion_12_regularity_exponents(tmp_path):
+    r"""Hard part: synthetic Holder oracles, and the bin-refinement probe of
+    the occupation density, continuous in d = 1 and locally unbounded in
+    d = 2.  Soft part: how often the 95% interval of the Holder fit of the
+    derivative field H covers beta/(1+beta).  Both lines read `unbounded2d`
+    and `tanaka` records; from the repository root, the same runs are
+
+        printf 'beta = 0.5\nn_scale = 10000\nt_end = 0.3\nseed = 33\nreplica_start = 100\nreplicas = 3\ndim = 1\n' > c12-d1.cfg
+        sed 's/dim = 1/dim = 2/' c12-d1.cfg > c12-d2.cfg
+        printf 'beta = 0.5\nn_scale = 4000\nreplicas = 30\nseed = 66\nsnapshot_stride = 1000000000\nlam = 0.5\nlam_alt = 2\nx_panel = -2 2 513\n' > c12-soft.cfg
+        PYTHONPATH=src python -m sbmlab.cli unbounded2d --config c12-d1.cfg --out c12-d1
+        PYTHONPATH=src python -m sbmlab.cli unbounded2d --config c12-d2.cfg --out c12-d2
+        PYTHONPATH=src python -m sbmlab.cli tanaka --config c12-soft.cfg --out c12-soft
+
+    with the default resolutions 0.2 0.1 0.05, window -1.5 1.5 and
+    holder_lags 4 64 (docs/decisions.md, "Criterion 12 through the harness").
+    """
     x = np.linspace(0.0, 1.0, 1025)
     fit_lin = holder_exponent(x, (1, 128), dx=1 / 1024)
     fit_cusp = holder_exponent(np.abs(x - 0.5) ** 0.5, (1, 128), dx=1 / 1024)
@@ -416,20 +438,15 @@ def test_criterion_12_regularity_exponents():
         and abs(fit_bm.exponent - 0.5) < 0.1
     )
 
-    mu = dirac(0.0)
     probe = {}
     for dim in (1, 2):
-        params = make_params(BETA, 10000, 0.3, dim=dim)
-        win = ((-1.5, 1.5), (-1.5, 1.5)) if dim == 2 else (-1.5, 1.5)
-        fns = probe_functionals(dim, [0.2, 0.1, 0.05], win)
-        ratios, increasing = [], []
-        for i in range(3):
-            rec = simulate(mu, params, fns, RngStream(33, 100 + i), keep_path=False)
-            tab = unboundedness_probe(rec, [0.2, 0.1, 0.05], win)
-            vals = [v for _, v in tab]
-            ratios.append(vals[-1] / vals[0])
-            increasing.append(vals[0] < vals[1] < vals[2])
-        probe[dim] = (float(np.median(ratios)), increasing)
+        out = tmp_path / f"d{dim}"
+        run_kind("unbounded2d", f"n_scale = 10000\nt_end = 0.3\nseed = 33\nreplica_start = 100\n"
+                 f"replicas = 3\ndim = {dim}\n", out)
+        vals = [[r[f"max_density:h={h:g}"] for h in (0.2, 0.1, 0.05)]
+                for r in _records(out / "unbounded2d")]
+        probe[dim] = (float(np.median([v[-1] / v[0] for v in vals])),
+                      [v[0] < v[1] < v[2] for v in vals])
     d1_ratio, _ = probe[1]
     d2_ratio, d2_increasing = probe[2]
     probe_ok = all(d2_increasing) and d1_ratio < 3.0 and d2_ratio > d1_ratio
@@ -442,19 +459,13 @@ def test_criterion_12_regularity_exponents():
         f"bm={fit_bm.exponent:.3f}; probe ratios d1={d1_ratio:.2f} d2={d2_ratio:.2f} "
         f"(d2 strictly increasing: {all(d2_increasing)})",
     )
-    # soft part: coverage of beta/(1+beta) by the derivative-field fit
-    xs = np.linspace(-2, 2, 513)
-    params = make_params(BETA, 4000, 0.5, snapshot_stride=10**9)
-    fns = [tanaka_panel_functional(0.5, xs), tanaka_event_functional(0.5, xs)]
-    cover = 0
-    above = 0
-    R = 30
-    for i in range(R):
-        rec = simulate(mu, params, fns, RngStream(66, i), keep_path=False)
-        field = tanaka_panel_terms(rec, mu, 0.5).deriv_field
-        fit = holder_exponent(field, (4, 64), dx=float(xs[1] - xs[0]))
-        cover += fit.covers(1.0 / 3.0)
-        above += fit.exponent >= 0.15
+    out = tmp_path / "soft"
+    run_kind("tanaka", "n_scale = 4000\nreplicas = 30\nseed = 66\nsnapshot_stride = 1000000000\n"
+             "lam = 0.5\nlam_alt = 2\nx_panel = -2 2 513\n", out)
+    fits = _records(out / "tanaka")
+    cover = int(sum(r["holder_covers:lam=0.5"] for r in fits))
+    above = sum(r["holder_exponent:lam=0.5"] >= 0.15 for r in fits)
+    R = len(fits)
     soft_ok = cover / R >= 0.8
     record_criterion(
         12,

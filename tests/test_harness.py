@@ -8,6 +8,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import sbmlab
 from sbmlab.cli import main as cli_main
 from sbmlab.config import (
+    HOLDER_SYNTHETICS,
     KINDS,
     ExperimentConfig,
     canonical_lines,
@@ -22,10 +24,14 @@ from sbmlab.config import (
     load_config,
     parse_config_text,
 )
+from sbmlab.continuity import holder_exponent, probe_functionals, unboundedness_probe
 from sbmlab.errors import ConfigError
 from sbmlab import harness
 from sbmlab.harness import REGISTRY, RunReport, check_report, merge_reports, run_experiment
+from sbmlab.measures import dirac
 from sbmlab.particles import dt_at_cap, make_params, simulate
+from sbmlab.rng import RngStream
+from sbmlab.tanaka import tanaka_event_functional, tanaka_panel_functional, tanaka_panel_terms
 
 MINIMAL = """
 beta = 0.5
@@ -86,7 +92,10 @@ _DOMAINS = {
         lambda j: st.tuples(st.integers(1, 2**j), st.integers(2 ** (j + 2), 2**24))
     ).map(lambda v: tuple(map(float, v))),
     "window": st.tuples(_FLOATS, _POSITIVE).map(lambda v: (v[0], v[0] + v[1])),
-    "resolutions": st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
+    # distinct as the probe histograms' names print them
+    "resolutions": st.lists(_POSITIVE, min_size=1, max_size=4,
+                            unique_by=lambda h: f"{h:g}").map(tuple),
+    "holder_synthetic": st.sampled_from(HOLDER_SYNTHETICS),
 }
 
 
@@ -106,8 +115,6 @@ def valid_configs(draw, kind):
         values["lam_alt"] = 2.0 * values["lam"]
     lo, hi = sorted((values["solver_x_min"], values["solver_x_max"]))
     values["solver_x_min"], values["solver_x_max"] = lo, hi + 1.0
-    if kind == "unbounded2d":
-        values["dim"] = 2
     return ExperimentConfig(**values)
 
 
@@ -162,6 +169,8 @@ class TestConfig:
             ("criterion", "k_window = -1", "k_window"),
             ("criterion", "r_grid = 1 -10 100", "r "),  # gave a NaN trend value
             ("stabletails", "path_steps = 0", "path_steps"),
+            ("unbounded2d", "resolutions = 0.1 0.1", "resolutions"),  # duplicate names
+            ("holder", "holder_synthetic = nope", "holder_synthetic"),
         ],
     )
     def test_rule_of_the_run_is_a_config_error(self, kind, setting, key):
@@ -210,6 +219,7 @@ class TestConfig:
             ("jumps", "jump_units = 0 400 6", "jump_units"),  # log10(0): NaN levels
             ("holder", "holder_lags = 4", "holder_lags"),
             ("holder", "holder_lags = 4 8", "holder_lags"),  # two dyadic lags
+            ("tanaka", "holder_lags = 4", "holder_lags"),  # the fit of H unpacks them
             ("unbounded2d", "dim = 2\nwindow = 1", "window"),
             ("unbounded2d", "dim = 2\nresolutions = 0.1 0", "resolutions"),
             ("tanaka", "x_panel = -1 1", "x_panel"),  # used the default panel
@@ -425,11 +435,14 @@ class TestCli:
         assert _scipy_modules_after("import sbmlab.cli") == "[]"
 
     def test_particle_and_duality_runs_load_no_scipy(self, tmp_path):
+        # tanaka also at its default panel, which gets no Holder fit
+        runs = [(kind, TINY[kind]) for kind in
+                ("simulate", "tanaka", "timechange", "duality", "moments", "jumps")]
         calls = []
-        for kind in ("simulate", "tanaka", "timechange", "duality", "moments", "jumps"):
-            cfgfile = tmp_path / f"{kind}.cfg"
-            cfgfile.write_text(f"beta = 0.5\nseed = 3\n{TINY[kind]}")
-            calls.append([kind, "--config", str(cfgfile), "--out", str(tmp_path / kind)])
+        for k, (kind, text) in enumerate(runs + [("tanaka", _PARTICLES)]):
+            cfgfile = tmp_path / f"{k}.cfg"
+            cfgfile.write_text(f"beta = 0.5\nseed = 3\n{text}")
+            calls.append([kind, "--config", str(cfgfile), "--out", str(tmp_path / str(k))])
         code = (
             "from sbmlab.cli import main\n"
             f"for argv in {calls!r}:\n"
@@ -525,6 +538,54 @@ class TestTanakaPanel:
         for x in cfg.x_eval:
             (row,) = [r for r in rows if r["x"] == x and r["lambda"] == cfg.lam]
             assert row["local_time"] == first[f"L_tanaka:lam=1:x={x:g}"]
+
+
+def _records(out: Path) -> list[dict]:
+    return [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+
+
+_FIT_KEYS = ("holder_exponent:lam=1", "holder_ci_low:lam=1", "holder_ci_high:lam=1",
+             "holder_covers:lam=1")
+
+
+class TestTanakaHolderFit:
+    def test_uniform_panel_records_the_fit_of_H(self, tmp_path):
+        cfg = parse_config_text(f"beta = 0.5\nseed = 3\n{_PARTICLES}x_panel = -1 1 65\n",
+                                kind="tanaka")
+        cfg.out = str(tmp_path / "t")
+        run_experiment(cfg)
+        xs = np.linspace(-1.0, 1.0, 65)
+        mu, params = dirac(0.0), make_params(0.5, 200, 0.1)
+        lams = (cfg.lam, cfg.lam_alt)
+        fns = [tanaka_panel_functional(lams, xs), tanaka_event_functional(lams, xs)]
+        for i, record in enumerate(_records(tmp_path / "t")):
+            rec = simulate(mu, params, fns, RngStream(3, i), keep_path=False)
+            fit = holder_exponent(tanaka_panel_terms(rec, mu, cfg.lam).deriv_field, (4, 64),
+                                  dx=xs[1] - xs[0])
+            assert [record[k] for k in _FIT_KEYS] == [
+                fit.exponent, fit.ci_low, fit.ci_high, float(fit.covers(1.0 / 3.0))]
+
+    @pytest.mark.parametrize("panel", ["", "x_panel = -1 1 65\nx_eval = 0.26\n"],
+                             ids=["default", "x_eval-off-the-linspace"])
+    def test_other_panels_record_no_fit(self, panel, tmp_path):
+        cfg = parse_config_text(f"beta = 0.5\nseed = 3\n{_PARTICLES}{panel}", kind="tanaka")
+        cfg.out = str(tmp_path / "t")
+        run_experiment(cfg)
+        assert all(k not in record for record in _records(tmp_path / "t") for k in _FIT_KEYS)
+
+
+def test_unbounded2d_at_dim_1_records_the_probe(tmp_path):
+    # the continuous control: the window is the interval (lo, hi) itself
+    cfg = parse_config_text(f"beta = 0.5\nseed = 3\n{_PARTICLES}dim = 1\n", kind="unbounded2d")
+    cfg.out = str(tmp_path / "u")
+    run_experiment(cfg)
+    fns = probe_functionals(1, cfg.resolutions, cfg.window)
+    for i, record in enumerate(_records(tmp_path / "u")):
+        rec = simulate(dirac(0.0), make_params(0.5, 200, 0.1), fns, RngStream(3, i),
+                       keep_path=False)
+        table = unboundedness_probe(rec, cfg.resolutions, cfg.window)
+        assert {f"max_density:h={h:g}": v for h, v in table} == {
+            k: v for k, v in record.items() if k.startswith("max_density")}
 
 
 TINY = {

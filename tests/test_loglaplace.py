@@ -118,8 +118,9 @@ class TestSolver:
         g = GridSpec(-4, 4, 201, 4)
         phi = smoothed_indicator(-1, 1, 0.5, 0.25)
         sol = solve_mild(phi, 1e-3, 0.5, g)
-        lin = solve_mild(phi, 1e-3, 0.5, g, nonlinear=False)
-        gap = np.abs(sol.values - lin.values).max()
+        heat = HeatSemigroup(sol.t_grid[1:], g.x_grid)
+        lin = heat.apply(slice(None), heat.transform(phi(g.x_grid)))  # P_t phi
+        gap = np.abs(sol.values[1:] - lin).max()
         assert gap <= 1e-3 * 0.5**1.5 + 1e-12
 
     def test_bounds_and_residual(self):
@@ -142,13 +143,15 @@ class TestSolver:
             assert (v2.values >= v1.values - 1e-9).all()
 
     def test_linear_mode_matches_semigroup(self):
+        # V_t lies below P_t phi (dense) by at most t max(phi)^(1+beta): the
+        # branching term integrates P_s V^(1+beta) <= max(phi)^(1+beta) over [0, t]
         g = GridSpec(-5, 5, 101, 20)
         phi = smoothed_indicator(-1, 1, 0.5, 0.25)
-        sol = solve_mild(phi, 0.5, 0.5, g, nonlinear=False)
+        sol = solve_mild(phi, 0.5, 0.5, g)
         phi_vals = phi(g.x_grid)
         for i, t in enumerate(sol.t_grid):
-            direct = heat_matrix(t, g.x_grid) @ phi_vals
-            assert np.abs(sol.values[i] - direct).max() < 1e-8
+            gap = heat_matrix(t, g.x_grid) @ phi_vals - sol.values[i]
+            assert gap.min() >= -1e-8 and gap.max() <= t * 0.5**1.5 + 1e-8
 
     @pytest.mark.parametrize("grids", DENSE_GRIDS, ids=grid_id)
     def test_matches_dense_reference(self, grids):
@@ -222,15 +225,6 @@ class TestSolver:
         np.testing.assert_array_equal(heat.row_sums, row_sums)
         for g, wnt in zip(got, want):
             np.testing.assert_array_equal(g, wnt)
-
-    def test_at_time_matches_column_interp(self):
-        phi = smoothed_indicator(-1, 1, 0.5, 0.25)
-        sol = solve_mild(phi, 0.5, 0.5, GridSpec(-4, 4, 41, 10))
-        times, values = sol.t_grid, sol.values
-        between = 0.5 * (times[1:] + times[:-1])
-        for t in [*times, *between, times[0] - 1.0, times[-1] + 1.0]:
-            want = np.array([np.interp(t, times, values[:, j]) for j in range(values.shape[1])])
-            assert np.array_equal(sol.at_time(t), want)
 
     def test_grid_refinement_cauchy(self):
         phi = smoothed_indicator(-1, 1, 0.5, 0.25)

@@ -11,7 +11,6 @@ from sbmlab import particles
 from sbmlab.continuity import unboundedness_probe
 from sbmlab.errors import ResourceLimitError, UsageError
 from sbmlab.kernels import g_lambda, green_closed, heat_kernel
-from sbmlab.loglaplace import interp_rows
 from sbmlab.measures import FiniteMeasure, dirac, gridded_density
 from sbmlab.particles import (
     EventFunctional,
@@ -542,18 +541,6 @@ class TestRecorderAccess:
             estimate_local_time(recs[0], np.linspace(-1.0, 1.0, 5), 0.2)
         with pytest.raises(UsageError, match="probe_functionals"):
             unboundedness_probe(recs[0], [0.1], (-1.0, 1.0))
-
-    def test_series_at_matches_column_interp(self, small_recorders):
-        # a recorder's step series (mass, its occupation, the event counts)
-        # read at any time by interp_rows is np.interp one column at a time
-        _, _, recs = small_recorders
-        rec = recs[0]
-        times = rec.step_times
-        values = np.column_stack([rec.masses, rec.mass_occupation, rec.step_event_counts])
-        between = 0.5 * (times[1:] + times[:-1])
-        for t in [*times, *between, times[0] - 1.0, times[-1] + 1.0]:
-            want = np.array([np.interp(t, times, values[:, j]) for j in range(values.shape[1])])
-            assert np.array_equal(interp_rows(t, times, values), want)
 
     def test_dim2_simulate(self):
         p = make_params(0.5, 200, 0.1, dim=2, snapshot_stride=5)

@@ -14,7 +14,6 @@ from sbmlab.rng import (
     RngStream,
     StableParams,
     make_offspring_law,
-    make_streams,
     offspring_pmf,
     sample_offspring,
     sample_stable_increment,
@@ -230,6 +229,13 @@ class TestStableIncrements:
             StableParams(alpha=1.5, scale=-1.0)
         with pytest.raises(ValueError):
             sample_stable_increment(RngStream(0, 0), StableParams(alpha=1.5), 0.0)
+
+
+def make_streams(seed: int, count: int) -> list[RngStream]:
+    """The independent streams (seed, 0), ..., (seed, count - 1)."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return [RngStream(seed, i) for i in range(count)]
 
 
 class TestStreams:
