@@ -53,11 +53,10 @@ GATE = 0.15
 EXACT_REPLICAS = 60
 
 
-def _exact_clock_rate(state) -> np.ndarray:
-    """<X_s, |g^{x1} - g^{x2}|^{1+beta}> for every pair, one pair at a time
-    so that memory stays linear in the particle count."""
-    y = state.positions
-    return state.mass_per_particle * np.array(
+def _exact_clock_rate(y: np.ndarray, weight: float) -> np.ndarray:
+    """weight * sum of |g^{x1} - g^{x2}|^{1+beta} over the points y for every
+    pair, one pair at a time so that memory stays linear in the point count."""
+    return weight * np.array(
         [increment_clock_weights(y, LAM, [pair], BETA).sum() for pair in PAIRS]
     )
 
@@ -84,7 +83,7 @@ def skewness_slope(shares: np.ndarray) -> float:
 def run_seed(seed: int) -> dict:
     params = make_params(BETA, N_SCALE, T, snapshot_stride=10**9)
     hist = histogram_functional(-8.0, 8.0, 0.0125)
-    exact = OccupationFunctional(name="clock_exact", state_fn=_exact_clock_rate, width=len(PAIRS))
+    exact = OccupationFunctional(name="clock_exact", sum_fn=_exact_clock_rate, width=len(PAIRS))
     increments = increment_event_functional(LAM, PAIRS)
     centers = hist.meta["centers"][:, None]
     bin_integrand = increment_clock_weights(hist.meta["centers"], LAM, PAIRS, BETA)  # (bins, 20)

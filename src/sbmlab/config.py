@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .loglaplace import grid_violations
-from .continuity import criterion_violations, dyadic_lags
+from .continuity import criterion_violations, dyadic_lags, holder_field_violations, read_field
 from .particles import model_violations, whole_step_dt
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text", "config_hash", "KINDS"]
@@ -182,6 +182,8 @@ class ExperimentConfig:
             errs.append(f"initial_measure file does not exist: {self.initial_measure}")
         if self.holder_input is not None and not Path(self.holder_input).exists():
             errs.append(f"holder_input file does not exist: {self.holder_input}")
+        elif self.kind == "holder" and self.holder_input is not None:
+            errs.extend(self._holder_input_violations())
         if self.kind == "moments":
             errs.extend(self._moments_violations())
         if self.kind == "timechange" and not self.x1 <= self.x2:
@@ -224,6 +226,15 @@ class ExperimentConfig:
             errs.extend(criterion_violations(self.beta, self.k_window,
                                              min(self.r_grid, default=1.0), self.n_max))
         return list(dict.fromkeys(errs))  # a rule two owners state is reported once
+
+    def _holder_input_violations(self) -> list[str]:
+        try:
+            values = read_field(self.holder_input)
+        except (OSError, ValueError) as exc:
+            return [f"holder_input must be a file of comma-separated numbers: {exc}"]
+        lags = self.holder_lags if len(self.holder_lags) == 2 else (1, math.inf)
+        return [f"holder_input {self.holder_input}: {v}"
+                for v in holder_field_violations(values, lags)]
 
     def _moments_violations(self) -> list[str]:
         from .tanaka import histogram_functional

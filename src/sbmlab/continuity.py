@@ -44,6 +44,8 @@ __all__ = [
     "modulus_tail_sum",
     "HolderFit",
     "dyadic_lags",
+    "read_field",
+    "holder_field_violations",
     "holder_exponent",
     "probe_functionals",
     "unboundedness_probe",
@@ -302,32 +304,52 @@ def dyadic_lags(lo: float, hi: float) -> list[int]:
     return [lag for lag in (2**j for j in range(30)) if lo <= lag <= hi]
 
 
+def read_field(path) -> np.ndarray:
+    """The values of a comma-separated field file (the holder kind's
+    `holder_input`); ValueError if it does not parse as numbers."""
+    return np.atleast_1d(np.loadtxt(path, delimiter=","))
+
+
+def holder_field_violations(samples, scale_range) -> list[str]:
+    """Every rule of `holder_exponent` that a field breaks at the lags of
+    scale_range: it must be 1-d with at least 64 values, finite, admit three
+    dyadic lags below its size, and not be constant (no oscillation).
+    Empty if the field can be fitted."""
+    values = np.asarray(samples, dtype=float)
+    if values.ndim != 1 or values.size < 64:
+        return [f"need a 1-d field with at least 64 samples, got shape {values.shape}"]
+    errs = []
+    if not np.all(np.isfinite(values)):
+        errs.append("field must be finite")
+    elif values.min() == values.max():
+        errs.append("degenerate fit: zero oscillation (constant field)")
+    lo, hi = scale_range
+    if len(dyadic_lags(lo, min(hi, values.size - 1))) < 3:
+        errs.append(f"lags {lo:g}..{hi:g} admit fewer than 3 dyadic lags below the field's "
+                    f"{values.size} samples")
+    return errs
+
+
 def holder_exponent(samples, scale_range: tuple[int, int] = (1, 64), dx: float = 1.0) -> HolderFit:
     """Least-squares slope of log max-oscillation against log scale over
     dyadic lags within scale_range (in grid units), with its 95% interval.
 
     The oscillation at lag l is the largest (max - min) over windows of l+1
     consecutive samples.  The slope is invariant under affine rescaling of
-    the field.  ValueError for a field it cannot fit: one that is not 1-d,
-    has fewer than 64 samples or fewer than 3 dyadic lags below its size, is
-    not finite, or is constant (no oscillation).
+    the field.  ValueError for a field it cannot fit
+    (`holder_field_violations`).
     """
     values = np.asarray(samples, dtype=float)
-    if values.ndim != 1 or values.size < 64:
-        raise ValueError("need a 1-d field with at least 64 samples")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("field must be finite")
+    errs = holder_field_violations(values, scale_range)
+    if errs:
+        raise ValueError("; ".join(errs))
     lo, hi = scale_range
     lags = dyadic_lags(lo, min(hi, values.size - 1))
-    if len(lags) < 3:
-        raise ValueError("scale_range admits fewer than 3 dyadic lags")
     osc = []
     for lag in lags:
         windows = np.lib.stride_tricks.sliding_window_view(values, lag + 1)
         osc.append(float((windows.max(axis=1) - windows.min(axis=1)).max()))
     osc = np.asarray(osc)
-    if np.any(osc == 0.0):
-        raise ValueError("degenerate fit: zero oscillation (constant field?)")
     log_h = np.log(np.asarray(lags, dtype=float) * dx)
     log_w = np.log(osc)
     slope, intercept = np.polyfit(log_h, log_w, 1)
@@ -365,16 +387,16 @@ def _probe_histogram(dim: int, window, h: float) -> OccupationFunctional:
     ex, ey = (np.arange(lo, hi + h * 0.5, h) for lo, hi in window)
     nx, ny = ex.size - 1, ey.size - 1
 
-    def state_fn(state) -> np.ndarray:
-        ix = ex.searchsorted(state.positions[:, 0], side="right") - 1
-        iy = ey.searchsorted(state.positions[:, 1], side="right") - 1
+    def sum_fn(points: np.ndarray, weight: float) -> np.ndarray:
+        ix = ex.searchsorted(points[:, 0], side="right") - 1
+        iy = ey.searchsorted(points[:, 1], side="right") - 1
         inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
         counts = np.bincount(ix[inside] * ny + iy[inside], minlength=nx * ny)
-        return state.mass_per_particle * counts
+        return weight * counts
 
     return OccupationFunctional(
         name=f"histogram2d:{xlo:g}:{xhi:g}:{ylo:g}:{yhi:g}:{h:g}",
-        state_fn=state_fn,
+        sum_fn=sum_fn,
         width=nx * ny,
         meta={"kind": "histogram2d", "edges": (ex, ey)},
     )

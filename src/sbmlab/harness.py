@@ -17,8 +17,9 @@ Only the simulate kind stores the path (`simulate(...,
 keep_path=kind.saves_paths)`): the event log and the snapshots every
 `snapshot_stride` steps, for its path files.  Every other record reads its
 functionals at t_end, which needs no path and no table in time: an
-occupation functional's trapezoid integral and an event functional's sum
-over the branch events both end as one total, so tanaka (the panel
+occupation functional's trapezoid integral (one weighted point sum per block
+of steps) and an event functional's sum over the branch events (one per
+block's events) both end as one total, so tanaka (the panel
 occupations, the martingale terms at every panel point and the histogram),
 moments (the clock histogram and M_t(g^x) at every pair endpoint),
 timechange (T, the interval occupation and Z = M_t(psi0)), jumps (the
@@ -74,6 +75,7 @@ from .continuity import (
     gs_series,
     holder_exponent,
     probe_functionals,
+    read_field,
     unboundedness_probe,
 )
 from .errors import ConfigError, ResourceLimitError
@@ -746,8 +748,7 @@ def _run_criterion(cfg: ExperimentConfig, out_dir, cfg_hash):
 
 def _holder_field(cfg: ExperimentConfig):
     if cfg.holder_input is not None:
-        vals = np.loadtxt(cfg.holder_input, delimiter=",")
-        return np.atleast_1d(vals), 1.0
+        return read_field(cfg.holder_input), 1.0
     n = 4096
     x = np.linspace(0.0, 1.0, n)
     gen = RngStream(cfg.seed, 0).gen

@@ -7,10 +7,12 @@ times (f(s) - s) then rescales exactly to the branching mechanism u^(1+beta),
 so N enters only through initial-mass rounding and the motion/branching
 interleaving.  Branch events are counted step by step, and logged as jumps
 (offspring - 1)/N at the parent location only for a kept path.  Every
-registered functional ends as one `Total` at t_end: an occupation integral
-accumulates on the step grid by the trapezoid rule, a block of buffered
-steps at a time, and an event functional adds its sum over the same
-block's events, so neither keeps a table in time nor needs the log.
+registered functional ends as one `Total` at t_end.  The trapezoid rule on
+the step grid is linear in X_s, so an occupation integral is one weighted
+point sum over the positions of every step (weight dt/N, and dt/2N at
+both ends), taken a block of buffered steps at a time; an event functional
+adds its sum over the same block's events.  Neither keeps a table in time
+nor needs the log.
 """
 from __future__ import annotations
 
@@ -162,8 +164,6 @@ class ParticleState:
     time: float
     positions: np.ndarray  # (n,) in d=1, (n, 2) in d=2
     mass_per_particle: float
-    # what several functionals of one step share: the sort, interval indices
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -173,47 +173,30 @@ class ParticleState:
     def total_mass(self) -> float:
         return self.count * self.mass_per_particle
 
-    def sorted_positions(self) -> np.ndarray:
-        """Sorted copy of the (d=1) positions, memoized so several kernel
-        functionals can share one sort per step."""
-        if "sorted" not in self._memo:
-            self._memo["sorted"] = np.sort(self.positions)
-        return self._memo["sorted"]
-
-    def interval_indices(self, x1: float, x2: float) -> np.ndarray:
-        """Indices of the (d=1) particles in [x1, x2], in order, memoized so
-        the functionals on one interval share one pass per step."""
-        if self.positions.ndim != 1:
-            raise UsageError("interval_indices is defined for d=1 states only")
-        key = ("interval", x1, x2)
-        if key not in self._memo:
-            y = self.positions
-            self._memo[key] = np.flatnonzero((y >= x1) & (y <= x2))
-        return self._memo[key]
-
 
 @dataclass
 class OccupationFunctional:
     """A named functional registered for occupation accumulation.
 
-    state_fn computes <X_s, f> from a state as a (width,) array (a kernel
-    panel by its prefix sums, a histogram by one search of the sorted
-    positions).  `simulate` integrates it over [0, t_end] on the step grid
-    by the trapezoid rule, buffering the step values and integrating them a
-    block at a time, bit for bit the step-by-step sum.  meta carries
-    descriptive fields (kernel kind, grid, bandwidth) so estimators can
-    locate matching totals on a recorder.
+    sum_fn(points, weight) maps a batch of positions ((n,) in d=1, sorted
+    ascending; (n, 2) in d=2), each carrying the scalar weight, to the
+    (width,) sum of weight * f(point): a kernel panel by its kernel sums, a
+    histogram by one search of the sorted points.  `simulate` forms the
+    trapezoid integral of <X_s, f> over [0, t_end] on the step grid from such
+    sums, one per block of steps (see `simulate`).  meta carries descriptive
+    fields (kernel kind, grid, bandwidth) so estimators can locate matching
+    totals on a recorder.
     """
 
     name: str
-    state_fn: Callable[[ParticleState], np.ndarray]
+    sum_fn: Callable[[np.ndarray, float], np.ndarray]
     width: int = 1
     meta: dict = field(default_factory=dict)
 
-    def state_value(self, state: ParticleState) -> np.ndarray:
-        if state.count == 0:
+    def state_value(self, points: np.ndarray, weight: float) -> np.ndarray:
+        if points.shape[0] == 0:
             return np.zeros(self.width)
-        return np.asarray(self.state_fn(state), dtype=float)
+        return np.asarray(self.sum_fn(points, weight), dtype=float)
 
 
 def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,43 +367,8 @@ def step(
     return ParticleState(new_time, new_pos, state.mass_per_particle), (parent_pos, ks)
 
 
-# steps whose functional values `simulate` buffers before integrating them
-_BLOCK_STEPS = 32
-
-
-def _cumulative_trapezoid(values: np.ndarray, dt: float, cum: np.ndarray) -> None:
-    """cum[i] = cum[i-1] + 0.5 * (values[i] + values[i-1]) * dt for every row
-    i >= 1, in place from cum[0]: one sequential cumsum over the increments,
-    so bit for bit the sum taken step by step."""
-    inc = cum[1:]
-    np.add(values[1:], values[:-1], out=inc)
-    inc *= 0.5
-    inc *= dt
-    cum.cumsum(axis=0, out=cum)
-
-
-class _BlockTrapezoid:
-    """The trapezoid integral of one functional on the step grid, a block of
-    steps at a time.
-
-    Row 0 of `values` holds the value at the step before the block, rows
-    1..r the block's values; `flush` integrates them from the integral
-    before the block (`_cumulative_trapezoid`) and carries the last row
-    over, so that between blocks cum[0] is the integral so far."""
-
-    def __init__(self, f: OccupationFunctional, n_steps: int, dt: float, v0: np.ndarray):
-        self.dt = dt
-        rows = min(n_steps, _BLOCK_STEPS) + 1
-        self.values = np.empty((rows, f.width))
-        self.values[0] = v0
-        self.cum = np.zeros((rows, f.width))
-
-    def flush(self, r: int) -> None:
-        """Integrate the r buffered steps."""
-        vals, cum = self.values[: r + 1], self.cum[: r + 1]
-        _cumulative_trapezoid(vals, self.dt, cum)
-        vals[0] = vals[r]
-        cum[0] = cum[r]
+# particle-steps that `simulate` buffers before it ends a block of steps
+_BLOCK_POINTS = 8192
 
 
 def simulate(
@@ -441,13 +389,17 @@ def simulate(
     positions every params.snapshot_stride steps in between.  It changes no
     draw, so every other output is the same either way.
 
-    Each step's functional values go into a bounded row buffer (_BLOCK_STEPS
-    rows per functional); every _BLOCK_STEPS steps, and at the last, the
-    buffered block is integrated by the trapezoid rule with one sequential
-    cumsum, bit for bit the step-by-step sum cum + 0.5 * (v + v_prev) * dt.
-    At the same flush each event functional's sum_fn over the block's events
-    is added to its total.  The total-mass trapezoid is formed once, after
-    the loop.
+    The trapezoid integral int <X_s, f> ds ~ sum_s c_s <X_s, f>, with
+    c_s = dt/2 at steps 0 and n and dt between, is one weighted point sum
+    over the positions of every step.  So the positions of the steps between
+    the ends are buffered, and a block ends once it holds _BLOCK_POINTS
+    particle-steps, or at the last step: each occupation functional is then
+    called once on the block's positions (sorted, in d=1) at weight dt/N and
+    adds the result to its total, and each event functional adds its sum_fn
+    over the block's events.  Steps 0 and n are calls of their own at weight
+    dt/2N.  Blocks are summed in order, so every total depends on the path
+    alone; a run without occupation functionals buffers no positions.  The
+    total-mass trapezoid is formed once, after the loop.
 
     Deterministic given the stream.  Raises ResourceLimitError if the
     particle count exceeds params.particle_cap (heavy-tail blowup guard).
@@ -465,8 +417,17 @@ def simulate(
     masses = np.empty(n_steps + 1)
     step_times[0] = 0.0
     masses[0] = state.total_mass
-    trapezoids = [_BlockTrapezoid(f, n_steps, dt, f.state_value(state)) for f in functionals]
+    occupations = [np.zeros(f.width) for f in functionals]
     sums = [np.zeros(f.width) for f in event_fns]
+
+    def add_points(points: np.ndarray, weight: float) -> None:
+        if params.dim == 1:
+            points = np.sort(points)
+        for f, total in zip(functionals, occupations):
+            total += f.state_value(points, weight)
+
+    if functionals and n_steps:
+        add_points(state.positions, 0.5 * dt * params.mass_per_particle)
 
     # without the path, the last step is the only one after step 0 kept
     snapshot_stride = params.snapshot_stride if keep_path else max(n_steps, 1)
@@ -475,7 +436,8 @@ def simulate(
     step_event_counts = np.zeros(n_steps + 1, dtype=np.int64)
     ev_locations: list[np.ndarray] = []
     ev_offspring: list[np.ndarray] = []
-    block_locations: list[np.ndarray] = []  # the current block's events
+    block_positions, block_points = [], 0  # the current block's steps
+    block_locations: list[np.ndarray] = []  # and its events
     block_offspring: list[np.ndarray] = []
     extinction_time = math.inf if state.count > 0 else 0.0
 
@@ -489,17 +451,19 @@ def simulate(
             )
         step_times[i] = state.time
         masses[i] = state.total_mass
-        row = (i - 1) % _BLOCK_STEPS + 1
-        for f, acc in zip(functionals, trapezoids):
-            acc.values[row] = f.state_value(state)
+        if i < n_steps:
+            block_points += state.count
+            if functionals:
+                block_positions.append(state.positions)
         if ks.size:
             step_event_counts[i] = ks.size
             if keep_path or event_fns:
                 block_locations.append(locs)
                 block_offspring.append(ks)
-        if row == _BLOCK_STEPS or i == n_steps:
-            for acc in trapezoids:
-                acc.flush(row)
+        if block_points >= _BLOCK_POINTS or i == n_steps:
+            if block_positions:
+                add_points(np.concatenate(block_positions), dt * params.mass_per_particle)
+            block_positions, block_points = [], 0
             if block_offspring:
                 locs = np.concatenate(block_locations)
                 ks = np.concatenate(block_offspring)
@@ -515,11 +479,11 @@ def simulate(
         if i % snapshot_stride == 0 or i == n_steps:
             snapshot_times.append(state.time)
             snapshots.append(state.positions.copy())
+    if functionals and n_steps:
+        add_points(state.positions, 0.5 * dt * params.mass_per_particle)
 
-    mass_occ = np.zeros(n_steps + 1)
-    _cumulative_trapezoid(masses, dt, mass_occ)
-    totals = {f.name: Total(acc.cum[0].copy(), dict(f.meta))
-              for f, acc in zip(functionals, trapezoids)}
+    mass_occ = np.concatenate(([0.0], np.cumsum(0.5 * (masses[1:] + masses[:-1]) * dt)))
+    totals = {f.name: Total(total, dict(f.meta)) for f, total in zip(functionals, occupations)}
     totals.update((f.name, Total(total, dict(f.meta))) for f, total in zip(event_fns, sums))
     log = {}
     if keep_path:

@@ -15,9 +15,10 @@ test suite cross-checks:
 
 Everything is read at t = t_end, the recorder's horizon: every time
 integral is the total of an occupation functional registered before
-simulate (a Tanaka panel or a histogram), integrated on the step grid, and
-every martingale sum M_t the total of an event functional, summed a block
-of steps at a time; the only positions read afterwards are those at t_end.
+simulate (a Tanaka panel or a histogram), integrated on the step grid as one
+weighted sum over each block of steps' sorted positions, and every
+martingale sum M_t the total of an event functional, summed over each
+block's events; the only positions read afterwards are those at t_end.
 A reading at an earlier t is a run simulated to that t.  The decomposition
 is evaluated on the whole panel at once (`tanaka_panel_terms`), so a point
 of interest must be a panel point; `tanaka_terms` is the one-point
@@ -25,12 +26,13 @@ reference the tests compare against, which sums over the kept event log.
 
 One Tanaka panel may carry several lambdas: `exp_kernel_sums` takes an
 array of rates and runs one sort-and-search pass for all of them, each
-lambda's columns bit for bit those of a panel of its own.
+lambda's columns bit for bit those of a panel of its own.  Its sums are
+formed around the panel midpoint without a subtraction, so they are exact
+to rounding at every rate and spread.
 
 The interval functionals of the time change (psi0^(1+beta) and the
-indicator of [x1, x2]) evaluate only the particles inside [x1, x2], found
-once per step (`ParticleState.interval_indices`); psi0 is zero outside, so
-their values are bit for bit the full-array ones.
+indicator of [x1, x2]) read only the slice of a block's sorted points
+inside [x1, x2], found by two binary searches; psi0 is zero outside.
 
 Derivative orientation: d/dx <mu, G_lambda(. - x)> = <mu, g_lambda(x - .)>,
 so every derivative-route kernel evaluates g_lambda with arguments reversed
@@ -49,7 +51,6 @@ from .measures import FiniteMeasure
 from .particles import (
     EventFunctional,
     OccupationFunctional,
-    ParticleState,
     PathRecorder,
     stable_order,
 )
@@ -83,45 +84,43 @@ __all__ = [
 # weights w, both
 #     sum_i w_i * exp(-a |y_i - x_j|)            (even kernel, for G)
 #     sum_i w_i * (-sign(x_j - y_i)) exp(-a |.|) (odd kernel, for dG/dx)
-# factor through prefix sums of w * exp(+-a y), costing O(n log n) total
-# instead of O(n * len(xs)) exponentials.
+# factor through sums of w * exp(+-a (y - c)) over the points between
+# consecutive centers, costing O(n log n) total instead of O(n * len(xs))
+# exponentials.
 # ---------------------------------------------------------------------------
 
 
 _SIGNS = np.array([1.0, -1.0])
 
 
-def _kernel_constants(a, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What `exp_kernel_sums` computes from the rates and the centers alone:
-    the signed rates (+a, -a), stacked on a new first axis as columns against
-    points, and (e^{a x}, e^{-a x}) at the centers, stacked the same way.  A
-    caller that sums at the same rates and centers again and again computes
-    them once and passes them as `constants`."""
-    rates = np.asarray(a, dtype=float)
-    signed = np.multiply.outer(_SIGNS, rates[..., None])  # (-1.0) * a is -a exactly
-    return signed, np.exp(signed * xs)
-
-
-def exp_kernel_sums(y: np.ndarray, weights, a, xs: np.ndarray, presorted: bool = False,
-                    *, constants: tuple[np.ndarray, np.ndarray] | None = None):
+def exp_kernel_sums(y: np.ndarray, weights, a, xs: np.ndarray, presorted: bool = False):
     """Returns (even_sums, odd_sums) of the exponential kernel against
-    weighted points; odd_sums uses the derivative orientation
-    -sign(x - y) exp(-a |x - y|) with points exactly at x contributing 0.
+    weighted points at the centers xs (sorted ascending); odd_sums uses the
+    derivative orientation -sign(x - y) exp(-a |x - y|) with points exactly
+    at x contributing 0.
 
     `a` is one rate or a 1-D array of k rates.  With an array both sums are
     (k, len(xs)) arrays, and row r is bit for bit the call at the rate a[r]:
-    the points are sorted and searched once for every rate.  `constants`,
-    if given, is `_kernel_constants(a, xs)`.
+    the points are sorted and searched once for every rate.
 
-    Raises NumericsError when a sum is not finite because a prefix sum of
-    w e^{+-a y} that it uses overflows, which can happen once a |y| exceeds
-    about 709."""
+    The sorted points fall into segments: below x_0, at x_j, strictly
+    between x_j and x_{j+1}, and above the last center.  Every exponent is
+    taken from the centers' midpoint c, and each segment is summed once, of
+    w e^{a(y-c)} and of w e^{-a(y-c)} (`np.add.reduceat`).  The sum below
+    x_j is e^{-a(x_j-c)} times a prefix over the segments of the first, and
+    the sum above it e^{a(x_j-c)} times a suffix of the second, so no result
+    subtracts: the sums are exact to rounding at every rate and spread.  A
+    term that overflows lies in an outer segment that no result reads, so
+    overflow is ignored there; NumericsError is raised when a returned value
+    is not finite, which happens once a times the centers' half-width
+    exceeds about 709."""
     rates = np.asarray(a, dtype=float)
     if rates.ndim > 1:
         raise ValueError(f"a must be a rate or a 1-D array of rates, got shape {rates.shape}")
-    n = y.size
     m = xs.size
-    if n == 0:
+    if (xs[1:] < xs[:-1]).any():
+        raise ValueError("the centers xs must be sorted ascending")
+    if y.size == 0 or m == 0:
         return np.zeros(rates.shape + (m,)), np.zeros(rates.shape + (m,))
     w = np.asarray(weights, dtype=float)
     if w.ndim:
@@ -130,34 +129,36 @@ def exp_kernel_sums(y: np.ndarray, weights, a, xs: np.ndarray, presorted: bool =
         order, y = stable_order(y)
         if w.ndim:
             w = w[order]
-    signed, xs_exps = _kernel_constants(rates, xs) if constants is None else constants
-    # per rate, the prefix sums of w e^{a y} (first block) and w e^{-a y}
-    terms = np.exp(signed * y)
-    terms *= w
-    cum = np.zeros(terms.shape[:-1] + (n + 1,))
-    terms.cumsum(axis=-1, out=cum[..., 1:])
-    idx_lo = y.searchsorted(xs, side="left")  # count of y < x
-    idx_hi = y.searchsorted(xs, side="right")  # count of y <= x
-    exp_pos, exp_neg = xs_exps
-    cum_pos, cum_neg = cum
-    cum_pos_lo = cum_pos[..., idx_lo]
-    cum_hi = cum[..., idx_hi]
-    below = exp_neg * cum_pos_lo  # sum over y < x of w e^{-a(x-y)}
-    above = exp_pos * (cum_neg[..., -1:] - cum_hi[1])  # y > x
+    starts = np.zeros(2 * m + 1, dtype=np.intp)
+    starts[1::2] = y.searchsorted(xs, side="left")  # count of y < x_j
+    starts[2::2] = y.searchsorted(xs, side="right")  # count of y <= x_j
+    c = 0.5 * (xs[0] + xs[-1])
+    signed = np.multiply.outer(_SIGNS, rates[..., None])  # (+a, -a); (-1.0) * a is -a exactly
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one zero pads the terms, so that a segment may start at y.size
+        padded = np.zeros(signed.shape[:-1] + (y.size + 1,))
+        terms = padded[..., :-1]
+        np.multiply(signed, y - c, out=terms)
+        np.exp(terms, out=terms)
+        terms *= w
+        sums = np.add.reduceat(padded, starts, axis=-1)
+    sums[..., :-1][..., starts[:-1] == starts[1:]] = 0.0  # reduceat gave t[i] if empty
+    pos, neg = sums  # per segment, of w e^{a(y-c)} and of w e^{-a(y-c)}
+    exp_neg, exp_pos = np.exp(-signed * (xs - c))  # e^{-a(x-c)}, e^{a(x-c)}
+    below = exp_neg * pos.cumsum(axis=-1)[..., 0:-1:2]  # y < x_j: segments 0..2j
+    above = exp_pos * neg[..., ::-1].cumsum(axis=-1)[..., -3::-2]  # y > x_j: 2j+2..2m
     even = below + above
-    even += exp_neg * (cum_hi[0] - cum_pos_lo)  # y == x
+    even += exp_neg * pos[..., 1::2]  # y == x_j: segment 2j+1
     odd = above - below  # -sign(x-y): -1 for y<x, +1 for y>x, 0 at x
-    # the totals are finite when their sum is; only when it is not can a
-    # prefix sum that a result uses have overflowed (a non-finite value in
-    # it carries into the result), so only then are the results tested
-    if not math.isfinite(np.add.reduce(cum[..., -1], axis=None)):
-        finite = np.atleast_1d((np.isfinite(even) & np.isfinite(odd)).all(axis=-1))  # per rate
+    # a non-finite value in a result makes the totals' sum non-finite
+    if not math.isfinite(np.add.reduce(even, axis=None) + np.add.reduce(odd, axis=None)):
+        finite = np.atleast_2d(np.isfinite(even) & np.isfinite(odd)).all(axis=-1)  # per rate
         if not finite.all():
             raise NumericsError(
                 "exponential-kernel sums are not finite at rate a = "
-                f"{', '.join(f'{r:g}' for r in np.atleast_1d(rates)[~finite])} with largest "
-                f"|y| = {max(abs(y[0]), abs(y[-1])):g} (a prefix sum of w e^(+-a y) "
-                "overflows once a |y| exceeds about 709)"
+                f"{', '.join(f'{r:g}' for r in np.atleast_1d(rates)[~finite])} on centers of "
+                f"half-width {0.5 * (xs[-1] - xs[0]):g} (e^(a (y - c)) around their midpoint "
+                "c overflows once a times the half-width exceeds about 709)"
             )
     return even, odd
 
@@ -188,23 +189,20 @@ def tanaka_panel_functional(lams, xs) -> OccupationFunctional:
     """Panel accumulator of <X_s, G_lambda(.-x_j)> and <X_s, g_lambda(x_j-.)>
     for all panel points, at one lambda or at each of several distinct ones.
 
-    One kernel-sum pass over the sorted positions serves every lambda.  The
+    One kernel-sum pass over a block's sorted positions serves every lambda.  The
     values hold one block per lambda, in the order given, each stacked
     [G panel, derivative panel]; a single lambda's panel is named
     `tanaka_panel:<lam>`."""
     lams, xs, a = _panel_rates(lams, xs)
     a_col = a[:, None]
-    constants = _kernel_constants(a, xs)
 
-    def state_fn(state: ParticleState) -> np.ndarray:
-        y = _as_1d(state.sorted_positions())
-        even, odd = exp_kernel_sums(y, state.mass_per_particle, a, xs, presorted=True,
-                                    constants=constants)
+    def sum_fn(y: np.ndarray, weight: float) -> np.ndarray:
+        even, odd = exp_kernel_sums(_as_1d(y), weight, a, xs, presorted=True)
         return np.concatenate((even / a_col, odd), axis=1).ravel()
 
     return OccupationFunctional(
         name="tanaka_panel:" + ",".join(f"{lam:g}" for lam in lams),
-        state_fn=state_fn,
+        sum_fn=sum_fn,
         width=2 * xs.size * len(lams),
         meta={"kind": "tanaka_panel", "lams": lams, "xs": xs},
     )
@@ -217,10 +215,9 @@ def tanaka_event_functional(lams, xs) -> EventFunctional:
     `tanaka_panel_functional`'s blocks.  One `exp_kernel_sums` call per block
     of steps serves every lambda."""
     lams, xs, a = _panel_rates(lams, xs)
-    constants = _kernel_constants(a, xs)
 
     def sum_fn(y: np.ndarray, net: np.ndarray) -> np.ndarray:
-        even, odd = exp_kernel_sums(_as_1d(y), net, a, xs, constants=constants)
+        even, odd = exp_kernel_sums(_as_1d(y), net, a, xs)
         return np.concatenate((even, odd), axis=1).ravel()
 
     return EventFunctional(
@@ -234,21 +231,21 @@ def tanaka_event_functional(lams, xs) -> EventFunctional:
 def histogram_functional(lo: float, hi: float, bin_width: float) -> OccupationFunctional:
     """Binned occupation accumulator: <X_s, 1_bin> for fixed bins on [lo, hi].
 
-    A cheap per-step route to the kernel local-time estimate: the occupation
-    mass per bin is smoothed once at estimate time, with positions quantized
-    to bin centers (keep bin_width well below the target bandwidth).
-    Particles outside [lo, hi] are not counted.
+    A cheap route to the kernel local-time estimate: the occupation mass per
+    bin is smoothed once at estimate time, with positions quantized to bin
+    centers (keep bin_width well below the target bandwidth).  Bins are
+    closed on the left; particles outside [lo, hi) are not counted.
     """
     edges = np.arange(lo, hi + bin_width * 0.5, bin_width)
     centers = 0.5 * (edges[1:] + edges[:-1])
 
-    def state_fn(state: ParticleState) -> np.ndarray:
-        idx = _as_1d(state.sorted_positions()).searchsorted(edges)
-        return state.mass_per_particle * (idx[1:] - idx[:-1])
+    def sum_fn(y: np.ndarray, weight: float) -> np.ndarray:
+        idx = _as_1d(y).searchsorted(edges)
+        return weight * (idx[1:] - idx[:-1])
 
     return OccupationFunctional(
         name=f"histogram:{lo:g}:{hi:g}:{bin_width:g}",
-        state_fn=state_fn,
+        sum_fn=sum_fn,
         width=centers.size,
         meta={"kind": "histogram", "edges": edges, "centers": centers},
     )
@@ -272,12 +269,17 @@ def psi0(lam: float, x1: float, x2: float, y):
     return _psi0_values(math.sqrt(2.0 * lam), x1, x2, y) * inside
 
 
+def _inside(y: np.ndarray, x1: float, x2: float) -> np.ndarray:
+    """The sorted (d=1) points of [x1, x2]: a contiguous slice."""
+    y = _as_1d(y)
+    return y[y.searchsorted(x1, side="left") : y.searchsorted(x2, side="right")]
+
+
 def psi0_power_functional(lam: float, x1: float, x2: float, beta: float) -> OccupationFunctional:
     """Accumulator of <X_s, psi0^(1+beta)>: the stable time change T(t).
 
-    Evaluates psi0 only at the particles inside [x1, x2] (the step's
-    `interval_indices`, shared with the interval indicator) and leaves the
-    rest at 0, bit for bit what `psi0` gives."""
+    psi0 is zero outside [x1, x2], so it is evaluated only on the slice of
+    the block's sorted points inside."""
     if lam <= 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
     if not x1 <= x2:
@@ -285,18 +287,12 @@ def psi0_power_functional(lam: float, x1: float, x2: float, beta: float) -> Occu
     power = 1.0 + beta
     a = math.sqrt(2.0 * lam)
 
-    def state_fn(state: ParticleState) -> np.ndarray:
-        inside = state.interval_indices(x1, x2)
-        vals = np.zeros(state.count)
-        if inside.size:
-            vals[inside] = _psi0_values(a, x1, x2, state.positions[inside]) ** power
-        # the zeros stay in and the sum runs down one column, so T is bit for
-        # bit the sum of psi0^(1+beta) over every particle
-        return state.mass_per_particle * vals[:, None].sum(axis=0)
+    def sum_fn(y: np.ndarray, weight: float) -> np.ndarray:
+        return weight * np.sum(_psi0_values(a, x1, x2, _inside(y, x1, x2)) ** power, keepdims=True)
 
     return OccupationFunctional(
         name=f"psi0pow:{lam:g}:{x1:g}:{x2:g}",
-        state_fn=state_fn,
+        sum_fn=sum_fn,
         width=1,
         meta={"kind": "psi0_power", "lam": lam, "x1": x1, "x2": x2, "beta": beta},
     )
@@ -342,12 +338,12 @@ def interval_indicator_functional(x1: float, x2: float) -> OccupationFunctional:
     if not x1 <= x2:
         raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
 
-    def state_fn(state: ParticleState) -> np.ndarray:
-        return np.array([state.mass_per_particle * state.interval_indices(x1, x2).size])
+    def sum_fn(y: np.ndarray, weight: float) -> np.ndarray:
+        return np.array([weight * _inside(y, x1, x2).size])
 
     return OccupationFunctional(
         name=f"interval:{x1:g}:{x2:g}",
-        state_fn=state_fn,
+        sum_fn=sum_fn,
         width=1,
         meta={"kind": "interval", "x1": x1, "x2": x2},
     )

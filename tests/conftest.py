@@ -1,7 +1,10 @@
 """Shared fixtures: session-scoped particle runs reused across test modules
-(single-CPU budget), and the acceptance report collector."""
+(single-CPU budget), and the acceptance report collector, which writes the
+report once, at the end of a session that ran acceptance tests."""
 from __future__ import annotations
 
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +27,16 @@ ACCEPTANCE_REPORT = Path(__file__).with_name("acceptance_report.txt")
 
 def per_particle_functional(name: str, fn, width: int = 1) -> OccupationFunctional:
     """An occupation functional of per-particle values fn(positions), of
-    shape (n,) or (n, width): <X_s, f> is the particle mass times their sum
+    shape (n,) or (n, width): a block's sum is the weight times their sum
     down each column."""
 
-    def state_fn(state) -> np.ndarray:
-        vals = np.asarray(fn(state.positions))
+    def sum_fn(points, weight) -> np.ndarray:
+        vals = np.asarray(fn(points))
         if vals.ndim == 1:
             vals = vals[:, None]
-        return state.mass_per_particle * vals.sum(axis=0)
+        return weight * vals.sum(axis=0)
 
-    return OccupationFunctional(name, state_fn, width)
+    return OccupationFunctional(name, sum_fn, width)
 
 
 @pytest.fixture(scope="session")
@@ -69,21 +72,33 @@ def bare_recorders():
     return mu, params, [simulate(mu, params, [], RngStream(902, i)) for i in range(200)]
 
 
-_report_started = False
+_report_lines: list[str] = []
 
 
 def record_criterion(number: int, passed: bool, detail: str, soft: bool = False) -> None:
-    """One pass/fail line per acceptance criterion, printed and persisted.
-
-    The first line of a session starts the report afresh, so a session that
-    runs no acceptance test leaves the committed report as it is."""
-    global _report_started
+    """One pass/fail line per acceptance criterion, printed now and written
+    into the report when the session ends (`pytest_sessionfinish`)."""
     if soft:
         status = "REPORTED-PASS" if passed else "REPORTED-FAIL"
     else:
         status = "PASS" if passed else "FAIL"
     line = f"ACCEPTANCE {number:02d} {status}: {detail}"
     print(line)
-    with ACCEPTANCE_REPORT.open("a" if _report_started else "w") as fh:
-        fh.write(line + "\n")
-    _report_started = True
+    _report_lines.append(line)
+
+
+def write_report(path: Path, lines: list[str]) -> None:
+    """Replace the file at path by lines, written to a temporary file beside
+    it and moved over it in one `os.replace`, so that sessions that overlap
+    never interleave their lines.  No lines leave the file as it is."""
+    if not lines:
+        return
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    os.fchmod(fd, 0o644)
+    with os.fdopen(fd, "w") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    os.replace(tmp, path)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    write_report(ACCEPTANCE_REPORT, _report_lines)

@@ -238,6 +238,29 @@ class TestConfig:
         assert not (tmp_path / "o").exists()
         parse_config_text(MINIMAL + setting + "\n", kind="simulate")  # a key of other kinds
 
+    @pytest.mark.parametrize(
+        "values, rule",
+        [
+            ("1,2,3,4,5\n", "at least 64"),  # holder_exponent raised a bare ValueError
+            ("1,2,x\n", "comma-separated numbers"),
+            (",".join(["0.5"] * 100) + "\n", "constant"),
+            (",".join(["1", "nan"] * 50) + "\n", "finite"),
+        ],
+        ids=["short", "unparseable", "constant", "nan"],
+    )
+    def test_holder_input_the_fit_rejects_is_a_config_error(self, values, rule, tmp_path):
+        field_file = tmp_path / "field.csv"
+        field_file.write_text(values)
+        text = MINIMAL + f"holder_input = {field_file}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, kind="holder")
+        assert any(v.startswith("holder_input") and rule in v for v in err.value.violations)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert cli_main(["holder", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        parse_config_text(text, kind="simulate")  # the field concerns the holder kind only
+
     def test_duality_solver_grid_rejected(self):
         # these used to pass validation, simulate every replica and then fail
         # in the finalizer with a bare ValueError, losing all the records

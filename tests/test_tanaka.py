@@ -16,12 +16,10 @@ from sbmlab.measures import FiniteMeasure, dirac, gridded_density
 from sbmlab.particles import (
     ModelParams,
     OccupationFunctional,
-    ParticleState,
     make_params,
     simulate,
 )
 from sbmlab.rng import RngStream
-from sbmlab.tanaka import _kernel_constants
 from sbmlab.tanaka import (
     _initial_terms,
     estimate_local_time,
@@ -53,31 +51,29 @@ def _kernel_panel(bandwidth: float, xs: np.ndarray) -> OccupationFunctional:
     return per_particle_functional("kernel_panel", fn, xs.size)
 
 
-def _reference_exp_kernel_sums(y, weights, a, xs, presorted=False):
-    """The kernel sums as first written (broadcast weights, a stable sort,
-    each exponential and gather formed on its own): exp_kernel_sums must
-    give these bit for bit."""
-    rates = np.asarray(a, dtype=float)
-    n, m = y.size, xs.size
-    if n == 0:
-        return np.zeros(rates.shape + (m,)), np.zeros(rates.shape + (m,))
-    w = np.broadcast_to(np.asarray(weights, dtype=float), y.shape)
-    if presorted:
-        ys, ws = y, w
-    else:
-        order = np.argsort(y, kind="stable")
-        ys, ws = y[order], w[order]
-    r = rates[..., None]
-    cum_pos = np.zeros(r.shape[:-1] + (n + 1,))
-    cum_neg = np.zeros(r.shape[:-1] + (n + 1,))
-    np.cumsum(ws * np.exp(r * ys), axis=-1, out=cum_pos[..., 1:])
-    np.cumsum(ws * np.exp(-r * ys), axis=-1, out=cum_neg[..., 1:])
-    idx_lo = np.searchsorted(ys, xs, side="left")
-    idx_hi = np.searchsorted(ys, xs, side="right")
-    below = np.exp(-r * xs) * cum_pos[..., idx_lo]
-    above = np.exp(r * xs) * (cum_neg[..., -1:] - cum_neg[..., idx_hi])
-    at = np.exp(-r * xs) * (cum_pos[..., idx_hi] - cum_pos[..., idx_lo])
-    return below + above + at, -(below) + above
+def _brute_force_sums(y, weights, a, xs):
+    """The kernel sums point by point, and their scale: (even, odd, the
+    largest sum of |w| e^{-a|x-y|} over the centers), per rate on the first
+    axis when a is an array."""
+    w = np.broadcast_to(np.asarray(weights, dtype=float), np.shape(y))
+    d = xs[:, None] - np.asarray(y)[None, :]
+    out = []
+    for rate in np.atleast_1d(a):
+        kernel = np.exp(-rate * np.abs(d))
+        out.append(((kernel * w).sum(axis=1), (-np.sign(d) * kernel * w).sum(axis=1),
+                    (kernel * np.abs(w)).sum(axis=1).max()))
+    even, odd, scale = (np.array(v) for v in zip(*out))
+    if np.ndim(a) == 0:
+        return even[0], odd[0], scale[0]
+    return even, odd, scale[:, None]
+
+
+def _assert_brute_force(got, y, weights, a, xs, rel=1e-12):
+    """Both sums within rel of the largest even sum of |w| (per rate)."""
+    even, odd, scale = _brute_force_sums(y, weights, a, xs)
+    assert got[0].shape == even.shape and got[1].shape == odd.shape
+    assert (np.abs(got[0] - even) <= rel * scale).all()
+    assert (np.abs(got[1] - odd) <= rel * scale).all()
 
 
 class TestExpKernelSums:
@@ -122,23 +118,46 @@ class TestExpKernelSums:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_reference_bit_for_bit(self, seed):
-        # points on the panel points (exact hits, ties) and between them
+        # points on the panel points (exact hits, ties) and between them; the
+        # reference is brute force, to 1e-12 of the largest even sum, and
+        # bit for bit the call on unsorted points with a weight per point
         rng = np.random.default_rng(seed)
         xs = np.linspace(-1.5, 1.5, 31)
         n = int(rng.integers(1, 600))
         y = np.where(rng.random(n) < 0.3, rng.choice(xs, n), rng.normal(0, 1, n))
         weights = rng.normal(0, 1e-2, n) if seed % 2 else 1e-3
         a = np.sqrt(2.0 * np.array([0.5, 2.0])) if seed % 4 < 2 else 1.7
-        want = _reference_exp_kernel_sums(y, weights, a, xs)
-        for got in (exp_kernel_sums(y, weights, a, xs),
-                    exp_kernel_sums(y, weights, a, xs, constants=_kernel_constants(a, xs))):
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        want = exp_kernel_sums(y, np.broadcast_to(weights, y.shape), a, xs)
+        _assert_brute_force(want, y, weights, a, xs)
         order = np.argsort(y, kind="stable")
         w_sorted = weights[order] if np.ndim(weights) else weights
-        want = _reference_exp_kernel_sums(y[order], w_sorted, a, xs, presorted=True)
-        got = exp_kernel_sums(y[order], w_sorted, a, xs, presorted=True)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for got in (exp_kernel_sums(y, weights, a, xs),
+                    exp_kernel_sums(y[order], w_sorted, a, xs, presorted=True)):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0, 50.0, 200.0])
+    @pytest.mark.parametrize("spread", [0.5, 3.0, 10.0, 400.0])
+    def test_exact_at_every_rate_and_spread(self, lam, spread):
+        # a panel centred away from 0, points around it at every spread, a
+        # tenth of them on panel points; rates lam and 2 lam at once
+        rng = np.random.default_rng(int(lam * 10 + spread))
+        xs = np.linspace(2.0, 4.0, 41)
+        y = 3.0 + spread * rng.normal(0, 1, 2000)
+        hits = rng.random(y.size) < 0.1
+        y[hits] = rng.choice(xs, np.count_nonzero(hits))
+        a = np.sqrt(2.0 * np.array([lam, 2.0 * lam]))
+        order = np.argsort(y, kind="stable")
+        for weights in (1e-3, rng.normal(0, 1e-3, y.size)):
+            w_sorted = weights[order] if np.ndim(weights) else weights
+            for got in (exp_kernel_sums(y, weights, a, xs),
+                        exp_kernel_sums(y[order], w_sorted, a, xs, presorted=True),
+                        exp_kernel_sums(y, weights, float(a[0]), xs)):
+                _assert_brute_force(got, y, weights, a if np.ndim(got[0]) == 2 else a[0], xs)
+
+    def test_centers_must_be_sorted(self):
+        with pytest.raises(ValueError, match="sorted"):
+            exp_kernel_sums(np.zeros(3), 1.0, 1.0, np.array([1.0, 0.0]))
 
     def test_panel_values_match_reference(self, panel_grid):
         lams = (0.5, 2.0)
@@ -146,35 +165,30 @@ class TestExpKernelSums:
         panel = tanaka_panel_functional(lams, panel_grid)
         rng = np.random.default_rng(19)
         for positions in (np.zeros(50), rng.choice(panel_grid, 80), rng.normal(0, 0.5, 300)):
-            state = ParticleState(0.1, positions, 0.02)
-            even, odd = _reference_exp_kernel_sums(np.sort(positions), 0.02, a, panel_grid,
-                                                   presorted=True)
-            want = np.concatenate([even / a[:, None], odd], axis=1).ravel()
-            assert np.array_equal(panel.state_value(state), want)
+            even, odd, scale = _brute_force_sums(positions, 0.02, a, panel_grid)
+            got = panel.state_value(np.sort(positions), 0.02).reshape(2, 2, -1)
+            assert (np.abs(got[:, 0] - even / a[:, None]) <= 1e-12 * scale / a[:, None]).all()
+            assert (np.abs(got[:, 1] - odd) <= 1e-12 * scale).all()
 
-    @pytest.mark.parametrize("y", [[-400.0, 0.0, 400.0], [-400.0, 0.0]])
+    @pytest.mark.parametrize("y", [[-39.0, 0.0, 39.0], [-39.0, 0.0]])
     @pytest.mark.parametrize("a", [20.0, np.array([1.0, 20.0])])
     def test_overflow_is_loud(self, a, y):
-        # lambda = 200: a |y| = 8000 at y = -400, far past exp's range; the
-        # total of w e^{-a y} overflows, and every panel point uses it
+        # the sums take every exponent from the panel midpoint: at rate 20 on
+        # centers of half-width 40, e^(a (y - c)) passes exp's range at points
+        # inside the panel, and the sums that read it are not finite
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            NumericsError, match=r"rate a = 20 with largest \|y\| = 400"
+            NumericsError, match=r"rate a = 20 on centers of half-width 40"
         ):
-            exp_kernel_sums(np.array(y), 1e-3, a, np.linspace(-1.0, 1.0, 5))
+            exp_kernel_sums(np.array(y), 1e-3, a, np.linspace(-40.0, 40.0, 5))
 
     @pytest.mark.parametrize("a", [20.0, np.array([1.0, 20.0])])
     def test_overflow_right_of_the_panel_is_unused(self, a):
-        # w e^{a y} overflows only at y = 400, to the right of every panel
-        # point, and no sum uses a prefix sum past it
+        # w e^{a (y - c)} overflows only at y = 400, to the right of every
+        # panel point, and no sum reads it
         y, w, xs = np.array([0.0, 400.0]), 1e-3, np.linspace(-1.0, 1.0, 5)
-        with np.errstate(over="ignore"):
-            even, odd = exp_kernel_sums(y, w, a, xs)
-            want = _reference_exp_kernel_sums(y, w, a, xs)
-        assert np.array_equal(even, want[0]) and np.array_equal(odd, want[1])
+        even, odd = exp_kernel_sums(y, w, a, xs)
         for r, rate in enumerate(np.atleast_1d(a)):
             kernel = w * np.exp(-rate * np.abs(xs[:, None] - y))
-            # the prefix sums drop terms below e^-36 of the total, such as
-            # w e^-400 at rate 1
             np.testing.assert_allclose(np.atleast_2d(even)[r], kernel.sum(axis=1),
                                        rtol=1e-14, atol=1e-18)
             np.testing.assert_allclose(np.atleast_2d(odd)[r],
@@ -183,8 +197,9 @@ class TestExpKernelSums:
 
 
 class TestSharedWork:
-    """The per-step and post-processing shortcuts give bit for bit what the
-    direct evaluations give."""
+    """The shortcuts of the functionals and the post-processing give what the
+    direct evaluations give: bit for bit, or to rounding where they sum in
+    another order."""
 
     def test_two_rate_panel_matches_one_rate_panels(self, panel_grid):
         p = make_params(0.5, 300, 0.2)
@@ -256,27 +271,27 @@ class TestSharedWork:
 
     @pytest.mark.parametrize("x1, x2", [(-0.1, 0.1), (0.0, 0.3), (-0.3, 0.0), (0.2, 0.2)])
     def test_interval_functionals_match_full_array(self, x1, x2):
+        # the functionals read the slice of the sorted points inside [x1, x2]
         rng = np.random.default_rng(7)
         mass = 1.0 / 2000
         for n in (0, 1, 5, 3000):
             y = rng.normal(0, 0.5, n)
             y[: min(n, 5)] = [x1, x2, 0.0, x1 - 1.0, x2 + 1.0][: min(n, 5)]
-            state = ParticleState(0.0, y, mass)
             inside = (y >= x1) & (y <= x2)
             for lam, beta in ((1.0, 0.5), (0.5, 0.3)):
                 full = (g_lambda(lam, y - x2) - g_lambda(lam, y - x1)) * inside
                 assert np.array_equal(psi0(lam, x1, x2, y), full)
-                full = full ** (1.0 + beta)
-                want = mass * full[:, None].sum(axis=0) if n else np.zeros(1)
-                got = psi0_power_functional(lam, x1, x2, beta).state_value(state)
-                assert np.array_equal(got, want)
+                want = mass * (full ** (1.0 + beta)).sum(keepdims=True)
+                got = psi0_power_functional(lam, x1, x2, beta).state_value(np.sort(y), mass)
+                assert got.shape == (1,) and abs(got[0] - want[0]) <= 1e-12 * want[0]
             want = mass * inside.astype(float)[:, None].sum(axis=0) if n else np.zeros(1)
-            assert np.array_equal(interval_indicator_functional(x1, x2).state_value(state), want)
-            assert np.array_equal(state.interval_indices(x1, x2), np.flatnonzero(inside))
+            got = interval_indicator_functional(x1, x2).state_value(np.sort(y), mass)
+            assert np.array_equal(got, want)
 
-    def test_interval_indices_need_d1(self):
-        with pytest.raises(UsageError):
-            ParticleState(0.0, np.zeros((3, 2)), 1.0).interval_indices(0.0, 1.0)
+    def test_interval_functionals_need_d1(self):
+        for f in (psi0_power_functional(1.0, 0.0, 1.0, 0.5), interval_indicator_functional(0.0, 1.0)):
+            with pytest.raises(UsageError):
+                f.state_value(np.zeros((3, 2)), 1.0)
 
 
 class TestLocalTimeEstimate:
