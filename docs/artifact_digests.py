@@ -37,7 +37,8 @@ from sbmlab.harness import REGISTRY, run_experiment
 _PARTICLES = "n_scale = 200\nt_end = 0.1\nreplicas = 4\n"
 CONFIGS = {
     "simulate": _PARTICLES,
-    "duality": _PARTICLES + "solver_nx = 41\nsolver_nt = 5\nsolver_x_min = -4\nsolver_x_max = 4\n",
+    # 40 time rows: the solve spans three blocks of loglaplace._BLOCK_ROWS = 16
+    "duality": _PARTICLES + "solver_nx = 41\nsolver_nt = 40\nsolver_x_min = -4\nsolver_x_max = 4\n",
     "tanaka": _PARTICLES + "x_panel = -1 1 11\nbandwidth = 0.2\n",
     "moments": _PARTICLES,
     "jumps": _PARTICLES + "jump_units = 2 6 3\n",

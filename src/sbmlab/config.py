@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .loglaplace import grid_violations
+from .loglaplace import grid_violations, indicator_violations, solve_violations
 from .continuity import criterion_violations, dyadic_lags, holder_field_violations, read_field
 from .particles import model_violations, whole_step_dt
 
@@ -191,6 +191,9 @@ class ExperimentConfig:
         if self.kind == "duality":
             errs.extend(grid_violations(self.solver_x_min, self.solver_x_max, self.solver_nx,
                                         self.solver_nt, prefix="solver_"))
+            errs.extend(indicator_violations(self.phi_a, self.phi_b, self.phi_height,
+                                             self.phi_ramp, prefix="phi_"))
+            errs.extend(solve_violations(self.t_end, self.beta))
         if self.kind == "unbounded2d":
             if not _is_range(self.window):
                 errs.append(f"window must be two finite values lo < hi, got {self.window}")

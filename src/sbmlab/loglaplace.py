@@ -29,10 +29,11 @@ which is the same convolution of g_s with w.  That is the same
 discretization, with the same truncation and normalization; only the
 rounding of the sums differs (about 1e-15 on the test grids).  Each row's
 spectrum of W w is computed once, when the row is final, and row i applies
-P_{k delta} to the stored spectra of rows i-1..1 in one batch; its own
-iterations transform w[i] once each and form the substep inputs in the
-spectral domain.  The cost is O(nt^2 nx log nx) for the whole solve and the
-memory O(nt nx).
+P_{k delta} to the stored spectra of rows i-1..1, a block of rows at a time
+(`HeatSemigroup.apply_sum`); its own iterations transform w[i] once each and
+form the substep inputs in the spectral domain.  The cost is
+O(nt^2 nx log nx) for the whole solve and the memory O(nt nx), in the
+arrays the solve keeps; its transients span one block of rows.
 
 The harness `duality` kind compares the Monte Carlo Laplace functional
 E[exp(-<X_t, phi>)] of the particle system against exp(-<X_0, V_t>).
@@ -55,7 +56,9 @@ __all__ = [
     "solve_mild",
     "grid_violations",
     "heat_matrix",
+    "indicator_violations",
     "smoothed_indicator",
+    "solve_violations",
 ]
 
 
@@ -116,6 +119,13 @@ def heat_matrix(s: float, x_grid: np.ndarray) -> np.ndarray:
     return m
 
 
+# rows of one block of FFT convolutions: the kernel spectra and row sums are
+# built, and P_t phi and each row's rectangle sum formed, this many time
+# levels at a time, so that no transient spans every level; set by a sweep
+# (docs/decisions.md, "solve_mild in row blocks")
+_BLOCK_ROWS = 16
+
+
 def _next_fast_len(n: int) -> int:
     """The smallest 5-smooth integer 2^a 3^b 5^c >= n >= 1: the real-FFT
     length that `scipy.fft.next_fast_len(n, real=True)` picks."""
@@ -138,6 +148,13 @@ class HeatSemigroup:
     x_grid must be uniform.  A product is `apply(k, transform(u))`; the
     transform of u can be shared by every time, and u may hold one function
     per row of a 2-d array.
+
+    It keeps two real arrays, one row per time: the kernel spectra
+    (n_fft // 2 + 1 wide) and the row sums (nx wide).  They are built
+    `_BLOCK_ROWS` times at a time, and `apply_sum` forms its products a block
+    at a time too, so that one block holds the transients: for each of its
+    rows, a kernel or inverse transform of n_fft floats and a complex
+    spectrum of n_fft // 2 + 1 values.
     """
 
     def __init__(self, times, x_grid: np.ndarray):
@@ -150,14 +167,19 @@ class HeatSemigroup:
         # circular lags; the first nx outputs read only those below nx
         lag = np.arange(n_fft)
         d = np.minimum(lag, n_fft - lag) * (x_grid[1] - x_grid[0])
-        s = times[:, None]
-        kernel = np.exp(-d * d / (2.0 * s))
-        kernel[d > 8.0 * np.sqrt(s)] = 0.0
-        # the kernel is even, so its spectrum is real; both are copied out, so
-        # that neither holds the complex spectrum or the full-length inverse
-        # transform alive
-        self.spectra = fft.rfft(kernel, axis=-1).real.copy()
-        self.row_sums = self._convolve(self.spectra, fft.rfft(self.weights, n=n_fft)).copy()
+        weights_hat = fft.rfft(self.weights, n=n_fft)
+        # the kernel is even, so its spectrum is real; both arrays are filled
+        # a block of rows at a time, so that no kernel, complex spectrum or
+        # full-length inverse transform spans every time
+        self.spectra = np.empty((times.size, n_fft // 2 + 1))
+        self.row_sums = np.empty((times.size, self.nx))
+        for lo in range(0, times.size, _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            s = times[rows, None]
+            kernel = np.exp(-d * d / (2.0 * s))
+            kernel[d > 8.0 * np.sqrt(s)] = 0.0
+            self.spectra[rows] = fft.rfft(kernel, axis=-1).real
+            self.row_sums[rows] = self._convolve(self.spectra[rows], weights_hat)
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         """Spectrum of W u along the last axis."""
@@ -167,6 +189,20 @@ class HeatSemigroup:
         """heat_matrix(times[k]) u from u_hat = transform(u); k may be a
         slice, one time per row of u_hat."""
         return self._convolve(self.spectra[k], u_hat) / self.row_sums[k]
+
+    def apply_sum(self, u_hat: np.ndarray) -> np.ndarray:
+        """The sum over k of apply(k, u_hat[k]), one time per row of u_hat:
+        bit for bit apply(slice(0, len(u_hat)), u_hat).sum(axis=0), formed a
+        block of rows at a time.  numpy sums axis 0 row after row, so each
+        block's sum takes the running total in as its first row."""
+        n, total = len(u_hat), np.zeros(self.nx)
+        for lo in range(0, n, _BLOCK_ROWS):
+            rows = slice(lo, min(lo + _BLOCK_ROWS, n))
+            block = self.apply(rows, u_hat[rows])
+            if lo:
+                block = np.concatenate((total[None], block))
+            total = block.sum(axis=0)
+        return total
 
     def _convolve(self, spectra: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
         return fft.irfft(spectra * u_hat, n=self.n_fft, axis=-1)[..., : self.nx]
@@ -195,6 +231,19 @@ def _phi_on_grid(phi, x_grid: np.ndarray) -> np.ndarray:
     return vals
 
 
+def solve_violations(t_end: float, beta: float, tol: float = 1e-9) -> list[str]:
+    """Every rule of `solve_mild` that the horizon, beta and tol break, each
+    named as its argument; empty if they are valid."""
+    errs = []
+    if not 0.0 < beta < 1.0:
+        errs.append(f"beta must lie in (0, 1), got {beta}")
+    if not 0.0 < t_end < math.inf:
+        errs.append(f"t_end must be finite and > 0, got {t_end}")
+    if not tol > 0:
+        errs.append(f"tol must be > 0, got {tol}")
+    return errs
+
+
 def solve_mild(
     phi,
     t_end: float,
@@ -206,16 +255,19 @@ def solve_mild(
     """Forward substitution over the time rows.  Row i iterates its own
     equation from row i - 1 until the sup-change of an iteration falls below
     tol; every row stays within [0, max phi].  Raises NumericsError, naming
-    the row and its time, if a row needs more than max_iterations.
+    the row and its time, if a row needs more than max_iterations, and
+    ValueError for the arguments that `solve_violations` rejects.
 
-    phi is a vectorized callable.
+    phi is a vectorized callable.  The solve keeps the values (nt + 1 rows
+    of nx), the spectra of W w (nt + 1 complex rows of n_fft // 2 + 1) and
+    the two semigroups' kernel spectra and row sums (nt + substeps - 1 real
+    rows of each width); at 401 x 150 that is about 2.4 MB.  P_t phi and
+    each row's rectangle sum are formed `_BLOCK_ROWS` time levels at a time,
+    so no other array spans more than one block of rows.
     """
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if t_end <= 0:
-        raise ValueError("t_end must be > 0")
+    errs = solve_violations(t_end, beta, tol)
+    if errs:
+        raise ValueError("; ".join(errs))
     x_grid = grids.x_grid
     phi_vals = _phi_on_grid(phi, x_grid)
     nt, nx, j_sub = grids.nt, grids.nx, grids.substeps
@@ -227,7 +279,9 @@ def solve_mild(
 
     v = np.empty((nt + 1, nx))
     v[0] = phi_vals
-    v[1:] = steps.apply(slice(None), steps.transform(phi_vals))
+    phi_hat = steps.transform(phi_vals)
+    for lo in range(0, nt, _BLOCK_ROWS):  # row 1 + k: P_{(k+1) delta} phi
+        v[1 + lo : 1 + lo + _BLOCK_ROWS] = steps.apply(slice(lo, lo + _BLOCK_ROWS), phi_hat)
 
     power = 1.0 + beta
     fracs = (np.arange(1, j_sub) / j_sub)[:, None]  # substep j interpolates at j/j_sub
@@ -238,15 +292,13 @@ def solve_mild(
     iterations, residual = 0, 0.0
     for i in range(1, nt + 1):
         # P_{t_i} phi less the left rectangles P_{k delta} w[i - k], k = 1..i-1
-        base = v[i] - delta * steps.apply(slice(0, i - 1), w_hat[i - 1 : 0 : -1]).sum(axis=0)
+        base = v[i] - delta * steps.apply_sum(w_hat[i - 1 : 0 : -1])
         # first interval [0, delta]: the substeps read w[i] and w[i - 1]
         prev_hat = fracs * w_hat[i - 1]
         row = v[i - 1]
         for count in range(1, max_iterations + 1):
             w_row = np.maximum(row, 0.0) ** power
-            acc = w_row + subs.apply(
-                slice(None), (1.0 - fracs) * steps.transform(w_row) + prev_hat
-            ).sum(axis=0)
+            acc = w_row + subs.apply_sum((1.0 - fracs) * steps.transform(w_row) + prev_hat)
             new = np.maximum(base - acc * (delta / j_sub), 0.0)
             change = float(np.max(np.abs(new - row)))
             row = new
@@ -266,11 +318,28 @@ def solve_mild(
     )
 
 
+def indicator_violations(
+    a: float, b: float, height: float, ramp: float, prefix: str = ""
+) -> list[str]:
+    """Every rule of `smoothed_indicator` the values break, naming each
+    argument with the given prefix; empty if they are valid.  A negative or
+    non-finite height would give a phi that `solve_mild` rejects."""
+    errs = []
+    if not a < b:
+        errs.append(f"{prefix}a must be < {prefix}b, got {a}, {b}")
+    if not ramp > 0:
+        errs.append(f"{prefix}ramp must be > 0, got {ramp}")
+    if not 0.0 <= height < math.inf:
+        errs.append(f"{prefix}height must be finite and >= 0, got {height}")
+    return errs
+
+
 def smoothed_indicator(a: float, b: float, height: float, ramp: float):
     """C^1 plateau of the given height on [a, b] with cosine ramps of the
     given width outside; the smoothed test function used in duality runs."""
-    if b <= a or ramp <= 0:
-        raise ValueError("need a < b and ramp > 0")
+    errs = indicator_violations(a, b, height, ramp)
+    if errs:
+        raise ValueError("; ".join(errs))
 
     def phi(y):
         y = np.asarray(y, dtype=float)

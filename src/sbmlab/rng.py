@@ -82,18 +82,49 @@ def offspring_pmf(beta: float, k: int) -> float:
 
 # math.lgamma elementwise: a float for a 0-d input, else an object array
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)
+# k from which log(Gamma(k - beta) / Gamma(k + 1)) is summed as a series: four
+# Stirling terms leave an error below 1/(1188 z^9) < 3e-15 at z = k - beta >= 19
+_SERIES_FROM = 20
+
+
+def _stirling_correction(z: np.ndarray) -> np.ndarray:
+    """log Gamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), to four terms."""
+    r = 1.0 / (z * z)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / z
+
+
+def _log_gamma_ratio(beta: float, k) -> np.ndarray:
+    """log(Gamma(k - beta) / Gamma(k + 1)) for k >= 1 (vectorized).
+
+    From k = _SERIES_FROM on, Stirling's series for both log-gammas, with
+    the large terms cancelled by hand:
+
+        -(1 + beta) log k + (k - beta - 1/2) log1p(-beta/k)
+        - (k + 1/2) log1p(1/k) + (1 + beta) + C(k - beta) - C(k + 1),
+
+    C the `_stirling_correction`.  Every term is O(log k) or smaller, so the
+    result is accurate to a few units of roundoff at any k, where the
+    difference of two log-gammas of about k log k loses that many units of
+    theirs.  Below, the difference of `math.lgamma` values, which are small.
+    """
+    k = np.asarray(k, dtype=np.float64)
+    near = np.minimum(k, _SERIES_FROM)  # the series branch is discarded there
+    exact = np.asarray(_lgamma(near - beta) - _lgamma(near + 1.0), dtype=np.float64)
+    series = (
+        -(1.0 + beta) * np.log(k)
+        + (k - beta - 0.5) * np.log1p(-beta / k)
+        - (k + 0.5) * np.log1p(1.0 / k)
+        + (1.0 + beta)
+        + _stirling_correction(k - beta)
+        - _stirling_correction(k + 1.0)
+    )
+    return np.where(k < _SERIES_FROM, exact, series)
 
 
 def _survival(beta: float, k) -> np.ndarray:
     """Exact P(K > k) for integer k >= 1 (vectorized)."""
-    k_arr = np.asarray(k, dtype=np.float64)
-    log_t = (
-        math.log(beta / (1.0 + beta))
-        + _lgamma(k_arr - beta)
-        - math.lgamma(1.0 - beta)
-        - _lgamma(k_arr + 1.0)
-    )
-    return np.exp(np.asarray(log_t, dtype=np.float64))
+    log_t = math.log(beta / (1.0 + beta)) - math.lgamma(1.0 - beta) + _log_gamma_ratio(beta, k)
+    return np.exp(log_t)
 
 
 @dataclass(frozen=True)
@@ -130,14 +161,10 @@ class OffspringLaw:
         k = np.arange(self.k_table + 1)
         table_mean = float((k * self.pmf_table).sum())
         # sum_{k>K} k p_k = (K+1) T_K + sum_{k>K} T_k, and the survival tail
-        # sum has the closed form Gamma(K+1-beta)/((1+beta) Gamma(1-beta) K!).
-        kt = self.k_table
-        tail_sum = math.exp(
-            math.lgamma(kt + 1.0 - self.beta)
-            - math.lgamma(1.0 - self.beta)
-            - math.lgamma(kt + 1.0)
-        ) / (1.0 + self.beta)
-        return table_mean + (kt + 1) * self.tail_mass + tail_sum
+        # sum has the closed form Gamma(K+1-beta)/((1+beta) Gamma(1-beta) K!),
+        # which is (K - beta)/beta T_K
+        kt, beta = self.k_table, self.beta
+        return table_mean + ((kt + 1) + (kt - beta) / beta) * self.tail_mass
 
 
 def make_offspring_law(beta: float, k_table: int = 10_000) -> OffspringLaw:

@@ -74,6 +74,8 @@ _DOMAINS = {
     ),
     "pair_centers": st.lists(st.integers(-400, 400).map(lambda k: k / 80), min_size=1,
                              max_size=4).map(tuple),
+    "phi_height": st.floats(0.0, 1e3),
+    "phi_ramp": _POSITIVE,
     "solver_nx": st.integers(8, 10**4),
     "solver_nt": st.integers(1, 10**4),
     "path_steps": st.integers(1, 10**4),
@@ -115,6 +117,10 @@ def valid_configs(draw, kind):
         values["lam_alt"] = 2.0 * values["lam"]
     lo, hi = sorted((values["solver_x_min"], values["solver_x_max"]))
     values["solver_x_min"], values["solver_x_max"] = lo, hi + 1.0
+    lo, hi = sorted((values["phi_a"], values["phi_b"]))
+    values["phi_a"], values["phi_b"] = lo, hi + 1.0
+    if kind == "duality":  # the solver needs a horizon > 0
+        values["t_end"] = draw(st.floats(0.0, 10.0, exclude_min=True))
     return ExperimentConfig(**values)
 
 
@@ -260,6 +266,28 @@ class TestConfig:
         assert cli_main(["holder", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
         parse_config_text(text, kind="simulate")  # the field concerns the holder kind only
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # smoothed_indicator raised in the first replica's record
+            (MINIMAL + "phi_a = 1\nphi_b = -1\n", "phi_a"),
+            (MINIMAL + "phi_ramp = 0\n", "phi_ramp"),
+            # solve_mild raised in the finalizer, after every replica ran
+            (MINIMAL + "phi_height = -0.5\n", "phi_height"),
+            (MINIMAL.replace("t_end = 0.1", "t_end = 0"), "t_end"),
+        ],
+        ids=["a-above-b", "zero-ramp", "negative-height", "zero-horizon"],
+    )
+    def test_duality_phi_and_horizon_are_checked(self, text, key, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, kind="duality")
+        assert any(v.startswith(key) for v in err.value.violations)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert cli_main(["duality", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        parse_config_text(text, kind="simulate")  # the phi keys concern duality only
 
     def test_duality_solver_grid_rejected(self):
         # these used to pass validation, simulate every replica and then fail

@@ -2,15 +2,18 @@
 through the harness."""
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import fft as scipy_fft
 
 from sbmlab.config import parse_config_text
+from sbmlab import loglaplace
 from sbmlab.errors import NumericsError
 from sbmlab.harness import run_experiment
 from sbmlab.loglaplace import (
+    _BLOCK_ROWS,
     GridSpec,
     HeatSemigroup,
     _next_fast_len,
@@ -187,6 +190,50 @@ class TestSolver:
         for array, width in ((heat.spectra, heat.n_fft // 2 + 1), (heat.row_sums, heat.nx)):
             assert array.base is None and array.flags.c_contiguous
             assert array.shape == (2, width) and array.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 150],
+        ids=["0", "1", "block-1", "block", "block+1", "all"],
+    )
+    def test_blocked_sum_is_the_one_shot_sum(self, n):
+        # the solve's rectangle sums, over the rows of w_hat in reverse
+        x = GridSpec().x_grid
+        heat = HeatSemigroup(np.arange(1, 151) / 300.0, x)
+        u = np.random.default_rng(11).uniform(0.0, 1.0, (150, x.size))
+        u_hat = heat.transform(u)[:n][::-1]
+        want = heat.apply(slice(0, n), u_hat).sum(axis=0)
+        np.testing.assert_array_equal(heat.apply_sum(u_hat), want)
+
+    def test_blocked_build_is_the_one_shot_build(self, monkeypatch):
+        x = GridSpec().x_grid
+        times = np.arange(1, 151) / 300.0
+        blocked = HeatSemigroup(times, x)
+        monkeypatch.setattr(loglaplace, "_BLOCK_ROWS", times.size)
+        one_shot = HeatSemigroup(times, x)
+        np.testing.assert_array_equal(blocked.spectra, one_shot.spectra)
+        np.testing.assert_array_equal(blocked.row_sums, one_shot.row_sums)
+
+    def test_solve_transients_span_one_block(self):
+        # the arrays a 401 x 150 solve keeps come to about 2.45 MB; what the
+        # tracer sees above them is one block of rows at a time (about 2.1
+        # blocks of 16 rows, 0.43 MB); the one-shot transforms traced 9.6
+        # such blocks, 2.0 MB
+        g = GridSpec(nx=401, nt=150)
+        phi = smoothed_indicator(-1, 1, 0.5, 0.25)
+        solve_mild(phi, 0.5, 0.5, GridSpec(nx=51, nt=3))  # imports and caches
+        tracemalloc.start()
+        try:
+            sol = solve_mild(phi, 0.5, 0.5, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_fft = _next_fast_len(2 * g.nx - 1)
+        width = n_fft // 2 + 1
+        kept = (sol.values.nbytes  # the solution
+                + (g.nt + 1) * width * 16  # the spectra of W w
+                + (g.nt + g.substeps - 1) * (width + g.nx) * 8)  # both semigroups
+        block = _BLOCK_ROWS * (n_fft * 8 + width * 16)  # a real and a complex row each
+        assert peak - kept <= 3 * block
 
     def test_fft_length_is_scipy_next_fast_len(self):
         ns = range(1, 5001)

@@ -1,6 +1,7 @@
 """Offspring law, stable increments, and stream reproducibility."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,13 +96,53 @@ def _lgamma_rtol(*args):
     return 1e-13 + 4 * np.finfo(float).eps * sum(np.abs(gammaln(a)) for a in args)
 
 
+def _reference_survival(beta, k):
+    """P(K > k) to 40 digits, with k - beta formed exactly: a float k - beta
+    alone is off by about 1e-8 in log Gamma at k = 1e7."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        return (b * mpmath.gamma(mpmath.mpf(int(k)) - b)
+                / ((1 + b) * mpmath.gamma(1 - b) * mpmath.factorial(int(k))))
+
+
+def _rel_err(got, want):
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpf(float(got)) / want - 1))
+
+
 class TestLogGamma:
-    """math.lgamma in the law's Gamma ratios, against scipy.special.gammaln."""
+    """The law's Gamma ratios against a 40-digit reference, and against the
+    difference of scipy's log-gammas within that difference's rounding."""
 
     KS = np.unique(np.round(np.logspace(np.log10(2.0), 7.0, 300)))
 
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 0.95])
+    def test_survival_matches_40_digits(self, beta):
+        # T_k from the series of log(Gamma(k - beta)/Gamma(k + 1)); a
+        # difference of log-gammas is off by 1e-11 at k = 1e4 and 1e-8 at 1e7
+        got = rng._survival(beta, self.KS)
+        errs = [_rel_err(g, _reference_survival(beta, k)) for g, k in zip(got, self.KS)]
+        assert max(errs) <= 1e-13
+        law = make_offspring_law(beta)
+        kt = law.k_table
+        with mpmath.workdps(40):
+            tail_mass = _reference_survival(beta, kt)
+            # sum_{k>K} k p_k = (K+1) T_K + sum_{k>K} T_k, the survival tail
+            # sum being Gamma(K+1-beta)/((1+beta) Gamma(1-beta) K!)
+            b = mpmath.mpf(beta)
+            tail_sum = (mpmath.gamma(kt + 1 - b)
+                        / ((1 + b) * mpmath.gamma(1 - b) * mpmath.factorial(kt)))
+            tail_mean = (kt + 1) * tail_mass + tail_sum
+            table_mean = float((np.arange(kt + 1) * law.pmf_table).sum())
+            assert _rel_err(law.tail_mass, tail_mass) <= 1e-13
+            assert abs(law.mean() - float(table_mean + tail_mean)) <= (
+                1e-13 * float(tail_mean) + 4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 0.95])
     def test_matches_gammaln(self, beta):
+        # a difference of scipy's log-gammas is off by about their units in
+        # the last place, as offspring_pmf's difference of math.lgamma values
+        # is; T_k, the pmf and the mean lie within that of it
         ks = self.KS
         want = _gammaln_survival(beta, ks)
         got = rng._survival(beta, ks)
