@@ -153,6 +153,10 @@ class ExperimentConfig:
         step = self.dt if self.dt is None else whole_step_dt(self.dt, self.t_end)
         errs.extend(model_violations(self.beta, self.n_scale, step, self.t_end, self.dim,
                                      self.particle_cap, self.snapshot_stride))
+        # the recorders of these kinds (tanaka, stable_path) are defined in d = 1
+        if self.kind in ("tanaka", "moments", "timechange") and self.dim != 1:
+            errs.append(f"dim must be 1 for kind {self.kind} (its recorders are defined "
+                        f"in d = 1), got {self.dim}")
         if self.replicas < 1:
             errs.append(f"replicas must be >= 1, got {self.replicas}")
         if self.replica_start < 0:

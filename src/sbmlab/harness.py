@@ -5,10 +5,14 @@ CSV emission.
 Every experiment kind is one `Kind` entry in `REGISTRY`, the only place that
 knows what a kind does.  A replica kind names the functionals each particle
 replica accumulates, the per-replica `record` that reduces a path to a flat
-dict of numbers, and the `finalize` that turns the records into its tables
-and derived results; merging re-runs `finalize` on the pooled records.  A
-path-free kind (stabletails, criterion, holder) supplies one `run` function
-instead.  `check` holds the kind's acceptance thresholds.  `run_experiment`,
+dict of numbers, and the `finalize(cfg, records, merged) -> (extra, tables)`
+that turns the records into its derived results and its tables; merging
+re-runs `finalize` on the pooled records.  A path-free kind (stabletails,
+criterion, holder) supplies one `run(cfg) -> (records, extra, tables)`
+instead.  `tables` maps a file name to (schema, header, rows); neither
+function writes a file: `_write_report` alone writes every table,
+records.jsonl and report.json, and lists them as the report's artifacts.
+`check` holds the kind's acceptance thresholds.  `run_experiment`,
 `merge_reports`, `check_report` and the CLI subcommands all read this table.
 
 What a replica holds: a path's masses, event counts, positions at t = 0
@@ -44,9 +48,10 @@ than a whole pre-assigned stripe; which worker ran a replica never shows
 in its record, because the stream is keyed by the index.
 
 Artifact formats: per-replica summaries as JSONL records (one per line);
-tables as CSV whose first line is a `# schema=... config=<hash>` header;
-particle paths as the line-oriented event file ("time location offspring"
-per line) and a long-format snapshot CSV.
+tables as CSV whose first line is a `# schema=... config=<hash>` header (a
+table of schema None, criterion.txt, is plain text lines); particle paths as
+the line-oriented event file ("time location offspring" per line) and a
+long-format snapshot CSV.
 """
 from __future__ import annotations
 
@@ -168,9 +173,12 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _csv_lines(schema: str, cfg_hash: str, header: str, rows: list[str]) -> str:
-    head = f"# schema=sbmlab.{schema}.{_SCHEMA_VERSION} config={cfg_hash}"
-    return "\n".join([head, header, *rows]) + "\n"
+def _csv_lines(schema: str | None, cfg_hash: str, header: str | None, rows: list[str]) -> str:
+    """A table's text: the schema line, the header and the rows, or the rows
+    alone when schema is None."""
+    head = [] if schema is None else [
+        f"# schema=sbmlab.{schema}.{_SCHEMA_VERSION} config={cfg_hash}", header]
+    return "\n".join([*head, *rows]) + "\n"
 
 
 def _initial_measure(cfg: ExperimentConfig) -> FiniteMeasure:
@@ -418,7 +426,7 @@ def _merge_records(records: dict[int, dict]) -> dict:
     return merged
 
 
-def _finalize_duality(cfg, records, merged, out_dir, cfg_hash) -> dict:
+def _finalize_duality(cfg, records, merged):
     grids = GridSpec(cfg.solver_x_min, cfg.solver_x_max, cfg.solver_nx, cfg.solver_nt)
     sol = solve_mild(_phi(cfg), cfg.t_end, cfg.beta, grids)
     mu0 = _initial_measure(cfg)
@@ -427,15 +435,11 @@ def _finalize_duality(cfg, records, merged, out_dir, cfg_hash) -> dict:
     se = merged["laplace_value"]["se"]
     z = abs(lhs - rhs) / se if se > 0 else (0.0 if lhs == rhs else math.inf)
     rows = [f"{fnum(lhs)},{fnum(se)},{fnum(rhs)},{fnum(z)},{fnum(sol.residual)}"]
-    _atomic_write(
-        Path(out_dir) / "duality.csv",
-        _csv_lines("duality", cfg_hash, "lhs,lhs_se,rhs,z_score,solver_residual", rows),
-    )
-    return {"lhs": lhs, "lhs_se": se, "rhs": rhs, "z_score": z,
-            "solver_residual": sol.residual, "artifact_tables": ["duality.csv"]}
+    extra = {"lhs": lhs, "lhs_se": se, "rhs": rhs, "z_score": z, "solver_residual": sol.residual}
+    return extra, {"duality.csv": ("duality", "lhs,lhs_se,rhs,z_score,solver_residual", rows)}
 
 
-def _finalize_tanaka(cfg, records, merged, out_dir, cfg_hash) -> dict:
+def _finalize_tanaka(cfg, records, merged):
     # decomposition table for the first recorded replica, on the full panel
     mu0 = _initial_measure(cfg)
     rec = simulate(mu0, _model_params(cfg), _tanaka_functionals(cfg),
@@ -448,17 +452,9 @@ def _finalize_tanaka(cfg, records, merged, out_dir, cfg_hash) -> dict:
         for j, x in enumerate(p.xs):
             values = (cfg.t_end, x, lam, *(c[j] for c in columns))
             rows.append(",".join(repr(float(v)) for v in values))
-    _atomic_write(
-        Path(out_dir) / "tanaka_panel.csv",
-        _csv_lines(
-            "tanaka.panel",
-            cfg_hash,
-            "t,x,lambda,term_initial,term_terminal,term_occupation,term_martingale,"
-            "local_time,recentered,deriv_field",
-            rows,
-        ),
-    )
-    extra = {"artifact_tables": ["tanaka_panel.csv"]}
+    header = ("t,x,lambda,term_initial,term_terminal,term_occupation,term_martingale,"
+              "local_time,recentered,deriv_field")
+    extra = {}
     for x in cfg.x_eval:
         a = f"L_tanaka:lam={cfg.lam:g}:x={x:g}"
         b = f"L_tanaka:lam={cfg.lam_alt:g}:x={x:g}"
@@ -469,10 +465,10 @@ def _finalize_tanaka(cfg, records, merged, out_dir, cfg_hash) -> dict:
         ]
         mean, se = _mean_se(diffs)
         extra[f"lambda_diff_z:x={x:g}"] = abs(mean) / se if se > 0 else 0.0
-    return extra
+    return extra, {"tanaka_panel.csv": ("tanaka.panel", header, rows)}
 
 
-def _finalize_moments(cfg, records, merged, out_dir, cfg_hash) -> dict:
+def _finalize_moments(cfg, records, merged):
     # slopes against log d of the pooled means: E|dM|^q (reported, not gated:
     # docs/decisions.md), E T_d, E T_d^(q/(1+beta)), E log|dM| and E log T_d
     ds = np.asarray(sorted(cfg.distances))
@@ -486,22 +482,18 @@ def _finalize_moments(cfg, records, merged, out_dir, cfg_hash) -> dict:
     means = pooled("moment")
     ses = np.array([merged[f"moment:d={d:g}"]["se"] for d in ds])
     rows = [f"{fnum(d)},{fnum(m)},{fnum(s)}" for d, m, s in zip(ds, means, ses)]
-    _atomic_write(
-        Path(out_dir) / "moments.csv",
-        _csv_lines("moments", cfg_hash, "distance,moment,se", rows),
-    )
-    return {
+    extra = {
         "slope": slope(np.log(means)),
         "clock_slope": slope(np.log(pooled("clock"))),
         "moment_prediction": slope(np.log(pooled("clock_moment"))),
         "log_slope": slope(pooled("log_increment")),
         "log_prediction": slope(pooled("log_clock")) / (1.0 + cfg.beta),
         "q": cfg.q_moment,
-        "artifact_tables": ["moments.csv"],
     }
+    return extra, {"moments.csv": ("moments", "distance,moment,se", rows)}
 
 
-def _finalize_jumps(cfg, records, merged, out_dir, cfg_hash) -> dict:
+def _finalize_jumps(cfg, records, merged):
     mu0 = _initial_measure(cfg)
     ys = _jump_levels(cfg)
     params = _model_params(cfg)
@@ -526,19 +518,11 @@ def _finalize_jumps(cfg, records, merged, out_dir, cfg_hash) -> dict:
         slope = float(np.polyfit(np.log(np.asarray(ys)[pos]), np.log(means_arr[pos]), 1)[0])
     else:
         slope = math.nan
-    _atomic_write(
-        Path(out_dir) / "jumps.csv",
-        _csv_lines("jumps", cfg_hash, "y,mean_count,se,compensator_oracle,z", rows),
-    )
-    return {
-        "levels": [float(y) for y in ys],
-        "z_scores": [float(z) for z in zs],
-        "slope": slope,
-        "artifact_tables": ["jumps.csv"],
-    }
+    extra = {"levels": [float(y) for y in ys], "z_scores": [float(z) for z in zs], "slope": slope}
+    return extra, {"jumps.csv": ("jumps", "y,mean_count,se,compensator_oracle,z", rows)}
 
 
-def _finalize_timechange(cfg, records, merged, out_dir, cfg_hash) -> dict:
+def _finalize_timechange(cfg, records, merged):
     z_vals = np.array([records[i]["Z_hat"] for i in sorted(records) if "Z_hat" in records[i]])
     t_vals = np.array([records[i]["T_hat"] for i in sorted(records) if "T_hat" in records[i]])
     occ = np.array(
@@ -564,25 +548,17 @@ def _finalize_timechange(cfg, records, merged, out_dir, cfg_hash) -> dict:
         )
     bound = 2.0**power * occ
     violations = int(np.sum(t_vals > bound * (1 + 1e-12) + 1e-15))
-    _atomic_write(
-        Path(out_dir) / "timechange.csv",
-        _csv_lines(
-            "timechange",
-            cfg_hash,
-            "theta,lhs,rhs,se_lhs,se_rhs,z,product_mean,product_se,product_z",
-            rows,
-        ),
-    )
-    return {
+    extra = {
         "theta_grid": list(cfg.theta_grid),
         "z_scores": [float(z) for z in zs],
         "product_z_scores": [float(z) for z in pzs],
         "t_bound_violations": violations,
-        "artifact_tables": ["timechange.csv"],
     }
+    header = "theta,lhs,rhs,se_lhs,se_rhs,z,product_mean,product_se,product_z"
+    return extra, {"timechange.csv": ("timechange", header, rows)}
 
 
-def _finalize_unbounded2d(cfg, records, merged, out_dir, cfg_hash) -> dict:
+def _finalize_unbounded2d(cfg, records, merged):
     rows = []
     medians = {}
     for h in cfg.resolutions:
@@ -594,19 +570,16 @@ def _finalize_unbounded2d(cfg, records, merged, out_dir, cfg_hash) -> dict:
     med_seq = [medians[h] for h in hs]
     increasing = all(b > a for a, b in zip(med_seq, med_seq[1:]))
     ratio = med_seq[-1] / med_seq[0] if med_seq[0] > 0 else math.inf
-    _atomic_write(
-        Path(out_dir) / "unbounded_probe.csv",
-        _csv_lines("unbounded2d", cfg_hash, "bin_width,median_max_density,mean,se", rows),
-    )
-    return {
+    extra = {
         "median_max_density": {f"{h:g}": medians[h] for h in hs},
         "strictly_increasing": increasing,
         "finest_to_coarsest_ratio": ratio,
-        "artifact_tables": ["unbounded_probe.csv"],
     }
+    header = "bin_width,median_max_density,mean,se"
+    return extra, {"unbounded_probe.csv": ("unbounded2d", header, rows)}
 
 
-def _finalize_simulate(cfg, records, merged, out_dir, cfg_hash) -> dict:
+def _finalize_simulate(cfg, records, merged):
     rows = []
     for i in sorted(records):
         r = records[i]
@@ -616,22 +589,14 @@ def _finalize_simulate(cfg, records, merged, out_dir, cfg_hash) -> dict:
             f"{i},{fnum(r['final_mass'])},{fnum(r['total_occupation'])},"
             f"{int(r['event_count'])},{fnum(r['extinction_time'])}"
         )
-    _atomic_write(
-        Path(out_dir) / "simulate_summary.csv",
-        _csv_lines(
-            "simulate",
-            cfg_hash,
-            "replica,final_mass,total_occupation,event_count,extinction_time",
-            rows,
-        ),
-    )
-    return {"artifact_tables": ["simulate_summary.csv"]}
+    header = "replica,final_mass,total_occupation,event_count,extinction_time"
+    return {}, {"simulate_summary.csv": ("simulate", header, rows)}
 
 
 # --- kinds without particle replicas ---------------------------------------
 
 
-def _run_stabletails(cfg: ExperimentConfig, out_dir, cfg_hash):
+def _run_stabletails(cfg: ExperimentConfig):
     stream = RngStream(cfg.seed, 0)
     xs = np.asarray(cfg.inf_x_values)
     probs = np.array(
@@ -652,13 +617,7 @@ def _run_stabletails(cfg: ExperimentConfig, out_dir, cfg_hash):
     deep_x = np.array([4.5, 7.0, 10.0, 15.0]) * cfg.t_end ** (1.0 / (1.0 + cfg.beta))
     deep_p = np.asarray(inf_tail_oracle(cfg.beta, cfg.t_end, deep_x))
     oracle_slope = float(np.polyfit(np.log(deep_x), np.log(-np.log(deep_p)), 1)[0])
-    rows = [
-        f"{fnum(x)},{fnum(p)},{fnum(o)}" for x, p, o in zip(xs, probs, oracle)
-    ]
-    _atomic_write(
-        Path(out_dir) / "inftail.csv",
-        _csv_lines("stabletails.inf", cfg_hash, "x,p_hat,first_passage_oracle", rows),
-    )
+    inf_rows = [f"{fnum(x)},{fnum(p)},{fnum(o)}" for x, p, o in zip(xs, probs, oracle)]
     calibration = [(0.1, 0.5, 0.25), (0.1, 0.6, 0.3), (0.05, 0.3, 0.15), (0.1, 0.4, 0.2)]
     holdout = [
         (0.1, 0.3, 0.15),
@@ -670,15 +629,11 @@ def _run_stabletails(cfg: ExperimentConfig, out_dir, cfg_hash):
     sj = calibrate_smalljump_bound(
         cfg.beta, calibration, holdout, cfg.replicas, RngStream(cfg.seed, 1), cfg.path_steps
     )
-    rows = [
+    sj_rows = [
         f"cal,{fnum(t)},{fnum(x)},{fnum(y)},{fnum(p)}," for (t, x, y, p) in sj.calibration
     ] + [
         f"holdout,{fnum(t)},{fnum(x)},{fnum(y)},{fnum(p)},{fnum(b)}" for (t, x, y, p, b) in sj.holdout
     ]
-    _atomic_write(
-        Path(out_dir) / "smalljump.csv",
-        _csv_lines("stabletails.smalljump", cfg_hash, "set,t,x,y,p_hat,bound", rows),
-    )
     records = {
         0: {
             **{f"inf_p:x={x:g}": float(p) for x, p in zip(xs, probs)},
@@ -694,12 +649,15 @@ def _run_stabletails(cfg: ExperimentConfig, out_dir, cfg_hash):
         "max_abs_oracle_gap": float(np.max(np.abs(probs[resolved] - oracle[resolved])))
         if resolved.any()
         else math.nan,
-        "artifact_tables": ["inftail.csv", "smalljump.csv"],
     }
-    return records, extra
+    tables = {
+        "inftail.csv": ("stabletails.inf", "x,p_hat,first_passage_oracle", inf_rows),
+        "smalljump.csv": ("stabletails.smalljump", "set,t,x,y,p_hat,bound", sj_rows),
+    }
+    return records, extra, tables
 
 
-def _run_criterion(cfg: ExperimentConfig, out_dir, cfg_hash):
+def _run_criterion(cfg: ExperimentConfig):
     params = CriterionParams(
         beta=cfg.beta,
         gamma=cfg.gamma,
@@ -730,20 +688,18 @@ def _run_criterion(cfg: ExperimentConfig, out_dir, cfg_hash):
         f"q_total = {fnum(rep.q_total)}",
         f"q_trend_decreasing = {rep.q_trend_decreasing}",
     ]
-    _atomic_write(Path(out_dir) / "criterion.txt", "\n".join(block) + "\n")
     rows = [f"{fnum(r)},{fnum(v)}" for r, v in zip(rep.r_grid, rep.q_trend)]
-    _atomic_write(
-        Path(out_dir) / "criterion_rgrid.csv",
-        _csv_lines("criterion.rgrid", cfg_hash, "r,q_total", rows),
-    )
     extra = {
         "g_closed": rep.g_closed,
         "q_convergent": [rep.q_a.convergent, rep.q_b.convergent, rep.q_c.convergent],
         "q_trend_decreasing": rep.q_trend_decreasing,
         "q_trend_final": float(rep.q_trend[-1]),
-        "artifact_tables": ["criterion.txt", "criterion_rgrid.csv"],
     }
-    return {0: {"q_total": rep.q_total, "_retries": 0.0}}, extra
+    tables = {
+        "criterion.txt": (None, None, block),
+        "criterion_rgrid.csv": ("criterion.rgrid", "r,q_total", rows),
+    }
+    return {0: {"q_total": rep.q_total, "_retries": 0.0}}, extra, tables
 
 
 def _holder_field(cfg: ExperimentConfig):
@@ -761,22 +717,14 @@ def _holder_field(cfg: ExperimentConfig):
     return fields[cfg.holder_synthetic]()
 
 
-def _run_holder(cfg: ExperimentConfig, out_dir, cfg_hash):
+def _run_holder(cfg: ExperimentConfig):
     field_vals, dx = _holder_field(cfg)
     lo, hi = (int(v) for v in cfg.holder_lags)
     fit = holder_exponent(field_vals, (lo, hi), dx=dx)
     rows = [f"{fnum(s)},{fnum(w)}" for s, w in zip(fit.scales, fit.oscillations)]
-    _atomic_write(
-        Path(out_dir) / "holder.csv",
-        _csv_lines("holder", cfg_hash, "scale,oscillation", rows),
-    )
-    extra = {
-        "exponent": fit.exponent,
-        "ci_low": fit.ci_low,
-        "ci_high": fit.ci_high,
-        "artifact_tables": ["holder.csv"],
-    }
-    return {0: {"exponent": fit.exponent, "_retries": 0.0}}, extra
+    extra = {"exponent": fit.exponent, "ci_low": fit.ci_low, "ci_high": fit.ci_high}
+    records = {0: {"exponent": fit.exponent, "_retries": 0.0}}
+    return records, extra, {"holder.csv": ("holder", "scale,oscillation", rows)}
 
 
 # --- acceptance thresholds (check_report and the CLI --check flag) ---------
@@ -861,10 +809,10 @@ def _check_criterion(report: RunReport) -> list[str]:
 class Kind:
     """What one experiment kind does (see the module docstring).  Signatures:
     functionals(cfg), record(cfg, rec, mu0) -> dict, finalize(cfg, records,
-    merged, out_dir, cfg_hash) -> extra with an `artifact_tables` list,
-    run(cfg, out_dir, cfg_hash) -> (records, extra), check(report) -> fails.
-    saves_paths also makes its replicas keep the path (`simulate`'s
-    keep_path)."""
+    merged) -> (extra, tables), run(cfg) -> (records, extra, tables),
+    check(report) -> fails; tables maps a file name to (schema, header,
+    rows), and neither finalize nor run writes a file.  saves_paths also
+    makes its replicas keep the path (`simulate`'s keep_path)."""
 
     record: Callable | None = None
     finalize: Callable | None = None
@@ -908,10 +856,14 @@ REGISTRY: dict[str, Kind] = {
 assert tuple(REGISTRY) == KINDS, "REGISTRY and config.KINDS list different kinds"
 
 
-def _write_report(kind, cfg_hash, config_lines, records, merged, extra, out_dir) -> RunReport:
-    """records.jsonl and report.json for one run or merge, both strict JSON
+def _write_report(kind, cfg_hash, config_lines, records, merged, extra, tables,
+                  out_dir) -> RunReport:
+    """Every file of one run or merge: the tables, records.jsonl and
+    report.json, whose artifacts list them all.  Both JSON files are strict
     (a non-finite number is written as null); status is 'degraded' when the
     censoring rate exceeds 5% or a reported number is non-finite."""
+    for name, (schema, header, rows) in tables.items():
+        _atomic_write(out_dir / name, _csv_lines(schema, cfg_hash, header, rows))
     retries = sum(r.get("_retries", 0.0) for r in records.values())
     attempts = len(records) + retries
     censoring_rate = retries / attempts if attempts else 0.0
@@ -920,9 +872,7 @@ def _write_report(kind, cfg_hash, config_lines, records, merged, extra, out_dir)
         for i in sorted(records)
     ]
     _atomic_write(out_dir / "records.jsonl", "\n".join(record_lines) + "\n")
-    artifacts = sorted(
-        ["records.jsonl", "report.json"] + list(extra.pop("artifact_tables", []))
-    )
+    artifacts = sorted(["records.jsonl", "report.json", *tables])
     finite = _all_finite(merged) and _all_finite(extra)
     report = RunReport(
         kind=kind,
@@ -959,12 +909,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     if kind.run is None:
         records = _run_replicas(cfg, str(out_dir))
         merged = _merge_records(records)
-        extra = kind.finalize(cfg, records, merged, out_dir, cfg_hash)
+        extra, tables = kind.finalize(cfg, records, merged)
     else:
-        records, extra = kind.run(cfg, out_dir, cfg_hash)
+        records, extra, tables = kind.run(cfg)
         merged = _merge_records(records)
     report = _write_report(
-        cfg.kind, cfg_hash, canonical_lines(cfg), records, merged, extra, out_dir
+        cfg.kind, cfg_hash, canonical_lines(cfg), records, merged, extra, tables, out_dir
     )
     print(f"[sbmlab] {cfg.kind}: {len(records)} replicas in {time.monotonic() - t0:.1f}s "
           f"(status {report.status}, hash {cfg_hash})")
@@ -996,18 +946,17 @@ def merge_reports(paths: list[str | Path], out: str | Path) -> RunReport:
     cfg = parse_config_text("\n".join(reports[0].config_lines))
     cfg.replicas = len(all_records)
     cfg.replica_start = min(all_records) if all_records else 0
-    cfg.out = str(out)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     merged = _merge_records(all_records)
     cfg_hash = reports[0].config_hash
     kind = REGISTRY[cfg.kind]
     if kind.run is None:
-        extra = kind.finalize(cfg, all_records, merged, out_dir, cfg_hash)
-    else:
-        extra = dict(reports[0].extra)
+        extra, tables = kind.finalize(cfg, all_records, merged)
+    else:  # a path-free kind: the first report's results, and no tables
+        extra, tables = dict(reports[0].extra), {}
     return _write_report(
-        cfg.kind, cfg_hash, reports[0].config_lines, all_records, merged, extra, out_dir
+        cfg.kind, cfg_hash, reports[0].config_lines, all_records, merged, extra, tables, out_dir
     )
 
 

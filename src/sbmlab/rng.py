@@ -71,11 +71,12 @@ def offspring_pmf(beta: float, k: int) -> float:
         return 1.0 / (1.0 + beta)
     if k == 1:
         return 0.0
+    # Gamma(k-1-beta)/k! = Gamma((k-1)-beta)/Gamma(k) / k, the ratio from its series
     log_p = (
         math.log(beta)
-        + math.lgamma(k - 1 - beta)
         - math.lgamma(1.0 - beta)
-        - math.lgamma(k + 1.0)
+        + float(_log_gamma_ratio(beta, k - 1))
+        - math.log(k)
     )
     return float(math.exp(log_p))
 

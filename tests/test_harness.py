@@ -1,5 +1,6 @@
 """Configuration parsing, experiment orchestration, determinism, merging,
 censoring, and the CLI surface."""
+import importlib.util
 import json
 import os
 import shutil
@@ -119,6 +120,8 @@ def valid_configs(draw, kind):
     values["solver_x_min"], values["solver_x_max"] = lo, hi + 1.0
     lo, hi = sorted((values["phi_a"], values["phi_b"]))
     values["phi_a"], values["phi_b"] = lo, hi + 1.0
+    if kind in ("tanaka", "moments", "timechange"):  # recorders defined in d = 1
+        values["dim"] = 1
     if kind == "duality":  # the solver needs a horizon > 0
         values["t_end"] = draw(st.floats(0.0, 10.0, exclude_min=True))
     return ExperimentConfig(**values)
@@ -288,6 +291,20 @@ class TestConfig:
         assert cli_main(["duality", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
         parse_config_text(text, kind="simulate")  # the phi keys concern duality only
+
+    @pytest.mark.parametrize("kind", ["tanaka", "moments", "timechange"])
+    def test_dim_2_of_a_d1_kind_is_a_config_error(self, kind, tmp_path):
+        # each raised UsageError in the first replica's record, after the
+        # out directory was made
+        text = MINIMAL + "dim = 2\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, kind=kind)
+        assert any(v.startswith("dim") for v in err.value.violations)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert cli_main([kind, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        parse_config_text(text, kind="unbounded2d")  # d = 2 is the probe's own case
 
     def test_duality_solver_grid_rejected(self):
         # these used to pass validation, simulate every replica and then fail
@@ -639,18 +656,17 @@ def test_unbounded2d_at_dim_1_records_the_probe(tmp_path):
             k: v for k, v in record.items() if k.startswith("max_density")}
 
 
-TINY = {
-    "simulate": _PARTICLES,
-    "duality": _PARTICLES + "solver_nx = 41\nsolver_nt = 5\nsolver_x_min = -4\nsolver_x_max = 4\n",
-    "tanaka": _PARTICLES + "x_panel = -1 1 11\nbandwidth = 0.2\n",
-    "moments": _PARTICLES,
-    "jumps": _PARTICLES + "jump_units = 2 6 3\n",
-    "timechange": _PARTICLES,
-    "stabletails": "replicas = 400\npath_steps = 32\n",
-    "criterion": "",
-    "holder": "",
-    "unbounded2d": _PARTICLES + "dim = 2\n",
-}
+def _digest_configs() -> dict[str, str]:
+    """The tiny per-kind settings of docs/artifact_digests.py, whose digests
+    tests/test_artifact_digests.py checks."""
+    script = Path(__file__).resolve().parents[1] / "docs" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CONFIGS
+
+
+TINY = _digest_configs()
 
 
 def strict_json(text: str):
@@ -676,6 +692,24 @@ class TestRegistry:
         first = {p.name: p.read_bytes() for p in out.iterdir()}
         run_experiment(cfg)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    @pytest.mark.parametrize("kind", list(REGISTRY))
+    def test_kind_returns_its_tables_and_writes_nothing(self, kind, tmp_path, monkeypatch):
+        # finalize and run are pure functions: the report's artifacts are the
+        # tables they return, which _write_report writes, and its two files
+        cfg = parse_config_text(f"beta = 0.5\nseed = 3\n{TINY[kind]}", kind=kind)
+        cfg.out = str(tmp_path / "run")
+        report = run_experiment(cfg)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.chdir(empty)
+        if REGISTRY[kind].run is None:
+            records = {r.pop("replica"): r for r in _records(tmp_path / "run")}
+            _, tables = REGISTRY[kind].finalize(cfg, records, harness._merge_records(records))
+        else:
+            _, _, tables = REGISTRY[kind].run(cfg)
+        assert list(empty.iterdir()) == []
+        assert sorted([*tables, "records.jsonl", "report.json"]) == report.artifacts
 
     @pytest.mark.parametrize("kind", [k for k, v in REGISTRY.items() if v.run is None])
     def test_keeping_everything_changes_no_artifact(self, kind, tmp_path, monkeypatch):

@@ -67,7 +67,7 @@ class TestOffspringPmf:
     @given(beta=st.floats(0.05, 0.95), k=st.integers(2, 60))
     @settings(max_examples=60, deadline=None)
     def test_recurrence_matches_gamma_form(self, beta, k):
-        # table recurrence vs the direct lgamma evaluation
+        # table recurrence vs the Gamma-ratio form
         law = make_offspring_law(beta, k_table=80)
         assert law.pmf_table[k] == pytest.approx(offspring_pmf(beta, k), rel=1e-10)
 
@@ -105,6 +105,14 @@ def _reference_survival(beta, k):
                 / ((1 + b) * mpmath.gamma(1 - b) * mpmath.factorial(int(k))))
 
 
+def _reference_pmf(beta, k):
+    """P(K = k) for k >= 2 to 40 digits, k - 1 - beta formed exactly."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        return (b * mpmath.gamma(mpmath.mpf(int(k)) - 1 - b)
+                / (mpmath.gamma(1 - b) * mpmath.factorial(int(k))))
+
+
 def _rel_err(got, want):
     with mpmath.workdps(40):
         return float(abs(mpmath.mpf(float(got)) / want - 1))
@@ -138,11 +146,17 @@ class TestLogGamma:
             assert abs(law.mean() - float(table_mean + tail_mean)) <= (
                 1e-13 * float(tail_mean) + 4 * np.finfo(float).eps)
 
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+    def test_pmf_matches_40_digits(self, beta):
+        # p_k from the same series, over k; a difference of log-gammas is off
+        # by up to 3e-11 at k = 1e4 and 4e-8 at 1e7
+        errs = [_rel_err(offspring_pmf(beta, int(k)), _reference_pmf(beta, k)) for k in self.KS]
+        assert max(errs) <= 1e-13
+
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 0.95])
     def test_matches_gammaln(self, beta):
         # a difference of scipy's log-gammas is off by about their units in
-        # the last place, as offspring_pmf's difference of math.lgamma values
-        # is; T_k, the pmf and the mean lie within that of it
+        # the last place; T_k, the pmf and the mean lie within that of it
         ks = self.KS
         want = _gammaln_survival(beta, ks)
         got = rng._survival(beta, ks)
