@@ -43,7 +43,6 @@ CONFIGS = {
     "moments": _PARTICLES,
     "jumps": _PARTICLES + "jump_units = 2 6 3\n",
     "timechange": _PARTICLES,
-    "stabletails": "replicas = 400\npath_steps = 32\n",
     "criterion": "",
     "holder": "",
     "unbounded2d": _PARTICLES + "dim = 2\n",

@@ -38,7 +38,6 @@ KINDS = (
     "moments",
     "jumps",
     "timechange",
-    "stabletails",
     "criterion",
     "holder",
     "unbounded2d",
@@ -107,9 +106,6 @@ class ExperimentConfig:
     solver_nt: int = 100
     solver_x_min: float = -10.0
     solver_x_max: float = 10.0
-    # stable tails
-    path_steps: int = 256
-    inf_x_values: tuple[float, ...] = (1.5, 2.0, 2.5, 3.0, 3.5)
     # criterion series
     gamma: float = 0.2
     q_criterion: float = 1.4
@@ -153,10 +149,11 @@ class ExperimentConfig:
         step = self.dt if self.dt is None else whole_step_dt(self.dt, self.t_end)
         errs.extend(model_violations(self.beta, self.n_scale, step, self.t_end, self.dim,
                                      self.particle_cap, self.snapshot_stride))
-        # the recorders of these kinds (tanaka, stable_path) are defined in d = 1
-        if self.kind in ("tanaka", "moments", "timechange") and self.dim != 1:
-            errs.append(f"dim must be 1 for kind {self.kind} (its recorders are defined "
-                        f"in d = 1), got {self.dim}")
+        # the recorders of these kinds (tanaka, stable_path) and the duality
+        # solver (loglaplace) are defined in d = 1 only
+        if self.kind in ("duality", "tanaka", "moments", "timechange") and self.dim != 1:
+            errs.append(f"dim must be 1 for kind {self.kind} (it is defined in d = 1 "
+                        f"only), got {self.dim}")
         if self.replicas < 1:
             errs.append(f"replicas must be >= 1, got {self.replicas}")
         if self.replica_start < 0:
@@ -226,8 +223,6 @@ class ExperimentConfig:
         if self.kind == "holder" and self.holder_synthetic not in HOLDER_SYNTHETICS:
             errs.append(f"holder_synthetic must be one of {HOLDER_SYNTHETICS}, "
                         f"got {self.holder_synthetic!r}")
-        if self.kind == "stabletails" and self.path_steps < 1:
-            errs.append(f"path_steps must be >= 1, got {self.path_steps}")
         if self.kind == "criterion":
             # the kind evaluates the series at r_grid[0] and its trend at every r
             errs.extend(criterion_violations(self.beta, self.k_window,

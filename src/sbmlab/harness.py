@@ -7,8 +7,10 @@ knows what a kind does.  A replica kind names the functionals each particle
 replica accumulates, the per-replica `record` that reduces a path to a flat
 dict of numbers, and the `finalize(cfg, records, merged) -> (extra, tables)`
 that turns the records into its derived results and its tables; merging
-re-runs `finalize` on the pooled records.  A path-free kind (stabletails,
-criterion, holder) supplies one `run(cfg) -> (records, extra, tables)`
+re-runs `finalize` on the pooled records.  A run or merge whose every
+replica failed has nothing to finalize: it writes records.jsonl and a
+degraded report.json with no results and no tables.  A path-free kind
+(criterion, holder) supplies one `run(cfg) -> (records, extra, tables)`
 instead.  `tables` maps a file name to (schema, header, rows); neither
 function writes a file: `_write_report` alone writes every table,
 records.jsonl and report.json, and lists them as the report's artifacts.
@@ -35,11 +37,11 @@ least 64 points (`_holder_fit`).
 
 Determinism contract: replica i always uses the stream (seed, replica_start
 + i) regardless of worker count; cap-hit replicas are resampled on stream
-(seed, i + attempt * 2^32) and counted into the censoring rate.  Merged
-statistics are reduced from records sorted by replica index, so rerunning a
-config (or changing the worker count) reproduces every numeric output
-byte for byte.  report.json carries no timestamps; wall-clock goes to
-stdout only.
+(seed, i + attempt * 2^32) (`_replica_stream`) and counted into the
+censoring rate.  Merged statistics are reduced from records sorted by
+replica index, so rerunning a config (or changing the worker count)
+reproduces every numeric output byte for byte.  report.json carries no
+timestamps; wall-clock goes to stdout only.
 
 Scheduling: with workers > 1 each replica index is one pool task, handed to
 the next free worker.  Replica costs are heavy-tailed (event counts vary
@@ -95,13 +97,7 @@ from .particles import (
 )
 from .rng import RngStream
 from .textio import fnum
-from .stable_path import (
-    calibrate_smalljump_bound,
-    compute_T,
-    inf_tail_oracle,
-    inf_tail_probability,
-    interval_martingale,
-)
+from .stable_path import compute_T, interval_martingale
 from .tanaka import (
     estimate_local_time,
     ftc_check,
@@ -359,6 +355,11 @@ def _record_unbounded2d(cfg: ExperimentConfig, rec, mu0) -> dict:
     return {f"max_density:h={h:g}": v for h, v in table}
 
 
+def _replica_stream(cfg: ExperimentConfig, index: int, attempt: int) -> RngStream:
+    """The stream of replica `index`'s attempt (0 first, then each retry)."""
+    return RngStream(cfg.seed, index + (attempt << 32))
+
+
 def _run_one_replica(cfg: ExperimentConfig, index: int, out_dir: str) -> dict:
     kind = REGISTRY[cfg.kind]
     mu0 = _initial_measure(cfg)
@@ -366,9 +367,9 @@ def _run_one_replica(cfg: ExperimentConfig, index: int, out_dir: str) -> dict:
     functionals = kind.functionals(cfg)
     attempt = 0
     while True:
-        stream = RngStream(cfg.seed, index + (attempt << 32))
         try:
-            rec = simulate(mu0, params, functionals, stream, keep_path=kind.saves_paths)
+            rec = simulate(mu0, params, functionals, _replica_stream(cfg, index, attempt),
+                           keep_path=kind.saves_paths)
             break
         except ResourceLimitError:
             attempt += 1
@@ -440,18 +441,22 @@ def _finalize_duality(cfg, records, merged):
 
 
 def _finalize_tanaka(cfg, records, merged):
-    # decomposition table for the first recorded replica, on the full panel
-    mu0 = _initial_measure(cfg)
-    rec = simulate(mu0, _model_params(cfg), _tanaka_functionals(cfg),
-                   RngStream(cfg.seed, cfg.replica_start), keep_path=False)
+    # decomposition table for the first replica, on the full panel, drawn on
+    # the attempt its record came from; no rows if that replica failed
+    first = records[cfg.replica_start]
     rows = []
-    for lam in (cfg.lam, cfg.lam_alt):
-        p = tanaka_panel_terms(rec, mu0, lam)
-        columns = (p.term_initial, p.term_terminal, p.term_occupation, p.term_martingale,
-                   p.local_time, p.recentered, p.deriv_field)
-        for j, x in enumerate(p.xs):
-            values = (cfg.t_end, x, lam, *(c[j] for c in columns))
-            rows.append(",".join(repr(float(v)) for v in values))
+    if "_failed" not in first:
+        mu0 = _initial_measure(cfg)
+        stream = _replica_stream(cfg, cfg.replica_start, int(first["_retries"]))
+        rec = simulate(mu0, _model_params(cfg), _tanaka_functionals(cfg), stream,
+                       keep_path=False)
+        for lam in (cfg.lam, cfg.lam_alt):
+            p = tanaka_panel_terms(rec, mu0, lam)
+            columns = (p.term_initial, p.term_terminal, p.term_occupation, p.term_martingale,
+                       p.local_time, p.recentered, p.deriv_field)
+            for j, x in enumerate(p.xs):
+                values = (cfg.t_end, x, lam, *(c[j] for c in columns))
+                rows.append(",".join(repr(float(v)) for v in values))
     header = ("t,x,lambda,term_initial,term_terminal,term_occupation,term_martingale,"
               "local_time,recentered,deriv_field")
     extra = {}
@@ -596,67 +601,6 @@ def _finalize_simulate(cfg, records, merged):
 # --- kinds without particle replicas ---------------------------------------
 
 
-def _run_stabletails(cfg: ExperimentConfig):
-    stream = RngStream(cfg.seed, 0)
-    xs = np.asarray(cfg.inf_x_values)
-    probs = np.array(
-        [
-            inf_tail_probability(cfg.beta, cfg.t_end, x, cfg.replicas, stream, cfg.path_steps)
-            for x in xs
-        ]
-    )
-    oracle = np.asarray(inf_tail_oracle(cfg.beta, cfg.t_end, xs))
-    resolved = (probs > 20.0 / cfg.replicas) & (probs < 0.8)
-    if resolved.sum() >= 2:
-        mc_slope = float(
-            np.polyfit(np.log(xs[resolved]), np.log(-np.log(probs[resolved])), 1)[0]
-        )
-    else:
-        mc_slope = math.nan
-    # the oracle depends on t * x^-(1+beta) only: these are its t = 1 depths
-    deep_x = np.array([4.5, 7.0, 10.0, 15.0]) * cfg.t_end ** (1.0 / (1.0 + cfg.beta))
-    deep_p = np.asarray(inf_tail_oracle(cfg.beta, cfg.t_end, deep_x))
-    oracle_slope = float(np.polyfit(np.log(deep_x), np.log(-np.log(deep_p)), 1)[0])
-    inf_rows = [f"{fnum(x)},{fnum(p)},{fnum(o)}" for x, p, o in zip(xs, probs, oracle)]
-    calibration = [(0.1, 0.5, 0.25), (0.1, 0.6, 0.3), (0.05, 0.3, 0.15), (0.1, 0.4, 0.2)]
-    holdout = [
-        (0.1, 0.3, 0.15),
-        (0.1, 0.3, 0.2),
-        (0.2, 0.4, 0.2),
-        (0.2, 0.3, 0.15),
-        (0.1, 0.45, 0.22),
-    ]
-    sj = calibrate_smalljump_bound(
-        cfg.beta, calibration, holdout, cfg.replicas, RngStream(cfg.seed, 1), cfg.path_steps
-    )
-    sj_rows = [
-        f"cal,{fnum(t)},{fnum(x)},{fnum(y)},{fnum(p)}," for (t, x, y, p) in sj.calibration
-    ] + [
-        f"holdout,{fnum(t)},{fnum(x)},{fnum(y)},{fnum(p)},{fnum(b)}" for (t, x, y, p, b) in sj.holdout
-    ]
-    records = {
-        0: {
-            **{f"inf_p:x={x:g}": float(p) for x, p in zip(xs, probs)},
-            "_retries": 0.0,
-        }
-    }
-    extra = {
-        "mc_slope_resolved": mc_slope,
-        "oracle_slope_deep": oracle_slope,
-        "target_slope": (1.0 + cfg.beta) / cfg.beta,
-        "smalljump_c_fitted": sj.c_fitted,
-        "smalljump_violations": sj.violations,
-        "max_abs_oracle_gap": float(np.max(np.abs(probs[resolved] - oracle[resolved])))
-        if resolved.any()
-        else math.nan,
-    }
-    tables = {
-        "inftail.csv": ("stabletails.inf", "x,p_hat,first_passage_oracle", inf_rows),
-        "smalljump.csv": ("stabletails.smalljump", "set,t,x,y,p_hat,bound", sj_rows),
-    }
-    return records, extra, tables
-
-
 def _run_criterion(cfg: ExperimentConfig):
     params = CriterionParams(
         beta=cfg.beta,
@@ -791,11 +735,6 @@ def _check_timechange(report: RunReport) -> list[str]:
     return fails
 
 
-def _check_stabletails(report: RunReport) -> list[str]:
-    violations = report.extra.get("smalljump_violations", 0)
-    return [f"smalljump holdout violations: {violations}"] if violations > 0 else []
-
-
 def _check_criterion(report: RunReport) -> list[str]:
     if report.extra.get("q_trend_decreasing", False):
         return []
@@ -846,7 +785,6 @@ REGISTRY: dict[str, Kind] = {
         functionals=_timechange_functionals,
         check=_check_timechange,
     ),
-    "stabletails": Kind(run=_run_stabletails, check=_check_stabletails),
     "criterion": Kind(run=_run_criterion, check=_check_criterion),
     "holder": Kind(run=_run_holder),
     "unbounded2d": Kind(record=_record_unbounded2d, finalize=_finalize_unbounded2d,
@@ -909,7 +847,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     if kind.run is None:
         records = _run_replicas(cfg, str(out_dir))
         merged = _merge_records(records)
-        extra, tables = kind.finalize(cfg, records, merged)
+        # an empty merge: every replica failed, and there is nothing to finalize
+        extra, tables = kind.finalize(cfg, records, merged) if merged else ({}, {})
     else:
         records, extra, tables = kind.run(cfg)
         merged = _merge_records(records)
@@ -952,7 +891,7 @@ def merge_reports(paths: list[str | Path], out: str | Path) -> RunReport:
     cfg_hash = reports[0].config_hash
     kind = REGISTRY[cfg.kind]
     if kind.run is None:
-        extra, tables = kind.finalize(cfg, all_records, merged)
+        extra, tables = kind.finalize(cfg, all_records, merged) if merged else ({}, {})
     else:  # a path-free kind: the first report's results, and no tables
         extra, tables = dict(reports[0].extra), {}
     return _write_report(

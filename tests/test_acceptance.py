@@ -321,11 +321,10 @@ def test_criterion_10_stable_tails():
     #     MC-resolved range; (b) the (1+beta)/beta exponent read from the
     #     oracle curve at depth (the MC-resolved window is provably too
     #     shallow for the asymptotic slope; its fit is reported)
-    # This stays a loop: the stabletails kind draws its small-jump half on
-    # stream (seed, 1) with the path count and steps of its tails, while this
-    # line draws it on stream (6, 0) with 30000 paths at 256 steps, and its
-    # tails on (5, 0) with 40000 at 512.  A config could say that only with
-    # new keys or a re-seed (docs/decisions.md, "Why criterion 10 stays a loop").
+    # This loop is the lab's one implementation of the stable-tail experiment:
+    # its tails on stream (5, 0) with 40000 paths at 512 steps, its small-jump
+    # half on (6, 0) with 30000 at 256.  No harness kind runs it
+    # (docs/decisions.md, "The stabletails kind is deleted").
     stream = RngStream(5, 0)
     xs = np.array([1.5, 2.0, 2.5, 3.0])
     R = 40000

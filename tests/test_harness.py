@@ -79,7 +79,6 @@ _DOMAINS = {
     "phi_ramp": _POSITIVE,
     "solver_nx": st.integers(8, 10**4),
     "solver_nt": st.integers(1, 10**4),
-    "path_steps": st.integers(1, 10**4),
     "k_window": _POSITIVE,
     "n_max": st.integers(16, 10**4),
     "r_grid": st.lists(_POSITIVE, max_size=4).map(tuple),
@@ -120,7 +119,7 @@ def valid_configs(draw, kind):
     values["solver_x_min"], values["solver_x_max"] = lo, hi + 1.0
     lo, hi = sorted((values["phi_a"], values["phi_b"]))
     values["phi_a"], values["phi_b"] = lo, hi + 1.0
-    if kind in ("tanaka", "moments", "timechange"):  # recorders defined in d = 1
+    if kind in ("duality", "tanaka", "moments", "timechange"):  # defined in d = 1 only
         values["dim"] = 1
     if kind == "duality":  # the solver needs a horizon > 0
         values["t_end"] = draw(st.floats(0.0, 10.0, exclude_min=True))
@@ -177,7 +176,6 @@ class TestConfig:
             ("criterion", "n_max = 3", "n_max"),
             ("criterion", "k_window = -1", "k_window"),
             ("criterion", "r_grid = 1 -10 100", "r "),  # gave a NaN trend value
-            ("stabletails", "path_steps = 0", "path_steps"),
             ("unbounded2d", "resolutions = 0.1 0.1", "resolutions"),  # duplicate names
             ("holder", "holder_synthetic = nope", "holder_synthetic"),
         ],
@@ -199,6 +197,15 @@ class TestConfig:
             parse_config_text("beta = 0.5\nfrobnicate = 3\nwibble = x\n", kind="simulate")
         msg = "\n".join(err.value.violations)
         assert "frobnicate" in msg and "wibble" in msg
+
+    def test_the_deleted_stabletails_kind_and_keys_are_rejected(self):
+        # criterion 10 is the stable-tail experiment (docs/decisions.md)
+        for text in ("path_steps = 256\n", "inf_x_values = 1.5 2\n", "[stabletails]\n"):
+            with pytest.raises(ConfigError):
+                parse_config_text(MINIMAL + text, kind="simulate")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["stabletails"])
+        assert exc.value.code == 2
 
     def test_all_violations_collected(self):
         with pytest.raises(ConfigError) as err:
@@ -292,10 +299,12 @@ class TestConfig:
         assert not (tmp_path / "o").exists()
         parse_config_text(text, kind="simulate")  # the phi keys concern duality only
 
-    @pytest.mark.parametrize("kind", ["tanaka", "moments", "timechange"])
+    @pytest.mark.parametrize("kind", ["duality", "tanaka", "moments", "timechange"])
     def test_dim_2_of_a_d1_kind_is_a_config_error(self, kind, tmp_path):
-        # each raised UsageError in the first replica's record, after the
-        # out directory was made
+        # tanaka, moments and timechange raised UsageError in the first
+        # replica's record, after the out directory was made; duality summed
+        # the 1-D phi over both coordinates and compared that with the 1-D
+        # solver, reporting ok with a wrong answer
         text = MINIMAL + "dim = 2\n"
         with pytest.raises(ConfigError) as err:
             parse_config_text(text, kind=kind)
@@ -498,8 +507,8 @@ def _scipy_modules_after(code: str) -> str:
 class TestCli:
     def test_import_loads_no_scipy(self):
         # scipy's import is about half of the start-up time; only the holder
-        # fit, the stabletails oracle and the Green's function oracle use it,
-        # and they import it where they call it
+        # fit, criterion 10's first-passage oracle and the Green's function
+        # oracle use it, and they import it where they call it
         assert _scipy_modules_after("import sbmlab.cli") == "[]"
 
     def test_particle_and_duality_runs_load_no_scipy(self, tmp_path):
@@ -606,6 +615,23 @@ class TestTanakaPanel:
         for x in cfg.x_eval:
             (row,) = [r for r in rows if r["x"] == x and r["lambda"] == cfg.lam]
             assert row["local_time"] == first[f"L_tanaka:lam=1:x={x:g}"]
+
+
+    def test_table_is_drawn_on_the_records_attempt(self, tmp_path):
+        # replica 0 hits the cap on attempt 0 and succeeds on attempt 1; the
+        # table was drawn on attempt 0's stream, which raised in the finalizer
+        cfgfile = tmp_path / "retry.cfg"
+        cfgfile.write_text("beta = 0.5\nseed = 2\nn_scale = 200\nt_end = 0.1\nreplicas = 1\n"
+                           "particle_cap = 260\nmax_retries = 6\nx_panel = -1 1 11\n")
+        out = tmp_path / "t"
+        assert cli_main(["tanaka", "--config", str(cfgfile), "--out", str(out)]) == 3
+        (record,) = _records(out)
+        assert record["_retries"] == 1.0
+        rows = _panel_rows(out / "tanaka_panel.csv")
+        for x in (0.25, 0.5):
+            for lam in (1.0, 2.0):
+                (row,) = [r for r in rows if r["x"] == x and r["lambda"] == lam]
+                assert row["local_time"] == record[f"L_tanaka:lam={lam:g}:x={x:g}"]
 
 
 def _records(out: Path) -> list[dict]:
@@ -730,19 +756,20 @@ class TestRegistry:
             shutil.rmtree(cfg.out)
         assert outputs[0] == outputs[1]
 
-    def test_stabletails_default_horizon_is_finite_json(self, tmp_path):
-        # at t = 0.5 the oracle depths used to be those of t = 1, where the
-        # oracle underflows to 0 and its slope came out NaN
-        cfg = parse_config_text(f"beta = 0.5\nseed = 3\n{TINY['stabletails']}", kind="stabletails")
-        cfg.out = str(tmp_path / "st")
-        assert cfg.t_end == 0.5
-        run_experiment(cfg)
-        report = strict_json((tmp_path / "st" / "report.json").read_text())
-        assert abs(report["extra"]["oracle_slope_deep"] - 3.0) < 0.25
-        # too few replicas to resolve the MC window: reported as null, and
-        # the run says so in its status
-        assert report["extra"]["mc_slope_resolved"] is None
-        assert report["status"] == "degraded"
+    @pytest.mark.parametrize("kind", [k for k, v in REGISTRY.items() if v.run is None])
+    def test_every_replica_failed_is_a_degraded_report(self, kind, tmp_path):
+        # duality, tanaka, moments, jumps and unbounded2d raised in their
+        # finalizers, which read keys or a path that no failed replica has
+        cfgfile = tmp_path / "capped.cfg"
+        cfgfile.write_text(f"beta = 0.5\nseed = 3\n{TINY[kind]}particle_cap = 5\n")
+        out = tmp_path / "run"
+        assert cli_main([kind, "--config", str(cfgfile), "--out", str(out)]) == 3
+        assert cli_main(["merge", str(out), "--out", str(tmp_path / "merged")]) == 3
+        for path in (out, tmp_path / "merged"):
+            report = strict_json((path / "report.json").read_text())
+            assert (report["status"], report["extra"], report["merged"]) == ("degraded", {}, {})
+            assert report["artifacts"] == ["records.jsonl", "report.json"]
+            assert all(r["_failed"] == 1.0 for r in _records(path))
 
     def test_moments_replica_without_events_writes_null(self, tmp_path):
         # at N = 1 a replica can reach t = 0.1 without branching: dM = 0 and

@@ -482,6 +482,26 @@ class TestFtcCheck:
         reverse = panel.recentered[j0] - panel.recentered[jx] - integral
         assert w == pytest.approx(-reverse, abs=1e-12)
 
+    def test_local_time_deriv_integrates_to_local_time(self):
+        # the paper's dL/dx: under an atomless X_0, L(x) - L(0) is the integral
+        # of local_time_deriv from 0 to x.  The trapezoid over the 0.025 panel
+        # spacing leaves at most 0.035 over seeds 0-59 (a kink of G at a heavy
+        # particle); with H's sign flipped the residual is at least 0.17 on
+        # every one of those seeds, and with H dropped at least 0.088
+        grid, sigma = np.linspace(-2.0, 2.0, 161), 0.3
+        density = np.exp(-0.5 * (grid / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        mu, params = gridded_density(grid, density), make_params(0.5, 1000, 0.5)
+        xs = np.linspace(-1.0, 1.0, 81)
+        fns = [tanaka_panel_functional(0.5, xs), tanaka_event_functional(0.5, xs)]
+        j0 = 40  # x = 0
+        for seed in range(4):
+            rec = simulate(mu, params, fns, RngStream(seed, 0), keep_path=False)
+            panel = tanaka_panel_terms(rec, mu, 0.5)
+            d = panel.local_time_deriv
+            integral = np.concatenate([[0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * np.diff(xs))])
+            residual = panel.local_time - panel.local_time[j0] - (integral - integral[j0])
+            assert np.abs(residual).max() < 0.06, seed
+
     def test_panel_coverage_error(self, small_recorders):
         mu, _, recs = small_recorders
         panel = tanaka_panel_terms(recs[0], mu, 0.5)
