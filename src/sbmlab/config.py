@@ -26,8 +26,10 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .loglaplace import grid_violations, indicator_violations, solve_violations
-from .continuity import criterion_violations, dyadic_lags, holder_field_violations, read_field
+from .continuity import (criterion_violations, dyadic_lags, holder_field_violations,
+                         holder_lag_violations, read_field)
 from .particles import model_violations, whole_step_dt
+from .tanaka import exp_kernel_violations
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text", "config_hash", "KINDS"]
 
@@ -47,8 +49,9 @@ KINDS = (
 # every pair endpoint to be one of its bin edges)
 MOMENTS_HISTOGRAM = (-8.0, 8.0, 0.0125)
 
-# the holder kind's synthetic fields (harness._holder_field)
+# the holder kind's synthetic fields (harness._holder_field) and their size
 HOLDER_SYNTHETICS = ("linear", "sqrt_cusp", "brownian")
+HOLDER_FIELD_SIZE = 4096
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -208,6 +211,9 @@ class ExperimentConfig:
         ):
             errs.append(f"x_panel must be empty (the panel -1 1 41) or min max count, with "
                         f"finite min < max and a whole count >= 2, got {self.x_panel}")
+        elif self.kind == "tanaka":  # the panel's kernel sums at a = sqrt(2 lam), both lambdas
+            rates = [math.sqrt(2.0 * max(lam, 0.0)) for lam in (self.lam, self.lam_alt)]
+            errs.extend(f"x_panel: {v}" for v in exp_kernel_violations(rates, self.panel_grid()))
         if self.kind == "jumps" and not (
             len(self.jump_units) == 3 and all(0 < u < math.inf for u in self.jump_units[:2])
             and _whole(self.jump_units[2], 1)
@@ -220,13 +226,14 @@ class ExperimentConfig:
         ):
             errs.append(f"holder_lags must be two whole lags lo hi >= 1 with at least three "
                         f"powers of two between them, got {self.holder_lags}")
+        elif self.kind == "holder" and self.holder_input is None:  # the synthetic field
+            errs.extend(f"holder_lags: {v}"
+                        for v in holder_lag_violations(HOLDER_FIELD_SIZE, self.holder_lags))
         if self.kind == "holder" and self.holder_synthetic not in HOLDER_SYNTHETICS:
             errs.append(f"holder_synthetic must be one of {HOLDER_SYNTHETICS}, "
                         f"got {self.holder_synthetic!r}")
         if self.kind == "criterion":
-            # the kind evaluates the series at r_grid[0] and its trend at every r
-            errs.extend(criterion_violations(self.beta, self.k_window,
-                                             min(self.r_grid, default=1.0), self.n_max))
+            errs.extend(criterion_violations(self.beta, self.k_window, self.n_max, self.r_grid))
         return list(dict.fromkeys(errs))  # a rule two owners state is reported once
 
     def _holder_input_violations(self) -> list[str]:

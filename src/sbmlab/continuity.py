@@ -29,7 +29,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import UsageError
 from .particles import OccupationFunctional
 from .tanaka import histogram_functional
 
@@ -45,6 +44,7 @@ __all__ = [
     "HolderFit",
     "dyadic_lags",
     "read_field",
+    "holder_lag_violations",
     "holder_field_violations",
     "holder_exponent",
     "probe_functionals",
@@ -122,26 +122,27 @@ class CriterionParams:
     gamma: float
     q: float
     k_window: float = 1.0  # spatial half-window K
-    r: float = 1.0
     c_free: float = 1.0  # the bound's unspecified constant; flags are C-independent
     n_max: int = 64
 
     def __post_init__(self):
-        errs = criterion_violations(self.beta, self.k_window, self.r, self.n_max)
+        errs = criterion_violations(self.beta, self.k_window, self.n_max)
         if errs:
             raise ValueError("; ".join(errs))
 
 
-def criterion_violations(beta: float, k_window: float, r: float, n_max: int) -> list[str]:
-    """Every rule of `CriterionParams` the values break, naming each field;
-    empty if they are valid."""
+def criterion_violations(beta: float, k_window: float, n_max: int, r_grid=None) -> list[str]:
+    """Every rule of `CriterionParams` (and, if given, of `gs_series`'s
+    r_grid) the values break, naming each field; empty if they are valid."""
     errs = []
     if not (0.0 < beta < 1.0):
         errs.append(f"beta must lie in (0, 1), got {beta}")
     if not k_window > 0:
         errs.append(f"k_window must be > 0, got {k_window}")
-    if not r > 0:
-        errs.append(f"r must be > 0, got {r}")
+    if r_grid is not None and not len(r_grid):
+        errs.append("r_grid must hold at least one r (the series are evaluated at its first)")
+    elif r_grid is not None and not all(r > 0 for r in r_grid):
+        errs.append(f"r must be > 0 at every point of r_grid, got {tuple(r_grid)}")
     if n_max < 16:
         errs.append(f"n_max must be >= 16, got {n_max}")
     return errs
@@ -246,19 +247,22 @@ class SeriesReport:
 
 def gs_series(params: CriterionParams, r_grid=(1.0, 10.0, 100.0, 1000.0)) -> SeriesReport:
     """Evaluate the modulus sum G (closed form and partial sum with its
-    geometric tail) and the three criterion series at params.r, plus the
-    Q(0, r) trend over the r grid with monotone-decrease detection."""
+    geometric tail) and the three criterion series at r = r_grid[0], plus
+    the Q(0, r) trend over the r grid with monotone-decrease detection.
+    ValueError for an empty r_grid or an r <= 0 (`criterion_violations`)."""
+    errs = criterion_violations(params.beta, params.k_window, params.n_max, r_grid)
+    if errs:
+        raise ValueError("; ".join(errs))
     if params.gamma <= 0:
         g_closed = math.inf
         g_partial, g_tail = math.inf, math.inf
     else:
         g_closed = modulus_tail_sum(params.gamma, params.k_window, 0)
         g_partial, g_tail = _g_partial(params.gamma, params.k_window, params.n_max * 8)
-    q_a = _q_a(params, params.r)
-    q_b = _q_b(params, params.r)
-    q_c = _q_c(params, params.r)
-    q_total = q_a.value + q_b.value + q_c.value
     r_grid = np.asarray(r_grid, dtype=float)
+    r = float(r_grid[0])
+    q_a, q_b, q_c = _q_a(params, r), _q_b(params, r), _q_c(params, r)
+    q_total = q_a.value + q_b.value + q_c.value
     trend = np.array(
         [
             _q_a(params, r).value + _q_b(params, r).value + _q_c(params, r).value
@@ -310,11 +314,19 @@ def read_field(path) -> np.ndarray:
     return np.atleast_1d(np.loadtxt(path, delimiter=","))
 
 
+def holder_lag_violations(size: int, scale_range) -> list[str]:
+    """The rule of `holder_exponent` on its lags: scale_range must admit
+    three dyadic lags below the field's size.  Empty if it does."""
+    lo, hi = scale_range
+    return [] if len(dyadic_lags(lo, min(hi, size - 1))) >= 3 else [
+        f"lags {lo:g}..{hi:g} admit fewer than 3 dyadic lags below the field's {size} samples"]
+
+
 def holder_field_violations(samples, scale_range) -> list[str]:
     """Every rule of `holder_exponent` that a field breaks at the lags of
     scale_range: it must be 1-d with at least 64 values, finite, admit three
-    dyadic lags below its size, and not be constant (no oscillation).
-    Empty if the field can be fitted."""
+    dyadic lags below its size (`holder_lag_violations`), and not be
+    constant (no oscillation).  Empty if the field can be fitted."""
     values = np.asarray(samples, dtype=float)
     if values.ndim != 1 or values.size < 64:
         return [f"need a 1-d field with at least 64 samples, got shape {values.shape}"]
@@ -323,11 +335,7 @@ def holder_field_violations(samples, scale_range) -> list[str]:
         errs.append("field must be finite")
     elif values.min() == values.max():
         errs.append("degenerate fit: zero oscillation (constant field)")
-    lo, hi = scale_range
-    if len(dyadic_lags(lo, min(hi, values.size - 1))) < 3:
-        errs.append(f"lags {lo:g}..{hi:g} admit fewer than 3 dyadic lags below the field's "
-                    f"{values.size} samples")
-    return errs
+    return errs + holder_lag_violations(values.size, scale_range)
 
 
 def holder_exponent(samples, scale_range: tuple[int, int] = (1, 64), dx: float = 1.0) -> HolderFit:
@@ -375,15 +383,21 @@ def holder_exponent(samples, scale_range: tuple[int, int] = (1, 64), dx: float =
 # ---------------------------------------------------------------------------
 
 
+def _probe_fields(window, h: float) -> dict:
+    """The meta fields that name the probe histogram of bin width h over the
+    window, as `histogram_functional` and the d=2 histogram store them."""
+    if not h > 0:
+        raise ValueError(f"bin width must be > 0, got {h}")
+    return {"bin_width": h, "window": np.ravel(window).tolist()}
+
+
 def _probe_histogram(dim: int, window, h: float) -> OccupationFunctional:
     """The occupation histogram of bin width h over the window ((lo, hi) in
     d=1, ((xlo, xhi), (ylo, yhi)) in d=2); bins are closed on the left, and
     particles outside every bin are not counted."""
-    if not h > 0:
-        raise ValueError(f"bin width must be > 0, got {h}")
+    fields = _probe_fields(window, h)
     if dim == 1:
         return histogram_functional(float(window[0]), float(window[1]), h)
-    (xlo, xhi), (ylo, yhi) = window
     ex, ey = (np.arange(lo, hi + h * 0.5, h) for lo, hi in window)
     nx, ny = ex.size - 1, ey.size - 1
 
@@ -395,10 +409,10 @@ def _probe_histogram(dim: int, window, h: float) -> OccupationFunctional:
         return weight * counts
 
     return OccupationFunctional(
-        name=f"histogram2d:{xlo:g}:{xhi:g}:{ylo:g}:{yhi:g}:{h:g}",
+        name="histogram2d:" + ":".join(f"{v:g}" for v in (*fields["window"], h)),
         sum_fn=sum_fn,
         width=nx * ny,
-        meta={"kind": "histogram2d", "edges": (ex, ey)},
+        meta={"kind": "histogram2d", "edges": (ex, ey), **fields},
     )
 
 
@@ -420,11 +434,8 @@ def unboundedness_probe(recorder, resolutions, window) -> list[tuple[float, floa
     dim = recorder.params.dim
     out = []
     for h in resolutions:
-        total = recorder.totals.get(_probe_histogram(dim, window, h).name)
-        if total is None:
-            raise UsageError(f"no probe histogram of width {h:g} was registered before "
-                             "simulate; register probe_functionals")
-        occ = total.values
+        occ = recorder.find_total("histogram" if dim == 1 else "histogram2d",
+                                  **_probe_fields(window, h)).values
         if not occ.any():
             raise ValueError("window has zero occupation")
         out.append((float(h), float(occ.max() / h**dim)))

@@ -25,15 +25,16 @@ keep_path=kind.saves_paths)`): the event log and the snapshots every
 functionals at t_end, which needs no path and no table in time: an
 occupation functional's trapezoid integral (one weighted point sum per block
 of steps) and an event functional's sum over the branch events (one per
-block's events) both end as one total, so tanaka (the panel
-occupations, the martingale terms at every panel point and the histogram),
-moments (the clock histogram and M_t(g^x) at every pair endpoint),
-timechange (T, the interval occupation and Z = M_t(psi0)), jumps (the
-counts above each level) and unbounded2d (the probe histograms, in d = 1
-as the continuous control or in d = 2) read only totals.  Keeping the path
-or not changes no draw.  A tanaka record also carries the Holder fit of
-H(t_end, .) over the panel, when the panel is an x_panel linspace of at
-least 64 points (`_holder_fit`).
+block's events) both end as one total, so tanaka (the panel occupations,
+the martingale terms at every panel point and the histogram), moments (the
+clock histogram and M_t(g^x) at every pair endpoint), timechange (T, the
+interval occupation and Z = M_t(psi0)), jumps (the counts above each level)
+and unbounded2d (the probe histograms, in d = 1 as the continuous control
+or in d = 2) read only totals, each found by `PathRecorder.find_total`,
+which raises UsageError naming a functional the kind failed to register.
+Keeping the path or not changes no draw.  A tanaka record also carries the
+Holder fit of H(t_end, .) over the panel, when the panel is an x_panel
+linspace of at least 64 points (`_holder_fit`).
 
 Determinism contract: replica i always uses the stream (seed, replica_start
 + i) regardless of worker count; cap-hit replicas are resampled on stream
@@ -69,6 +70,7 @@ from typing import Callable
 import numpy as np
 
 from .config import (
+    HOLDER_FIELD_SIZE,
     HOLDER_SYNTHETICS,
     KINDS,
     MOMENTS_HISTOGRAM,
@@ -607,7 +609,6 @@ def _run_criterion(cfg: ExperimentConfig):
         gamma=cfg.gamma,
         q=cfg.q_criterion,
         k_window=cfg.k_window,
-        r=cfg.r_grid[0] if cfg.r_grid else 1.0,
         c_free=cfg.c_free,
         n_max=cfg.n_max,
     )
@@ -649,7 +650,7 @@ def _run_criterion(cfg: ExperimentConfig):
 def _holder_field(cfg: ExperimentConfig):
     if cfg.holder_input is not None:
         return read_field(cfg.holder_input), 1.0
-    n = 4096
+    n = HOLDER_FIELD_SIZE
     x = np.linspace(0.0, 1.0, n)
     gen = RngStream(cfg.seed, 0).gen
     fields = {

@@ -5,14 +5,15 @@ Each particle carries mass 1/N, moves as a Brownian motion, and branches at
 rate (1+beta) * N^beta into a Slack-law offspring count; the compound rate
 times (f(s) - s) then rescales exactly to the branching mechanism u^(1+beta),
 so N enters only through initial-mass rounding and the motion/branching
-interleaving.  Branch events are counted step by step, and logged as jumps
-(offspring - 1)/N at the parent location only for a kept path.  Every
-registered functional ends as one `Total` at t_end.  The trapezoid rule on
-the step grid is linear in X_s, so an occupation integral is one weighted
-point sum over the positions of every step (weight dt/N, and dt/2N at
-both ends), taken a block of buffered steps at a time; an event functional
-adds its sum over the same block's events.  Neither keeps a table in time
-nor needs the log.
+interleaving.  Branch events are counted step by step, and logged (parent
+location, offspring count) only for a kept path.  Every registered
+functional ends as one `Total` at t_end, which `PathRecorder.find_total`,
+the one search of them, finds by its meta.  The trapezoid rule on the step
+grid is linear in X_s, so an occupation integral is one weighted point sum
+over the positions of every step (weight dt/N, and dt/2N at both ends),
+taken a block of buffered steps at a time; an event functional adds its
+sum over the same block's events.  Neither keeps a table in time nor needs
+the log.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ __all__ = [
     "init_particles",
     "step",
     "simulate",
-    "interval_jump_max",
     "save_events",
     "save_snapshots",
 ]
@@ -184,8 +184,8 @@ class OccupationFunctional:
     histogram by one search of the sorted points.  `simulate` forms the
     trapezoid integral of <X_s, f> over [0, t_end] on the step grid from such
     sums, one per block of steps (see `simulate`).  meta carries descriptive
-    fields (kernel kind, grid, bandwidth) so estimators can locate matching
-    totals on a recorder.
+    fields (kernel kind, grid, bin width) by which a reader finds the total
+    (`PathRecorder.find_total`).
     """
 
     name: str
@@ -240,44 +240,28 @@ class Total:
     meta: dict
 
 
+@dataclass(frozen=True, eq=False)
 class PathRecorder:
     """Step-resolution record of one replica: masses, the total at t_end of
     every registered functional, the number of branch events at each step,
     position snapshots, the extinction time and, for a kept path, the
-    branch-event log.
+    branch-event log (locations, offspring counts).
 
     Without the log (`simulate` with keep_path False) reading the event
     locations, offspring or net masses raises UsageError; the event times
     come from the per-step counts either way."""
 
-    def __init__(
-        self,
-        *,
-        params: ModelParams,
-        step_times: np.ndarray,
-        masses: np.ndarray,
-        mass_occupation: np.ndarray,  # cumulative trapezoid of total mass
-        totals: dict[str, Total],
-        snapshot_times: np.ndarray,
-        snapshots: list[np.ndarray],
-        extinction_time: float,
-        final_positions: np.ndarray,
-        step_event_counts: np.ndarray,  # (steps + 1,): the events of each step
-        event_locations: np.ndarray | None = None,  # the log, for a kept path
-        event_offspring: np.ndarray | None = None,
-    ):
-        self.params = params
-        self.step_times = step_times
-        self.masses = masses
-        self.mass_occupation = mass_occupation
-        self.totals = totals
-        self.snapshot_times = snapshot_times
-        self.snapshots = snapshots
-        self.extinction_time = extinction_time
-        self.final_positions = final_positions
-        self.step_event_counts = step_event_counts
-        self._event_log = None if event_offspring is None else (
-            event_locations, event_offspring, (event_offspring - 1) * params.mass_per_particle)
+    params: ModelParams
+    step_times: np.ndarray
+    masses: np.ndarray
+    mass_occupation: np.ndarray  # cumulative trapezoid of total mass
+    totals: dict[str, Total]
+    snapshot_times: np.ndarray
+    snapshots: list[np.ndarray]
+    extinction_time: float
+    final_positions: np.ndarray
+    step_event_counts: np.ndarray  # (steps + 1,): the events of each step
+    event_log: tuple[np.ndarray, np.ndarray] | None = None  # (locations, offspring)
 
     @property
     def event_times(self) -> np.ndarray:
@@ -294,23 +278,32 @@ class PathRecorder:
 
     @property
     def event_net_mass(self) -> np.ndarray:
-        return self._event_array(2, "event_net_mass")
+        """The mass each event adds, (offspring - 1)/N."""
+        return (self._event_array(1, "event_net_mass") - 1) * self.params.mass_per_particle
 
     def _event_array(self, k: int, name: str) -> np.ndarray:
-        if self._event_log is None:
+        if self.event_log is None:
             raise UsageError(f"{name} was not kept: the path was simulated without "
                              "its event log (keep_path False)")
-        return self._event_log[k]
+        return self.event_log[k]
 
     @property
     def horizon(self) -> float:
         return float(self.step_times[-1])
 
-    def find_total(self, kind: str, **fields) -> Total | None:
-        """Locate a registered functional's total by its meta kind and the
-        scalar meta fields given."""
-        return next((s for s in self.totals.values() if s.meta.get("kind") == kind
-                     and all(s.meta.get(k) == v for k, v in fields.items())), None)
+    def find_total(self, kind: str, fits: Callable[[dict], bool] | None = None,
+                   **fields) -> Total:
+        """The total of the first registered functional whose meta has this
+        kind and these fields and, if given, satisfies fits(meta).
+        UsageError, naming what to register, if none does."""
+        for total in self.totals.values():
+            meta = total.meta
+            if (meta.get("kind") == kind and all(meta.get(k) == v for k, v in fields.items())
+                    and (fits is None or fits(meta))):
+                return total
+        want = "".join([f" {k}={v!r}" for k, v in fields.items()] + [" that fits"] * bool(fits))
+        raise UsageError(f"no {kind} functional{want} was registered for this reader; "
+                         "register one before simulate")
 
 
 def init_particles(mu: FiniteMeasure, params: ModelParams, stream: RngStream) -> ParticleState:
@@ -434,8 +427,7 @@ def simulate(
     snapshot_times = [0.0]
     snapshots = [state.positions.copy()]
     step_event_counts = np.zeros(n_steps + 1, dtype=np.int64)
-    ev_locations: list[np.ndarray] = []
-    ev_offspring: list[np.ndarray] = []
+    ev_locations, ev_offspring = ([empty] for empty in _no_events(params.dim))  # the log
     block_positions, block_points = [], 0  # the current block's steps
     block_locations: list[np.ndarray] = []  # and its events
     block_offspring: list[np.ndarray] = []
@@ -485,13 +477,7 @@ def simulate(
     mass_occ = np.concatenate(([0.0], np.cumsum(0.5 * (masses[1:] + masses[:-1]) * dt)))
     totals = {f.name: Total(total, dict(f.meta)) for f, total in zip(functionals, occupations)}
     totals.update((f.name, Total(total, dict(f.meta))) for f, total in zip(event_fns, sums))
-    log = {}
-    if keep_path:
-        event_locations, event_offspring = _no_events(params.dim)
-        if ev_offspring:
-            event_locations = np.concatenate(ev_locations)
-            event_offspring = np.concatenate(ev_offspring)
-        log = {"event_locations": event_locations, "event_offspring": event_offspring}
+    log = (np.concatenate(ev_locations), np.concatenate(ev_offspring)) if keep_path else None
 
     return PathRecorder(
         params=params,
@@ -504,27 +490,8 @@ def simulate(
         extinction_time=extinction_time,
         final_positions=state.positions,
         step_event_counts=step_event_counts,
-        **log,
+        event_log=log,
     )
-
-
-def interval_jump_max(recorder: PathRecorder, x1: float, x2: float) -> float:
-    """Largest upward mass jump located in [x1, x2] up to t_end (0 if none),
-    read from the kept event log.
-
-    Deaths (offspring 0) move mass downward and never count as interval
-    jumps, matching the superprocess whose jumps are all upward atoms.
-    """
-    if not x1 < x2:
-        raise ValueError(f"need x1 < x2, got ({x1}, {x2})")
-    if recorder.params.dim != 1:
-        raise UsageError("interval_jump_max is defined for d=1 recorders only")
-    locs = recorder.event_locations
-    net = recorder.event_net_mass
-    mask = (locs >= x1) & (locs <= x2) & (net > 0)
-    if not mask.any():
-        return 0.0
-    return float(net[mask].max())
 
 
 # ---------------------------------------------------------------------------

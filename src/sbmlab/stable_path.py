@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
 from .particles import PathRecorder
 from .rng import RngStream, StableParams, sample_stable_increment
 
@@ -161,13 +160,7 @@ def compute_T(recorder: PathRecorder, lam: float, x1: float, x2: float) -> float
         return 0.0
     if not x1 < x2:
         raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
-    total = recorder.find_total("psi0_power", lam=lam, x1=x1, x2=x2)
-    if total is None:
-        raise UsageError(
-            f"psi0 power functional for (lam={lam}, x1={x1}, x2={x2}) was not "
-            "registered before simulate"
-        )
-    return float(total.values[0])
+    return float(recorder.find_total("psi0_power", lam=lam, x1=x1, x2=x2).values[0])
 
 
 def interval_martingale(recorder: PathRecorder, lam: float, x1: float, x2: float) -> float:
@@ -177,10 +170,4 @@ def interval_martingale(recorder: PathRecorder, lam: float, x1: float, x2: float
     whose total it reads."""
     if x1 == x2:
         return 0.0
-    total = recorder.find_total("psi0_event", lam=lam, x1=x1, x2=x2)
-    if total is None:
-        raise UsageError(
-            f"psi0 event functional for (lam={lam}, x1={x1}, x2={x2}) was not "
-            "registered before simulate"
-        )
-    return float(total.values[0])
+    return float(recorder.find_total("psi0_event", lam=lam, x1=x1, x2=x2).values[0])

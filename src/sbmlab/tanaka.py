@@ -19,6 +19,9 @@ simulate (a Tanaka panel or a histogram), integrated on the step grid as one
 weighted sum over each block of steps' sorted positions, and every
 martingale sum M_t the total of an event functional, summed over each
 block's events; the only positions read afterwards are those at t_end.
+Each reader finds its total with `PathRecorder.find_total`, by meta kind and
+fields or, for a panel that holds lambda and a histogram fit for a
+bandwidth, by a test on the meta.
 A reading at an earlier t is a run simulated to that t.  The decomposition
 is evaluated on the whole panel at once (`tanaka_panel_terms`), so a point
 of interest must be a panel point; `tanaka_terms` is the one-point
@@ -57,6 +60,7 @@ from .particles import (
 
 __all__ = [
     "exp_kernel_sums",
+    "exp_kernel_violations",
     "LocalTimeEstimate",
     "TanakaDecomposition",
     "PanelDecomposition",
@@ -91,6 +95,16 @@ __all__ = [
 
 
 _SIGNS = np.array([1.0, -1.0])
+_EXP_BOUND = 700.0  # e^709.78 is the largest float; e^9.78 ~ 17700 bounds the weights' sum
+
+
+def exp_kernel_violations(rates, xs) -> list[str]:
+    """The rule of `exp_kernel_sums`, one line per rate a that breaks it: a
+    times the half-width of the centers xs must stay below _EXP_BOUND."""
+    half = 0.5 * (xs[-1] - xs[0]) if len(xs) else 0.0
+    return [f"rate a = {r:g} on centers of half-width {half:g}: a * half-width = {r * half:g} "
+            f"is not below {_EXP_BOUND:g}, past which e^(a (y - c)) around their midpoint c "
+            "overflows" for r in np.atleast_1d(rates) if not r * half < _EXP_BOUND]
 
 
 def exp_kernel_sums(y: np.ndarray, weights, a, xs: np.ndarray, presorted: bool = False):
@@ -113,7 +127,7 @@ def exp_kernel_sums(y: np.ndarray, weights, a, xs: np.ndarray, presorted: bool =
     term that overflows lies in an outer segment that no result reads, so
     overflow is ignored there; NumericsError is raised when a returned value
     is not finite, which happens once a times the centers' half-width
-    exceeds about 709."""
+    exceeds about 709 (`exp_kernel_violations`)."""
     rates = np.asarray(a, dtype=float)
     if rates.ndim > 1:
         raise ValueError(f"a must be a rate or a 1-D array of rates, got shape {rates.shape}")
@@ -154,12 +168,9 @@ def exp_kernel_sums(y: np.ndarray, weights, a, xs: np.ndarray, presorted: bool =
     if not math.isfinite(np.add.reduce(even, axis=None) + np.add.reduce(odd, axis=None)):
         finite = np.atleast_2d(np.isfinite(even) & np.isfinite(odd)).all(axis=-1)  # per rate
         if not finite.all():
-            raise NumericsError(
-                "exponential-kernel sums are not finite at rate a = "
-                f"{', '.join(f'{r:g}' for r in np.atleast_1d(rates)[~finite])} on centers of "
-                f"half-width {0.5 * (xs[-1] - xs[0]):g} (e^(a (y - c)) around their midpoint "
-                "c overflows once a times the half-width exceeds about 709)"
-            )
+            bad = np.atleast_1d(rates)[~finite]
+            raise NumericsError("exponential-kernel sums are not finite: " + "; ".join(
+                exp_kernel_violations(bad, xs) or ["the points or weights are not finite"]))
     return even, odd
 
 
@@ -247,7 +258,8 @@ def histogram_functional(lo: float, hi: float, bin_width: float) -> OccupationFu
         name=f"histogram:{lo:g}:{hi:g}:{bin_width:g}",
         sum_fn=sum_fn,
         width=centers.size,
-        meta={"kind": "histogram", "edges": edges, "centers": centers},
+        meta={"kind": "histogram", "edges": edges, "centers": centers, "bin_width": bin_width,
+              "window": [lo, hi]},
     )
 
 
@@ -371,18 +383,11 @@ def _panel_block(recorder: PathRecorder, kind: str, lam: float, xs=None):
     """lam's block [G panel, derivative panel] of the total of the registered
     panel of the given kind (occupation or event) that holds lam, on the
     points xs if given, and the panel's points."""
-    for entry in recorder.totals.values():
-        meta = entry.meta
-        if (meta.get("kind") == kind and lam in meta["lams"]
-                and (xs is None or np.array_equal(meta["xs"], xs))):
-            width = 2 * meta["xs"].size
-            start = width * meta["lams"].index(lam)
-            return entry.values[start : start + width], meta["xs"]
-    raise UsageError(
-        f"no {kind} registered for lambda={lam}"
-        + ("" if xs is None else " on this panel")
-        + f"; register {kind}_functional before simulate"
-    )
+    total = recorder.find_total(kind, lambda m: lam in m["lams"]
+                                and (xs is None or np.array_equal(m["xs"], xs)))
+    width = 2 * total.meta["xs"].size
+    start = width * total.meta["lams"].index(lam)
+    return total.values[start : start + width], total.meta["xs"]
 
 
 # ---------------------------------------------------------------------------
@@ -412,35 +417,14 @@ def estimate_local_time(recorder: PathRecorder, x_grid, bandwidth: float) -> Loc
         warnings.append(
             f"bandwidth {bandwidth:g} below x-grid resolution {spacing:g}"
         )
-    hist = _matching_histogram(recorder, x_grid, bandwidth)
-    if hist is None:
-        raise UsageError(
-            "no histogram with bins <= bandwidth/4 covering this grid 5 bandwidths wide "
-            f"(bandwidth {bandwidth:g}); register histogram_functional before simulate"
-        )
-    centers = hist.meta["centers"]
-    occ = hist.values
+    hist = recorder.find_total("histogram", lambda m: (
+        np.max(np.diff(m["edges"])) <= bandwidth / 4 + 1e-12
+        and m["edges"][0] <= x_grid.min() - 5 * bandwidth
+        and m["edges"][-1] >= x_grid.max() + 5 * bandwidth))
     norm = 1.0 / (bandwidth * math.sqrt(2.0 * math.pi))
-    d = (x_grid[:, None] - centers[None, :]) / bandwidth
-    values = norm * (np.exp(-0.5 * d * d) @ occ)
+    d = (x_grid[:, None] - hist.meta["centers"][None, :]) / bandwidth
+    values = norm * (np.exp(-0.5 * d * d) @ hist.values)
     return LocalTimeEstimate(values=np.maximum(values, 0.0), warnings=warnings)
-
-
-def _matching_histogram(recorder: PathRecorder, x_grid: np.ndarray, bw: float):
-    """The total of a registered histogram usable for bandwidth bw: bins at
-    most bw/4 and covering the x_grid with a 5-bandwidth margin."""
-    for total in recorder.totals.values():
-        m = total.meta
-        if m.get("kind") != "histogram":
-            continue
-        edges = m["edges"]
-        if (
-            np.max(np.diff(edges)) <= bw / 4 + 1e-12
-            and edges[0] <= x_grid.min() - 5 * bw
-            and edges[-1] >= x_grid.max() + 5 * bw
-        ):
-            return total
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +607,6 @@ def martingale_increments(recorder: PathRecorder, lam: float, pairs) -> np.ndarr
     g^x(y) = g_lambda(y - x), read from the registered
     `increment_event_functional` (one event sum per distinct endpoint)."""
     total = recorder.find_total("increment_event", lam=lam)
-    if total is None:
-        raise UsageError(f"no increment event functional registered for lambda={lam}; "
-                         "register increment_event_functional before simulate")
     xs, sums = total.meta["xs"], total.values
     return np.array([sums[panel_index(xs, x1)] - sums[panel_index(xs, x2)] for x1, x2 in pairs])
 

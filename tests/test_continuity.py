@@ -137,8 +137,11 @@ class TestSeries:
             CriterionParams(beta=1.2, gamma=0.2, q=1.4)
         with pytest.raises(ValueError):
             CriterionParams(beta=0.5, gamma=0.2, q=1.4, n_max=8)
-        with pytest.raises(ValueError):
-            CriterionParams(beta=0.5, gamma=0.2, q=1.4, r=-1.0)
+        # the series are evaluated at r_grid[0], so the grid needs a first r
+        params = CriterionParams(beta=0.5, gamma=0.2, q=1.4)
+        for r_grid in ((1.0, -1.0), (), (float("nan"),)):
+            with pytest.raises(ValueError, match="r_grid"):
+                gs_series(params, r_grid=r_grid)
 
 
 class TestHolderExponent:

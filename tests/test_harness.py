@@ -2,6 +2,7 @@
 censoring, and the CLI surface."""
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -81,7 +82,7 @@ _DOMAINS = {
     "solver_nt": st.integers(1, 10**4),
     "k_window": _POSITIVE,
     "n_max": st.integers(16, 10**4),
-    "r_grid": st.lists(_POSITIVE, max_size=4).map(tuple),
+    "r_grid": st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
     # lo < hi, a whole count >= 2 (or the default panel)
     "x_panel": st.one_of(
         st.just(()),
@@ -89,8 +90,9 @@ _DOMAINS = {
             lambda v: (v[0], v[0] + v[1], float(v[2]))),
     ),
     "jump_units": st.tuples(_POSITIVE, _POSITIVE, st.integers(1, 100).map(float)),
-    # lo <= 2^j and hi >= 2^(j+2): three dyadic lags at least
-    "holder_lags": st.integers(0, 20).flatmap(
+    # lo <= 2^j and hi >= 2^(j+2): three dyadic lags at least, below the
+    # holder kind's 4096-point synthetic field
+    "holder_lags": st.integers(0, 9).flatmap(
         lambda j: st.tuples(st.integers(1, 2**j), st.integers(2 ** (j + 2), 2**24))
     ).map(lambda v: tuple(map(float, v))),
     "window": st.tuples(_FLOATS, _POSITIVE).map(lambda v: (v[0], v[0] + v[1])),
@@ -115,6 +117,13 @@ def valid_configs(draw, kind):
     values["x1"], values["x2"] = sorted((values["x1"], values["x2"]))
     if kind == "tanaka" and values["lam_alt"] == values["lam"]:
         values["lam_alt"] = 2.0 * values["lam"]
+    if kind == "tanaka":  # every panel point within 300 / sqrt(2 lam) of 0
+        reach = 300.0 / math.sqrt(2.0 * max(values["lam"], values["lam_alt"]))
+        near = st.floats(-reach, reach)
+        values["x_eval"] = draw(st.lists(near, max_size=4).map(tuple))
+        values["x_panel"] = draw(st.one_of(st.just(()), st.tuples(
+            near, near, st.integers(2, 10**4)).filter(lambda v: v[0] < v[1]).map(
+            lambda v: (v[0], v[1], float(v[2])))))
     lo, hi = sorted((values["solver_x_min"], values["solver_x_max"]))
     values["solver_x_min"], values["solver_x_max"] = lo, hi + 1.0
     lo, hi = sorted((values["phi_a"], values["phi_b"]))
@@ -240,6 +249,11 @@ class TestConfig:
             ("unbounded2d", "dim = 2\nresolutions = 0.1 0", "resolutions"),
             ("tanaka", "x_panel = -1 1", "x_panel"),  # used the default panel
             ("tanaka", "x_panel = -1 1 10.5", "x_panel"),
+            # two dyadic lags below the 4096-point field: ValueError in holder_exponent
+            ("holder", "holder_lags = 1024 4096", "holder_lags"),
+            # a * half-width = 980: NumericsError in exp_kernel_sums
+            ("tanaka", "x_panel = -400 400 11\nlam = 2\nlam_alt = 3", "x_panel"),
+            ("criterion", "r_grid =", "r_grid"),  # IndexError on the empty trend
         ],
     )
     def test_tuple_key_the_kind_unpacks_is_checked(self, kind, setting, key, tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import per_particle_functional
-from sbmlab import particles
+from sbmlab import harness, particles
+from sbmlab.config import ExperimentConfig
 from sbmlab.continuity import probe_functionals, unboundedness_probe
 from sbmlab.errors import ResourceLimitError, UsageError
 from sbmlab.kernels import g_lambda, green_closed, heat_kernel
@@ -18,7 +19,6 @@ from sbmlab.particles import (
     OccupationFunctional,
     PathRecorder,
     ParticleState,
-    interval_jump_max,
     init_particles,
     make_params,
     save_events,
@@ -28,16 +28,19 @@ from sbmlab.particles import (
     step,
 )
 from sbmlab.rng import RngStream
+from sbmlab.stable_path import compute_T, interval_martingale
 from sbmlab.tanaka import (
     estimate_local_time,
     histogram_functional,
     increment_event_functional,
     interval_indicator_functional,
+    martingale_increments,
     psi0,
     psi0_event_functional,
     psi0_power_functional,
     tanaka_event_functional,
     tanaka_panel_functional,
+    tanaka_panel_terms,
 )
 
 
@@ -45,6 +48,13 @@ def martingale_event_sum(recorder: PathRecorder, f) -> float:
     """The brute-force reference for an event total: the sum of
     f(location) * net_mass over every logged event."""
     return float(np.sum(np.asarray(f(recorder.event_locations)) * recorder.event_net_mass))
+
+
+def interval_jump_max(recorder: PathRecorder, x1: float, x2: float) -> float:
+    """The largest upward mass jump located in [x1, x2] (0 if none), read
+    from the kept event log; deaths move mass downward and never count."""
+    locs, net = recorder.event_locations, recorder.event_net_mass
+    return float(net[(locs >= x1) & (locs <= x2) & (net > 0)].max(initial=0.0))
 
 
 class TestModelParams:
@@ -432,7 +442,8 @@ class TestEventFunctional:
                        [EventFunctional("net", _net_mass, 1, {"kind": "net_mass"})],
                        RngStream(13, 0))
         assert rec.find_total("net_mass").values.tobytes() == np.zeros(1).tobytes()
-        assert rec.find_total("psi0_event") is None
+        with pytest.raises(UsageError, match="no psi0_event functional"):
+            rec.find_total("psi0_event")
 
     def test_names_are_shared_with_occupations(self):
         params = make_params(0.5, 100, 0.1)
@@ -476,29 +487,6 @@ class TestEventStatistics:
         )
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean()) <= 3 * se
-
-    def test_interval_jump_max_synthetic(self):
-        # single injected event: (t=0.1, x=0, offspring=51) at N=100
-        p = make_params(0.5, 100, 0.2)
-        rec = PathRecorder(
-            params=p,
-            step_times=np.array([0.0, 0.1, 0.2]),
-            masses=np.array([1.0, 1.5, 1.5]),
-            mass_occupation=np.array([0.0, 0.125, 0.275]),
-            totals={},
-            snapshot_times=np.array([0.0, 0.2]),
-            snapshots=[np.zeros(100), np.zeros(150)],
-            step_event_counts=np.array([0, 1, 0]),
-            event_locations=np.array([0.0]),
-            event_offspring=np.array([51]),
-            extinction_time=math.inf,
-            final_positions=np.zeros(150),
-        )
-        assert rec.event_net_mass.tolist() == [0.5]
-        assert interval_jump_max(rec, -0.5, 0.5) == pytest.approx(0.5)
-        assert interval_jump_max(rec, 0.5, 1.0) == 0.0
-        with pytest.raises(ValueError):
-            interval_jump_max(rec, 0.5, -0.5)
 
     def test_interval_jump_max_reads_the_last_step(self):
         # 22 steps of 0.1/22 end 1.4e-17 past t_end = 0.1; the 12 events of
@@ -564,15 +552,82 @@ class TestPersistence:
         assert len(lines) == 1 + sum(s.shape[0] for s in rec.snapshots)
 
 
+_XS = np.linspace(-1.0, 1.0, 5)
+_TC = ExperimentConfig(kind="timechange")
+# each reader, the functionals registered for it (its own lacking), and the
+# meta kind it looks for
+_READERS = {
+    "compute_T": ([], lambda rec: compute_T(rec, 0.5, -0.1, 0.1), "psi0_power"),
+    "interval_martingale": ([], lambda rec: interval_martingale(rec, 0.5, -0.1, 0.1),
+                            "psi0_event"),
+    "martingale_increments": ([increment_event_functional(2.0, [(-0.1, 0.1)])],
+                              lambda rec: martingale_increments(rec, 0.5, [(-0.1, 0.1)]),
+                              "increment_event"),
+    # bins of 0.2 are too coarse for bandwidth 0.2
+    "estimate_local_time": ([histogram_functional(-4.0, 4.0, 0.2)],
+                            lambda rec: estimate_local_time(rec, _XS, 0.2), "histogram"),
+    "tanaka_panel_terms-occupation": ([tanaka_panel_functional(2.0, _XS)],
+                                      lambda rec: tanaka_panel_terms(rec, dirac(0.0), 0.5),
+                                      "tanaka_panel"),
+    "tanaka_panel_terms-event": ([tanaka_panel_functional(0.5, _XS)],
+                                 lambda rec: tanaka_panel_terms(rec, dirac(0.0), 0.5),
+                                 "tanaka_event"),
+    "unboundedness_probe": (probe_functionals(1, [0.2], (-1.0, 1.0)),
+                            lambda rec: unboundedness_probe(rec, [0.1], (-1.0, 1.0)),
+                            "histogram"),
+    "moments-record": ([], lambda rec: harness._record_moments(
+        ExperimentConfig(kind="moments"), rec, dirac(0.0)), "histogram"),
+    "jumps-record": ([], lambda rec: harness._record_jumps(
+        ExperimentConfig(kind="jumps"), rec, dirac(0.0)), "jump_counts"),
+    "timechange-record": ([psi0_power_functional(_TC.lam, _TC.x1, _TC.x2, _TC.beta),
+                           psi0_event_functional(_TC.lam, _TC.x1, _TC.x2)],
+                          lambda rec: harness._record_timechange(_TC, rec, dirac(0.0)),
+                          "interval"),
+}
+
+
 class TestRecorderAccess:
+    @pytest.mark.parametrize("reader", _READERS)
+    def test_reader_without_its_functional_names_it(self, reader):
+        # every reader finds its total through PathRecorder.find_total, which
+        # names what to register; the harness records used to fail with
+        # AttributeError on None
+        functionals, read, kind = _READERS[reader]
+        rec = simulate(dirac(0.0), make_params(0.5, 100, 0.05), functionals, RngStream(7, 0),
+                       keep_path=False)
+        with pytest.raises(UsageError, match=f"no {kind} functional.*register one before"):
+            read(rec)
+
     def test_occupation_unknown_name(self, bare_recorders):
         # a reader of an occupation that was not registered says so
         _, _, recs = bare_recorders
-        assert recs[0].totals == {} and recs[0].find_total("histogram") is None
-        with pytest.raises(UsageError, match="histogram_functional"):
+        assert recs[0].totals == {}
+        with pytest.raises(UsageError, match="no histogram functional"):
+            recs[0].find_total("histogram")
+        with pytest.raises(UsageError, match="no histogram functional that fits"):
             estimate_local_time(recs[0], np.linspace(-1.0, 1.0, 5), 0.2)
-        with pytest.raises(UsageError, match="probe_functionals"):
+        with pytest.raises(UsageError, match=r"histogram functional bin_width=0.1 window=\[-1"):
             unboundedness_probe(recs[0], [0.1], (-1.0, 1.0))
+
+    def test_event_net_mass_of_a_built_log(self):
+        # one event (t=0.1, x=0, offspring=51) at N=100 adds (51 - 1)/100
+        rec = PathRecorder(
+            params=make_params(0.5, 100, 0.2),
+            step_times=np.array([0.0, 0.1, 0.2]),
+            masses=np.array([1.0, 1.5, 1.5]),
+            mass_occupation=np.array([0.0, 0.125, 0.275]),
+            totals={},
+            snapshot_times=np.array([0.0, 0.2]),
+            snapshots=[np.zeros(100), np.zeros(150)],
+            extinction_time=math.inf,
+            final_positions=np.zeros(150),
+            step_event_counts=np.array([0, 1, 0]),
+            event_log=(np.array([0.0]), np.array([51])),
+        )
+        assert rec.event_net_mass.tolist() == [0.5]
+        assert rec.event_times.tolist() == [0.1]
+        assert interval_jump_max(rec, -0.5, 0.5) == 0.5
+        assert interval_jump_max(rec, 0.5, 1.0) == 0.0
 
     def test_dim2_simulate(self):
         p = make_params(0.5, 200, 0.1, dim=2, snapshot_stride=5)

@@ -139,11 +139,11 @@ class TestTimeChange:
     def test_interval_martingale_unregistered(self, small_recorders):
         # one path, no fallback to the log: the terms must be registered
         _, params, recs = small_recorders
-        with pytest.raises(UsageError, match="psi0 event functional"):
+        with pytest.raises(UsageError, match="no psi0_event functional"):
             interval_martingale(recs[0], 0.5, -0.3, 0.3)
         bare = simulate(dirac(0.0), params, [], RngStream(901, 0))
         assert bare.event_locations.size > 0
-        with pytest.raises(UsageError, match="psi0 event functional"):
+        with pytest.raises(UsageError, match="no psi0_event functional"):
             interval_martingale(bare, 0.5, -0.1, 0.1)
 
     def test_psi0_event_sum_matches_direct(self, small_recorders):

@@ -532,7 +532,7 @@ class TestMartingaleStructure:
                      for x1, x2 in pairs]
             dm = martingale_increments(rec, lam, pairs)
             np.testing.assert_allclose(dm, brute, rtol=0, atol=1e-12)
-        with pytest.raises(UsageError, match="increment_event_functional"):
+        with pytest.raises(UsageError, match="no increment_event functional"):
             martingale_increments(rec, 2 * lam, pairs)
 
     def test_psi0_properties(self):
