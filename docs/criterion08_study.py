@@ -10,8 +10,8 @@ numbers, so the paths are those of the acceptance test:
         T_d = int_0^t <X_s, |g^{x1} - g^{x2}|^{1+beta}> ds
     is read off as the kind reads it (`increment_clock_weights`; every pair
     endpoint is a bin edge);
-  * the moments kind's increment_event_functional, whose event sums at the
-    pair endpoints give dM as the kind reads it (`martingale_increments`);
+  * the moments kind's tanaka_event_functional at the pair endpoints, whose
+    odd half gives dM as the kind reads it (`martingale_increments`);
   * on the first 60 replicas, an exact per-particle accumulator of the same
     20 integrands, used only to bound the histogram's quadrature error.
 
@@ -40,8 +40,8 @@ from sbmlab.rng import RngStream
 from sbmlab.tanaka import (
     histogram_functional,
     increment_clock_weights,
-    increment_event_functional,
     martingale_increments,
+    tanaka_event_functional,
 )
 
 BETA, N_SCALE, T, R, LAM, Q = 0.5, 2000, 0.5, 600, 1.0, 1.2
@@ -49,6 +49,7 @@ CENTERS = (-0.5, -0.25, 0.0, 0.25, 0.5)
 DISTANCES = (0.4, 0.2, 0.1, 0.05)
 PAIRS = [(c - d / 2, c + d / 2) for d in DISTANCES for c in CENTERS]
 X1, X2 = np.array(PAIRS).T
+ENDPOINTS = sorted({x for pair in PAIRS for x in pair})
 GATE = 0.15
 EXACT_REPLICAS = 60
 
@@ -84,7 +85,7 @@ def run_seed(seed: int) -> dict:
     params = make_params(BETA, N_SCALE, T, snapshot_stride=10**9)
     hist = histogram_functional(-8.0, 8.0, 0.0125)
     exact = OccupationFunctional(name="clock_exact", sum_fn=_exact_clock_rate, width=len(PAIRS))
-    increments = increment_event_functional(LAM, PAIRS)
+    increments = tanaka_event_functional(LAM, ENDPOINTS)
     centers = hist.meta["centers"][:, None]
     bin_integrand = increment_clock_weights(hist.meta["centers"], LAM, PAIRS, BETA)  # (bins, 20)
     bin_positive = bin_integrand * (g_lambda(LAM, centers - X1) > g_lambda(LAM, centers - X2))

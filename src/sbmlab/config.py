@@ -24,12 +24,15 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .loglaplace import grid_violations, indicator_violations, solve_violations
 from .continuity import (criterion_violations, dyadic_lags, holder_field_violations,
                          holder_lag_violations, read_field)
+from .kernels import lambda_violations, resolvent_rate
 from .particles import model_violations, whole_step_dt
-from .tanaka import exp_kernel_violations
+from .tanaka import PANEL_TOL, bandwidth_violations, exp_kernel_violations, histogram_functional
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text", "config_hash", "KINDS"]
 
@@ -128,10 +131,6 @@ class ExperimentConfig:
         """The Tanaka panel: the x_panel linspace (default -1 1 41) plus 0 and
         every x_eval, sorted; a point within PANEL_TOL of one already there
         is not added."""
-        import numpy as np
-
-        from .tanaka import PANEL_TOL
-
         lo, hi, count = self.x_panel if len(self.x_panel) == 3 else (-1.0, 1.0, 41)
         xs = np.linspace(lo, hi, int(count))
         for x in (0.0, *self.x_eval):
@@ -143,6 +142,11 @@ class ExperimentConfig:
         """The moments kind's pairs (c - d/2, c + d/2), grouped by distance
         in the order of `distances`, centers in the order of `pair_centers`."""
         return [(c - d / 2, c + d / 2) for d in self.distances for c in self.pair_centers]
+
+    def moment_endpoints(self) -> list[float]:
+        """The distinct endpoints of `moment_pairs`, sorted: the points of the
+        moments kind's event panel."""
+        return sorted({x for pair in self.moment_pairs() for x in pair})
 
     def validate(self) -> list[str]:
         errs = []
@@ -174,14 +178,11 @@ class ExperimentConfig:
             errs.append(f"workers must be >= 1, got {self.workers}")
         if self.save_paths not in ("none", "first", "all"):
             errs.append(f"save_paths must be none|first|all, got {self.save_paths!r}")
-        if self.lam <= 0:
-            errs.append(f"lam must be > 0, got {self.lam}")
-        if self.lam_alt <= 0:
-            errs.append(f"lam_alt must be > 0, got {self.lam_alt}")
+        lam_errs = lambda_violations(self.lam, "lam") + lambda_violations(self.lam_alt, "lam_alt")
+        errs.extend(lam_errs)
         if self.kind == "tanaka" and self.lam_alt == self.lam:
             errs.append(f"lam_alt must differ from lam for kind tanaka, both are {self.lam}")
-        if self.bandwidth <= 0:
-            errs.append(f"bandwidth must be > 0, got {self.bandwidth}")
+        errs.extend(bandwidth_violations(self.bandwidth))
         if self.initial_measure is not None and not Path(self.initial_measure).exists():
             errs.append(f"initial_measure file does not exist: {self.initial_measure}")
         if self.holder_input is not None and not Path(self.holder_input).exists():
@@ -190,8 +191,17 @@ class ExperimentConfig:
             errs.extend(self._holder_input_violations())
         if self.kind == "moments":
             errs.extend(self._moments_violations())
+        if self.kind == "moments" and not lam_errs:  # its event panel's kernel sums
+            errs.extend(f"lam: {v}" for v in exp_kernel_violations(
+                [resolvent_rate(self.lam)], self.moment_endpoints()))
         if self.kind == "timechange" and not self.x1 <= self.x2:
             errs.append(f"need x1 <= x2, got ({self.x1}, {self.x2})")
+        # the finalizer's exp(theta^(1+beta) T) is complex for theta < 0
+        if self.kind == "timechange" and not (
+            self.theta_grid and all(0 <= th < math.inf for th in self.theta_grid)
+        ):
+            errs.append(f"theta_grid must be one or more finite values >= 0, "
+                        f"got {self.theta_grid}")
         if self.kind == "duality":
             errs.extend(grid_violations(self.solver_x_min, self.solver_x_max, self.solver_nx,
                                         self.solver_nt, prefix="solver_"))
@@ -211,9 +221,11 @@ class ExperimentConfig:
         ):
             errs.append(f"x_panel must be empty (the panel -1 1 41) or min max count, with "
                         f"finite min < max and a whole count >= 2, got {self.x_panel}")
-        elif self.kind == "tanaka":  # the panel's kernel sums at a = sqrt(2 lam), both lambdas
-            rates = [math.sqrt(2.0 * max(lam, 0.0)) for lam in (self.lam, self.lam_alt)]
+        elif self.kind == "tanaka" and not lam_errs:  # the panel's kernel sums, both lambdas
+            rates = [resolvent_rate(lam) for lam in (self.lam, self.lam_alt)]
             errs.extend(f"x_panel: {v}" for v in exp_kernel_violations(rates, self.panel_grid()))
+        if self.kind == "tanaka" and not (self.x_eval and all(map(math.isfinite, self.x_eval))):
+            errs.append(f"x_eval must be one or more finite values, got {self.x_eval}")
         if self.kind == "jumps" and not (
             len(self.jump_units) == 3 and all(0 < u < math.inf for u in self.jump_units[:2])
             and _whole(self.jump_units[2], 1)
@@ -246,8 +258,6 @@ class ExperimentConfig:
                 for v in holder_field_violations(values, lags)]
 
     def _moments_violations(self) -> list[str]:
-        from .tanaka import histogram_functional
-
         errs = []
         if not 1.0 < self.q_moment < 1.0 + self.beta:
             errs.append(f"q_moment must lie in (1, 1+beta) = (1, {1 + self.beta}), "
@@ -260,8 +270,7 @@ class ExperimentConfig:
         if not self.pair_centers:
             errs.append("pair_centers must not be empty")
         edges = histogram_functional(*MOMENTS_HISTOGRAM).meta["edges"]
-        off = sorted({x for pair in self.moment_pairs() for x in pair
-                      if abs(edges - x).min() > 1e-9})
+        off = [x for x in self.moment_endpoints() if abs(edges - x).min() > 1e-9]
         if off:
             errs.append(f"pair endpoints c +- d/2 of pair_centers and distances must be edges "
                         f"of the clock histogram (lo, hi, bin width) = {MOMENTS_HISTOGRAM}; "

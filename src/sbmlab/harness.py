@@ -27,11 +27,12 @@ occupation functional's trapezoid integral (one weighted point sum per block
 of steps) and an event functional's sum over the branch events (one per
 block's events) both end as one total, so tanaka (the panel occupations,
 the martingale terms at every panel point and the histogram), moments (the
-clock histogram and M_t(g^x) at every pair endpoint), timechange (T, the
-interval occupation and Z = M_t(psi0)), jumps (the counts above each level)
-and unbounded2d (the probe histograms, in d = 1 as the continuous control
-or in d = 2) read only totals, each found by `PathRecorder.find_total`,
-which raises UsageError naming a functional the kind failed to register.
+clock histogram and a Tanaka event panel at the pair endpoints, whose odd
+half is -M_t(g^x)), timechange (T, the interval occupation and
+Z = M_t(psi0)), jumps (the counts above each level) and unbounded2d (the
+probe histograms, in d = 1 as the continuous control or in d = 2) read
+only totals, each found by `PathRecorder.find_total`, which raises
+UsageError naming a functional the kind failed to register.
 Keeping the path or not changes no draw.  A tanaka record also carries the
 Holder fit of H(t_end, .) over the panel, when the panel is an x_panel
 linspace of at least 64 points (`_holder_fit`).
@@ -105,7 +106,6 @@ from .tanaka import (
     ftc_check,
     histogram_functional,
     increment_clock_weights,
-    increment_event_functional,
     interval_indicator_functional,
     martingale_increments,
     panel_index,
@@ -224,7 +224,7 @@ def _tanaka_functionals(cfg: ExperimentConfig):
 def _moments_functionals(cfg: ExperimentConfig):
     return [
         histogram_functional(*MOMENTS_HISTOGRAM),
-        increment_event_functional(cfg.lam, cfg.moment_pairs()),
+        tanaka_event_functional(cfg.lam, cfg.moment_endpoints()),
     ]
 
 

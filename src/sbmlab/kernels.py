@@ -25,6 +25,8 @@ __all__ = [
     "green_numeric",
     "green_closed",
     "g_lambda",
+    "lambda_violations",
+    "resolvent_rate",
 ]
 
 
@@ -43,9 +45,17 @@ def heat_kernel(s: float, x, dim: int = 1):
     raise ValueError(f"dim must be 1 or 2, got {dim}")
 
 
-def _check_lambda(lam: float) -> None:
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+def lambda_violations(lam: float, name: str = "lambda") -> list[str]:
+    """The rule of every resolvent parameter: finite and > 0."""
+    return [] if 0 < lam < math.inf else [f"{name} must be finite and > 0, got {lam}"]
+
+
+def resolvent_rate(lam: float) -> float:
+    """The kernels' rate a = sqrt(2 lambda); ValueError unless lambda keeps
+    `lambda_violations`' rule."""
+    if violations := lambda_violations(lam):
+        raise ValueError(violations[0])
+    return math.sqrt(2.0 * lam)
 
 
 def green_numeric(lam: float, x: float) -> float:
@@ -54,7 +64,7 @@ def green_numeric(lam: float, x: float) -> float:
     smooth exponential tail after the substitution s = e^u)."""
     from scipy.integrate import quad  # slow to import; only this oracle needs it
 
-    _check_lambda(lam)
+    resolvent_rate(lam)  # the rule on lambda
     x = float(x)
 
     def integrand(u: float) -> float:
@@ -81,8 +91,7 @@ def green_numeric(lam: float, x: float) -> float:
 
 def green_closed(lam: float, x):
     """G_lambda in closed form; Lipschitz with constant 1."""
-    _check_lambda(lam)
-    a = math.sqrt(2.0 * lam)
+    a = resolvent_rate(lam)
     x = np.asarray(x, dtype=float)
     out = np.exp(-a * np.abs(x)) / a
     return float(out) if out.ndim == 0 else out
@@ -90,8 +99,7 @@ def green_closed(lam: float, x):
 
 def g_lambda(lam: float, x):
     """Derivative kernel of G_lambda; odd, bounded by 1, zero at 0."""
-    _check_lambda(lam)
-    a = math.sqrt(2.0 * lam)
+    a = resolvent_rate(lam)
     x = np.asarray(x, dtype=float)
     out = -np.sign(x) * np.exp(-a * np.abs(x))
     return float(out) if out.ndim == 0 else out

@@ -68,15 +68,18 @@ class FiniteMeasure:
             return 0.0
         return float(np.trapezoid(self.density_values, self.density_grid))
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """<mu, f>: atom sum plus trapezoid quadrature of f against the density."""
+    def integrate(self, f: Callable[[np.ndarray], np.ndarray]):
+        """<mu, f>: atom sum plus trapezoid quadrature of f against the
+        density, along the last axis of f's values.  f may return one row
+        per point of a panel, and the result is then an array; a scalar
+        result is a float."""
         total = 0.0
         if self.atom_locations.size:
-            total += float(np.sum(self.atom_masses * np.asarray(f(self.atom_locations))))
+            total = total + np.sum(self.atom_masses * np.asarray(f(self.atom_locations)), axis=-1)
         if self.density_grid.size:
             vals = self.density_values * np.asarray(f(self.density_grid))
-            total += float(np.trapezoid(vals, self.density_grid))
-        return total
+            total = total + np.trapezoid(vals, self.density_grid, axis=-1)
+        return float(total) if np.ndim(total) == 0 else total
 
     def sample_positions(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. positions from the normalized measure.

@@ -499,32 +499,25 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
+def _coordinates(positions: np.ndarray, dim: int):
+    """Each position's coordinate columns as text: x in d = 1, x and y in d = 2."""
+    return ([fnum(c) for c in row] for row in positions.reshape(len(positions), dim))
+
+
 def save_events(recorder: PathRecorder, path: str | Path) -> None:
     """Line-oriented event log: 'time location offspring' per line
     ('time x y offspring' in d=2)."""
-    lines = []
-    if recorder.params.dim == 1:
-        for t, x, k in zip(
-            recorder.event_times, recorder.event_locations, recorder.event_offspring
-        ):
-            lines.append(f"{fnum(t)} {fnum(x)} {int(k)}")
-    else:
-        for t, xy, k in zip(
-            recorder.event_times, recorder.event_locations, recorder.event_offspring
-        ):
-            lines.append(f"{fnum(t)} {fnum(xy[0])} {fnum(xy[1])} {int(k)}")
+    coords = _coordinates(recorder.event_locations, recorder.params.dim)
+    lines = [" ".join((fnum(t), *xs, str(int(k))))
+             for t, xs, k in zip(recorder.event_times, coords, recorder.event_offspring)]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def save_snapshots(recorder: PathRecorder, path: str | Path) -> None:
     """Snapshot CSV: header then one row per particle per snapshot time."""
-    cols = "time,particle,x" if recorder.params.dim == 1 else "time,particle,x,y"
-    lines = [cols]
+    dim = recorder.params.dim
+    lines = ["time,particle,x" if dim == 1 else "time,particle,x,y"]
     for t, pos in zip(recorder.snapshot_times, recorder.snapshots):
-        if recorder.params.dim == 1:
-            for j, x in enumerate(pos):
-                lines.append(f"{fnum(t)},{j},{fnum(x)}")
-        else:
-            for j, xy in enumerate(pos):
-                lines.append(f"{fnum(t)},{j},{fnum(xy[0])},{fnum(xy[1])}")
+        lines.extend(",".join((fnum(t), str(j), *xs))
+                     for j, xs in enumerate(_coordinates(pos, dim)))
     Path(path).write_text("\n".join(lines) + "\n")

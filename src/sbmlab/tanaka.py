@@ -19,6 +19,9 @@ simulate (a Tanaka panel or a histogram), integrated on the step grid as one
 weighted sum over each block of steps' sorted positions, and every
 martingale sum M_t the total of an event functional, summed over each
 block's events; the only positions read afterwards are those at t_end.
+<X_0, .> is `FiniteMeasure.integrate` of one kernel row per panel point,
+M_t(g^x) the odd half of a Tanaka event panel (`martingale_increments`
+reads it too), and a = sqrt(2 lambda) `kernels.resolvent_rate`.
 Each reader finds its total with `PathRecorder.find_total`, by meta kind and
 fields or, for a panel that holds lambda and a histogram fit for a
 bandwidth, by a test on the meta.
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, UsageError
-from .kernels import g_lambda, green_closed
+from .kernels import g_lambda, green_closed, resolvent_rate
 from .measures import FiniteMeasure
 from .particles import (
     EventFunctional,
@@ -70,10 +73,10 @@ __all__ = [
     "psi0",
     "psi0_power_functional",
     "psi0_event_functional",
-    "increment_event_functional",
     "interval_indicator_functional",
     "PANEL_TOL",
     "panel_index",
+    "bandwidth_violations",
     "estimate_local_time",
     "tanaka_terms",
     "tanaka_panel_terms",
@@ -186,14 +189,12 @@ def _as_1d(positions: np.ndarray) -> np.ndarray:
 
 
 def _panel_rates(lams, xs) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The distinct positive rates of a panel as a tuple, the panel points as
-    an array, and the kernel rates a = sqrt(2 lambda)."""
+    """The distinct lambdas of a panel as a tuple, the panel points as an
+    array, and the kernel rates a = sqrt(2 lambda)."""
     lams = tuple(float(lam) for lam in np.atleast_1d(lams))
-    if len(set(lams)) != len(lams):
-        raise ValueError(f"duplicate rates in one panel: {lams}")
-    if not lams or min(lams) <= 0:
-        raise ValueError(f"lambda must be > 0, got {lams}")
-    return lams, np.asarray(xs, dtype=float), np.sqrt(2.0 * np.asarray(lams))
+    if not lams or len(set(lams)) != len(lams):
+        raise ValueError(f"a panel needs one or more rates and no duplicate rates, got {lams}")
+    return lams, np.asarray(xs, dtype=float), np.array([resolvent_rate(lam) for lam in lams])
 
 
 def tanaka_panel_functional(lams, xs) -> OccupationFunctional:
@@ -220,11 +221,12 @@ def tanaka_panel_functional(lams, xs) -> OccupationFunctional:
 
 
 def tanaka_event_functional(lams, xs) -> EventFunctional:
-    """The martingale terms M_t(G^x) and M_t(g^x) at every panel point: per
-    lambda, the even and odd exponential-kernel sums over the branch events
-    weighted by their net masses (G = even / a), stacked like
+    """The martingale terms M_t(G^x) and M_t(g(x - .)) at every panel point:
+    per lambda, the even and odd exponential-kernel sums over the branch
+    events weighted by their net masses (G = even / a), stacked like
     `tanaka_panel_functional`'s blocks.  One `exp_kernel_sums` call per block
-    of steps serves every lambda."""
+    of steps serves every lambda.  The moments kind registers one at the
+    pair endpoints for `martingale_increments`."""
     lams, xs, a = _panel_rates(lams, xs)
 
     def sum_fn(y: np.ndarray, net: np.ndarray) -> np.ndarray:
@@ -274,11 +276,10 @@ def psi0(lam: float, x1: float, x2: float, y):
     """Interval integrand (g_lambda(y-x2) - g_lambda(y-x1)) 1_[x1,x2](y);
     nonnegative and bounded by 2.  Evaluated at every point of y (the event
     sums use it, and the tests take it as the reference)."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    a = resolvent_rate(lam)
     y = np.asarray(y, dtype=float)
     inside = (y >= x1) & (y <= x2)
-    return _psi0_values(math.sqrt(2.0 * lam), x1, x2, y) * inside
+    return _psi0_values(a, x1, x2, y) * inside
 
 
 def _inside(y: np.ndarray, x1: float, x2: float) -> np.ndarray:
@@ -292,12 +293,10 @@ def psi0_power_functional(lam: float, x1: float, x2: float, beta: float) -> Occu
 
     psi0 is zero outside [x1, x2], so it is evaluated only on the slice of
     the block's sorted points inside."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    a = resolvent_rate(lam)
     if not x1 <= x2:
         raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
     power = 1.0 + beta
-    a = math.sqrt(2.0 * lam)
 
     def sum_fn(y: np.ndarray, weight: float) -> np.ndarray:
         return weight * np.sum(_psi0_values(a, x1, x2, _inside(y, x1, x2)) ** power, keepdims=True)
@@ -312,35 +311,15 @@ def psi0_power_functional(lam: float, x1: float, x2: float, beta: float) -> Occu
 
 def psi0_event_functional(lam: float, x1: float, x2: float) -> EventFunctional:
     """The interval martingale Z_t = M_t(psi0): the sum of psi0(y) * net_mass
-    over the branch events, psi0 evaluated at every event location."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    over the branch events, psi0 evaluated at every event location; without
+    BLAS, whose thread pool slowed a one-worker timechange run by a third."""
+    resolvent_rate(lam)  # the rule on lambda
     if not x1 <= x2:
         raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
     return EventFunctional(
         name=f"psi0event:{lam:g}:{x1:g}:{x2:g}",
         sum_fn=lambda y, net: np.sum(psi0(lam, x1, x2, y) * net),
         meta={"kind": "psi0_event", "lam": lam, "x1": x1, "x2": x2},
-    )
-
-
-def increment_event_functional(lam: float, pairs) -> EventFunctional:
-    """M_t(g^x) = sum of g_lambda(y - x) * net_mass over the branch events at
-    every endpoint x of the pairs (`martingale_increments` reads it), each a
-    direct sum over the events, with no prefix-sum cancellation.
-
-    The event sums here and in `psi0_event_functional` are formed without
-    BLAS (einsum, sum of products): a BLAS call starts the BLAS thread pool,
-    whose waiting threads slowed a one-worker timechange run by a third on
-    two cores."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    xs = np.array(sorted({float(x) for pair in pairs for x in pair}))
-    return EventFunctional(
-        name=f"increment_event:{lam:g}",
-        sum_fn=lambda y, net: np.einsum("ij,i->j", g_lambda(lam, _as_1d(y)[:, None] - xs), net),
-        width=xs.size,
-        meta={"kind": "increment_event", "lam": lam, "xs": xs},
     )
 
 
@@ -401,6 +380,12 @@ class LocalTimeEstimate:
     warnings: list[str] = field(default_factory=list)
 
 
+def bandwidth_violations(bandwidth: float) -> list[str]:
+    """The rule of `estimate_local_time`'s bandwidth: finite and > 0."""
+    return [] if 0 < bandwidth < math.inf else [
+        f"bandwidth must be finite and > 0, got {bandwidth}"]
+
+
 def estimate_local_time(recorder: PathRecorder, x_grid, bandwidth: float) -> LocalTimeEstimate:
     """Kernel-smoothed occupation density on x_grid at t_end.
 
@@ -408,8 +393,8 @@ def estimate_local_time(recorder: PathRecorder, x_grid, bandwidth: float) -> Loc
     x_grid with a 5-bandwidth margin (positions quantized to bin centers),
     integrated on the step grid; without one, UsageError.
     """
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+    if violations := bandwidth_violations(bandwidth):
+        raise ValueError(violations[0])
     x_grid = np.asarray(x_grid, dtype=float)
     warnings = []
     spacing = float(np.min(np.diff(x_grid))) if x_grid.size > 1 else math.inf
@@ -455,32 +440,9 @@ class TanakaDecomposition:
 
 
 def _kernel_values(points: np.ndarray, weights, lam: float, x: float):
-    a = math.sqrt(2.0 * lam)
+    a = resolvent_rate(lam)
     even, odd = exp_kernel_sums(_as_1d(points), weights, a, np.array([x]))
     return float(even[0] / a), float(odd[0])
-
-
-def _initial_terms(mu0: FiniteMeasure, lam: float, xs: np.ndarray):
-    """(<mu0, G^x>, <mu0, g(x - .)>) at every panel point x: what
-    `mu0.integrate` gives point by point, from one atoms x panel (and
-    density x panel) matrix per kernel."""
-    green = np.zeros(xs.size)
-    deriv = np.zeros(xs.size)
-    for locs, weights, trapezoid in (
-        (mu0.atom_locations, mu0.atom_masses, False),
-        (mu0.density_grid, mu0.density_values, True),
-    ):
-        if locs.size == 0:
-            continue
-        g_vals = weights * green_closed(lam, locs[None, :] - xs[:, None])
-        d_vals = weights * g_lambda(lam, xs[:, None] - locs[None, :])
-        if trapezoid:
-            green += np.trapezoid(g_vals, locs, axis=1)
-            deriv += np.trapezoid(d_vals, locs, axis=1)
-        else:
-            green += np.sum(g_vals, axis=1)
-            deriv += np.sum(d_vals, axis=1)
-    return green, deriv
 
 
 def tanaka_terms(
@@ -494,8 +456,7 @@ def tanaka_terms(
     the terminal terms use the positions at t_end and the martingale terms
     are the kernel sums over the whole event log, so the path must be kept.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    resolvent_rate(lam)  # the rule on lambda, before any total is read
     term_initial = mu0.integrate(lambda y: green_closed(lam, y - x))
     deriv_initial = mu0.integrate(lambda y: g_lambda(lam, x - y))
     mass = recorder.params.mass_per_particle
@@ -549,17 +510,19 @@ def tanaka_panel_terms(
 ) -> PanelDecomposition:
     """Decomposition at t_end (the recorder's horizon), evaluated at every
     point of the registered panel; the martingale terms are read from the
-    registered `tanaka_event_functional` on the same points."""
+    registered `tanaka_event_functional` on the same points, and the initial
+    terms are `mu0.integrate` of one kernel row per panel point."""
     t = recorder.horizon
+    a = resolvent_rate(lam)
     occ, xs = _panel_block(recorder, "tanaka_panel", lam)
     m = xs.size
     mass = recorder.params.mass_per_particle
-    a = math.sqrt(2.0 * lam)
     even, odd = exp_kernel_sums(_as_1d(recorder.final_positions), mass, a, xs)
     term_terminal, deriv_terminal = even / a, odd
     mart, _ = _panel_block(recorder, "tanaka_event", lam, xs)
     mart_g, mart_d = mart[:m] / a, mart[m:]
-    term_initial, deriv_initial = _initial_terms(mu0, lam, xs)
+    term_initial = mu0.integrate(lambda y: green_closed(lam, y - xs[:, None]))
+    deriv_initial = mu0.integrate(lambda y: g_lambda(lam, xs[:, None] - y))
     term_occupation = lam * occ[:m]
     recentered = -term_terminal + term_occupation + mart_g
     deriv_field = -deriv_terminal + lam * occ[m:] + mart_d
@@ -604,11 +567,12 @@ def ftc_check(panel: PanelDecomposition, x: float) -> float:
 
 def martingale_increments(recorder: PathRecorder, lam: float, pairs) -> np.ndarray:
     """dM = M_t(g^{x1}) - M_t(g^{x2}) at t_end for each pair (x1, x2), with
-    g^x(y) = g_lambda(y - x), read from the registered
-    `increment_event_functional` (one event sum per distinct endpoint)."""
-    total = recorder.find_total("increment_event", lam=lam)
-    xs, sums = total.meta["xs"], total.values
-    return np.array([sums[panel_index(xs, x1)] - sums[panel_index(xs, x2)] for x1, x2 in pairs])
+    g^x(y) = g_lambda(y - x), read from the odd half of a registered
+    `tanaka_event_functional` panel that holds lam and every endpoint: that
+    half is M_t(g(x - .)) = -M_t(g^x), so dM = odd[x2] - odd[x1]."""
+    block, xs = _panel_block(recorder, "tanaka_event", lam)
+    odd = block[xs.size :]
+    return np.array([odd[panel_index(xs, x2)] - odd[panel_index(xs, x1)] for x1, x2 in pairs])
 
 
 def increment_clock_weights(nodes, lam: float, pairs, beta: float) -> np.ndarray:

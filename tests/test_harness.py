@@ -70,6 +70,8 @@ _DOMAINS = {
     "lam": _POSITIVE,
     "lam_alt": _POSITIVE,
     "bandwidth": _POSITIVE,
+    # theta = 0 is the exact case of the timechange kind
+    "theta_grid": st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4).map(tuple),
     # moments pairs c +- d/2 on the edges of its clock histogram (bins of 1/80)
     "distances": st.lists(st.integers(1, 80), min_size=2, max_size=4, unique=True).map(
         lambda ks: tuple(k / 40 for k in ks)
@@ -120,7 +122,7 @@ def valid_configs(draw, kind):
     if kind == "tanaka":  # every panel point within 300 / sqrt(2 lam) of 0
         reach = 300.0 / math.sqrt(2.0 * max(values["lam"], values["lam_alt"]))
         near = st.floats(-reach, reach)
-        values["x_eval"] = draw(st.lists(near, max_size=4).map(tuple))
+        values["x_eval"] = draw(st.lists(near, min_size=1, max_size=4).map(tuple))
         values["x_panel"] = draw(st.one_of(st.just(()), st.tuples(
             near, near, st.integers(2, 10**4)).filter(lambda v: v[0] < v[1]).map(
             lambda v: (v[0], v[1], float(v[2])))))
@@ -254,6 +256,14 @@ class TestConfig:
             # a * half-width = 980: NumericsError in exp_kernel_sums
             ("tanaka", "x_panel = -400 400 11\nlam = 2\nlam_alt = 3", "x_panel"),
             ("criterion", "r_grid =", "r_grid"),  # IndexError on the empty trend
+            # a ComplexWarning dropped the imaginary parts, and --check passed
+            ("timechange", "theta_grid = -1", "theta_grid"),
+            ("timechange", "theta_grid =", "theta_grid"),  # an ok report with no z
+            ("tanaka", "x_eval = nan", "x_eval"),  # UsageError: not a panel point
+            ("tanaka", "x_eval =", "x_eval"),  # ValueError: the kernel estimate's empty grid
+            # a * half-width = 990 on the pair endpoints: NumericsError in the
+            # moments kind's event panel
+            ("moments", "lam = 1000000", "lam"),
         ],
     )
     def test_tuple_key_the_kind_unpacks_is_checked(self, kind, setting, key, tmp_path):
@@ -328,6 +338,23 @@ class TestConfig:
         assert cli_main([kind, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
         parse_config_text(text, kind="unbounded2d")  # d = 2 is the probe's own case
+
+    @pytest.mark.parametrize("kind", ["timechange", "moments", "tanaka"])
+    @pytest.mark.parametrize("setting", ["lam = nan", "lam = inf", "lam_alt = nan",
+                                         "lam_alt = inf", "bandwidth = nan", "bandwidth = inf"])
+    def test_resolvent_rate_and_bandwidth_must_be_finite(self, kind, setting, tmp_path):
+        # NaN passed every `<= 0` rule: a NaN lam matched no registered
+        # functional (UsageError in the record), a NaN or inf bandwidth made
+        # numpy raise ValueError, and an unread lam_alt ran to an ok report
+        text = MINIMAL + setting + "\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, kind=kind)
+        key = setting.split(" = ")[0]
+        assert any(v.startswith(f"{key} must be finite and > 0") for v in err.value.violations)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert cli_main([kind, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_duality_solver_grid_rejected(self):
         # these used to pass validation, simulate every replica and then fail

@@ -32,7 +32,6 @@ from sbmlab.stable_path import compute_T, interval_martingale
 from sbmlab.tanaka import (
     estimate_local_time,
     histogram_functional,
-    increment_event_functional,
     interval_indicator_functional,
     martingale_increments,
     psi0,
@@ -395,7 +394,8 @@ class TestEventFunctional:
         (dirac(0.0, 0.15), make_params(0.5, 20, 1.0), RngStream(31, 1)),
     ]
     XS = np.linspace(-1.0, 1.0, 21)
-    PAIRS = [(-0.3, 0.1), (0.0, 0.4), (-0.1, 0.1)]
+    # the endpoints of the pairs (-0.3, 0.1), (0.0, 0.4), (-0.1, 0.1)
+    ENDPOINTS = np.array([-0.3, -0.1, 0.0, 0.1, 0.4])
 
     @pytest.mark.parametrize("run", range(len(RUNS)))
     def test_totals_match_the_log(self, run):
@@ -403,7 +403,8 @@ class TestEventFunctional:
         functionals = [psi0_event_functional(0.5, -0.3, 0.1),
                        EventFunctional("net", _net_mass, 1, {"kind": "net_mass"}),
                        tanaka_event_functional((0.5, 2.0), self.XS),
-                       increment_event_functional(1.0, self.PAIRS)]
+                       tanaka_event_functional(1.0, self.ENDPOINTS)]
+        psi, net_f, panel, endpoints = functionals
         full, rec = (simulate(mu, params, functionals,
                               RngStream(stream.seed, stream.stream_index), keep_path=keep)
                      for keep in (True, False))
@@ -412,17 +413,19 @@ class TestEventFunctional:
         for name, total in full.totals.items():
             assert total.values.tobytes() == rec.totals[name].values.tobytes()
         y, net = full.event_locations, full.event_net_mass
-        want = {"psi0_event": psi0(0.5, -0.3, 0.1, y)[:, None] * net[:, None],
-                "net_mass": net[:, None]}
-        blocks, d = [], self.XS[None, :] - y[:, None]
-        for lam in (0.5, 2.0):  # the even and odd kernels of exp_kernel_sums
+        want = {psi.name: psi0(0.5, -0.3, 0.1, y)[:, None] * net[:, None],
+                net_f.name: net[:, None]}
+        blocks = []
+        for lam, xs in ((0.5, self.XS), (2.0, self.XS), (1.0, self.ENDPOINTS)):
+            d = xs[None, :] - y[:, None]  # the even and odd kernels of exp_kernel_sums
             even = np.exp(-math.sqrt(2.0 * lam) * np.abs(d)) * net[:, None]
             blocks += [even, -np.sign(d) * even]
-        want["tanaka_event"] = np.hstack(blocks)
-        endpoints = increment_event_functional(1.0, self.PAIRS).meta["xs"]
-        want["increment_event"] = g_lambda(1.0, y[:, None] - endpoints) * net[:, None]
-        for kind, terms in want.items():
-            got = rec.find_total(kind).values
+        want[panel.name] = np.hstack(blocks[:4])
+        # the odd half at the endpoints is -M_t(g^x), with g^x(y) = g_lambda(y - x)
+        want[endpoints.name] = np.hstack(
+            [blocks[4], -g_lambda(1.0, y[:, None] - self.ENDPOINTS) * net[:, None]])
+        for name, terms in want.items():
+            got = rec.totals[name].values
             assert got.shape == (terms.shape[1],)
             assert (np.abs(got - terms.sum(axis=0)) <= 1e-12 * np.abs(terms).sum(axis=0)).all()
 
@@ -560,9 +563,9 @@ _READERS = {
     "compute_T": ([], lambda rec: compute_T(rec, 0.5, -0.1, 0.1), "psi0_power"),
     "interval_martingale": ([], lambda rec: interval_martingale(rec, 0.5, -0.1, 0.1),
                             "psi0_event"),
-    "martingale_increments": ([increment_event_functional(2.0, [(-0.1, 0.1)])],
+    "martingale_increments": ([tanaka_event_functional(2.0, [-0.1, 0.1])],
                               lambda rec: martingale_increments(rec, 0.5, [(-0.1, 0.1)]),
-                              "increment_event"),
+                              "tanaka_event"),
     # bins of 0.2 are too coarse for bandwidth 0.2
     "estimate_local_time": ([histogram_functional(-4.0, 4.0, 0.2)],
                             lambda rec: estimate_local_time(rec, _XS, 0.2), "histogram"),

@@ -10,8 +10,7 @@ from conftest import per_particle_functional
 from sbmlab.config import parse_config_text
 from sbmlab.errors import ConfigError, NumericsError, UsageError
 from sbmlab.harness import run_experiment
-from sbmlab.kernels import g_lambda, heat_kernel
-from sbmlab.kernels import green_closed
+from sbmlab.kernels import g_lambda, green_closed, green_numeric, heat_kernel, resolvent_rate
 from sbmlab.measures import FiniteMeasure, dirac, gridded_density
 from sbmlab.particles import (
     ModelParams,
@@ -21,15 +20,15 @@ from sbmlab.particles import (
 )
 from sbmlab.rng import RngStream
 from sbmlab.tanaka import (
-    _initial_terms,
     estimate_local_time,
     exp_kernel_sums,
     ftc_check,
     histogram_functional,
-    increment_event_functional,
+    increment_clock_weights,
     interval_indicator_functional,
     martingale_increments,
     psi0,
+    psi0_event_functional,
     psi0_power_functional,
     tanaka_event_functional,
     tanaka_panel_functional,
@@ -259,9 +258,11 @@ class TestSharedWork:
         ids=["dirac", "three_atoms", "density"],
     )
     def test_initial_terms_match_integrate_loop(self, mu):
+        # tanaka_panel_terms integrates one kernel row per panel point
         xs = np.linspace(-1.0, 1.0, 513)
         for lam in (0.5, 2.0):
-            green, deriv = _initial_terms(mu, lam, xs)
+            green = mu.integrate(lambda y: green_closed(lam, y - xs[:, None]))
+            deriv = mu.integrate(lambda y: g_lambda(lam, xs[:, None] - y))
             assert np.array_equal(
                 green, np.array([mu.integrate(lambda y: green_closed(lam, y - x)) for x in xs])
             )
@@ -372,9 +373,11 @@ class TestLocalTimeEstimate:
         assert any("below" in w for w in est.warnings)
 
     def test_bandwidth_validation(self, small_recorders, panel_grid):
+        # NaN and inf passed `bandwidth <= 0` and then matched no histogram
         _, _, recs = small_recorders
-        with pytest.raises(ValueError):
-            estimate_local_time(recs[0], panel_grid, 0.0)
+        for bandwidth in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="bandwidth must be finite and > 0"):
+                estimate_local_time(recs[0], panel_grid, bandwidth)
 
 
 class TestTanakaDecomposition:
@@ -456,6 +459,39 @@ class TestTanakaDecomposition:
             tanaka_terms(recs[0], mu, 0.0, 0.25)
 
 
+# every reader of lambda, called at a given lambda; the recorder readers get
+# the small_recorders path, whose panels hold lambda 0.5 and 2
+_LAMBDA_READERS = {
+    "resolvent_rate": lambda lam, rec, mu: resolvent_rate(lam),
+    "green_numeric": lambda lam, rec, mu: green_numeric(lam, 0.3),
+    "green_closed": lambda lam, rec, mu: green_closed(lam, 0.3),
+    "g_lambda": lambda lam, rec, mu: g_lambda(lam, 0.3),
+    "psi0": lambda lam, rec, mu: psi0(lam, -0.1, 0.1, np.array([0.0])),
+    "psi0_power_functional": lambda lam, rec, mu: psi0_power_functional(lam, -0.1, 0.1, 0.5),
+    "psi0_event_functional": lambda lam, rec, mu: psi0_event_functional(lam, -0.1, 0.1),
+    "increment_clock_weights": lambda lam, rec, mu: increment_clock_weights(
+        np.array([0.0]), lam, [(-0.1, 0.1)], 0.5),
+    "tanaka_panel_functional": lambda lam, rec, mu: tanaka_panel_functional(
+        (0.5, lam), np.array([0.0])),
+    "tanaka_event_functional": lambda lam, rec, mu: tanaka_event_functional(
+        lam, np.array([0.0])),
+    "tanaka_terms": lambda lam, rec, mu: tanaka_terms(rec, mu, lam, 0.25),
+    "tanaka_panel_terms": lambda lam, rec, mu: tanaka_panel_terms(rec, mu, lam),
+}
+
+
+class TestLambdaRule:
+    @pytest.mark.parametrize("reader", _LAMBDA_READERS)
+    def test_every_reader_states_the_rule(self, reader, small_recorders):
+        # NaN and inf passed every copy of `lam <= 0`: a reader returned NaN
+        # or zeros, or raised UsageError from a panel lookup that never matches
+        mu, _, recs = small_recorders
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda must be finite and > 0"):
+                _LAMBDA_READERS[reader](lam, recs[0], mu)
+        _LAMBDA_READERS[reader](2.0, recs[0], mu)  # a valid lambda is read
+
+
 class TestFtcCheck:
     def test_zero_at_origin_and_time_zero(self, small_recorders, panel_grid):
         mu, _, recs = small_recorders
@@ -519,12 +555,12 @@ MOMENTS = (
 class TestMartingaleStructure:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 50.0])
     def test_increments_match_brute_force(self, small_recorders, lam):
-        # one event sum per distinct endpoint, shared by the pairs that meet
-        # there, against the per-pair sum of net * (g(y - x1) - g(y - x2))
+        # one event-panel sum per distinct endpoint, shared by the pairs that
+        # meet there, against the per-pair sum of net * (g(y - x1) - g(y - x2))
         # over the log of the small_recorders paths
         mu, params, _ = small_recorders
         pairs = [(-0.1, 0.1), (0.0, 0.4), (-0.7, -0.2), (0.1, 0.4), (-0.2, 0.0)]
-        fns = [increment_event_functional(lam, pairs)]
+        fns = [tanaka_event_functional(lam, sorted({x for pair in pairs for x in pair}))]
         for i in range(10):
             rec = simulate(mu, params, fns, RngStream(901, i))
             y, net = rec.event_locations, rec.event_net_mass
@@ -532,7 +568,7 @@ class TestMartingaleStructure:
                      for x1, x2 in pairs]
             dm = martingale_increments(rec, lam, pairs)
             np.testing.assert_allclose(dm, brute, rtol=0, atol=1e-12)
-        with pytest.raises(UsageError, match="no increment_event functional"):
+        with pytest.raises(UsageError, match="no tanaka_event functional"):
             martingale_increments(rec, 2 * lam, pairs)
 
     def test_psi0_properties(self):
