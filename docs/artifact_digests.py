@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sbmlab.config import KINDS, parse_config_text
+from sbmlab.config import parse_config_text
 from sbmlab.harness import REGISTRY, run_experiment
 
 _PARTICLES = "n_scale = 200\nt_end = 0.1\nreplicas = 4\n"
@@ -50,6 +50,11 @@ CONFIGS = {
 POOL_WORKERS = 3
 
 
+def config_text(kind: str, workers: int) -> str:
+    """The pinned config of kind, with a relative `out` named after it."""
+    return f"beta = 0.5\nseed = 3\nout = {kind}\nworkers = {workers}\n{CONFIGS[kind]}"
+
+
 def _artifacts(kind: str, workers: int) -> dict[str, bytes]:
     """Run kind in ./w<workers>/<kind> (relative out, as above) and read back
     every file it wrote."""
@@ -57,9 +62,8 @@ def _artifacts(kind: str, workers: int) -> dict[str, bytes]:
     os.makedirs(f"w{workers}", exist_ok=True)
     os.chdir(f"w{workers}")
     try:
-        text = f"beta = 0.5\nseed = 3\nout = {kind}\nworkers = {workers}\n{CONFIGS[kind]}"
         with contextlib.redirect_stdout(sys.stderr):
-            run_experiment(parse_config_text(text, kind=kind))
+            run_experiment(parse_config_text(config_text(kind, workers), kind=kind))
         return {path.name: path.read_bytes() for path in sorted(Path(kind).iterdir())}
     finally:
         os.chdir(home)
@@ -85,7 +89,7 @@ def digest_table(workdir: str | Path) -> tuple[list[str], list[str]]:
     lines, differ = [], []
     os.chdir(workdir)
     try:
-        for kind in KINDS:
+        for kind in REGISTRY:
             serial = _artifacts(kind, 1)
             for name, data in serial.items():
                 lines.append(f"{kind:12s} {name:28s} {hashlib.sha256(data).hexdigest()}")

@@ -3,7 +3,9 @@ a worker pool), per-replica record persistence, associative merging, and
 CSV emission.
 
 Every experiment kind is one `Kind` entry in `REGISTRY`, the only place that
-knows what a kind does.  A replica kind names the functionals each particle
+knows what a kind does.  Its `violations(cfg) -> list[str]` states the
+kind's own config rules, which `ExperimentConfig.validate` appends to the
+rules every kind shares.  A replica kind names the functionals each particle
 replica accumulates, the per-replica `record` that reduces a path to a flat
 dict of numbers, and the `finalize(cfg, records, merged) -> (extra, tables)`
 that turns the records into its derived results and its tables; merging
@@ -70,26 +72,23 @@ from typing import Callable
 
 import numpy as np
 
-from .config import (
-    HOLDER_FIELD_SIZE,
-    HOLDER_SYNTHETICS,
-    KINDS,
-    MOMENTS_HISTOGRAM,
-    ExperimentConfig,
-    canonical_lines,
-    config_hash,
-    parse_config_text,
-)
+from .config import ExperimentConfig, canonical_lines, config_hash, parse_config_text
 from .continuity import (
     CriterionParams,
+    criterion_violations,
+    dyadic_lags,
     gs_series,
     holder_exponent,
+    holder_field_violations,
+    holder_lag_violations,
     probe_functionals,
     read_field,
     unboundedness_probe,
 )
 from .errors import ConfigError, ResourceLimitError
-from .loglaplace import GridSpec, smoothed_indicator, solve_mild
+from .kernels import lambda_violations, resolvent_rate
+from .loglaplace import (GridSpec, grid_violations, indicator_violations, smoothed_indicator,
+                         solve_mild, solve_violations)
 from .measures import FiniteMeasure, dirac, load_measure
 from .particles import (
     EventFunctional,
@@ -102,7 +101,9 @@ from .rng import RngStream
 from .textio import fnum
 from .stable_path import compute_T, interval_martingale
 from .tanaka import (
+    PANEL_TOL,
     estimate_local_time,
+    exp_kernel_violations,
     ftc_check,
     histogram_functional,
     increment_clock_weights,
@@ -119,6 +120,12 @@ from .tanaka import (
 __all__ = ["Kind", "REGISTRY", "RunReport", "run_experiment", "merge_reports", "check_report"]
 
 _SCHEMA_VERSION = "v1"
+
+# the tanaka kind's panel linspace when x_panel is empty: min max count
+_DEFAULT_PANEL = (-1.0, 1.0, 41)
+# the moments kind's clock histogram: lo, hi, bin width (its rules require
+# every pair endpoint to be one of its bin edges)
+MOMENTS_HISTOGRAM = (-8.0, 8.0, 0.0125)
 
 
 @dataclass
@@ -206,8 +213,20 @@ def _phi(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
+def _panel_grid(cfg: ExperimentConfig) -> np.ndarray:
+    """The Tanaka panel: the x_panel linspace (default -1 1 41) plus 0 and
+    every x_eval, sorted; a point within PANEL_TOL of one already there
+    is not added."""
+    lo, hi, count = cfg.x_panel if len(cfg.x_panel) == 3 else _DEFAULT_PANEL
+    xs = np.linspace(lo, hi, int(count))
+    for x in (0.0, *cfg.x_eval):
+        if xs.size == 0 or np.abs(xs - x).min() > PANEL_TOL:
+            xs = np.append(xs, x)
+    return np.sort(xs)
+
+
 def _tanaka_functionals(cfg: ExperimentConfig):
-    xs = cfg.panel_grid()
+    xs = _panel_grid(cfg)
     bin_width = min(cfg.bandwidth / 4.0, 0.025)
     # the kernel estimate reads the histogram 5 bandwidths beyond each x_eval;
     # one bin more absorbs the rounding of the last bin edge
@@ -221,10 +240,22 @@ def _tanaka_functionals(cfg: ExperimentConfig):
     ]
 
 
+def _moment_pairs(cfg: ExperimentConfig) -> list[tuple[float, float]]:
+    """The moments kind's pairs (c - d/2, c + d/2), grouped by distance in
+    the order of `distances`, centers in the order of `pair_centers`."""
+    return [(c - d / 2, c + d / 2) for d in cfg.distances for c in cfg.pair_centers]
+
+
+def _moment_endpoints(cfg: ExperimentConfig) -> list[float]:
+    """The distinct endpoints of `_moment_pairs`, sorted: the points of the
+    moments kind's event panel."""
+    return sorted({x for pair in _moment_pairs(cfg) for x in pair})
+
+
 def _moments_functionals(cfg: ExperimentConfig):
     return [
         histogram_functional(*MOMENTS_HISTOGRAM),
-        tanaka_event_functional(cfg.lam, cfg.moment_endpoints()),
+        tanaka_event_functional(cfg.lam, _moment_endpoints(cfg)),
     ]
 
 
@@ -264,7 +295,7 @@ def _record_duality(cfg: ExperimentConfig, rec, mu0) -> dict:
 
 
 def _record_tanaka(cfg: ExperimentConfig, rec, mu0) -> dict:
-    # one panel per lambda; every x_eval is a panel point (panel_grid)
+    # one panel per lambda; every x_eval is a panel point (_panel_grid)
     out = {}
     lt = estimate_local_time(rec, np.asarray(cfg.x_eval), cfg.bandwidth)
     panels = {lam: tanaka_panel_terms(rec, mu0, lam) for lam in (cfg.lam, cfg.lam_alt)}
@@ -282,7 +313,7 @@ def _record_tanaka(cfg: ExperimentConfig, rec, mu0) -> dict:
 def _holder_fit(cfg: ExperimentConfig, panel) -> dict:
     """The Holder fit of H at lam over holder_lags: exponent, 95% interval and
     whether that covers beta/(1+beta).  Nothing unless the panel is the
-    x_panel linspace itself (panel_grid added no point) and `holder_exponent`
+    x_panel linspace itself (_panel_grid added no point) and `holder_exponent`
     accepts the field; it rejects a panel below 64 points before it imports
     scipy."""
     if len(cfg.x_panel) != 3 or panel.xs.size != cfg.x_panel[2]:
@@ -304,7 +335,7 @@ def _holder_fit(cfg: ExperimentConfig, panel) -> dict:
 def _record_moments(cfg: ExperimentConfig, rec, mu0) -> dict:
     # per distance, the means over the pair centers of |dM|^q, log|dM| and
     # the clock T_d of each pair (validate makes every endpoint a bin edge)
-    pairs = cfg.moment_pairs()
+    pairs = _moment_pairs(cfg)
     hist = rec.find_total("histogram")
     increments = martingale_increments(rec, cfg.lam, pairs)
     clocks = hist.values @ increment_clock_weights(hist.meta["centers"], cfg.lam, pairs, cfg.beta)
@@ -647,19 +678,22 @@ def _run_criterion(cfg: ExperimentConfig):
     return {0: {"q_total": rep.q_total, "_retries": 0.0}}, extra, tables
 
 
+_HOLDER_FIELD_SIZE = 4096
+# the holder kind's synthetic fields by holder_synthetic value: (x, gen) ->
+# (values, dx) on the _HOLDER_FIELD_SIZE points x of [0, 1]
+SYNTHETIC_FIELDS = {
+    "linear": lambda x, gen: (x, 1.0 / (x.size - 1)),
+    "sqrt_cusp": lambda x, gen: (np.abs(x - 0.5) ** 0.5, 1.0 / (x.size - 1)),
+    "brownian": lambda x, gen: (np.cumsum(gen.normal(0.0, math.sqrt(1.0 / x.size), x.size)),
+                                1.0 / x.size),
+}
+
+
 def _holder_field(cfg: ExperimentConfig):
     if cfg.holder_input is not None:
         return read_field(cfg.holder_input), 1.0
-    n = HOLDER_FIELD_SIZE
-    x = np.linspace(0.0, 1.0, n)
-    gen = RngStream(cfg.seed, 0).gen
-    fields = {
-        "linear": lambda: (x, 1.0 / (n - 1)),
-        "sqrt_cusp": lambda: (np.abs(x - 0.5) ** 0.5, 1.0 / (n - 1)),
-        "brownian": lambda: (np.cumsum(gen.normal(0.0, math.sqrt(1.0 / n), n)), 1.0 / n),
-    }
-    assert tuple(fields) == HOLDER_SYNTHETICS, "validate() reads HOLDER_SYNTHETICS"
-    return fields[cfg.holder_synthetic]()
+    x = np.linspace(0.0, 1.0, _HOLDER_FIELD_SIZE)
+    return SYNTHETIC_FIELDS[cfg.holder_synthetic](x, RngStream(cfg.seed, 0).gen)
 
 
 def _run_holder(cfg: ExperimentConfig):
@@ -742,21 +776,161 @@ def _check_criterion(report: RunReport) -> list[str]:
     return ["Q(0, r) trend is not strictly decreasing"]
 
 
+# --- config rules (ExperimentConfig.validate appends the kind's own) -------
+
+
+def _whole(value: float, least: int) -> bool:
+    return float(value).is_integer() and value >= least
+
+
+def _is_range(values: tuple[float, ...]) -> bool:
+    """Two finite values lo < hi."""
+    return len(values) == 2 and all(map(math.isfinite, values)) and values[0] < values[1]
+
+
+def _d1_violations(cfg: ExperimentConfig) -> list[str]:
+    # the recorders that these kinds read (tanaka, stable_path) and the
+    # duality solver (loglaplace) are defined in d = 1 only
+    return [] if cfg.dim == 1 else [
+        f"dim must be 1 for kind {cfg.kind} (it is defined in d = 1 only), got {cfg.dim}"]
+
+
+def _holder_lags_violations(cfg: ExperimentConfig) -> list[str]:
+    """The lags lo hi that the holder kind and the tanaka kind's fit of H unpack."""
+    lags = cfg.holder_lags
+    if len(lags) == 2 and all(_whole(lag, 1) for lag in lags) and len(dyadic_lags(*lags)) >= 3:
+        return []
+    return [f"holder_lags must be two whole lags lo hi >= 1 with at least three "
+            f"powers of two between them, got {lags}"]
+
+
+def _duality_violations(cfg: ExperimentConfig) -> list[str]:
+    return [
+        *_d1_violations(cfg),
+        *grid_violations(cfg.solver_x_min, cfg.solver_x_max, cfg.solver_nx, cfg.solver_nt,
+                         prefix="solver_"),
+        *indicator_violations(cfg.phi_a, cfg.phi_b, cfg.phi_height, cfg.phi_ramp, prefix="phi_"),
+        *solve_violations(cfg.t_end, cfg.beta),
+    ]
+
+
+def _tanaka_violations(cfg: ExperimentConfig) -> list[str]:
+    errs = _d1_violations(cfg)
+    if cfg.lam_alt == cfg.lam:
+        errs.append(f"lam_alt must differ from lam for kind tanaka, both are {cfg.lam}")
+    if cfg.x_panel and not (
+        len(cfg.x_panel) == 3 and _is_range(cfg.x_panel[:2]) and _whole(cfg.x_panel[2], 2)
+    ):
+        errs.append(f"x_panel must be empty (the panel -1 1 41) or min max count, with "
+                    f"finite min < max and a whole count >= 2, got {cfg.x_panel}")
+    elif not lambda_violations(cfg.lam) + lambda_violations(cfg.lam_alt):
+        # the panel's kernel sums at both lambdas, blamed on x_panel when the
+        # ends of its linspace and 0 (all the rule reads) break it already
+        rates = [resolvent_rate(lam) for lam in (cfg.lam, cfg.lam_alt)]
+        if panel := exp_kernel_violations(rates, _panel_grid(cfg)):
+            lo, hi = (cfg.x_panel or _DEFAULT_PANEL)[:2]
+            if linspace := exp_kernel_violations(rates, sorted((lo, hi, 0.0))):
+                errs.extend(f"x_panel: {v}" for v in linspace)
+            else:
+                errs.extend(f"x_eval: {v}" for v in panel)
+    if not (cfg.x_eval and all(map(math.isfinite, cfg.x_eval))):
+        errs.append(f"x_eval must be one or more finite values, got {cfg.x_eval}")
+    return errs + _holder_lags_violations(cfg)
+
+
+def _moments_violations(cfg: ExperimentConfig) -> list[str]:
+    errs = _d1_violations(cfg)
+    if not 1.0 < cfg.q_moment < 1.0 + cfg.beta:
+        errs.append(f"q_moment must lie in (1, 1+beta) = (1, {1 + cfg.beta}), "
+                    f"got {cfg.q_moment}")
+    if not all(d > 0 for d in cfg.distances):
+        errs.append(f"distances must all be > 0, got {cfg.distances}")
+    if len(set(cfg.distances)) != len(cfg.distances) or len(cfg.distances) < 2:
+        errs.append(f"distances must be two or more distinct values (the kind fits "
+                    f"slopes against log d), got {cfg.distances}")
+    if not cfg.pair_centers:
+        errs.append("pair_centers must not be empty")
+    edges = histogram_functional(*MOMENTS_HISTOGRAM).meta["edges"]
+    off = [x for x in _moment_endpoints(cfg) if abs(edges - x).min() > 1e-9]
+    if off:
+        errs.append(f"pair endpoints c +- d/2 of pair_centers and distances must be edges "
+                    f"of the clock histogram (lo, hi, bin width) = {MOMENTS_HISTOGRAM}; "
+                    f"these are not: {', '.join(f'{x:g}' for x in off)}")
+    if not lambda_violations(cfg.lam):  # its event panel's kernel sums
+        errs.extend(f"lam: {v}" for v in exp_kernel_violations(
+            [resolvent_rate(cfg.lam)], _moment_endpoints(cfg)))
+    return errs
+
+
+def _jumps_violations(cfg: ExperimentConfig) -> list[str]:
+    units = cfg.jump_units
+    if len(units) == 3 and all(0 < u < math.inf for u in units[:2]) and _whole(units[2], 1):
+        return []
+    return [f"jump_units must be min max count, with finite min, max > 0 and a "
+            f"whole count >= 1, got {units}"]
+
+
+def _timechange_violations(cfg: ExperimentConfig) -> list[str]:
+    errs = _d1_violations(cfg)
+    if not cfg.x1 <= cfg.x2:
+        errs.append(f"need x1 <= x2, got ({cfg.x1}, {cfg.x2})")
+    # the finalizer's exp(theta^(1+beta) T) is complex for theta < 0
+    if not (cfg.theta_grid and all(0 <= th < math.inf for th in cfg.theta_grid)):
+        errs.append(f"theta_grid must be one or more finite values >= 0, "
+                    f"got {cfg.theta_grid}")
+    return errs
+
+
+def _unbounded2d_violations(cfg: ExperimentConfig) -> list[str]:
+    errs = []
+    if not _is_range(cfg.window):
+        errs.append(f"window must be two finite values lo < hi, got {cfg.window}")
+    # a probe histogram's name prints its width with 6 significant digits
+    hs = cfg.resolutions
+    if not (hs and all(0 < h < math.inf for h in hs) and len({f"{h:g}" for h in hs}) == len(hs)):
+        errs.append(f"resolutions must be one or more finite bin widths > 0, distinct "
+                    f"to 6 significant digits, got {hs}")
+    return errs
+
+
+def _holder_violations(cfg: ExperimentConfig) -> list[str]:
+    errs = _holder_lags_violations(cfg)
+    if cfg.holder_input is None:
+        if not errs:  # the synthetic field
+            errs.extend(f"holder_lags: {v}"
+                        for v in holder_lag_violations(_HOLDER_FIELD_SIZE, cfg.holder_lags))
+    elif Path(cfg.holder_input).exists():  # validate() reports a missing file
+        try:
+            values = read_field(cfg.holder_input)
+        except (OSError, ValueError) as exc:
+            errs.append(f"holder_input must be a file of comma-separated numbers: {exc}")
+        else:
+            lags = cfg.holder_lags if len(cfg.holder_lags) == 2 else (1, math.inf)
+            errs.extend(f"holder_input {cfg.holder_input}: {v}"
+                        for v in holder_field_violations(values, lags))
+    if cfg.holder_synthetic not in SYNTHETIC_FIELDS:
+        errs.append(f"holder_synthetic must be one of {tuple(SYNTHETIC_FIELDS)}, "
+                    f"got {cfg.holder_synthetic!r}")
+    return errs
+
+
 # --- the registry -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Kind:
     """What one experiment kind does (see the module docstring).  Signatures:
-    functionals(cfg), record(cfg, rec, mu0) -> dict, finalize(cfg, records,
-    merged) -> (extra, tables), run(cfg) -> (records, extra, tables),
-    check(report) -> fails; tables maps a file name to (schema, header,
-    rows), and neither finalize nor run writes a file.  saves_paths also
-    makes its replicas keep the path (`simulate`'s keep_path)."""
+    violations(cfg) -> list[str], functionals(cfg), record(cfg, rec, mu0) ->
+    dict, finalize(cfg, records, merged) -> (extra, tables), run(cfg) ->
+    (records, extra, tables), check(report) -> fails; tables maps a file
+    name to (schema, header, rows), and neither finalize nor run writes a
+    file.  saves_paths also makes its replicas keep the path (`simulate`'s
+    keep_path)."""
 
     record: Callable | None = None
     finalize: Callable | None = None
     run: Callable | None = None
+    violations: Callable = lambda cfg: []
     functionals: Callable = lambda cfg: []
     check: Callable = lambda report: []
     saves_paths: bool = False  # writes the path files that save_paths asks for
@@ -765,34 +939,37 @@ class Kind:
 REGISTRY: dict[str, Kind] = {
     # the path files hold the event log and the snapshots
     "simulate": Kind(record=_record_simulate, finalize=_finalize_simulate, saves_paths=True),
-    "duality": Kind(record=_record_duality, finalize=_finalize_duality, check=_check_duality),
+    "duality": Kind(record=_record_duality, finalize=_finalize_duality,
+                    violations=_duality_violations, check=_check_duality),
     "tanaka": Kind(
         record=_record_tanaka,
         finalize=_finalize_tanaka,
+        violations=_tanaka_violations,
         functionals=_tanaka_functionals,
         check=_check_tanaka,
     ),
     "moments": Kind(
         record=_record_moments,
         finalize=_finalize_moments,
+        violations=_moments_violations,
         functionals=_moments_functionals,
         check=_check_moments,
     ),
-    "jumps": Kind(record=_record_jumps, finalize=_finalize_jumps,
+    "jumps": Kind(record=_record_jumps, finalize=_finalize_jumps, violations=_jumps_violations,
                   functionals=_jumps_functionals, check=_check_jumps),
     "timechange": Kind(
         record=_record_timechange,
         finalize=_finalize_timechange,
+        violations=_timechange_violations,
         functionals=_timechange_functionals,
         check=_check_timechange,
     ),
-    "criterion": Kind(run=_run_criterion, check=_check_criterion),
-    "holder": Kind(run=_run_holder),
+    "criterion": Kind(run=_run_criterion, check=_check_criterion, violations=lambda cfg:
+                      criterion_violations(cfg.beta, cfg.k_window, cfg.n_max, cfg.r_grid)),
+    "holder": Kind(run=_run_holder, violations=_holder_violations),
     "unbounded2d": Kind(record=_record_unbounded2d, finalize=_finalize_unbounded2d,
-                        functionals=_unbounded2d_functionals),
+                        violations=_unbounded2d_violations, functionals=_unbounded2d_functionals),
 }
-# config validates kind names and [section] headers against KINDS
-assert tuple(REGISTRY) == KINDS, "REGISTRY and config.KINDS list different kinds"
 
 
 def _write_report(kind, cfg_hash, config_lines, records, merged, extra, tables,

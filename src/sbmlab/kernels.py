@@ -1,6 +1,6 @@
 """Deterministic analytic kernels: heat kernel, the resolvent Green's
-function G_lambda in numeric and closed form, and its a.e. derivative
-kernel g_lambda.
+function G_lambda in numeric and closed form, its a.e. derivative kernel
+g_lambda, and the rules of lambda and of a Gaussian smoothing bandwidth.
 
 Closed forms used throughout:
 
@@ -27,6 +27,7 @@ __all__ = [
     "g_lambda",
     "lambda_violations",
     "resolvent_rate",
+    "bandwidth_violations",
 ]
 
 
@@ -56,6 +57,13 @@ def resolvent_rate(lam: float) -> float:
     if violations := lambda_violations(lam):
         raise ValueError(violations[0])
     return math.sqrt(2.0 * lam)
+
+
+def bandwidth_violations(bandwidth: float) -> list[str]:
+    """The rule of a Gaussian smoothing kernel's width (the bandwidth of
+    `tanaka.estimate_local_time`): finite and > 0."""
+    return [] if 0 < bandwidth < math.inf else [
+        f"bandwidth must be finite and > 0, got {bandwidth}"]
 
 
 def green_numeric(lam: float, x: float) -> float:

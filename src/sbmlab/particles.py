@@ -42,6 +42,7 @@ __all__ = [
     "model_violations",
     "whole_step_dt",
     "make_params",
+    "initial_measure_violations",
     "init_particles",
     "step",
     "simulate",
@@ -306,14 +307,19 @@ class PathRecorder:
                          "register one before simulate")
 
 
+def initial_measure_violations(mu: FiniteMeasure) -> list[str]:
+    """The rule of `init_particles` on its measure: positive total mass."""
+    return [] if mu.total_mass > 0 else ["initial measure must have positive total mass"]
+
+
 def init_particles(mu: FiniteMeasure, params: ModelParams, stream: RngStream) -> ParticleState:
     """Nearest-integer(N * total_mass) particles, i.i.d. from the normalized mu.
 
     In d=2 the two coordinates are drawn independently from the same
     normalized one-dimensional measure (product initial condition).
     """
-    if mu.total_mass <= 0:
-        raise ValueError("initial measure must have positive total mass")
+    if violations := initial_measure_violations(mu):
+        raise ValueError(violations[0])
     n = int(round(params.n_scale * mu.total_mass))
     if params.dim == 1:
         pos = mu.sample_positions(stream.gen, n)

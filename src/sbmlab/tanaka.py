@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, UsageError
-from .kernels import g_lambda, green_closed, resolvent_rate
+from .kernels import bandwidth_violations, g_lambda, green_closed, resolvent_rate
 from .measures import FiniteMeasure
 from .particles import (
     EventFunctional,
@@ -76,7 +76,6 @@ __all__ = [
     "interval_indicator_functional",
     "PANEL_TOL",
     "panel_index",
-    "bandwidth_violations",
     "estimate_local_time",
     "tanaka_terms",
     "tanaka_panel_terms",
@@ -378,12 +377,6 @@ def _panel_block(recorder: PathRecorder, kind: str, lam: float, xs=None):
 class LocalTimeEstimate:
     values: np.ndarray
     warnings: list[str] = field(default_factory=list)
-
-
-def bandwidth_violations(bandwidth: float) -> list[str]:
-    """The rule of `estimate_local_time`'s bandwidth: finite and > 0."""
-    return [] if 0 < bandwidth < math.inf else [
-        f"bandwidth must be finite and > 0, got {bandwidth}"]
 
 
 def estimate_local_time(recorder: PathRecorder, x_grid, bandwidth: float) -> LocalTimeEstimate:

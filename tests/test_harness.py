@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 import sbmlab
 from sbmlab.cli import main as cli_main
 from sbmlab.config import (
-    HOLDER_SYNTHETICS,
-    KINDS,
     ExperimentConfig,
     canonical_lines,
     config_hash,
@@ -29,7 +27,14 @@ from sbmlab.config import (
 from sbmlab.continuity import holder_exponent, probe_functionals, unboundedness_probe
 from sbmlab.errors import ConfigError
 from sbmlab import harness
-from sbmlab.harness import REGISTRY, RunReport, check_report, merge_reports, run_experiment
+from sbmlab.harness import (
+    REGISTRY,
+    SYNTHETIC_FIELDS,
+    RunReport,
+    check_report,
+    merge_reports,
+    run_experiment,
+)
 from sbmlab.measures import dirac
 from sbmlab.particles import dt_at_cap, make_params, simulate
 from sbmlab.rng import RngStream
@@ -101,7 +106,7 @@ _DOMAINS = {
     # distinct as the probe histograms' names print them
     "resolutions": st.lists(_POSITIVE, min_size=1, max_size=4,
                             unique_by=lambda h: f"{h:g}").map(tuple),
-    "holder_synthetic": st.sampled_from(HOLDER_SYNTHETICS),
+    "holder_synthetic": st.sampled_from(tuple(SYNTHETIC_FIELDS)),
 }
 
 
@@ -138,7 +143,7 @@ def valid_configs(draw, kind):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", tuple(REGISTRY))
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_canonical_lines_round_trip(self, kind, data):
@@ -261,6 +266,8 @@ class TestConfig:
             ("timechange", "theta_grid =", "theta_grid"),  # an ok report with no z
             ("tanaka", "x_eval = nan", "x_eval"),  # UsageError: not a panel point
             ("tanaka", "x_eval =", "x_eval"),  # ValueError: the kernel estimate's empty grid
+            # a far x_eval breaks the panel's kernel sums: it was blamed on x_panel
+            ("tanaka", "x_eval = 0.25 1000000", "x_eval"),
             # a * half-width = 990 on the pair endpoints: NumericsError in the
             # moments kind's event panel
             ("moments", "lam = 1000000", "lam"),
@@ -300,6 +307,29 @@ class TestConfig:
         assert cli_main(["holder", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
         parse_config_text(text, kind="simulate")  # the field concerns the holder kind only
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            "atoms 1\n0.0 abc\ndensity 0\n",  # a bare ValueError from float()
+            "atoms 2\n0.0 1.0\n",
+            "atoms 0\ndensity 0\n",  # ValueError in init_particles
+        ],
+        ids=["unparseable", "truncated", "zero-mass"],
+    )
+    def test_initial_measure_that_does_not_load_is_a_config_error(self, measure, tmp_path):
+        # each passed validation and then raised in the first replica, after
+        # the out directory was made
+        path = tmp_path / "mu.txt"
+        path.write_text(measure)
+        text = MINIMAL + f"initial_measure = {path}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, kind="simulate")
+        assert any(v.startswith("initial_measure") for v in err.value.violations)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert cli_main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "text, key",

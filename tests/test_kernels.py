@@ -87,11 +87,6 @@ class TestGreen:
             assert (np.diff(vals) < 0).all()
             assert vals.max() == vals[0]
 
-    def test_domain_error(self):
-        for fn in (green_numeric, green_closed, g_lambda):
-            with pytest.raises(ValueError):
-                fn(0.0, 1.0)
-
 
 class TestDerivativeKernel:
     def test_values(self):

@@ -225,11 +225,10 @@ class TestSharedWork:
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (lam, name)
 
     def test_panel_rates_validated(self, panel_grid):
+        # a rate outside the lambda rule: TestLambdaRule
         assert tanaka_panel_functional(1.0, panel_grid).name == "tanaka_panel:1"
         with pytest.raises(ValueError, match="duplicate"):
             tanaka_panel_functional((1.0, 2.0, 1.0), panel_grid)
-        with pytest.raises(ValueError, match="> 0"):
-            tanaka_panel_functional((1.0, -1.0), panel_grid)
 
     def test_presorted_sums_match_unsorted(self, small_recorders, panel_grid):
         _, params, recs = small_recorders
@@ -452,11 +451,6 @@ class TestTanakaDecomposition:
                        RngStream(24, 0))
         with pytest.raises(UsageError, match="tanaka_event"):
             tanaka_panel_terms(rec, dirac(0.0), 1.0)
-
-    def test_lambda_validation(self, small_recorders):
-        mu, _, recs = small_recorders
-        with pytest.raises(ValueError):
-            tanaka_terms(recs[0], mu, 0.0, 0.25)
 
 
 # every reader of lambda, called at a given lambda; the recorder readers get
