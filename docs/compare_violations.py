@@ -35,8 +35,8 @@ DRAWS_PER_KIND = 100
 BASE = "beta = 0.5\nn_scale = 200\nt_end = 0.1\nseed = 5\nreplicas = 6\n"
 # one value per rule that breaks it (and one pair); "{...}" names a file of _FILES
 BROKEN = [
-    "kind = nope", "beta = 1.5", "n_scale = 0", "t_end = -1", "dim = 3", "dim = 2",
-    "particle_cap = 0", "snapshot_stride = 0", "dt = -1", "dt = 1",
+    "kind = nope", "beta = 1.5", "beta = 0", "beta = nan", "n_scale = 0", "t_end = -1",
+    "dim = 3", "dim = 2", "particle_cap = 0", "snapshot_stride = 0", "dt = -1", "dt = 1",
     "replicas = 0", "replica_start = -1", "replica_start = 4294967295", "seed = -1",
     "workers = 0", "save_paths = some",
     "lam = 0", "lam = nan", "lam_alt = -1", "lam_alt = inf", "lam = 1.5\nlam_alt = 1.5",
@@ -49,7 +49,7 @@ BROKEN = [
     "holder_input = {field-nan}",
     "q_moment = 1.6", "distances = 0 0.1", "distances = 0.1", "pair_centers =",
     "distances = 0.03", "lam = 1000000", "lam = 1000000\nlam_alt = nan",
-    "x1 = 1\nx2 = 0", "theta_grid = -1", "theta_grid =",
+    "x1 = 1\nx2 = 0", "x1 = nan", "theta_grid = -1", "theta_grid =",
     "solver_nx = 4", "solver_nt = 0", "solver_x_min = 2\nsolver_x_max = 2",
     "phi_a = 1\nphi_b = -1", "phi_ramp = 0", "phi_height = -0.5", "t_end = 0",
     "window = 1", "resolutions = 0.1 0.1", "resolutions = 0.1 0",

@@ -29,8 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import raise_violations
 from .particles import OccupationFunctional
-from .tanaka import histogram_functional
+from .rng import beta_violations
+from .tanaka import histogram_edges, histogram_functional
 
 __all__ = [
     "ExponentConditions",
@@ -82,7 +84,7 @@ def check_exponent_conditions(beta: float, gamma: float, q: float) -> ExponentCo
     opposite sides of a boundary (gamma = 1/3, q = 1.5 gives
     1 - 1/q > gamma but 1 - q(1-gamma) = 0).
     """
-    beta_ok = 0.0 < beta < 1.0
+    beta_ok = not beta_violations(beta)
     gamma_pos = gamma > 0.0
     b, g, r = Fraction(beta), Fraction(gamma), Fraction(q)
     if q > 0:
@@ -126,17 +128,13 @@ class CriterionParams:
     n_max: int = 64
 
     def __post_init__(self):
-        errs = criterion_violations(self.beta, self.k_window, self.n_max)
-        if errs:
-            raise ValueError("; ".join(errs))
+        raise_violations(criterion_violations(self.beta, self.k_window, self.n_max))
 
 
 def criterion_violations(beta: float, k_window: float, n_max: int, r_grid=None) -> list[str]:
     """Every rule of `CriterionParams` (and, if given, of `gs_series`'s
     r_grid) the values break, naming each field; empty if they are valid."""
-    errs = []
-    if not (0.0 < beta < 1.0):
-        errs.append(f"beta must lie in (0, 1), got {beta}")
+    errs = beta_violations(beta)
     if not k_window > 0:
         errs.append(f"k_window must be > 0, got {k_window}")
     if r_grid is not None and not len(r_grid):
@@ -152,9 +150,8 @@ def criterion_violations(beta: float, k_window: float, n_max: int, r_grid=None) 
 class SeriesValue:
     value: float
     convergent: bool
-    certified: bool  # rigorous tail bound established at n_max
+    certified: bool  # rigorous tail bound established at n_max; else inconclusive
     tail_bound: float
-    inconclusive: bool  # n_max insufficient to certify; never a silent pass
 
 
 def modulus_tail_sum(gamma: float, k_window: float, m: int = 0) -> float:
@@ -177,9 +174,9 @@ def _q_a(params: CriterionParams, r: float) -> SeriesValue:
         params.q * (1.0 - params.gamma)
     )
     if e_a >= 0:
-        return SeriesValue(math.inf, False, True, math.inf, False)
+        return SeriesValue(math.inf, False, True, math.inf)
     value = prefactor / (1.0 - 2.0**e_a)
-    return SeriesValue(float(value), True, True, 0.0, False)
+    return SeriesValue(float(value), True, True, 0.0)
 
 
 def _q_b(params: CriterionParams, r: float) -> SeriesValue:
@@ -191,7 +188,7 @@ def _q_b(params: CriterionParams, r: float) -> SeriesValue:
         * params.k_window ** (gamma * (1.0 + 1.0 / beta) - 1.0 / beta)
     )
     if e_b <= 0:
-        return SeriesValue(math.inf, False, True, math.inf, False)
+        return SeriesValue(math.inf, False, True, math.inf)
     n = np.arange(params.n_max + 1)
     log_terms = n * math.log(2.0) - a * 2.0 ** (n * e_b)
     partial = float(np.exp(np.clip(log_terms, -745.0, 700.0)).sum())
@@ -202,22 +199,22 @@ def _q_b(params: CriterionParams, r: float) -> SeriesValue:
         rho = 2.0 ** (1.0 - big_a * e_b)
         log_head = params.n_max * math.log(2.0) - big_a
         tail = math.exp(max(log_head, -745.0)) * rho / (1.0 - rho) if log_head > -745 else 0.0
-        return SeriesValue(partial, True, True, float(tail), False)
-    return SeriesValue(partial, True, False, math.inf, True)
+        return SeriesValue(partial, True, True, float(tail))
+    return SeriesValue(partial, True, False, math.inf)
 
 
 def _q_c(params: CriterionParams, r: float) -> SeriesValue:
     beta, gamma = params.beta, params.gamma
     delta_c = 1.0 / (1.0 + beta) - gamma
     if delta_c <= 0:
-        return SeriesValue(math.inf, False, True, math.inf, False)
+        return SeriesValue(math.inf, False, True, math.inf)
     k_pow = params.k_window**delta_c
     n = np.arange(params.n_max + 1)
     base = params.c_free / r * k_pow * 2.0 ** (-n * delta_c)
     expo = params.c_free * r / k_pow * 2.0 ** (n * delta_c)
     log_terms = n * math.log(2.0) + expo * np.log(base)
     if np.max(log_terms) > 700.0:
-        return SeriesValue(math.inf, True, False, math.inf, True)
+        return SeriesValue(math.inf, True, False, math.inf)
     partial = float(np.exp(np.clip(log_terms, -745.0, 700.0)).sum())
     # certified tail when the base has fallen below 1/2 and the exponent grows
     # fast enough: terms <= 2^{n - E_n} with E_n doubling-exponential.
@@ -226,8 +223,8 @@ def _q_c(params: CriterionParams, r: float) -> SeriesValue:
     if base_end <= 0.5 and expo_end * delta_c * math.log(2.0) >= 2.0:
         log_tail = (params.n_max - expo_end) * math.log(2.0)
         tail = math.exp(max(log_tail, -745.0)) if log_tail > -745 else 0.0
-        return SeriesValue(partial, True, True, float(tail), False)
-    return SeriesValue(partial, True, False, math.inf, True)
+        return SeriesValue(partial, True, True, float(tail))
+    return SeriesValue(partial, True, False, math.inf)
 
 
 @dataclass
@@ -250,9 +247,7 @@ def gs_series(params: CriterionParams, r_grid=(1.0, 10.0, 100.0, 1000.0)) -> Ser
     geometric tail) and the three criterion series at r = r_grid[0], plus
     the Q(0, r) trend over the r grid with monotone-decrease detection.
     ValueError for an empty r_grid or an r <= 0 (`criterion_violations`)."""
-    errs = criterion_violations(params.beta, params.k_window, params.n_max, r_grid)
-    if errs:
-        raise ValueError("; ".join(errs))
+    raise_violations(criterion_violations(params.beta, params.k_window, params.n_max, r_grid))
     if params.gamma <= 0:
         g_closed = math.inf
         g_partial, g_tail = math.inf, math.inf
@@ -348,9 +343,7 @@ def holder_exponent(samples, scale_range: tuple[int, int] = (1, 64), dx: float =
     (`holder_field_violations`).
     """
     values = np.asarray(samples, dtype=float)
-    errs = holder_field_violations(values, scale_range)
-    if errs:
-        raise ValueError("; ".join(errs))
+    raise_violations(holder_field_violations(values, scale_range))
     lo, hi = scale_range
     lags = dyadic_lags(lo, min(hi, values.size - 1))
     osc = []
@@ -386,8 +379,7 @@ def holder_exponent(samples, scale_range: tuple[int, int] = (1, 64), dx: float =
 def _probe_fields(window, h: float) -> dict:
     """The meta fields that name the probe histogram of bin width h over the
     window, as `histogram_functional` and the d=2 histogram store them."""
-    if not h > 0:
-        raise ValueError(f"bin width must be > 0, got {h}")
+    histogram_edges(0.0, 0.0, h)  # ValueError for a width histogram_edges rejects
     return {"bin_width": h, "window": np.ravel(window).tolist()}
 
 
@@ -398,7 +390,7 @@ def _probe_histogram(dim: int, window, h: float) -> OccupationFunctional:
     fields = _probe_fields(window, h)
     if dim == 1:
         return histogram_functional(float(window[0]), float(window[1]), h)
-    ex, ey = (np.arange(lo, hi + h * 0.5, h) for lo, hi in window)
+    ex, ey = (histogram_edges(lo, hi, h) for lo, hi in window)
     nx, ny = ex.size - 1, ey.size - 1
 
     def sum_fn(points: np.ndarray, weight: float) -> np.ndarray:

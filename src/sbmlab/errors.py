@@ -23,3 +23,9 @@ class ConfigError(SbmlabError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+def raise_violations(violations: list[str]) -> None:
+    """Raise ValueError of the broken rules a `*_violations` call listed, if any."""
+    if violations:
+        raise ValueError("; ".join(violations))

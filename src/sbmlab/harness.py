@@ -102,12 +102,15 @@ from .textio import fnum
 from .stable_path import compute_T, interval_martingale
 from .tanaka import (
     PANEL_TOL,
+    endpoints_off_edges,
     estimate_local_time,
     exp_kernel_violations,
     ftc_check,
+    histogram_edges,
     histogram_functional,
     increment_clock_weights,
     interval_indicator_functional,
+    interval_violations,
     martingale_increments,
     panel_index,
     psi0_event_functional,
@@ -305,7 +308,7 @@ def _record_tanaka(cfg: ExperimentConfig, rec, mu0) -> dict:
             out[f"L_tanaka:lam={lam:g}:x={x:g}"] = float(panel.local_time[j])
             out[f"H:lam={lam:g}:x={x:g}"] = float(panel.deriv_field[j])
     for k, x in enumerate(cfg.x_eval):
-        out[f"L_kernel:x={x:g}"] = float(lt.values[k])
+        out[f"L_kernel:x={x:g}"] = float(lt[k])
         out[f"ftc_abs:x={x:g}"] = abs(ftc_check(panels[cfg.lam], x))
     return out | _holder_fit(cfg, panels[cfg.lam])
 
@@ -850,9 +853,7 @@ def _moments_violations(cfg: ExperimentConfig) -> list[str]:
                     f"slopes against log d), got {cfg.distances}")
     if not cfg.pair_centers:
         errs.append("pair_centers must not be empty")
-    edges = histogram_functional(*MOMENTS_HISTOGRAM).meta["edges"]
-    off = [x for x in _moment_endpoints(cfg) if abs(edges - x).min() > 1e-9]
-    if off:
+    if off := endpoints_off_edges(histogram_edges(*MOMENTS_HISTOGRAM), _moment_endpoints(cfg)):
         errs.append(f"pair endpoints c +- d/2 of pair_centers and distances must be edges "
                     f"of the clock histogram (lo, hi, bin width) = {MOMENTS_HISTOGRAM}; "
                     f"these are not: {', '.join(f'{x:g}' for x in off)}")
@@ -871,9 +872,7 @@ def _jumps_violations(cfg: ExperimentConfig) -> list[str]:
 
 
 def _timechange_violations(cfg: ExperimentConfig) -> list[str]:
-    errs = _d1_violations(cfg)
-    if not cfg.x1 <= cfg.x2:
-        errs.append(f"need x1 <= x2, got ({cfg.x1}, {cfg.x2})")
+    errs = _d1_violations(cfg) + interval_violations(cfg.x1, cfg.x2)
     # the finalizer's exp(theta^(1+beta) T) is complex for theta < 0
     if not (cfg.theta_grid and all(0 <= th < math.inf for th in cfg.theta_grid)):
         errs.append(f"theta_grid must be one or more finite values >= 0, "

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, raise_violations
 
 __all__ = [
     "heat_kernel",
@@ -54,8 +54,7 @@ def lambda_violations(lam: float, name: str = "lambda") -> list[str]:
 def resolvent_rate(lam: float) -> float:
     """The kernels' rate a = sqrt(2 lambda); ValueError unless lambda keeps
     `lambda_violations`' rule."""
-    if violations := lambda_violations(lam):
-        raise ValueError(violations[0])
+    raise_violations(lambda_violations(lam))
     return math.sqrt(2.0 * lam)
 
 

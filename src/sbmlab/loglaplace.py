@@ -47,7 +47,8 @@ from typing import Callable
 import numpy as np
 from numpy import fft
 
-from .errors import NumericsError
+from .errors import NumericsError, raise_violations
+from .rng import beta_violations
 
 __all__ = [
     "GridSpec",
@@ -88,9 +89,7 @@ class GridSpec:
     substeps: int = 4  # refinement of the first time interval
 
     def __post_init__(self):
-        errs = grid_violations(self.x_min, self.x_max, self.nx, self.nt, self.substeps)
-        if errs:
-            raise ValueError("; ".join(errs))
+        raise_violations(grid_violations(self.x_min, self.x_max, self.nx, self.nt, self.substeps))
 
     @property
     def x_grid(self) -> np.ndarray:
@@ -234,9 +233,7 @@ def _phi_on_grid(phi, x_grid: np.ndarray) -> np.ndarray:
 def solve_violations(t_end: float, beta: float, tol: float = 1e-9) -> list[str]:
     """Every rule of `solve_mild` that the horizon, beta and tol break, each
     named as its argument; empty if they are valid."""
-    errs = []
-    if not 0.0 < beta < 1.0:
-        errs.append(f"beta must lie in (0, 1), got {beta}")
+    errs = beta_violations(beta)
     if not 0.0 < t_end < math.inf:
         errs.append(f"t_end must be finite and > 0, got {t_end}")
     if not tol > 0:
@@ -265,9 +262,7 @@ def solve_mild(
     each row's rectangle sum are formed `_BLOCK_ROWS` time levels at a time,
     so no other array spans more than one block of rows.
     """
-    errs = solve_violations(t_end, beta, tol)
-    if errs:
-        raise ValueError("; ".join(errs))
+    raise_violations(solve_violations(t_end, beta, tol))
     x_grid = grids.x_grid
     phi_vals = _phi_on_grid(phi, x_grid)
     nt, nx, j_sub = grids.nt, grids.nx, grids.substeps
@@ -337,9 +332,7 @@ def indicator_violations(
 def smoothed_indicator(a: float, b: float, height: float, ramp: float):
     """C^1 plateau of the given height on [a, b] with cosine ramps of the
     given width outside; the smoothed test function used in duality runs."""
-    errs = indicator_violations(a, b, height, ramp)
-    if errs:
-        raise ValueError("; ".join(errs))
+    raise_violations(indicator_violations(a, b, height, ramp))
 
     def phi(y):
         y = np.asarray(y, dtype=float)

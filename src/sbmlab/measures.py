@@ -147,7 +147,7 @@ def load_measure(path: str | Path) -> FiniteMeasure:
         if pos >= len(tokens):
             raise ValueError(f"{path}: missing '{name}' header")
         parts = tokens[pos].split()
-        if len(parts) != 2 or parts[0] != name:
+        if len(parts) != 2 or parts[0] != name or not parts[1].isdecimal():
             raise ValueError(f"{path}: expected '{name} <count>' at line {pos + 1}")
         pos += 1
         return int(parts[1])
@@ -159,10 +159,10 @@ def load_measure(path: str | Path) -> FiniteMeasure:
         for i in range(count):
             if pos >= len(tokens):
                 raise ValueError(f"{path}: truncated file")
-            parts = tokens[pos].split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}: expected two columns at line {pos + 1}")
-            a[i], b[i] = float(parts[0]), float(parts[1])
+            try:
+                a[i], b[i] = map(float, tokens[pos].split())
+            except ValueError:  # not two columns, or not numbers
+                raise ValueError(f"{path}: expected two numbers at line {pos + 1}") from None
             pos += 1
         return a, b
 

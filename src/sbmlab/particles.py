@@ -25,9 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError, raise_violations
 from .measures import FiniteMeasure
-from .rng import OffspringLaw, RngStream, make_offspring_law, sample_offspring
+from .rng import OffspringLaw, RngStream, beta_violations, make_offspring_law, sample_offspring
 from .textio import fnum
 
 __all__ = [
@@ -64,10 +64,8 @@ class ModelParams:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        errs = model_violations(self.beta, self.n_scale, self.dt, self.t_end, self.dim,
-                                self.particle_cap, self.snapshot_stride)
-        if errs:
-            raise ValueError("; ".join(errs))
+        raise_violations(model_violations(self.beta, self.n_scale, self.dt, self.t_end,
+                                          self.dim, self.particle_cap, self.snapshot_stride))
 
     @property
     def branch_rate(self) -> float:
@@ -93,9 +91,8 @@ def model_violations(
     """Every rule of `ModelParams` the values break, naming each field; empty
     if they are valid.  dt None stands for the step `make_params` fits under
     the branch_rate*dt cap, which obeys every dt rule."""
-    errs = []
-    if not (0.0 < beta < 1.0):
-        errs.append(f"beta must lie in (0, 1), got {beta}")
+    errs = beta_violations(beta)
+    beta_ok = not errs
     if n_scale < 1:
         errs.append(f"n_scale must be >= 1, got {n_scale}")
     if not 0.0 <= t_end < math.inf:
@@ -108,7 +105,7 @@ def model_violations(
         errs.append(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     if dt is not None and not dt > 0:
         errs.append(f"dt must be > 0, got {dt}")
-    elif dt is not None and 0.0 < beta < 1.0 and n_scale >= 1:
+    elif dt is not None and beta_ok and n_scale >= 1:
         # n_scale**beta is complex at a negative scale, so the cap waits for it
         rate = (1.0 + beta) * n_scale**beta
         if rate * dt > _DT_CAP * (1 + 1e-9):
@@ -133,16 +130,16 @@ def make_params(
     **kwargs,
 ) -> ModelParams:
     """ModelParams with a dt that divides t_end exactly, at or below the
-    branch_rate*dt cap."""
-    if dt is None:
+    branch_rate*dt cap; ValueError for the values `model_violations` rejects."""
+    if dt is not None:
+        dt = whole_step_dt(dt, t_end)
+    elif not model_violations(beta, n_scale, None, t_end):  # else ModelParams names them
         cap = dt_at_cap(beta, n_scale)
         if t_end > 0:
             n_steps = max(1, math.ceil(t_end / cap - 1e-9))
             dt = t_end / n_steps
         else:
             dt = cap
-    else:
-        dt = whole_step_dt(dt, t_end)
     return ModelParams(beta=beta, n_scale=n_scale, dt=dt, t_end=t_end, dim=dim, **kwargs)
 
 
@@ -318,8 +315,7 @@ def init_particles(mu: FiniteMeasure, params: ModelParams, stream: RngStream) ->
     In d=2 the two coordinates are drawn independently from the same
     normalized one-dimensional measure (product initial condition).
     """
-    if violations := initial_measure_violations(mu):
-        raise ValueError(violations[0])
+    raise_violations(initial_measure_violations(mu))
     n = int(round(params.n_scale * mu.total_mass))
     if params.dim == 1:
         pos = mu.sample_positions(stream.gen, n)

@@ -13,8 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .errors import raise_violations
+
 __all__ = [
     "RngStream",
+    "beta_violations",
     "OffspringLaw",
     "make_offspring_law",
     "offspring_pmf",
@@ -57,14 +60,14 @@ class RngStream:
 # ---------------------------------------------------------------------------
 
 
-def _check_beta(beta: float) -> None:
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+def beta_violations(beta: float) -> list[str]:
+    """The Slack law's rule on beta, and every model's: 0 < beta < 1; empty if kept."""
+    return [] if 0.0 < beta < 1.0 else [f"beta must lie in (0, 1), got {beta}"]
 
 
 def offspring_pmf(beta: float, k: int) -> float:
     """Probability of k offspring under the critical Slack law."""
-    _check_beta(beta)
+    raise_violations(beta_violations(beta))
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
@@ -169,7 +172,7 @@ class OffspringLaw:
 
 
 def make_offspring_law(beta: float, k_table: int = 10_000) -> OffspringLaw:
-    _check_beta(beta)
+    raise_violations(beta_violations(beta))
     if k_table < 2:
         raise ValueError(f"k_table must be >= 2, got {k_table}")
     p = np.zeros(k_table + 1)

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import raise_violations
 from .particles import PathRecorder
 from .rng import RngStream, StableParams, sample_stable_increment
+from .tanaka import interval_violations
 
 __all__ = [
     "inf_tail_oracle",
@@ -158,8 +160,7 @@ def compute_T(recorder: PathRecorder, lam: float, x1: float, x2: float) -> float
     the same stream and step is a prefix of a longer one."""
     if x1 == x2:
         return 0.0
-    if not x1 < x2:
-        raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
+    raise_violations(interval_violations(x1, x2))
     return float(recorder.find_total("psi0_power", lam=lam, x1=x1, x2=x2).values[0])
 
 
@@ -170,4 +171,5 @@ def interval_martingale(recorder: PathRecorder, lam: float, x1: float, x2: float
     whose total it reads."""
     if x1 == x2:
         return 0.0
+    raise_violations(interval_violations(x1, x2))
     return float(recorder.find_total("psi0_event", lam=lam, x1=x1, x2=x2).values[0])

@@ -47,11 +47,11 @@ so every derivative-route kernel evaluates g_lambda with arguments reversed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, UsageError
+from .errors import NumericsError, UsageError, raise_violations
 from .kernels import bandwidth_violations, g_lambda, green_closed, resolvent_rate
 from .measures import FiniteMeasure
 from .particles import (
@@ -64,12 +64,13 @@ from .particles import (
 __all__ = [
     "exp_kernel_sums",
     "exp_kernel_violations",
-    "LocalTimeEstimate",
     "TanakaDecomposition",
     "PanelDecomposition",
     "tanaka_panel_functional",
     "tanaka_event_functional",
+    "histogram_edges",
     "histogram_functional",
+    "interval_violations",
     "psi0",
     "psi0_power_functional",
     "psi0_event_functional",
@@ -82,6 +83,7 @@ __all__ = [
     "ftc_check",
     "martingale_increments",
     "increment_clock_weights",
+    "endpoints_off_edges",
 ]
 
 
@@ -240,6 +242,13 @@ def tanaka_event_functional(lams, xs) -> EventFunctional:
     )
 
 
+def histogram_edges(lo: float, hi: float, bin_width: float) -> np.ndarray:
+    """Edges lo, lo + w, ... to within w/2 of hi; ValueError unless w is finite and > 0."""
+    if not 0.0 < bin_width < math.inf:
+        raise ValueError(f"bin width must be finite and > 0, got {bin_width}")
+    return np.arange(lo, hi + bin_width * 0.5, bin_width)
+
+
 def histogram_functional(lo: float, hi: float, bin_width: float) -> OccupationFunctional:
     """Binned occupation accumulator: <X_s, 1_bin> for fixed bins on [lo, hi].
 
@@ -248,7 +257,7 @@ def histogram_functional(lo: float, hi: float, bin_width: float) -> OccupationFu
     centers (keep bin_width well below the target bandwidth).  Bins are
     closed on the left; particles outside [lo, hi) are not counted.
     """
-    edges = np.arange(lo, hi + bin_width * 0.5, bin_width)
+    edges = histogram_edges(lo, hi, bin_width)
     centers = 0.5 * (edges[1:] + edges[:-1])
 
     def sum_fn(y: np.ndarray, weight: float) -> np.ndarray:
@@ -271,11 +280,18 @@ def _psi0_values(a: float, x1: float, x2: float, y: np.ndarray) -> np.ndarray:
     return -np.sign(d2) * np.exp(-a * np.abs(d2)) - -np.sign(d1) * np.exp(-a * np.abs(d1))
 
 
+def interval_violations(x1: float, x2: float) -> list[str]:
+    """The rule of an interval [x1, x2] shared by psi0 and every interval
+    functional and reader: x1 <= x2, which a NaN end breaks.  Empty if kept."""
+    return [] if x1 <= x2 else [f"need x1 <= x2, got ({x1}, {x2})"]
+
+
 def psi0(lam: float, x1: float, x2: float, y):
     """Interval integrand (g_lambda(y-x2) - g_lambda(y-x1)) 1_[x1,x2](y);
     nonnegative and bounded by 2.  Evaluated at every point of y (the event
     sums use it, and the tests take it as the reference)."""
     a = resolvent_rate(lam)
+    raise_violations(interval_violations(x1, x2))
     y = np.asarray(y, dtype=float)
     inside = (y >= x1) & (y <= x2)
     return _psi0_values(a, x1, x2, y) * inside
@@ -293,8 +309,7 @@ def psi0_power_functional(lam: float, x1: float, x2: float, beta: float) -> Occu
     psi0 is zero outside [x1, x2], so it is evaluated only on the slice of
     the block's sorted points inside."""
     a = resolvent_rate(lam)
-    if not x1 <= x2:
-        raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
+    raise_violations(interval_violations(x1, x2))
     power = 1.0 + beta
 
     def sum_fn(y: np.ndarray, weight: float) -> np.ndarray:
@@ -313,8 +328,7 @@ def psi0_event_functional(lam: float, x1: float, x2: float) -> EventFunctional:
     over the branch events, psi0 evaluated at every event location; without
     BLAS, whose thread pool slowed a one-worker timechange run by a third."""
     resolvent_rate(lam)  # the rule on lambda
-    if not x1 <= x2:
-        raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
+    raise_violations(interval_violations(x1, x2))
     return EventFunctional(
         name=f"psi0event:{lam:g}:{x1:g}:{x2:g}",
         sum_fn=lambda y, net: np.sum(psi0(lam, x1, x2, y) * net),
@@ -325,8 +339,7 @@ def psi0_event_functional(lam: float, x1: float, x2: float) -> EventFunctional:
 def interval_indicator_functional(x1: float, x2: float) -> OccupationFunctional:
     """Accumulator of <X_s, 1_[x1,x2]>: the occupation mass of the interval,
     i.e. the exact integral of the local time over [x1, x2]."""
-    if not x1 <= x2:
-        raise ValueError(f"need x1 <= x2, got ({x1}, {x2})")
+    raise_violations(interval_violations(x1, x2))
 
     def sum_fn(y: np.ndarray, weight: float) -> np.ndarray:
         return np.array([weight * _inside(y, x1, x2).size])
@@ -373,28 +386,15 @@ def _panel_block(recorder: PathRecorder, kind: str, lam: float, xs=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LocalTimeEstimate:
-    values: np.ndarray
-    warnings: list[str] = field(default_factory=list)
-
-
-def estimate_local_time(recorder: PathRecorder, x_grid, bandwidth: float) -> LocalTimeEstimate:
+def estimate_local_time(recorder: PathRecorder, x_grid, bandwidth: float) -> np.ndarray:
     """Kernel-smoothed occupation density on x_grid at t_end.
 
     Reads a registered histogram with bins of at most bandwidth/4 that covers
     x_grid with a 5-bandwidth margin (positions quantized to bin centers),
     integrated on the step grid; without one, UsageError.
     """
-    if violations := bandwidth_violations(bandwidth):
-        raise ValueError(violations[0])
+    raise_violations(bandwidth_violations(bandwidth))
     x_grid = np.asarray(x_grid, dtype=float)
-    warnings = []
-    spacing = float(np.min(np.diff(x_grid))) if x_grid.size > 1 else math.inf
-    if bandwidth < spacing:
-        warnings.append(
-            f"bandwidth {bandwidth:g} below x-grid resolution {spacing:g}"
-        )
     hist = recorder.find_total("histogram", lambda m: (
         np.max(np.diff(m["edges"])) <= bandwidth / 4 + 1e-12
         and m["edges"][0] <= x_grid.min() - 5 * bandwidth
@@ -402,7 +402,7 @@ def estimate_local_time(recorder: PathRecorder, x_grid, bandwidth: float) -> Loc
     norm = 1.0 / (bandwidth * math.sqrt(2.0 * math.pi))
     d = (x_grid[:, None] - hist.meta["centers"][None, :]) / bandwidth
     values = norm * (np.exp(-0.5 * d * d) @ hist.values)
-    return LocalTimeEstimate(values=np.maximum(values, 0.0), warnings=warnings)
+    return np.maximum(values, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -578,3 +578,13 @@ def increment_clock_weights(nodes, lam: float, pairs, beta: float) -> np.ndarray
     x1s, x2s = np.array(pairs, dtype=float).T
     nodes = np.asarray(nodes, dtype=float)[:, None]
     return np.abs(g_lambda(lam, nodes - x1s) - g_lambda(lam, nodes - x2s)) ** (1 + beta)
+
+
+def endpoints_off_edges(edges: np.ndarray, endpoints) -> list[float]:
+    """The endpoints farther than 1e-9 from every sorted bin edge, where the
+    midpoint quadrature of `increment_clock_weights` on that histogram is
+    not exact; one search finds each endpoint's two nearest edges."""
+    xs = np.asarray(endpoints, dtype=float)
+    right = np.clip(edges.searchsorted(xs), 1, edges.size - 1)
+    near = np.minimum(np.abs(xs - edges[right - 1]), np.abs(xs - edges[right]))
+    return xs[near > 1e-9].tolist()

@@ -20,6 +20,7 @@ from sbmlab.errors import UsageError
 from sbmlab.measures import dirac
 from sbmlab.particles import make_params, simulate
 from sbmlab.rng import RngStream
+from sbmlab.tanaka import histogram_edges, histogram_functional
 
 
 class TestExponentConditions:
@@ -129,12 +130,9 @@ class TestSeries:
         )
         rep = gs_series(p)
         assert rep.q_b.convergent  # e_b = 2 - 3 gamma > 0, barely
-        assert rep.q_b.inconclusive
         assert not rep.q_b.certified
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            CriterionParams(beta=1.2, gamma=0.2, q=1.4)
         with pytest.raises(ValueError):
             CriterionParams(beta=0.5, gamma=0.2, q=1.4, n_max=8)
         # the series are evaluated at r_grid[0], so the grid needs a first r
@@ -215,9 +213,28 @@ class TestUnboundednessProbe:
             unboundedness_probe(probe_recorders[1], [0.1], (50.0, 51.0))
 
     def test_bad_resolution(self, probe_recorders):
-        with pytest.raises(ValueError):
-            unboundedness_probe(probe_recorders[1], [0.0], (-1.0, 1.0))
-        with pytest.raises(ValueError):
-            probe_functionals(2, [-0.1], ((-1.0, 1.0), (-1.0, 1.0)))
         with pytest.raises(UsageError):  # a width that was not registered
             unboundedness_probe(probe_recorders[1], [0.3], (-1.5, 1.5))
+
+
+# every reader of a histogram's bin width, called at a given width; the probe
+# readers get the probe_recorders paths, which hold the width 0.1
+_BIN_WIDTH_READERS = {
+    "histogram_edges": lambda h, recs: histogram_edges(-1.0, 1.0, h),
+    "histogram_functional": lambda h, recs: histogram_functional(-1.0, 1.0, h),
+    "probe_functionals[d=1]": lambda h, recs: probe_functionals(1, [h], (-1.0, 1.0)),
+    "probe_functionals[d=2]": lambda h, recs: probe_functionals(
+        2, [h], ((-1.0, 1.0), (-1.0, 1.0))),
+    "unboundedness_probe": lambda h, recs: unboundedness_probe(recs[1], [h], (-1.5, 1.5)),
+}
+
+
+class TestBinWidthRule:
+    @pytest.mark.parametrize("reader", _BIN_WIDTH_READERS)
+    def test_every_reader_states_the_rule(self, reader, probe_recorders):
+        # histogram_functional divided by zero at width 0 and built a
+        # histogram of no bins at a negative width
+        for h in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="bin width must be finite and > 0"):
+                _BIN_WIDTH_READERS[reader](h, probe_recorders)
+        _BIN_WIDTH_READERS[reader](0.1, probe_recorders)  # a valid width is read

@@ -309,23 +309,27 @@ class TestConfig:
         parse_config_text(text, kind="simulate")  # the field concerns the holder kind only
 
     @pytest.mark.parametrize(
-        "measure",
+        "measure, where",
         [
-            "atoms 1\n0.0 abc\ndensity 0\n",  # a bare ValueError from float()
-            "atoms 2\n0.0 1.0\n",
-            "atoms 0\ndensity 0\n",  # ValueError in init_particles
+            # float() and int() raised bare ValueErrors, naming neither file nor line
+            ("atoms 1\n0.0 abc\ndensity 0\n", "at line 2"),
+            ("atoms x\n", "at line 1"),
+            ("atoms 2\n0.0 1.0\n", "truncated"),
+            ("atoms 0\ndensity 0\n", "positive total mass"),  # ValueError in init_particles
         ],
-        ids=["unparseable", "truncated", "zero-mass"],
+        ids=["unparseable", "unparseable-count", "truncated", "zero-mass"],
     )
-    def test_initial_measure_that_does_not_load_is_a_config_error(self, measure, tmp_path):
+    def test_initial_measure_that_does_not_load_is_a_config_error(self, measure, where,
+                                                                   tmp_path):
         # each passed validation and then raised in the first replica, after
-        # the out directory was made
+        # the out directory was made; the message names the file and where
         path = tmp_path / "mu.txt"
         path.write_text(measure)
         text = MINIMAL + f"initial_measure = {path}\n"
         with pytest.raises(ConfigError) as err:
             parse_config_text(text, kind="simulate")
-        assert any(v.startswith("initial_measure") for v in err.value.violations)
+        assert any(v.startswith("initial_measure") and str(path) in v and where in v
+                   for v in err.value.violations)
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(text)
         assert cli_main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2

@@ -296,8 +296,6 @@ class TestSolver:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            solve_mild(constant_phi(1.0), 1.0, 1.5, GridSpec(nx=51, nt=10))
-        with pytest.raises(ValueError):
             solve_mild(constant_phi(-1.0), 1.0, 0.5, GridSpec(nx=51, nt=10))
         with pytest.raises(ValueError):
             solve_mild(constant_phi(1.0), 0.0, 0.5, GridSpec(nx=51, nt=10))

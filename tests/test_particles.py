@@ -61,11 +61,6 @@ class TestModelParams:
         with pytest.raises(ValueError, match="branch_rate.*dt"):
             ModelParams(beta=0.5, n_scale=10000, dt=0.01, t_end=1.0)
 
-    def test_beta_domain(self):
-        for bad in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError):
-                ModelParams(beta=bad, n_scale=10, dt=1e-3, t_end=0.1)
-
     def test_derived_quantities(self):
         p = make_params(0.5, 400, 0.5)
         assert p.branch_rate == pytest.approx(1.5 * math.sqrt(400))

@@ -10,10 +10,16 @@ from scipy.special import gammaln
 from scipy.stats import ks_1samp, ks_2samp, levy_stable
 
 from sbmlab import rng
+from sbmlab.config import ExperimentConfig
+from sbmlab.continuity import CriterionParams, criterion_violations
+from sbmlab.errors import raise_violations
+from sbmlab.loglaplace import GridSpec, solve_mild, solve_violations
+from sbmlab.particles import ModelParams, make_params, model_violations
 from sbmlab.rng import (
     OffspringLaw,
     RngStream,
     StableParams,
+    beta_violations,
     make_offspring_law,
     offspring_pmf,
     sample_offspring,
@@ -315,3 +321,33 @@ class TestStreams:
             make_streams(1, 0)
         with pytest.raises(ValueError):
             RngStream(1, -1)
+
+
+# every reader of beta, called at a given beta: the rule's owner, the Slack
+# law, the model, the criterion, the solver and the config of a kind that
+# reads both the model and the solver
+_BETA_READERS = {
+    "beta_violations": lambda beta: raise_violations(beta_violations(beta)),
+    "offspring_pmf": lambda beta: offspring_pmf(beta, 2),
+    "make_offspring_law": lambda beta: make_offspring_law(beta, k_table=16),
+    "model_violations": lambda beta: raise_violations(model_violations(beta, 10, 1e-3, 0.1)),
+    "ModelParams": lambda beta: ModelParams(beta, 10, 1e-3, 0.1),
+    "make_params": lambda beta: make_params(beta, 10, 0.1),
+    "criterion_violations": lambda beta: raise_violations(criterion_violations(beta, 1.0, 64)),
+    "CriterionParams": lambda beta: CriterionParams(beta, 0.2, 1.4),
+    "solve_violations": lambda beta: raise_violations(solve_violations(1.0, beta)),
+    "solve_mild": lambda beta: solve_mild(np.ones_like, 0.1, beta, GridSpec(nx=51, nt=10)),
+    "validate[duality]": lambda beta: raise_violations(
+        ExperimentConfig(kind="duality", beta=beta, t_end=0.1).validate()),
+}
+
+
+class TestBetaRule:
+    @pytest.mark.parametrize("reader", _BETA_READERS)
+    def test_every_reader_states_the_rule(self, reader):
+        # make_params fitted its step before the rule was read, and raised
+        # "cannot convert float NaN to integer" at beta = nan
+        for beta in (0.0, 1.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match=rf"beta must lie in \(0, 1\), got {beta}"):
+                _BETA_READERS[reader](beta)
+        _BETA_READERS[reader](0.5)  # a valid beta is read

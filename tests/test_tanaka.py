@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import per_particle_functional
-from sbmlab.config import parse_config_text
-from sbmlab.errors import ConfigError, NumericsError, UsageError
+from sbmlab.config import ExperimentConfig, parse_config_text
+from sbmlab.errors import ConfigError, NumericsError, UsageError, raise_violations
 from sbmlab.harness import run_experiment
 from sbmlab.kernels import g_lambda, green_closed, green_numeric, heat_kernel, resolvent_rate
 from sbmlab.measures import FiniteMeasure, dirac, gridded_density
@@ -19,13 +19,17 @@ from sbmlab.particles import (
     simulate,
 )
 from sbmlab.rng import RngStream
+from sbmlab.stable_path import compute_T, interval_martingale
 from sbmlab.tanaka import (
     estimate_local_time,
+    endpoints_off_edges,
     exp_kernel_sums,
     ftc_check,
+    histogram_edges,
     histogram_functional,
     increment_clock_weights,
     interval_indicator_functional,
+    interval_violations,
     martingale_increments,
     psi0,
     psi0_event_functional,
@@ -299,7 +303,7 @@ class TestLocalTimeEstimate:
         fns = [histogram_functional(-8.0, 8.0, 0.025)]
         rec = simulate(dirac(0.0), make_params(0.5, 500, 0.0), fns, RngStream(901, 0))
         est = estimate_local_time(rec, panel_grid, 0.1)
-        assert (est.values == 0.0).all()
+        assert (est == 0.0).all()
 
     def test_quadrature_matches_total_occupation(self, small_recorders):
         _, _, recs = small_recorders
@@ -307,7 +311,7 @@ class TestLocalTimeEstimate:
         for rec in recs[:10]:
             est = estimate_local_time(rec, wide, 0.1)
             total = rec.mass_occupation[-1]
-            assert np.trapezoid(est.values, wide) == pytest.approx(total, rel=0.01)
+            assert np.trapezoid(est, wide) == pytest.approx(total, rel=0.01)
 
     def test_nondecreasing_in_time(self, panel_grid):
         # one stream at one step: the run to t = 0.15 is the first 51 steps
@@ -320,7 +324,7 @@ class TestLocalTimeEstimate:
                 panel_grid, 0.1)
             for t in (0.15, 0.3)
         )
-        assert (e2.values >= e1.values - 1e-12).all()
+        assert (e2 >= e1 - 1e-12).all()
 
     def test_replica_mean_vs_heat_oracle(self):
         # E L_hat(t, 0) = int_0^t (P_s k_bw)(0) ds
@@ -352,7 +356,7 @@ class TestLocalTimeEstimate:
         binned = simulate(dirac(0.0), p, [histogram_functional(-8, 8, bw / 8)], RngStream(22, 0))
         exact = panel.totals["kernel_panel"].values
         est = estimate_local_time(binned, xs, bw)
-        assert np.abs(est.values - exact).max() < 0.01 * max(1.0, exact.max())
+        assert np.abs(est - exact).max() < 0.01 * max(1.0, exact.max())
 
     def test_no_accumulator_usage_error(self, small_recorders):
         p = make_params(0.5, 200, 0.1, snapshot_stride=5)
@@ -364,12 +368,6 @@ class TestLocalTimeEstimate:
         for xs, bw in ((np.linspace(-1, 1, 11), 0.05), (np.linspace(-7, 7, 11), 0.3)):
             with pytest.raises(UsageError):
                 estimate_local_time(recs[0], xs, bw)
-
-    def test_bandwidth_below_resolution_warns(self, panel_grid):
-        p = make_params(0.5, 200, 0.1, snapshot_stride=10**9)
-        rec = simulate(dirac(0.0), p, [histogram_functional(-1.1, 1.1, 0.0025)], RngStream(23, 0))
-        est = estimate_local_time(rec, panel_grid, 0.01)
-        assert any("below" in w for w in est.warnings)
 
     def test_bandwidth_validation(self, small_recorders, panel_grid):
         # NaN and inf passed `bandwidth <= 0` and then matched no histogram
@@ -486,6 +484,33 @@ class TestLambdaRule:
         _LAMBDA_READERS[reader](2.0, recs[0], mu)  # a valid lambda is read
 
 
+# every reader of an interval [x1, x2], called at given ends; the recorder
+# readers get the small_recorders path, which holds lambda 0.5 on [-0.1, 0.1]
+_INTERVAL_READERS = {
+    "interval_violations": lambda x1, x2, rec: raise_violations(interval_violations(x1, x2)),
+    "psi0": lambda x1, x2, rec: psi0(1.0, x1, x2, np.array([0.15])),
+    "psi0_power_functional": lambda x1, x2, rec: psi0_power_functional(0.5, x1, x2, 0.5),
+    "psi0_event_functional": lambda x1, x2, rec: psi0_event_functional(0.5, x1, x2),
+    "interval_indicator_functional": lambda x1, x2, rec: interval_indicator_functional(x1, x2),
+    "compute_T": lambda x1, x2, rec: compute_T(rec, 0.5, x1, x2),
+    "interval_martingale": lambda x1, x2, rec: interval_martingale(rec, 0.5, x1, x2),
+    "validate[timechange]": lambda x1, x2, rec: raise_violations(
+        ExperimentConfig(kind="timechange", x1=x1, x2=x2).validate()),
+}
+
+
+class TestIntervalRule:
+    @pytest.mark.parametrize("reader", _INTERVAL_READERS)
+    def test_every_reader_states_the_rule(self, reader, small_recorders):
+        # psi0 returned zeros for x1 > x2, and interval_martingale raised
+        # UsageError from a lookup that never matches
+        _, _, recs = small_recorders
+        for x1, x2 in ((0.2, 0.1), (math.nan, 0.1), (0.1, math.nan)):
+            with pytest.raises(ValueError, match=r"need x1 <= x2, got"):
+                _INTERVAL_READERS[reader](x1, x2, recs[0])
+        _INTERVAL_READERS[reader](-0.1, 0.1, recs[0])  # a valid interval is read
+
+
 class TestFtcCheck:
     def test_zero_at_origin_and_time_zero(self, small_recorders, panel_grid):
         mu, _, recs = small_recorders
@@ -587,6 +612,19 @@ class TestMartingaleStructure:
             parse_config_text(MOMENTS + "distances = 0.03\n", kind="moments")
         assert any("distances" in v and "0.015" in v for v in err.value.violations)
         parse_config_text(MOMENTS + "distances = 0.03\n", kind="simulate")
+
+    def test_off_edge_search_matches_the_scan(self):
+        # one search of the sorted edges against a scan of all of them per
+        # endpoint: the same endpoints, in order, off, on, near and beyond
+        # the edges, and at nan and +-inf
+        edges = histogram_edges(-8.0, 8.0, 0.0125)
+        gen = np.random.default_rng(30)
+        for _ in range(300):
+            xs = np.concatenate([gen.uniform(-9.0, 9.0, 5), gen.integers(-700, 700, 5) * 0.0125,
+                                 gen.integers(-700, 700, 3) * 0.0125 + gen.normal(0, 1e-9, 3),
+                                 gen.choice([math.nan, math.inf, -math.inf, -8.0, 8.0], 2)])
+            scan = [x for x in xs if abs(edges - x).min() > 1e-9]
+            assert endpoints_off_edges(edges, xs) == scan
 
     def test_moment_q_domain(self):
         for bad_q in (1.0, 1.5, 2.0, 0.8):
